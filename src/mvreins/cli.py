@@ -1,6 +1,9 @@
 """Command-line interface: filter, frontier, value-surface, dual-curve, simulate, validate.
 
 Exit codes: 0 success, 1 usage/configuration error, 2 validation-suite failure.
+Bad arguments, configurations and simulation settings print one ``error: ...``
+line; counts that cannot work (``--steps 0``, ``--paths 1``, ...) are rejected
+while parsing.
 All numeric output is written in full double precision (shortest round-trip
 decimal), so reruns with identical inputs produce byte-identical files.
 """
@@ -17,10 +20,10 @@ import numpy as np
 
 from . import fullinfo, montecarlo, partialinfo
 from .config import ConfigError, load_config
-from .filtering import solve_variance
+from .filtering import filter_coefficients, solve_variance
 from .frontier import InfeasibleTargetError
 from .model import INFO_FULL, INFO_PARTIAL, validate
-from .odekernel import RngStream
+from .odekernel import RngStream, gaussian_increments
 from .validation import format_table, run_checks
 
 
@@ -32,6 +35,16 @@ class _Parser(argparse.ArgumentParser):
     # argparse exits with code 2 on usage errors; remap to the documented code 1
     def error(self, message):
         raise UsageError(message)
+
+
+def _int_at_least(lowest: int):
+    """argparse type: an integer no smaller than ``lowest``."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < lowest:
+            raise argparse.ArgumentTypeError(f"must be >= {lowest}, got {value}")
+        return value
+    return parse
 
 
 def _fmt(x) -> str:
@@ -59,7 +72,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("validate", help="run the named-check validation suite")
 
     p = sub.add_parser("filter", help="write filter.csv (t, m, n)")
-    p.add_argument("--steps", type=int, default=1000)
+    p.add_argument("--steps", type=_int_at_least(1), default=1000)
     p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("frontier", help="write frontier.csv")
@@ -67,28 +80,28 @@ def _build_parser() -> _Parser:
                    help="solver to use (defaults to the config's info_mode)")
     p.add_argument("--d-max", type=float, default=None,
                    help="largest target mean (default: max(objective d, 1.5 vertex))")
-    p.add_argument("--points", type=int, default=101)
+    p.add_argument("--points", type=_int_at_least(1), default=101)
 
     p = sub.add_parser("value-surface", help="write value_surface.csv (t, x, V, region)")
-    p.add_argument("--nt", type=int, default=51)
-    p.add_argument("--nx", type=int, default=51)
+    p.add_argument("--nt", type=_int_at_least(1), default=51)
+    p.add_argument("--nx", type=_int_at_least(1), default=51)
     p.add_argument("--x-min", type=float, default=None)
     p.add_argument("--x-max", type=float, default=None)
 
     p = sub.add_parser("dual-curve", help="write dual_curve.csv (gamma, dual_value)")
     p.add_argument("--gamma-min", type=float, default=None)
     p.add_argument("--gamma-max", type=float, default=None)
-    p.add_argument("--points", type=int, default=201)
+    p.add_argument("--points", type=_int_at_least(1), default=201)
 
     p = sub.add_parser("simulate", help="simulate the optimal strategy, write summary.json")
     p.add_argument("--mode", choices=[INFO_FULL, INFO_PARTIAL], default=None)
     p.add_argument("--dynamics", choices=["physical", "innovation"],
                    default="physical")
-    p.add_argument("--paths", type=int, default=20000)
+    p.add_argument("--paths", type=_int_at_least(2), default=20000)
     p.add_argument("--dt", type=float, default=None,
                    help="time step (default T/5000)")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=_int_at_least(1), default=1)
     p.add_argument("--store-paths", action="store_true",
                    help="also write paths.csv with stored trajectories")
     return parser
@@ -131,20 +144,18 @@ def _cmd_filter(args, model, out_dir: Path) -> int:
     steps = args.steps
     dt = T / steps
     grid = dt * np.arange(steps + 1)
-    n_curve = solve_variance(model.drift, model.market.sigma, T)
-    n_vals = n_curve(grid)
+    dr, sigma = model.drift, model.market.sigma
+    n_curve = solve_variance(dr, sigma, T)
+    coef = filter_coefficients(dr, sigma, n_curve, steps, dt)
     # One seeded filter-mean path under the observation filtration:
     # dm = h m dt + (l + n/sigma) dWbar.
-    dr, sigma = model.drift, model.market.sigma
-    incr = np.sqrt(dt) * RngStream(args.seed).generator().standard_normal(steps)
+    incr = gaussian_increments(RngStream(args.seed), steps, dt)
     m_vals = np.empty(steps + 1)
     m_vals[0] = dr.m0
     for k in range(steps):
-        t = grid[k]
-        vol = dr.l(t) + n_vals[k] / sigma(t)
-        m_vals[k + 1] = m_vals[k] + dr.h(t) * m_vals[k] * dt + vol * incr[k]
+        m_vals[k + 1] = m_vals[k] + coef.h[k] * m_vals[k] * dt + coef.vol[k] * incr[k]
     _write_csv(out_dir / "filter.csv", ["t", "m", "n"],
-               zip(grid, m_vals, n_vals))
+               zip(grid, m_vals, n_curve(grid)))
     print(f"wrote {out_dir / 'filter.csv'}")
     return 0
 
@@ -292,7 +303,7 @@ def main(argv=None) -> int:
         model, overrides = load_config(args.config)
         report = validate(model)
         if not report.ok:
-            print(f"invalid configuration: {report}", file=sys.stderr)
+            print(f"error: invalid configuration: {report}", file=sys.stderr)
             return 1
         out_dir = Path(args.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -311,7 +322,8 @@ def main(argv=None) -> int:
         if args.command == "simulate":
             return _cmd_simulate(args, model, out_dir, compat)
         raise UsageError(f"unknown command {args.command!r}")
-    except (ConfigError, UsageError, InfeasibleTargetError, ValueError) as exc:
+    except (ConfigError, UsageError, InfeasibleTargetError, ValueError,
+            montecarlo.SimulationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

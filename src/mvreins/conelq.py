@@ -9,8 +9,8 @@ Because the diffusion Gram matrix is diagonal, the constrained minimizations
 
 separate per coordinate and admit exact closed forms; no numerical QP is needed.
 With deterministic coefficients the martingale parts of the backward equations
-vanish (the ``lambda_zero`` marker), and the pair P+/- solves the terminal-value
-ODEs  dP/dt = -[2 r P + H*(t, P)],  P(T) = 1,  P > 0.
+vanish, and the pair P+/- solves the terminal-value ODEs
+dP/dt = -[2 r P + H*(t, P)],  P(T) = 1,  P > 0.
 """
 
 from __future__ import annotations
@@ -52,15 +52,13 @@ class ControlPair:
 class LQCoefficients:
     """Drift/diffusion coefficients of the wealth-gap SDE at one instant.
 
-    b_q = a*eta, b_pi = m - r (filtered excess return); d_q = b, d_pi = sigma;
-    f is the affine drift term (zero under cheap reinsurance).
+    b_q = a*eta, b_pi = m - r (filtered excess return); d_q = b, d_pi = sigma.
     """
 
     b_q: float
     b_pi: float
     d_q: float
     d_pi: float
-    f: float = 0.0
 
     def __post_init__(self):
         if self.d_q <= 0 or self.d_pi <= 0:
@@ -113,7 +111,6 @@ class RiccatiSolution:
 
     p_plus: SampledCurve
     p_minus: SampledCurve
-    lambda_zero: bool = True
 
 
 def _coeffs_at(model: ModelParams, m_bar, t: float) -> LQCoefficients:
@@ -161,4 +158,4 @@ def solve_riccati_pair(model: ModelParams, m_bar,
     for name, curve in (("P+", p_plus), ("P-", p_minus)):
         if curve.values.min() <= 0:
             raise RiccatiSolverError(f"{name} not positive on [0, T]")
-    return RiccatiSolution(p_plus=p_plus, p_minus=p_minus, lambda_zero=True)
+    return RiccatiSolution(p_plus=p_plus, p_minus=p_minus)

@@ -11,6 +11,11 @@ shared by every path, while the mean is updated per path from observed returns:
 
 The bracketed observation residual, scaled by 1/sigma, is the innovation
 increment; it is a Brownian increment under the observation filtration.
+
+:func:`filter_coefficients` gives every Euler filter in the package (this
+module's, the Monte Carlo engine's and the CLI's) its left-endpoint
+coefficients on t_k = k dt, never on a clock of repeated t + dt additions,
+so a step that starts on a breakpoint uses the new segment's values.
 """
 
 from __future__ import annotations
@@ -85,6 +90,35 @@ def solve_variance(drift: DriftParams, sigma, T: float,
     return curve
 
 
+@dataclass(frozen=True, eq=False)
+class FilterCoefficients:
+    """Left-endpoint coefficients of the Euler filter on t_k = k dt, k < n_steps.
+
+    ``vol = l + n/sigma`` is the volatility of the filter mean under the
+    innovation dynamics; the gain on the observation residual is vol/sigma.
+    """
+
+    t: np.ndarray
+    h: np.ndarray
+    l: np.ndarray
+    z: np.ndarray
+    sigma: np.ndarray
+    vol: np.ndarray
+
+    @property
+    def gain(self) -> np.ndarray:
+        return self.vol / self.sigma
+
+
+def filter_coefficients(drift: DriftParams, sigma, variance: SampledCurve,
+                        n_steps: int, dt: float) -> FilterCoefficients:
+    """Per-step filter coefficients from a given conditional-variance curve."""
+    t = dt * np.arange(n_steps)
+    sig, l = as_curve(sigma)(t), drift.l(t)
+    return FilterCoefficients(t=t, h=drift.h(t), l=l, z=drift.z(t), sigma=sig,
+                              vol=l + variance(t) / sig)
+
+
 def filter_step(state: FilterState, observed_return: float, dt: float,
                 drift: DriftParams, sigma, variance: SampledCurve) -> FilterState:
     """One Euler step of the mean update; variance advanced from the precomputed curve.
@@ -115,19 +149,17 @@ def run_filter(observed_returns, drift: DriftParams, sigma, dt: float,
     T = n_steps * dt
     if variance is None:
         variance = solve_variance(drift, sigma, T, steps=max(1000, n_steps))
-    sig_curve = sigma if callable(sigma) else (lambda t: float(sigma))
+    coef = filter_coefficients(drift, sigma, variance, n_steps, dt)
+    gain = coef.gain
 
     times = dt * np.arange(n_steps + 1)
     means = np.empty(n_steps + 1)
-    variances = np.empty(n_steps + 1)
-    innovations = np.empty(n_steps)
-    state = FilterState(0.0, drift.m0, drift.n0)
-    means[0], variances[0] = state.m, state.n
+    means[0] = m = drift.m0
     for k in range(n_steps):
-        innovations[k] = (obs[k] - state.m * dt) / sig_curve(state.t)
-        state = filter_step(state, obs[k], dt, drift, sig_curve, variance)
-        means[k + 1], variances[k + 1] = state.m, state.n
-    return FilterPath(times, means, variances, innovations)
+        m = m + coef.h[k] * m * dt + gain[k] * (obs[k] - m * dt)
+        means[k + 1] = m
+    innovations = (obs - means[:-1] * dt) / coef.sigma
+    return FilterPath(times, means, variance(times), innovations)
 
 
 def projected_mean_curve(drift: DriftParams, T: float,

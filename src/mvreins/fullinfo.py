@@ -68,7 +68,6 @@ class FullInfoSolution:
     coef_q: float   # a eta / b^2
     coef_pi: float  # (mu - r) / sigma^2
     compat_paper_formulas: bool
-    g1_samples: SampledCurve
     pqr_region1: tuple[SampledCurve, SampledCurve, SampledCurve]
     pqr_region2: tuple[SampledCurve, SampledCurve, SampledCurve]
 
@@ -221,15 +220,11 @@ def compute_solution(model: ModelParams, d: float | None = None,
     curve2 = integrate_backward(rhs2, np.array([1.0, 0.0, 0.0]), T, steps)
     pqr1 = tuple(curve1.component(k) for k in range(3))
     pqr2 = tuple(curve2.component(k) for k in range(3))
-
-    grid = curve1.grid
-    g1_vals = f * (np.exp(r * (T - grid)) - 1.0) / r
     return FullInfoSolution(
         a1=a1, gamma_star=float(gamma), d=float(d),
         d_vertex=vertex_constant(model, compat), f=f, r=r, T=T,
         coef_q=c.a * c.eta / c.b ** 2, coef_pi=(mu - r) / sigma ** 2,
         compat_paper_formulas=compat,
-        g1_samples=SampledCurve(grid, g1_vals),
         pqr_region1=pqr1, pqr_region2=pqr2,
     )
 

@@ -1,6 +1,7 @@
 """Monte Carlo simulation of drift, prices, claims, filter, and controlled wealth.
 
-Two representations of the same system:
+Two representations of the same system, run by one Euler block loop whose
+drivers ``SimConfig.mode`` picks:
 
 * ``simulate_physical`` drives three independent Brownian motions (claims,
   price, idiosyncratic drift), evolves the hidden expected return, and runs
@@ -10,6 +11,9 @@ Two representations of the same system:
   two drivers (claims and the innovation process); the filtered mean follows
   its own SDE.  Partial information only.  Terminal price moments must agree
   with the physical representation within Monte Carlo error.
+
+Wealth and price read the hidden mu or the filtered m as drift; the filter's
+coefficients on t_k = k dt come from ``filtering.filter_coefficients``.
 
 Paths are partitioned into fixed-size blocks; block b draws from substream b
 of the configured seed and results are reduced in block order, so output is
@@ -25,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .filtering import solve_variance
+from .filtering import filter_coefficients, solve_variance
 from .model import INFO_PARTIAL, ModelParams
 from .odekernel import RngStream
 
@@ -125,19 +129,6 @@ def estimate(ensemble) -> EstimateResult:
     )
 
 
-def _step_curves(model: ModelParams, n_steps: int, dt: float):
-    """Coefficient values at the left endpoint of every step (step functions)."""
-    t = dt * np.arange(n_steps)
-    mk, dr = model.market, model.drift
-    return {
-        "r": np.asarray(mk.r(t), dtype=float),
-        "sigma": np.asarray(mk.sigma(t), dtype=float),
-        "h": np.asarray(dr.h(t), dtype=float),
-        "l": np.asarray(dr.l(t), dtype=float),
-        "z": np.asarray(dr.z(t), dtype=float),
-    }
-
-
 def _run_blocks(n_paths: int, workers: int, block_fn):
     """Process path blocks 0..B-1, serially or on a thread pool.
 
@@ -186,34 +177,25 @@ def _alloc_trajectories(cfg: SimConfig, n_steps: int):
     return np.empty((cfg.n_paths, n_steps + 1))
 
 
-def simulate_physical(model: ModelParams, strategy, cfg: SimConfig,
-                      workers: int = 1) -> PathEnsemble:
-    """Simulate under the physical dynamics with the filter run alongside.
-
-    ``strategy`` maps (t, wealth array, filtered-mean array) to (q, pi) arrays;
-    it never sees the hidden drift.  The wealth step is
-
-        dX = [a(theta-eta) + a eta q + r X + (mu - r) pi] dt + b q dW0 + pi sigma dW1
-
-    with the hidden drift mu driven by (W1, W2) and the filter mean updated
-    from the observed return mu dt + sigma dW1.  The conditional-variance
-    curve is solved once and shared by all paths.
+def _simulate(model: ModelParams, strategy, cfg: SimConfig,
+              workers: int) -> PathEnsemble:
+    """Euler block loop under ``cfg.mode``; the variance curve is shared by all
+    paths.  Innovation paths use the filter mean m as drift and drive it by dW1.
     """
-    if cfg.mode != MODE_PHYSICAL:
-        raise ValueError("cfg.mode must be 'physical' for simulate_physical")
+    physical = cfg.mode == MODE_PHYSICAL
     c, dr, ob = model.claim, model.drift, model.objective
     n_steps, dt = cfg.resolve_steps(ob.T)
     sdt = np.sqrt(dt)
-    cur = _step_curves(model, n_steps, dt)
     n_curve = solve_variance(dr, model.market.sigma, ob.T, steps=max(n_steps, 1000))
-    n_at = n_curve(dt * np.arange(n_steps))
-    gains = (cur["l"] + n_at / cur["sigma"]) / cur["sigma"]
-    stochastic_drift = not dr.is_degenerate()
+    coef = filter_coefficients(dr, model.market.sigma, n_curve, n_steps, dt)
+    r = model.market.r(coef.t)
+    gains = coef.gain
+    drift_noise = physical and not dr.is_degenerate()
     drift_const = c.a * c.theta - c.a * c.eta
 
     X_out = np.empty(cfg.n_paths)
     price_out = np.empty(cfg.n_paths)
-    err_out = np.empty(cfg.n_paths)
+    err_out = np.empty(cfg.n_paths) if physical else None
     q2_out = np.empty(cfg.n_paths)
     pi2_out = np.empty(cfg.n_paths)
     traj = _alloc_trajectories(cfg, n_steps)
@@ -225,9 +207,10 @@ def simulate_physical(model: ModelParams, strategy, cfg: SimConfig,
         nb = hi - lo
         rng = base.substream(bidx).generator()
         X = np.full(nb, ob.x0)
-        mu = np.full(nb, dr.m0)
-        if dr.n0 > 0:
-            mu = mu + np.sqrt(dr.n0) * rng.standard_normal(nb)
+        if physical:
+            mu = np.full(nb, dr.m0)
+            if dr.n0 > 0:
+                mu = mu + np.sqrt(dr.n0) * rng.standard_normal(nb)
         m = np.full(nb, dr.m0)
         log_s = np.zeros(nb)
         int_q2 = np.zeros(nb)
@@ -238,28 +221,32 @@ def simulate_physical(model: ModelParams, strategy, cfg: SimConfig,
         with np.errstate(over="ignore", invalid="ignore"):
             for k in range(n_steps):
                 t = k * dt
-                r_k, sig_k = cur["r"][k], cur["sigma"][k]
-                h_k, l_k, z_k = cur["h"][k], cur["l"][k], cur["z"][k]
+                r_k, sig_k, h_k = r[k], coef.sigma[k], coef.h[k]
                 q, pi = strategy(t, X, m)
                 int_q2 += q * q * dt
                 int_pi2 += pi * pi * dt
-                Z = rng.standard_normal((3 if stochastic_drift else 2, nb))
+                Z = rng.standard_normal((3 if drift_noise else 2, nb))
                 dW0, dW1 = sdt * Z[0], sdt * Z[1]
-                obs = mu * dt + sig_k * dW1
+                drift = mu if physical else m
                 X = X + (drift_const + c.a * c.eta * q + r_k * X
-                         + (mu - r_k) * pi) * dt \
+                         + (drift - r_k) * pi) * dt \
                     + c.b * q * dW0 + pi * sig_k * dW1
-                log_s = log_s + (mu - 0.5 * sig_k * sig_k) * dt + sig_k * dW1
-                m = m + h_k * m * dt + gains[k] * (obs - m * dt)
-                if stochastic_drift:
-                    mu = mu + h_k * mu * dt + l_k * dW1 + z_k * (sdt * Z[2])
-                else:
+                log_s = log_s + (drift - 0.5 * sig_k * sig_k) * dt + sig_k * dW1
+                if physical:
+                    obs = mu * dt + sig_k * dW1
+                    m = m + h_k * m * dt + gains[k] * (obs - m * dt)
                     mu = mu + h_k * mu * dt
+                    if drift_noise:
+                        mu = mu + coef.l[k] * dW1 + coef.z[k] * (sdt * Z[2])
+                else:
+                    # dW1 is the innovation increment
+                    m = m + h_k * m * dt + coef.vol[k] * dW1
                 if traj is not None:
                     traj[lo:hi, k + 1] = X
         X_out[lo:hi] = X
         price_out[lo:hi] = np.exp(log_s)
-        err_out[lo:hi] = mu - m
+        if physical:
+            err_out[lo:hi] = mu - m
         q2_out[lo:hi] = int_q2
         pi2_out[lo:hi] = int_pi2
 
@@ -268,68 +255,37 @@ def simulate_physical(model: ModelParams, strategy, cfg: SimConfig,
     return _finalize(cfg, X_out, price_out, err_out, q2_out, pi2_out, times, traj)
 
 
+def simulate_physical(model: ModelParams, strategy, cfg: SimConfig,
+                      workers: int = 1) -> PathEnsemble:
+    """Simulate under the physical dynamics with the filter run alongside.
+
+    ``strategy`` maps (t, wealth array, filtered-mean array) to (q, pi) arrays;
+    it never sees the hidden drift.  The wealth step is
+
+        dX = [a(theta-eta) + a eta q + r X + (mu - r) pi] dt + b q dW0 + pi sigma dW1
+
+    with the hidden drift mu driven by (W1, W2) and the filter mean updated
+    from the observed return mu dt + sigma dW1.
+    """
+    if cfg.mode != MODE_PHYSICAL:
+        raise ValueError("cfg.mode must be 'physical' for simulate_physical")
+    return _simulate(model, strategy, cfg, workers)
+
+
 def simulate_innovation(model: ModelParams, strategy, cfg: SimConfig,
                         workers: int = 1) -> PathEnsemble:
     """Simulate directly under the observation filtration (partial mode only).
 
     Two drivers: claims noise and the innovation Brownian motion.  The wealth
-    step is dX = [a eta q + r X + (m - r) pi] dt + b q dW0 + pi sigma dWbar and
-    the filter mean follows dm = h m dt + (l + n/sigma) dWbar.
+    step is the physical one with the filtered mean m as drift (a validated
+    partial model has eta = theta) and the filter mean follows
+    dm = h m dt + (l + n/sigma) dWbar.
     """
     if cfg.mode != MODE_INNOVATION:
         raise ValueError("cfg.mode must be 'innovation' for simulate_innovation")
     if model.info_mode != INFO_PARTIAL:
         raise ValueError("innovation dynamics require a partial-information model")
-    c, dr, ob = model.claim, model.drift, model.objective
-    n_steps, dt = cfg.resolve_steps(ob.T)
-    sdt = np.sqrt(dt)
-    cur = _step_curves(model, n_steps, dt)
-    n_curve = solve_variance(dr, model.market.sigma, ob.T, steps=max(n_steps, 1000))
-    n_at = n_curve(dt * np.arange(n_steps))
-    m_vols = cur["l"] + n_at / cur["sigma"]
-
-    X_out = np.empty(cfg.n_paths)
-    price_out = np.empty(cfg.n_paths)
-    q2_out = np.empty(cfg.n_paths)
-    pi2_out = np.empty(cfg.n_paths)
-    traj = _alloc_trajectories(cfg, n_steps)
-    base = RngStream(cfg.seed)
-
-    def run_block(bidx: int):
-        lo = bidx * _BLOCK
-        hi = min(lo + _BLOCK, cfg.n_paths)
-        nb = hi - lo
-        rng = base.substream(bidx).generator()
-        X = np.full(nb, ob.x0)
-        m = np.full(nb, dr.m0)
-        log_s = np.zeros(nb)
-        int_q2 = np.zeros(nb)
-        int_pi2 = np.zeros(nb)
-        if traj is not None:
-            traj[lo:hi, 0] = X
-        with np.errstate(over="ignore", invalid="ignore"):
-            for k in range(n_steps):
-                t = k * dt
-                r_k, sig_k, h_k = cur["r"][k], cur["sigma"][k], cur["h"][k]
-                q, pi = strategy(t, X, m)
-                int_q2 += q * q * dt
-                int_pi2 += pi * pi * dt
-                Z = rng.standard_normal((2, nb))
-                dW0, dWbar = sdt * Z[0], sdt * Z[1]
-                X = X + (c.a * c.eta * q + r_k * X + (m - r_k) * pi) * dt \
-                    + c.b * q * dW0 + pi * sig_k * dWbar
-                log_s = log_s + (m - 0.5 * sig_k * sig_k) * dt + sig_k * dWbar
-                m = m + h_k * m * dt + m_vols[k] * dWbar
-                if traj is not None:
-                    traj[lo:hi, k + 1] = X
-        X_out[lo:hi] = X
-        price_out[lo:hi] = np.exp(log_s)
-        q2_out[lo:hi] = int_q2
-        pi2_out[lo:hi] = int_pi2
-
-    _run_blocks(cfg.n_paths, workers, run_block)
-    times = dt * np.arange(n_steps + 1) if traj is not None else None
-    return _finalize(cfg, X_out, price_out, None, q2_out, pi2_out, times, traj)
+    return _simulate(model, strategy, cfg, workers)
 
 
 def zero_strategy(t, x, m):

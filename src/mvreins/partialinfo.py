@@ -39,7 +39,6 @@ class PartialSolution:
     gamma_star: float
     d0: float
     approximation_mode: str
-    m_bar: object  # deterministic drift curve used in the reduction
 
 
 def solve_partial(model: ModelParams, steps: int = 10000) -> PartialSolution:
@@ -55,7 +54,7 @@ def solve_partial(model: ModelParams, steps: int = 10000) -> PartialSolution:
     gamma = gamma_star_partial(riccati, model)
     d0 = model.objective.x0 * model.growth_to_horizon()
     return PartialSolution(riccati=riccati, gamma_star=gamma, d0=d0,
-                           approximation_mode=mode, m_bar=m_bar)
+                           approximation_mode=mode)
 
 
 def _denominator(riccati: RiccatiSolution, model: ModelParams) -> float:

@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from mvreins.cli import main
 
@@ -190,11 +194,44 @@ def test_config_error_exit_code(tmp_path):
     assert main(["--config", str(cfg), "validate"]) == 1
 
 
-def test_invalid_model_exit_code(tmp_path):
+def test_invalid_model_exit_code(tmp_path, capsys):
     cfg = tmp_path / "invalid.cfg"
     cfg.write_text(PAPER44_CFG.read_text().replace("sigma = 1.0", "sigma = 0.0"))
     assert main(["--config", str(cfg), "validate"]) == 1
+    assert capsys.readouterr().err.startswith("error: invalid configuration:")
 
 
 def test_missing_config_exit_code():
     assert main(["--config", "/nowhere.cfg", "validate"]) == 1
+
+
+@pytest.mark.parametrize("cfg, args", [
+    (SCALED_CFG, ["simulate", "--paths", "100", "--dt", "0.3"]),
+    (SCALED_CFG, ["simulate", "--paths", "2000", "--dt", "0.001",
+                  "--store-paths"]),
+    (FILTER_CFG, ["filter", "--steps", "0"]),
+    (PAPER44_CFG, ["frontier", "--points", "0"]),
+    (PAPER44_CFG, ["dual-curve", "--points", "0"]),
+    (PAPER44_CFG, ["value-surface", "--nt", "0"]),
+    (PAPER44_CFG, ["value-surface", "--nx", "0"]),
+    (SCALED_CFG, ["simulate", "--paths", "1"]),
+    (SCALED_CFG, ["simulate", "--workers", "0"]),
+], ids=["dt-not-dividing-T", "store-paths-too-large", "filter-steps-0",
+        "frontier-points-0", "dual-curve-points-0", "value-surface-nt-0",
+        "value-surface-nx-0", "simulate-paths-1", "workers-0"])
+def test_bad_input_is_one_error_line(tmp_path, capsys, cfg, args):
+    out = tmp_path / "out"
+    code = main(["--config", str(cfg), "--out-dir", str(out)] + args)
+    err = capsys.readouterr().err
+    assert code == 1
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_python_dash_m_entry_point():
+    proc = subprocess.run(
+        [sys.executable, "-m", "mvreins", "--config", "configs/paper44.cfg", "validate"],
+        cwd=REPO, capture_output=True, text=True, timeout=300,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))})
+    assert proc.returncode == 0, proc.stderr

@@ -131,7 +131,6 @@ def test_riccati_terminal_condition(paper44_model):
     sol = solve_riccati_pair(paper44_model, m_bar, steps=500)
     assert sol.p_plus(100.0) == 1.0
     assert sol.p_minus(100.0) == 1.0
-    assert sol.lambda_zero
 
 
 def test_riccati_positive_and_below_envelope(partial_filter_model):

@@ -88,6 +88,18 @@ def test_run_filter_zero_gain_is_euler_growth():
     assert path.means[-1] == pytest.approx(0.05 * np.exp(0.3), rel=2e-3)
 
 
+def test_run_filter_steps_on_exact_grid_across_breakpoint():
+    # A clock advanced by repeated t + dt reads 5.99999999999992 after 600
+    # steps and would apply the pre-breakpoint h for one extra step.
+    drift = mv.DriftParams(h=[(0.0, 0.3), (6.0, -0.3)], l=0.0, z=0.0,
+                           m0=0.05, n0=0.0)
+    dt, n_steps = 0.01, 1000
+    path = run_filter(np.zeros(n_steps), drift, 1.0, dt)
+    growth = 1.0 + drift.h(dt * np.arange(n_steps)) * dt
+    expected = 0.05 * np.concatenate(([1.0], np.cumprod(growth)))
+    np.testing.assert_allclose(path.means, expected, rtol=1e-12)
+
+
 def test_run_filter_records_innovations():
     drift = mv.DriftParams(h=0.0, l=1.0, z=0.0, m0=0.02, n0=0.0)
     dt = 0.5
