@@ -7,10 +7,11 @@ Carlo machinery that validates them.
 """
 
 from .conelq import (ControlPair, LQCoefficients, RiccatiSolution,
-                     RiccatiSolverError, hamiltonian_min, solve_riccati_pair,
-                     xi_minimizer)
+                     RiccatiSolverError, hamiltonian_min, riccati_pair,
+                     solve_riccati_pair, xi_minimizer)
 from .config import ConfigError, load_config
 from .curves import CurveRangeError, PiecewiseConstantCurve, SampledCurve, as_curve
+from .errors import MvreinsError
 from .filtering import (FilterPath, FilterState, filter_step,
                         projected_mean_curve, run_filter, solve_variance)
 from .frontier import FrontierCurve, InfeasibleTargetError, quadratic_frontier

@@ -1,9 +1,12 @@
 """Command-line interface: filter, frontier, value-surface, dual-curve, simulate, validate.
 
 Exit codes: 0 success, 1 usage/configuration error, 2 validation-suite failure.
-Bad arguments, configurations and simulation settings print one ``error: ...``
-line; counts that cannot work (``--steps 0``, ``--paths 1``, ...) are rejected
-while parsing.
+Bad arguments, configurations and simulation settings, and solves that fail on
+a valid model (any :class:`~mvreins.errors.MvreinsError`), print one
+``error: ...`` line and exit 1; counts that cannot work (``--steps 0``,
+``--paths 1``, ...) are rejected while parsing.  The full-information
+subcommands accept a partial config only if it meets the full-mode
+assumptions.
 All numeric output is written in full double precision (shortest round-trip
 decimal), so reruns with identical inputs produce byte-identical files.
 """
@@ -20,6 +23,7 @@ import numpy as np
 
 from . import fullinfo, montecarlo, partialinfo
 from .config import ConfigError, load_config
+from .errors import MvreinsError
 from .filtering import filter_coefficients, solve_variance
 from .frontier import InfeasibleTargetError
 from .model import INFO_FULL, INFO_PARTIAL, validate
@@ -109,10 +113,6 @@ def _build_parser() -> _Parser:
 
 def _solver_mode(args, model) -> str:
     mode = getattr(args, "mode", None) or model.info_mode
-    if mode == INFO_FULL and model.info_mode == INFO_PARTIAL:
-        if not model.drift.is_degenerate():
-            raise UsageError("--mode full on a partial config requires a "
-                             "degenerate drift (l = z = 0, n0 = 0)")
     if mode == INFO_PARTIAL and model.info_mode == INFO_FULL:
         if model.claim.eta != model.claim.theta:
             raise UsageError("--mode partial requires cheap reinsurance "
@@ -121,9 +121,19 @@ def _solver_mode(args, model) -> str:
 
 
 def _as_full_model(model):
+    """The model for the full-information solvers, which need a known drift.
+
+    A partial config qualifies only if it meets the full-mode assumptions
+    (degenerate drift, h = 0, constant r and sigma, m0 > r).
+    """
     if model.info_mode == INFO_FULL:
         return model
-    return dataclasses.replace(model, info_mode=INFO_FULL)
+    full_model = dataclasses.replace(model, info_mode=INFO_FULL)
+    report = validate(full_model)
+    if not report.ok:
+        raise UsageError(
+            f"the full-information solver needs a known drift: {report}")
+    return full_model
 
 
 def _as_partial_model(model):
@@ -323,7 +333,7 @@ def main(argv=None) -> int:
             return _cmd_simulate(args, model, out_dir, compat)
         raise UsageError(f"unknown command {args.command!r}")
     except (ConfigError, UsageError, InfeasibleTargetError, ValueError,
-            montecarlo.SimulationError) as exc:
+            MvreinsError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -11,6 +11,18 @@ separate per coordinate and admit exact closed forms; no numerical QP is needed.
 With deterministic coefficients the martingale parts of the backward equations
 vanish, and the pair P+/- solves the terminal-value ODEs
 dP/dt = -[2 r P + H*(t, P)],  P(T) = 1,  P > 0.
+
+H* is degree-one homogeneous in P, H*(t, P) = -kappa(t) P, so the pair is
+linear and solves in closed form:
+
+    P+/-(t) = exp( int_t^T (2 r - kappa+/-) ),
+    kappa+ = ((m - r)^-)^2 / sigma^2,
+    kappa- = (a eta / b)^2 + ((m - r)^+)^2 / sigma^2,
+
+with m the deterministic drift curve m0 exp(int_0^t h).  :func:`riccati_pair`
+integrates kappa exactly on the pieces where r, sigma, h and the sign of m - r
+are fixed; it is the production solver.  The backward RK4 solve
+:func:`solve_riccati_pair` serves only as its independent oracle.
 """
 
 from __future__ import annotations
@@ -21,13 +33,14 @@ from typing import Literal
 import numpy as np
 
 from .curves import SampledCurve
+from .errors import MvreinsError
 from .model import ModelParams
 from .odekernel import integrate_backward
 
 Sign = Literal["plus", "minus"]
 
 
-class RiccatiSolverError(RuntimeError):
+class RiccatiSolverError(MvreinsError):
     """Backward Riccati solve breached positivity or failed to converge."""
 
 
@@ -123,13 +136,75 @@ def _coeffs_at(model: ModelParams, m_bar, t: float) -> LQCoefficients:
     )
 
 
+def _expm1_rate(k: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """int_0^u e^{k s} ds = expm1(k u)/k, with its limit u at k = 0."""
+    flat = k == 0.0
+    return np.where(flat, u, np.expm1(k * u) / np.where(flat, 1.0, k))
+
+
+def riccati_pair(model: ModelParams, samples: int = 10001) -> RiccatiSolution:
+    """Closed-form P+/- on linspace(0, T, samples) joined with the piece edges.
+
+    [0, T] is cut at the breakpoints of r, sigma and h.  On a piece starting
+    at a the drift is m(t) = M e^{h (t - a)} with M = m0 exp(int_0^a h); it
+    crosses r at most once, at s* = a + ln(r/M)/h, which becomes a further
+    cut.  Each piece then has a fixed sign of m - r, so one branch of each
+    kappa, and int (M e^{h u} - r)^2 du is exact there.  Cumulative sums of
+    the piece integrals give int_t^T (2r - kappa+/-) at every node, and
+    P(T) = 1 exactly.
+    """
+    c, mk, dr = model.claim, model.market, model.drift
+    T = model.objective.T
+    edges = np.unique(np.concatenate([
+        [0.0, T],
+        mk.r.breakpoints_within(0.0, T),
+        mk.sigma.breakpoints_within(0.0, T),
+        dr.h.breakpoints_within(0.0, T),
+    ]))
+    a, r, h = edges[:-1], mk.r(edges[:-1]), dr.h(edges[:-1])
+    m_start = dr.m0 * np.exp(dr.h.antiderivative(a))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cross = a + np.log(r / m_start) / h
+    cross = cross[(h != 0.0) & (m_start > 0.0) & (cross > a) & (cross < edges[1:])]
+    edges = np.unique(np.concatenate([edges, cross]))
+
+    a, width = edges[:-1], np.diff(edges)
+    r, h, sig2 = mk.r(a), dr.h(a), mk.sigma(a) ** 2
+    m_start = dr.m0 * np.exp(dr.h.antiderivative(a))
+    above = m_start * np.exp(0.5 * h * width) > r  # sign of m - r mid-piece
+    claim_rate = (c.a * c.eta / c.b) ** 2
+
+    def log_growth(j, u):
+        """int over [a_j, a_j + u] of (2r - kappa+, 2r - kappa-)."""
+        excess_sq = (m_start[j] ** 2 * _expm1_rate(2.0 * h[j], u)
+                     - 2.0 * r[j] * m_start[j] * _expm1_rate(h[j], u)
+                     + r[j] ** 2 * u) / sig2[j]
+        riskless = 2.0 * r[j] * u
+        return (riskless - np.where(above[j], 0.0, excess_sq),
+                riskless - claim_rate * u - np.where(above[j], excess_sq, 0.0))
+
+    grid = np.unique(np.concatenate([np.linspace(0.0, T, samples), edges]))
+    j = np.clip(np.searchsorted(edges, grid, side="right") - 1, 0, a.size - 1)
+    at_nodes = log_growth(j, grid - a[j])
+    whole = log_growth(np.arange(a.size), width)
+    curves = []
+    for node, piece in zip(at_nodes, whole):
+        from_zero = np.concatenate(([0.0], np.cumsum(piece)))[j] + node
+        curves.append(SampledCurve(grid, np.exp(from_zero[-1] - from_zero)))
+    return RiccatiSolution(p_plus=curves[0], p_minus=curves[1])
+
+
 def solve_riccati_pair(model: ModelParams, m_bar,
                        steps: int = 10000) -> RiccatiSolution:
-    """Backward RK4 solutions of dP/dt = -[2 r P + H*(t, P)], P(T) = 1.
+    """Oracle: backward RK4 solutions of dP/dt = -[2 r P + H*(t, P)], P(T) = 1.
 
-    ``m_bar`` is the deterministic drift curve: the exact expected return in
-    full mode, or the projected filter mean in partial mode.  Raises
-    :class:`RiccatiSolverError` if positivity is breached.
+    Integrates the Riccati pair numerically through :func:`hamiltonian_min`,
+    sharing none of :func:`riccati_pair`'s closed form, so the validation
+    suite can check one against the other; production code calls
+    :func:`riccati_pair`.  ``m_bar`` is the deterministic drift curve: the
+    exact expected return in full mode, or the projected filter mean in
+    partial mode.  Raises :class:`RiccatiSolverError` if positivity is
+    breached.
     """
     T = model.objective.T
     c = model.claim

@@ -75,6 +75,15 @@ class PiecewiseConstantCurve:
         mids = 0.5 * (edges[:-1] + edges[1:])
         return float(np.sum(self(mids) * np.diff(edges)))
 
+    def antiderivative(self, t) -> np.ndarray:
+        """Exact integral of the step function over [0, t], vectorized over t >= 0."""
+        t_arr = np.asarray(t, dtype=float)
+        at_breaks = np.concatenate(
+            ([0.0], np.cumsum(self.values[:-1] * np.diff(self.times))))
+        idx = np.clip(np.searchsorted(self.times, t_arr, side="right") - 1, 0,
+                      self.values.size - 1)
+        return at_breaks[idx] + self.values[idx] * (t_arr - self.times[idx])
+
     def breakpoints_within(self, t0: float, t1: float) -> np.ndarray:
         """Breakpoints strictly inside (t0, t1), for integrator grid alignment."""
         return self.times[(self.times > t0) & (self.times < t1)]

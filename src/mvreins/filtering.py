@@ -171,5 +171,4 @@ def projected_mean_curve(drift: DriftParams, T: float,
     """
     grid = np.linspace(0.0, T, samples)
     grid = np.unique(np.concatenate([grid, drift.h.breakpoints_within(0.0, T)]))
-    ih = np.array([drift.h.integral(0.0, t) for t in grid])
-    return SampledCurve(grid, drift.m0 * np.exp(ih))
+    return SampledCurve(grid, drift.m0 * np.exp(drift.h.antiderivative(grid)))

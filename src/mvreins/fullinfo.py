@@ -30,6 +30,7 @@ import numpy as np
 
 from .conelq import ControlPair, cone_quadratic_argmin
 from .curves import SampledCurve
+from .errors import MvreinsError
 from .frontier import FrontierCurve, InfeasibleTargetError, quadratic_frontier
 from .model import INFO_FULL, ModelParams, riskless_terminal_wealth, validate
 from .odekernel import integrate_backward
@@ -39,7 +40,7 @@ class NearCurveError(ValueError):
     """Finite-difference stencil too close to the switching curve."""
 
 
-class DegenerateDualError(RuntimeError):
+class DegenerateDualError(MvreinsError):
     """Dual problem degenerate: exp(-2 A1 T) = 1 (riskless-equivalent market)."""
 
 

@@ -29,6 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import MvreinsError
 from .filtering import filter_coefficients, solve_variance
 from .model import INFO_PARTIAL, ModelParams
 from .odekernel import RngStream
@@ -42,7 +43,7 @@ _MAX_STORED = 5_000_000   # trajectory elements allowed with store_paths
 _FLAG_LIMIT = 1e-3        # tolerated fraction of non-finite paths
 
 
-class SimulationError(RuntimeError):
+class SimulationError(MvreinsError):
     """Too many paths diverged, or the configuration is unusable."""
 
 

@@ -14,9 +14,10 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .curves import SampledCurve
+from .errors import MvreinsError
 
 
-class IntegrationDivergedError(RuntimeError):
+class IntegrationDivergedError(MvreinsError):
     """ODE state became non-finite during integration."""
 
 
@@ -64,9 +65,12 @@ def _wrap_rhs(rhs: Callable, scalar: bool) -> Callable:
 
 def _segment_rhs(f: Callable, a: float, b: float) -> Callable:
     """Restrict stage evaluations to [a, b): coefficient curves are
-    right-continuous, so at the segment's right edge the left limit applies."""
+    right-continuous, so at the segment's right edge the left limit applies.
+    Both edges are clamped: a stage time that rounds just past either edge
+    (the last step's t + h, marching either way) must not read a neighbouring
+    segment's coefficients."""
     b_inside = np.nextafter(b, a)
-    return lambda t, y: f(t if t < b_inside else b_inside, y)
+    return lambda t, y: f(a if t < a else (t if t < b_inside else b_inside), y)
 
 
 def integrate_backward(rhs: Callable, terminal, T: float, steps: int = 10000, *,

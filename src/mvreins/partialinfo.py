@@ -20,8 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conelq import ControlPair, RiccatiSolution, solve_riccati_pair, xi_minimizer, _coeffs_at
-from .filtering import FilterState, projected_mean_curve
+from .conelq import ControlPair, RiccatiSolution, riccati_pair, xi_minimizer, _coeffs_at
+from .errors import MvreinsError
+from .filtering import FilterState
 from .frontier import FrontierCurve, InfeasibleTargetError, quadratic_frontier
 from .model import INFO_PARTIAL, ModelParams, validate
 
@@ -29,7 +30,7 @@ MODE_EXACT = "exact"
 MODE_PROJECTED = "projected_drift"
 
 
-class ModelDegenerateError(RuntimeError):
+class ModelDegenerateError(MvreinsError):
     """Frontier denominator 1 - P-(0) e^{-2 int r} is not positive."""
 
 
@@ -42,15 +43,18 @@ class PartialSolution:
 
 
 def solve_partial(model: ModelParams, steps: int = 10000) -> PartialSolution:
-    """Build the partial-information solution for the model's target mean."""
+    """Build the partial-information solution for the model's target mean.
+
+    The Riccati pair is the closed form sampled on ``steps`` equal intervals
+    of [0, T] plus its piece edges.
+    """
     report = validate(model)
     if not report.ok:
         raise ValueError(f"invalid model: {report}")
     if model.info_mode != INFO_PARTIAL:
         raise ValueError("solve_partial requires a partial-information model")
     mode = MODE_EXACT if model.drift.is_degenerate() else MODE_PROJECTED
-    m_bar = projected_mean_curve(model.drift, model.objective.T)
-    riccati = solve_riccati_pair(model, m_bar, steps=steps)
+    riccati = riccati_pair(model, samples=steps + 1)
     gamma = gamma_star_partial(riccati, model)
     d0 = model.objective.x0 * model.growth_to_horizon()
     return PartialSolution(riccati=riccati, gamma_star=gamma, d0=d0,

@@ -70,6 +70,27 @@ def _cone_probe_check(rng: np.random.Generator, draws: int = 200,
     return ok, f"max optimality gap {worst_gap:.2e}, max H* {worst_h:.2e}"
 
 
+def _riccati_oracle_check(model: ModelParams, riccati: conelq.RiccatiSolution,
+                          steps: int = 10000) -> CheckResult:
+    """Closed-form Riccati pair against the backward RK4 oracle, at its nodes.
+
+    The oracle reads the projected drift sampled at its own step count.  log P
+    is the integral of 2r - kappa, so the closed form is interpolated in log P
+    (exact where kappa is constant); the error is relative to the oracle.
+    """
+    m_bar = filtering.projected_mean_curve(model.drift, model.objective.T,
+                                           samples=steps + 1)
+    oracle = conelq.solve_riccati_pair(model, m_bar, steps=steps)
+    err = 0.0
+    for closed, rk4 in ((riccati.p_plus, oracle.p_plus),
+                        (riccati.p_minus, oracle.p_minus)):
+        log_closed = np.interp(rk4.grid, closed.grid, np.log(closed.values))
+        rel = np.expm1(log_closed - np.log(rk4.values))
+        err = max(err, float(np.max(np.abs(rel))))
+    return CheckResult("riccati-rk4-oracle", err <= 1e-8,
+                       f"closed form vs RK4 ({steps} steps), max rel err {err:.2e}")
+
+
 def _checks_common(model: ModelParams, rng: np.random.Generator):
     results = []
 
@@ -189,11 +210,13 @@ def _checks_partial(model: ModelParams) -> list[CheckResult]:
 
     # Backward comparison with the H* = 0 envelope.
     grid = sol.riccati.p_plus.grid
-    envelope = np.array([model.market.growth(t, T) ** 2 for t in grid])
+    rate = model.market.r
+    envelope = np.exp(2.0 * (rate.antiderivative(T) - rate.antiderivative(grid)))
     ok_env = (np.all(sol.riccati.p_plus.values <= envelope * (1 + 1e-9))
               and np.all(sol.riccati.p_minus.values <= envelope * (1 + 1e-9)))
     results.append(CheckResult(
         "riccati-envelope", bool(ok_env), "P+- <= exp(2 int r) pointwise"))
+    results.append(_riccati_oracle_check(model, sol.riccati))
 
     n_curve = filtering.solve_variance(model.drift, model.market.sigma, T)
     ok_n = n_curve.values.min() >= -1e-12

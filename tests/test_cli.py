@@ -216,9 +216,11 @@ def test_missing_config_exit_code():
     (PAPER44_CFG, ["value-surface", "--nx", "0"]),
     (SCALED_CFG, ["simulate", "--paths", "1"]),
     (SCALED_CFG, ["simulate", "--workers", "0"]),
+    (FILTER_CFG, ["dual-curve"]),
 ], ids=["dt-not-dividing-T", "store-paths-too-large", "filter-steps-0",
         "frontier-points-0", "dual-curve-points-0", "value-surface-nt-0",
-        "value-surface-nx-0", "simulate-paths-1", "workers-0"])
+        "value-surface-nx-0", "simulate-paths-1", "workers-0",
+        "dual-curve-hidden-drift"])
 def test_bad_input_is_one_error_line(tmp_path, capsys, cfg, args):
     out = tmp_path / "out"
     code = main(["--config", str(cfg), "--out-dir", str(out)] + args)
@@ -226,6 +228,20 @@ def test_bad_input_is_one_error_line(tmp_path, capsys, cfg, args):
     assert code == 1
     assert len(err.splitlines()) == 1 and err.startswith("error:")
     assert not out.exists() or not any(out.iterdir())
+
+
+def test_solver_failure_is_one_error_line(tmp_path, capsys):
+    # A vanishing claim rate and m0 < r leave no risk premium: P-(0) equals
+    # exp(2 int r) to rounding and the frontier denominator is not positive.
+    cfg = tmp_path / "degenerate.cfg"
+    cfg.write_text(FILTER_CFG.read_text().replace("\na = 1.0\n", "\na = 1e-9\n")
+                   .replace("\nm0 = 0.06\n", "\nm0 = 0.01\n"))
+    out = tmp_path / "out"
+    code = main(["--config", str(cfg), "--out-dir", str(out), "frontier"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert len(err.splitlines()) == 1 and err.startswith("error: frontier denominator")
+    assert not (out / "frontier.csv").exists()
 
 
 def test_python_dash_m_entry_point():

@@ -1,10 +1,19 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mvreins.config import load_config
 from mvreins.conelq import (ControlPair, LQCoefficients, cone_quadratic_argmin,
-                            hamiltonian_min, solve_riccati_pair, xi_minimizer)
+                            hamiltonian_min, riccati_pair, solve_riccati_pair,
+                            xi_minimizer)
 from mvreins.filtering import projected_mean_curve
+
+from conftest import make_model
+
+REPO = Path(__file__).resolve().parents[1]
+BENCH_PARTIAL_CFG = REPO / "bench" / "configs" / "partial.cfg"
 
 
 def grid_search_argmin(sign, P, coeffs, lo=0.0, hi=1.0, step=1e-3):
@@ -142,3 +151,47 @@ def test_riccati_positive_and_below_envelope(partial_filter_model):
     for curve in (sol.p_plus, sol.p_minus):
         assert curve.values.min() > 0
         assert np.all(curve.values <= envelope * (1 + 1e-9))
+
+
+def _partial(**kw):
+    base = dict(theta=0.2, eta=0.2, l=3.0, z=2.0, n0=0.1, T=10.0, d=80.0,
+                info_mode="partial")
+    return make_model(**{**base, **kw})
+
+
+ORACLE_CASES = {
+    # m crosses r near t = 1.35; r and sigma are piecewise
+    "bench-partial-cfg": lambda: load_config(BENCH_PARTIAL_CFG)[0],
+    "piecewise-h": lambda: _partial(h=[(0.0, 0.1), (1.3, -0.4)], T=3.0),
+    "h-zero": lambda: _partial(h=0.0),
+    "m0-below-r": lambda: _partial(m0=0.01, h=0.2, T=5.0),  # kappa+ active
+    "m0-zero": lambda: _partial(m0=0.0, h=-0.3),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+def test_riccati_pair_matches_rk4_oracle(case):
+    model = ORACLE_CASES[case]()
+    T = model.objective.T
+    closed = riccati_pair(model)
+    m_bar = projected_mean_curve(model.drift, T, samples=10001)
+    oracle = solve_riccati_pair(model, m_bar, steps=10000)
+    for got, ref in ((closed.p_plus, oracle.p_plus),
+                     (closed.p_minus, oracle.p_minus)):
+        assert np.max(np.abs(got(ref.grid) / ref.values - 1.0)) <= 1e-8
+        assert got(T) == 1.0
+        assert got.values.min() > 0.0
+        envelope = np.exp(2.0 * (model.market.r.antiderivative(T)
+                                 - model.market.r.antiderivative(got.grid)))
+        assert np.all(got.values <= envelope * (1 + 1e-12))
+
+
+def test_riccati_pair_full_mode_exponentials(paper44_model):
+    sol = riccati_pair(paper44_model)
+    tau = 100.0 - sol.p_plus.grid
+    a1 = -(0.06 - 0.04) ** 2 / 2 - 0.2 ** 2 / 2
+    p_plus_exact = np.exp(2 * 0.04 * tau)
+    p_minus_exact = np.exp((2 * 0.04 + 2 * a1) * tau)
+    assert np.max(np.abs(sol.p_plus.values / p_plus_exact - 1.0)) <= 1e-12
+    assert np.max(np.abs(sol.p_minus.values / p_minus_exact - 1.0)) <= 1e-12
+    assert sol.p_plus(100.0) == 1.0 and sol.p_minus(100.0) == 1.0

@@ -89,3 +89,11 @@ def test_scalar_evaluators_agree_with_call():
     ev2 = sc.scalar_evaluator()
     for t in [0.0, 0.25, 1.0, 1.5, 2.0]:
         assert ev2(t) == pytest.approx(sc(t), abs=1e-15)
+
+
+def test_antiderivative_matches_integral_from_zero():
+    c = as_curve([(0.0, 0.04), (1.5, -0.3), (4.0, 0.05)])
+    ts = np.concatenate((np.linspace(0.0, 10.0, 97), [1.5, 4.0]))
+    old = np.array([c.integral(0.0, t) for t in ts])
+    assert np.max(np.abs(c.antiderivative(ts) - old)) <= 1e-14
+    assert c.antiderivative(0.0) == 0.0

@@ -162,3 +162,13 @@ def test_projected_mean_piecewise_h():
                            m0=1.0, n0=0.0)
     curve = projected_mean_curve(drift, 3.0)
     assert curve(3.0) == pytest.approx(np.exp(0.1 * 1.0 - 0.2 * 2.0), rel=1e-12)
+
+
+def test_projected_mean_curve_matches_per_point_integrals():
+    drift = mv.DriftParams(h=[(0.0, 0.1), (1.3, -0.4)], l=1.0, z=1.0,
+                           m0=0.06, n0=0.0)
+    curve = projected_mean_curve(drift, 5.0)
+    assert 1.3 in curve.grid
+    per_point = np.array([drift.m0 * np.exp(drift.h.integral(0.0, t))
+                          for t in curve.grid])
+    assert np.max(np.abs(curve.values - per_point)) <= 1e-14

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from mvreins.curves import as_curve
 from mvreins.odekernel import (IntegrationDivergedError, RngStream,
                                gaussian_increments, integrate_backward,
                                integrate_forward)
@@ -93,3 +94,15 @@ def test_gaussian_increments_scale():
 def test_invalid_dt():
     with pytest.raises(ValueError):
         gaussian_increments(RngStream(1), 10, 0.0)
+
+
+@pytest.mark.parametrize("steps", [2000, 4000, 10000])
+def test_backward_last_stage_stays_in_its_segment(steps):
+    # y' = -r y across a rate breakpoint: the last step of the segment after
+    # the breakpoint must not read the rate of the segment before it.
+    r = as_curve([(0.0, 0.04), (4.0, 0.05)])
+    rate = r.scalar_evaluator()
+    curve = integrate_backward(lambda t, y: -rate(t) * y, 1.0, 10.0, steps,
+                               breakpoints=[4.0])
+    exact = np.exp(r.antiderivative(10.0) - r.antiderivative(curve.grid))
+    assert np.max(np.abs(curve.values / exact - 1.0)) <= 1e-12
