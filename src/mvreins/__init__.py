@@ -18,8 +18,8 @@ from .frontier import FrontierCurve, InfeasibleTargetError, quadratic_frontier
 from .fullinfo import (DegenerateDualError, FullInfoSolution, NearCurveError,
                        Region, ViscosityReport, compute_solution, dual_value_full,
                        feedback_full, frontier_full, full_feedback_strategy,
-                       gamma_star_full, hjb_residual, value_function,
-                       vertex_constant, viscosity_check)
+                       gamma_star_full, hjb_residual, solve_pqr,
+                       value_function, vertex_constant, viscosity_check)
 from .model import (ClaimParams, DriftParams, MarketParams, ModelParams,
                     Objective, ValidationReport, riskless_terminal_wealth,
                     validate)

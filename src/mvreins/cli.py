@@ -4,9 +4,11 @@ Exit codes: 0 success, 1 usage/configuration error, 2 validation-suite failure.
 Bad arguments, configurations and simulation settings, and solves that fail on
 a valid model (any :class:`~mvreins.errors.MvreinsError`), print one
 ``error: ...`` line and exit 1; counts that cannot work (``--steps 0``,
-``--paths 1``, ...) are rejected while parsing.  The full-information
-subcommands accept a partial config only if it meets the full-mode
-assumptions.
+``--paths 1``, ...), non-finite float arguments and a time step that is not
+positive are rejected while parsing; a CSV holding a non-finite number (a
+finite argument range can overflow) is an error and is not written.  The
+full-information subcommands accept a partial config only if it meets the
+full-mode assumptions.
 All numeric output is written in full double precision (shortest round-trip
 decimal), so reruns with identical inputs produce byte-identical files.
 """
@@ -16,6 +18,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -48,18 +51,36 @@ def _int_at_least(lowest: int):
         if value < lowest:
             raise argparse.ArgumentTypeError(f"must be >= {lowest}, got {value}")
         return value
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
     return parse
 
 
-def _fmt(x) -> str:
-    return repr(float(x))
+def _finite_float(above: float = -np.inf):
+    """argparse type: a finite float greater than ``above`` (never nan or inf)."""
+    def parse(text: str) -> float:
+        value = float(text)
+        if not np.isfinite(value) or value <= above:
+            bound = f" > {above}" if np.isfinite(above) else ""
+            raise argparse.ArgumentTypeError(
+                f"must be a finite number{bound}, got {text}")
+        return value
+    parse.__name__ = "float"  # argparse names the type in "invalid float value"
+    return parse
+
+
+def _cell(path: Path, name: str, value) -> str:
+    """One CSV cell; a non-finite number (finite ranges can overflow) is an error."""
+    if isinstance(value, str):
+        return value
+    if not math.isfinite(value):
+        raise UsageError(f"{path.name}: {name} = {float(value)!r} is not finite; "
+                         "narrow the argument range")
+    return repr(float(value))
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
     lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(cell if isinstance(cell, str) else _fmt(cell)
-                              for cell in row))
+    lines += [",".join(_cell(path, n, v) for n, v in zip(header, row)) for row in rows]
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -82,19 +103,19 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("frontier", help="write frontier.csv")
     p.add_argument("--mode", choices=[INFO_FULL, INFO_PARTIAL], default=None,
                    help="solver to use (defaults to the config's info_mode)")
-    p.add_argument("--d-max", type=float, default=None,
+    p.add_argument("--d-max", type=_finite_float(), default=None,
                    help="largest target mean (default: max(objective d, 1.5 vertex))")
     p.add_argument("--points", type=_int_at_least(1), default=101)
 
     p = sub.add_parser("value-surface", help="write value_surface.csv (t, x, V, region)")
     p.add_argument("--nt", type=_int_at_least(1), default=51)
     p.add_argument("--nx", type=_int_at_least(1), default=51)
-    p.add_argument("--x-min", type=float, default=None)
-    p.add_argument("--x-max", type=float, default=None)
+    p.add_argument("--x-min", type=_finite_float(), default=None)
+    p.add_argument("--x-max", type=_finite_float(), default=None)
 
     p = sub.add_parser("dual-curve", help="write dual_curve.csv (gamma, dual_value)")
-    p.add_argument("--gamma-min", type=float, default=None)
-    p.add_argument("--gamma-max", type=float, default=None)
+    p.add_argument("--gamma-min", type=_finite_float(), default=None)
+    p.add_argument("--gamma-max", type=_finite_float(), default=None)
     p.add_argument("--points", type=_int_at_least(1), default=201)
 
     p = sub.add_parser("simulate", help="simulate the optimal strategy, write summary.json")
@@ -102,7 +123,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--dynamics", choices=["physical", "innovation"],
                    default="physical")
     p.add_argument("--paths", type=_int_at_least(2), default=20000)
-    p.add_argument("--dt", type=float, default=None,
+    p.add_argument("--dt", type=_finite_float(above=0.0), default=None,
                    help="time step (default T/5000)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--workers", type=_int_at_least(1), default=1)
@@ -319,19 +340,17 @@ def main(argv=None) -> int:
         out_dir.mkdir(parents=True, exist_ok=True)
         compat = args.compat_paper_formulas
 
-        if args.command == "validate":
-            return _cmd_validate(args, model, overrides)
-        if args.command == "filter":
-            return _cmd_filter(args, model, out_dir)
-        if args.command == "frontier":
-            return _cmd_frontier(args, model, out_dir, compat)
-        if args.command == "value-surface":
-            return _cmd_value_surface(args, model, out_dir, compat)
-        if args.command == "dual-curve":
-            return _cmd_dual_curve(args, model, out_dir, compat)
-        if args.command == "simulate":
-            return _cmd_simulate(args, model, out_dir, compat)
-        raise UsageError(f"unknown command {args.command!r}")
+        commands = {
+            "validate": lambda: _cmd_validate(args, model, overrides),
+            "filter": lambda: _cmd_filter(args, model, out_dir),
+            "frontier": lambda: _cmd_frontier(args, model, out_dir, compat),
+            "value-surface": lambda: _cmd_value_surface(args, model, out_dir, compat),
+            "dual-curve": lambda: _cmd_dual_curve(args, model, out_dir, compat),
+            "simulate": lambda: _cmd_simulate(args, model, out_dir, compat),
+        }
+        # an overflowing range is one _cell error, not a numpy warning per cell
+        with np.errstate(over="ignore", invalid="ignore"):
+            return commands[args.command]()
     except (ConfigError, UsageError, InfeasibleTargetError, ValueError,
             MvreinsError) as exc:
         print(f"error: {exc}", file=sys.stderr)

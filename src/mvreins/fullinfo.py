@@ -1,6 +1,9 @@
 """Closed-form solution of the fully observed problem: value function, feedback,
 dual multiplier, efficient frontier, and numerical HJB/viscosity verification.
 
+Production code evaluates closed forms only; :func:`solve_pqr` integrates the
+coefficient ODEs by RK4 as the validation suite's oracle for them.
+
 With a constant known expected return the shifted wealth x = X - (d - gamma)
 has a value function built from two squared-affine branches glued along the
 switching curve x = -g1(t) e^{-r(T-t)}:
@@ -52,25 +55,22 @@ class Region(enum.Enum):
 
 @dataclass(frozen=True, eq=False)
 class FullInfoSolution:
-    """Closed-form scalars plus ODE-solved coefficient curves (cross-check route).
+    """Closed-form scalars of the full-information solution; no ODE curves.
 
-    The value function and feedback evaluate the closed forms; the sampled
-    ``pqr_region*`` curves come from independent backward integration of the
-    two coefficient ODE systems and exist to be compared against them.
+    The value function, the feedback and the coefficients P1..R2 all evaluate
+    closed forms.  :func:`solve_pqr` integrates the coefficient ODEs as the
+    oracle that checks them.
     """
 
     a1: float
     gamma_star: float
     d: float
-    d_vertex: float
     f: float
     r: float
     T: float
     coef_q: float   # a eta / b^2
     coef_pi: float  # (mu - r) / sigma^2
     compat_paper_formulas: bool
-    pqr_region1: tuple[SampledCurve, SampledCurve, SampledCurve]
-    pqr_region2: tuple[SampledCurve, SampledCurve, SampledCurve]
 
     # -- closed forms ------------------------------------------------------
     def g1(self, t):
@@ -132,6 +132,11 @@ def _a1(model: ModelParams) -> float:
     return -(mu - r) ** 2 / (2.0 * sigma ** 2) - c.a ** 2 * c.eta ** 2 / (2.0 * c.b ** 2)
 
 
+def _f(model: ModelParams, d: float, gamma: float) -> float:
+    c, r = model.claim, model.market.r.constant_value()
+    return c.a * c.theta - c.a * c.eta + (d - gamma) * r
+
+
 def _dual_denominator(model: ModelParams) -> float:
     denom = np.exp(-2.0 * _a1(model) * model.objective.T) - 1.0
     if denom <= 0 or not np.isfinite(denom):
@@ -177,17 +182,12 @@ def dual_value_full(model: ModelParams, d: float, gamma: float,
 
 
 def compute_solution(model: ModelParams, d: float | None = None,
-                     gamma: float | None = None, compat: bool = False,
-                     steps: int = 2000) -> FullInfoSolution:
-    """Assemble the closed-form solution and the ODE cross-check curves.
+                     gamma: float | None = None,
+                     compat: bool = False) -> FullInfoSolution:
+    """Assemble the closed-form solution.
 
     ``gamma`` defaults to the optimal multiplier for the target mean ``d``
-    (itself defaulting to the model objective).  The two coefficient systems
-
-        P' = -2rP,            Q' = -rQ - fP,          R' = -fQ
-        P' = -(2r+2A1)P,      Q' = -(r+2A1)Q - fP,    R' = -A1 Q^2/P - fQ
-
-    are integrated backward from (1, 0, 0) on ``steps`` RK4 steps.
+    (itself defaulting to the model objective).
     """
     report = validate(model)
     if not report.ok:
@@ -196,16 +196,29 @@ def compute_solution(model: ModelParams, d: float | None = None,
         raise ValueError("compute_solution requires a full-information model")
 
     c, mk = model.claim, model.market
-    r = mk.r.constant_value()
-    sigma = mk.sigma.constant_value()
-    mu = model.drift.m0
-    T = model.objective.T
-    a1 = _a1(model)
+    r, sigma = mk.r.constant_value(), mk.sigma.constant_value()
     if d is None:
         d = model.objective.d
     if gamma is None:
         gamma = gamma_star_full(model, d, compat)
-    f = c.a * c.theta - c.a * c.eta + (d - gamma) * r
+    return FullInfoSolution(
+        a1=_a1(model), gamma_star=float(gamma), d=float(d), f=_f(model, d, gamma),
+        r=r, T=model.objective.T, coef_q=c.a * c.eta / c.b ** 2,
+        coef_pi=(model.drift.m0 - r) / sigma ** 2, compat_paper_formulas=compat)
+
+
+def solve_pqr(model: ModelParams, d: float, gamma: float) -> tuple[SampledCurve, ...]:
+    """Oracle: (P1, Q1, R1, P2, Q2, R2) by 2000 backward RK4 steps from (1, 0, 0) at T.
+
+        P' = -2rP,            Q' = -rQ - fP,          R' = -fQ
+        P' = -(2r+2A1)P,      Q' = -(r+2A1)Q - fP,    R' = -A1 Q^2/P - fQ
+
+    r, A1 and f come from the model, ``d`` and ``gamma``, never from a
+    :class:`FullInfoSolution`, so the validation suite can check the closed
+    forms ``p1`` .. ``r2`` against these curves; production code evaluates
+    the closed forms.
+    """
+    r, a1, f = model.market.r.constant_value(), _a1(model), _f(model, d, gamma)
 
     def rhs1(t, y):
         P, Q, _R = y
@@ -217,17 +230,12 @@ def compute_solution(model: ModelParams, d: float | None = None,
                          -(r + 2.0 * a1) * Q - f * P,
                          -a1 * Q * Q / P - f * Q])
 
-    curve1 = integrate_backward(rhs1, np.array([1.0, 0.0, 0.0]), T, steps)
-    curve2 = integrate_backward(rhs2, np.array([1.0, 0.0, 0.0]), T, steps)
-    pqr1 = tuple(curve1.component(k) for k in range(3))
-    pqr2 = tuple(curve2.component(k) for k in range(3))
-    return FullInfoSolution(
-        a1=a1, gamma_star=float(gamma), d=float(d),
-        d_vertex=vertex_constant(model, compat), f=f, r=r, T=T,
-        coef_q=c.a * c.eta / c.b ** 2, coef_pi=(mu - r) / sigma ** 2,
-        compat_paper_formulas=compat,
-        pqr_region1=pqr1, pqr_region2=pqr2,
-    )
+    curves = []
+    for rhs in (rhs1, rhs2):
+        curve = integrate_backward(rhs, np.array([1.0, 0.0, 0.0]),
+                                   model.objective.T, 2000)
+        curves += [curve.component(k) for k in range(3)]
+    return tuple(curves)
 
 
 def _branch_above(sol: FullInfoSolution, t, x):

@@ -1,9 +1,14 @@
 """Shared deterministic numerics: fixed-step RK4 integration and seeded Gaussian streams.
 
-All terminal-value problems in this package are smooth and non-stiff, so the
-classical 4th-order Runge-Kutta scheme with a fixed step is used throughout.
-When coefficient curves are piecewise constant the integration is aligned to
-their breakpoints (each segment is smooth, preserving 4th-order accuracy).
+One RK4 march serves both directions: :func:`integrate_forward` and
+:func:`integrate_backward` are the same segment loop run from 0 to T or from T
+to 0.  Production code solves nothing with it but the conditional variance
+(:func:`~mvreins.filtering.solve_variance`); every other caller is an oracle
+that checks a closed form (the Riccati pair, the full-information P, Q, R
+coefficients, the riskless wealth).  The problems are smooth and non-stiff,
+so the step is fixed; when coefficient curves are piecewise constant the march
+is cut at their breakpoints (each segment is smooth, preserving 4th-order
+accuracy).
 """
 
 from __future__ import annotations
@@ -21,113 +26,78 @@ class IntegrationDivergedError(MvreinsError):
     """ODE state became non-finite during integration."""
 
 
-def _march(rhs: Callable, y0: np.ndarray, t0: float, t1: float, steps: int):
-    """RK4 march from t0 to t1 (either direction); returns (times, states)."""
+def _march(rhs: Callable, y, t0: float, t1: float, steps: int):
+    """RK4 march of y from t0 to t1 (either way) in one segment; returns the
+    times after t0, the states there and the final state.
+
+    Curves are right-continuous, so stage times are clamped to [lo,
+    nextafter(hi, lo)]: a stage that rounds past either edge reads this
+    segment's coefficients.  A non-finite state raises before any rhs sees it.
+    """
     h = (t1 - t0) / steps
     times = t0 + h * np.arange(steps + 1)
     times[-1] = t1
-    states = np.empty((steps + 1,) + y0.shape)
-    y = y0.copy()
-    states[0] = y
-    for k in range(steps):
-        t = times[k]
+    lo, hi = min(t0, t1), max(t0, t1)
+    stage_times = np.clip(times[:-1, None] + np.array([0.0, 0.5 * h, h]),
+                          lo, np.nextafter(hi, lo))
+    states = np.empty((steps,) + np.shape(y))
+    for k, row in enumerate(stage_times):
+        t, t_mid, t_end = row.tolist()
         k1 = rhs(t, y)
-        k2 = rhs(t + 0.5 * h, y + 0.5 * h * k1)
-        k3 = rhs(t + 0.5 * h, y + 0.5 * h * k2)
-        k4 = rhs(t + h, y + h * k3)
+        k2 = rhs(t_mid, y + 0.5 * h * k1)
+        k3 = rhs(t_mid, y + 0.5 * h * k2)
+        k4 = rhs(t_end, y + h * k3)
         y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.all(np.isfinite(y)):
+        if not np.isfinite(y).all():
             raise IntegrationDivergedError(
                 f"non-finite state at t={times[k + 1]:.6g}"
             )
-        states[k + 1] = y
-    return times, states
+        states[k] = y
+    return times[1:], states, y
 
 
-def _segments(t_start: float, t_end: float, steps: int,
-              breakpoints: Sequence[float]):
-    """Split [t_start, t_end] at interior breakpoints; allot steps by length."""
-    inner = sorted({float(b) for b in breakpoints if t_start < b < t_end})
-    edges = [t_start] + inner + [t_end]
-    total = t_end - t_start
-    out = []
+def _integrate(rhs: Callable, y_start, t_from: float, t_to: float, steps: int,
+               breakpoints: Sequence[float]) -> SampledCurve:
+    """RK4 solve of y' = rhs(t, y), y(t_from) = y_start, marched to t_to either way.
+
+    Each breakpoint segment gets max(1, round(steps * len / total)) steps; the
+    curve is returned on an ascending grid.  A scalar state marches as a float
+    and ``rhs`` returns a float; a vector state's ``rhs`` returns an array.
+    """
+    if steps < 1:
+        raise ValueError("steps must be >= 1")
+    lo, hi = min(t_from, t_to), max(t_from, t_to)
+    inner = sorted({float(b) for b in breakpoints if lo < b < hi},
+                   reverse=t_to < t_from)
+    edges = [t_from] + inner + [t_to]
+    y = float(y_start) if np.ndim(y_start) == 0 else np.array(y_start, dtype=float)
+    grids, blocks = [np.array([t_from], dtype=float)], [np.array([y])]
     for a, b in zip(edges[:-1], edges[1:]):
-        n = max(1, int(round(steps * (b - a) / total)))
-        out.append((a, b, n))
-    return out
-
-
-def _wrap_rhs(rhs: Callable, scalar: bool) -> Callable:
-    if scalar:
-        return lambda t, y: np.asarray([rhs(t, float(y[0]))], dtype=float)
-    return lambda t, y: np.asarray(rhs(t, y), dtype=float)
-
-
-def _segment_rhs(f: Callable, a: float, b: float) -> Callable:
-    """Restrict stage evaluations to [a, b): coefficient curves are
-    right-continuous, so at the segment's right edge the left limit applies.
-    Both edges are clamped: a stage time that rounds just past either edge
-    (the last step's t + h, marching either way) must not read a neighbouring
-    segment's coefficients."""
-    b_inside = np.nextafter(b, a)
-    return lambda t, y: f(a if t < a else (t if t < b_inside else b_inside), y)
+        n = max(1, round(steps * (b - a) / (t_to - t_from)))
+        times, states, y = _march(rhs, y, a, b, n)
+        grids.append(times)
+        blocks.append(states)
+    grid, values = np.concatenate(grids), np.concatenate(blocks)
+    if t_to < t_from:
+        grid, values = grid[::-1], values[::-1]
+    return SampledCurve(grid, values)
 
 
 def integrate_backward(rhs: Callable, terminal, T: float, steps: int = 10000, *,
-                       t_start: float = 0.0,
                        breakpoints: Sequence[float] = ()) -> SampledCurve:
-    """Solve y' = rhs(t, y) with y(T) = terminal, marching back to t_start.
+    """Solve y' = rhs(t, y) with y(T) = terminal, marching back to 0.
 
     Returns the solution forward-indexed (ascending grid).  ``terminal`` may be
     a scalar or a vector; the returned curve matches its shape.  Raises
     :class:`IntegrationDivergedError` if the state becomes non-finite.
     """
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
-    scalar = np.ndim(terminal) == 0
-    y_T = np.atleast_1d(np.asarray(terminal, dtype=float))
-    f = _wrap_rhs(rhs, scalar)
-
-    grids, blocks = [], []
-    y = y_T
-    for a, b, n in reversed(_segments(t_start, T, steps, breakpoints)):
-        times, states = _march(_segment_rhs(f, a, b), y, b, a, n)
-        y = states[-1]
-        grids.append(times[::-1])
-        blocks.append(states[::-1])
-    # Segments were integrated from T downward; stitch them in forward order,
-    # dropping duplicated shared endpoints.
-    grid = np.concatenate([g if i == 0 else g[1:]
-                           for i, g in enumerate(reversed(grids))])
-    vals = np.concatenate([v if i == 0 else v[1:]
-                           for i, v in enumerate(reversed(blocks))])
-    if scalar:
-        vals = vals[:, 0]
-    return SampledCurve(grid, vals)
+    return _integrate(rhs, terminal, T, 0.0, steps, breakpoints)
 
 
 def integrate_forward(rhs: Callable, initial, T: float, steps: int = 10000, *,
-                      t_start: float = 0.0,
                       breakpoints: Sequence[float] = ()) -> SampledCurve:
-    """Solve y' = rhs(t, y) with y(t_start) = initial, marching to T."""
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
-    scalar = np.ndim(initial) == 0
-    y0 = np.atleast_1d(np.asarray(initial, dtype=float))
-    f = _wrap_rhs(rhs, scalar)
-
-    grids, blocks = [], []
-    y = y0
-    for a, b, n in _segments(t_start, T, steps, breakpoints):
-        times, states = _march(_segment_rhs(f, a, b), y, a, b, n)
-        y = states[-1]
-        grids.append(times)
-        blocks.append(states)
-    grid = np.concatenate([g if i == 0 else g[1:] for i, g in enumerate(grids)])
-    vals = np.concatenate([v if i == 0 else v[1:] for i, v in enumerate(blocks)])
-    if scalar:
-        vals = vals[:, 0]
-    return SampledCurve(grid, vals)
+    """Solve y' = rhs(t, y) with y(0) = initial, marching to T."""
+    return _integrate(rhs, initial, 0.0, T, steps, breakpoints)
 
 
 @dataclass(frozen=True)

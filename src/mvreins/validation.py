@@ -142,7 +142,7 @@ def _checks_full(model: ModelParams, compat: bool, overrides: dict,
         "riccati-minus-closed-form", err_m <= 1e-6, f"max rel err {err_m:.2e}"))
 
     closed = [sol.p1, sol.q1, sol.r1, sol.p2, sol.q2, sol.r2]
-    ode_curves = list(sol.pqr_region1) + list(sol.pqr_region2)
+    ode_curves = fullinfo.solve_pqr(model, sol.d, sol.gamma_star)
     err_pqr = max(_curve_rel_err(c, fn) for c, fn in zip(ode_curves, closed))
     results.append(CheckResult(
         "pqr-ode-cross-check", err_pqr <= 1e-6, f"max rel err {err_pqr:.2e}"))

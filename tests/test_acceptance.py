@@ -279,7 +279,7 @@ def test_criterion_8_hjb_viscosity(scaled_noncheap_model, paper44_model):
 def test_criterion_9_pqr_crosscheck(paper44_model):
     sol = mv.compute_solution(paper44_model)
     closed = [sol.p1, sol.q1, sol.r1, sol.p2, sol.q2, sol.r2]
-    curves = list(sol.pqr_region1) + list(sol.pqr_region2)
+    curves = mv.solve_pqr(paper44_model, sol.d, sol.gamma_star)
     err_pqr = 0.0
     for curve, fn in zip(curves, closed):
         ref = fn(curve.grid)

@@ -217,10 +217,20 @@ def test_missing_config_exit_code():
     (SCALED_CFG, ["simulate", "--paths", "1"]),
     (SCALED_CFG, ["simulate", "--workers", "0"]),
     (FILTER_CFG, ["dual-curve"]),
+    (PAPER44_CFG, ["frontier", "--d-max", "nan"]),
+    (PAPER44_CFG, ["frontier", "--d-max", "inf"]),
+    (PAPER44_CFG, ["value-surface", "--x-min", "nan"]),
+    (PAPER44_CFG, ["dual-curve", "--gamma-max", "inf"]),
+    (PAPER44_CFG, ["value-surface", "--x-max", "1e200"]),
+    (PAPER44_CFG, ["value-surface", "--x-min=-1e308", "--x-max", "1e308"]),
+    (SCALED_CFG, ["simulate", "--paths", "100", "--dt", "nan"]),
+    (SCALED_CFG, ["simulate", "--paths", "100", "--dt", "0"]),
 ], ids=["dt-not-dividing-T", "store-paths-too-large", "filter-steps-0",
         "frontier-points-0", "dual-curve-points-0", "value-surface-nt-0",
         "value-surface-nx-0", "simulate-paths-1", "workers-0",
-        "dual-curve-hidden-drift"])
+        "dual-curve-hidden-drift", "d-max-nan", "d-max-inf", "x-min-nan",
+        "gamma-max-inf", "x-max-overflows", "x-range-overflows", "dt-nan",
+        "dt-0"])
 def test_bad_input_is_one_error_line(tmp_path, capsys, cfg, args):
     out = tmp_path / "out"
     code = main(["--config", str(cfg), "--out-dir", str(out)] + args)
@@ -228,6 +238,15 @@ def test_bad_input_is_one_error_line(tmp_path, capsys, cfg, args):
     assert code == 1
     assert len(err.splitlines()) == 1 and err.startswith("error:")
     assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("args, message", [
+    (["frontier", "--points", "x"], "argument --points: invalid int value: 'x'"),
+    (["frontier", "--d-max", "x"], "argument --d-max: invalid float value: 'x'"),
+])
+def test_non_numeric_argument_names_its_type(capsys, args, message):
+    assert main(["--config", str(PAPER44_CFG)] + args) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_solver_failure_is_one_error_line(tmp_path, capsys):

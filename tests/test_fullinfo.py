@@ -7,8 +7,8 @@ from mvreins.frontier import InfeasibleTargetError
 from mvreins.fullinfo import (NearCurveError, Region, compute_solution,
                               dual_value_full, feedback_full, frontier_full,
                               full_feedback_strategy, gamma_star_full,
-                              hjb_residual, value_function, vertex_constant,
-                              viscosity_check)
+                              hjb_residual, solve_pqr, value_function,
+                              vertex_constant, viscosity_check)
 
 from conftest import make_model
 
@@ -29,13 +29,13 @@ def test_a1_value(paper44_solution):
 
 def test_g1_vanishes_at_horizon(paper44_model):
     for gamma in (-500.0, 0.0, 800.0):
-        sol = compute_solution(paper44_model, d=10000.0, gamma=gamma, steps=200)
+        sol = compute_solution(paper44_model, d=10000.0, gamma=gamma)
         assert sol.g1(100.0) == 0.0
 
 
 def test_g1_identically_zero_cheap_at_target(scaled_cheap_model):
     # eta = theta and gamma = d make the affine drift term vanish
-    sol = compute_solution(scaled_cheap_model, d=70.0, gamma=70.0, steps=200)
+    sol = compute_solution(scaled_cheap_model, d=70.0, gamma=70.0)
     ts = np.linspace(0.0, 5.0, 7)
     assert np.all(sol.g1(ts) == 0.0)
 
@@ -54,7 +54,7 @@ def test_value_zero_on_switching_curve(paper44_solution):
 def test_value_region1_exponential_anchor(scaled_cheap_model):
     # g1 = 0 branch: V(0, 1) = e^{2 r T} / 2 at long horizon T = 100
     model = make_model(theta=0.2, eta=0.2, T=100.0, d=10000.0)
-    sol = compute_solution(model, d=10000.0, gamma=10000.0, steps=200)
+    sol = compute_solution(model, d=10000.0, gamma=10000.0)
     assert value_function(0.0, 1.0, sol) == pytest.approx(0.5 * np.exp(8.0),
                                                           rel=1e-12)
 
@@ -157,10 +157,10 @@ def test_frontier_infeasible_target(paper44_model):
         frontier_full(paper44_model, [1000.0])
 
 
-def test_pqr_ode_matches_closed_forms(paper44_solution):
+def test_pqr_ode_matches_closed_forms(paper44_solution, paper44_model):
     sol = paper44_solution
     closed = [sol.p1, sol.q1, sol.r1, sol.p2, sol.q2, sol.r2]
-    curves = list(sol.pqr_region1) + list(sol.pqr_region2)
+    curves = solve_pqr(paper44_model, sol.d, sol.gamma_star)
     for curve, fn in zip(curves, closed):
         ref = fn(curve.grid)
         err = np.max(np.abs(curve.values - ref) / np.maximum(1.0, np.abs(ref)))
@@ -235,9 +235,9 @@ def test_vectorized_strategy_matches_feedback(scaled_solution,
 
 
 def test_compat_flag_stored(paper44_model):
-    sol = compute_solution(paper44_model, compat=True, steps=200)
+    sol = compute_solution(paper44_model, compat=True)
     assert sol.compat_paper_formulas
-    assert sol.d_vertex == pytest.approx(
+    assert vertex_constant(paper44_model, compat=True) == pytest.approx(
         50.0 * np.exp(4.0) + 0.1 / 0.04, rel=1e-12)
 
 

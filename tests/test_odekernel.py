@@ -96,13 +96,41 @@ def test_invalid_dt():
         gaussian_increments(RngStream(1), 10, 0.0)
 
 
-@pytest.mark.parametrize("steps", [2000, 4000, 10000])
-def test_backward_last_stage_stays_in_its_segment(steps):
-    # y' = -r y across a rate breakpoint: the last step of the segment after
-    # the breakpoint must not read the rate of the segment before it.
+@pytest.mark.parametrize("direction, steps", [
+    ("backward", 2000), ("backward", 4000), ("backward", 10000),
+    ("forward", 2000), ("forward", 4000), ("forward", 10000),
+], ids=["2000", "4000", "10000", "forward-2000", "forward-4000", "forward-10000"])
+def test_backward_last_stage_stays_in_its_segment(direction, steps):
+    # y' = -r y backward, y' = r y forward, across a rate breakpoint: a stage
+    # that rounds past a segment's edge (the last k4, or the first k1 marching
+    # backward) must not read the rate of the neighbouring segment.
     r = as_curve([(0.0, 0.04), (4.0, 0.05)])
     rate = r.scalar_evaluator()
-    curve = integrate_backward(lambda t, y: -rate(t) * y, 1.0, 10.0, steps,
-                               breakpoints=[4.0])
-    exact = np.exp(r.antiderivative(10.0) - r.antiderivative(curve.grid))
+    if direction == "backward":
+        curve = integrate_backward(lambda t, y: -rate(t) * y, 1.0, 10.0, steps,
+                                   breakpoints=[4.0])
+        exact = np.exp(r.antiderivative(10.0) - r.antiderivative(curve.grid))
+    else:
+        curve = integrate_forward(lambda t, y: rate(t) * y, 1.0, 10.0, steps,
+                                  breakpoints=[4.0])
+        exact = np.exp(r.antiderivative(curve.grid))
     assert np.max(np.abs(curve.values / exact - 1.0)) <= 1e-12
+
+
+@pytest.mark.parametrize("integrate", [integrate_forward, integrate_backward])
+@pytest.mark.parametrize("start", [1.0, np.array([1.0, 2.0])],
+                         ids=["scalar", "vector"])
+def test_divergence_raises_before_rhs_sees_it(integrate, start):
+    # The rhs turns infinite only at the k4 stage time of the step that ends
+    # at t = 0.5, so every stage state stays finite and that step's update is
+    # the first non-finite state; no later rhs call may receive it.
+    seen = []
+
+    def rhs(t, y):
+        seen.append(y)
+        return y * np.inf if abs(t - 0.5) < 1e-9 else -y
+
+    with pytest.raises(IntegrationDivergedError):
+        integrate(rhs, start, 1.0, 10)
+    assert len(seen) == 4 * 5
+    assert all(np.all(np.isfinite(y)) for y in seen)
