@@ -19,6 +19,7 @@ import argparse
 import dataclasses
 import json
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -39,6 +40,12 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse reads "-1e4" as an option; take exponent forms as numbers too
+        self._negative_number_matcher = re.compile(
+            r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
     # argparse exits with code 2 on usage errors; remap to the documented code 1
     def error(self, message):
         raise UsageError(message)
@@ -98,7 +105,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("filter", help="write filter.csv (t, m, n)")
     p.add_argument("--steps", type=_int_at_least(1), default=1000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
 
     p = sub.add_parser("frontier", help="write frontier.csv")
     p.add_argument("--mode", choices=[INFO_FULL, INFO_PARTIAL], default=None,
@@ -125,7 +132,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--paths", type=_int_at_least(2), default=20000)
     p.add_argument("--dt", type=_finite_float(above=0.0), default=None,
                    help="time step (default T/5000)")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.add_argument("--workers", type=_int_at_least(1), default=1)
     p.add_argument("--store-paths", action="store_true",
                    help="also write paths.csv with stored trajectories")

@@ -20,6 +20,14 @@ of the configured seed and results are reduced in block order, so output is
 bitwise identical for any worker count.  Euler-Maruyama stepping throughout:
 the dynamics are linear in the state, so higher-order schemes buy nothing at
 the tested tolerances.
+
+Each block keeps its state arrays and updates them in place, adding the terms
+in the same order as the plain expressions, so results do not depend on the
+update style.  The arrays handed to a strategy are therefore valid only during
+the call: read them, or return views of them, but copy what must outlive it.
+Under a degenerate drift with h = 0 (every full-information model) the gain,
+h and l vanish and mu = m = m0 at every step, so those updates are skipped and
+the scalar m0 is the wealth and price drift.
 """
 
 from __future__ import annotations
@@ -191,8 +199,13 @@ def _simulate(model: ModelParams, strategy, cfg: SimConfig,
     coef = filter_coefficients(dr, model.market.sigma, n_curve, n_steps, dt)
     r = model.market.r(coef.t)
     gains = coef.gain
+    # Under a degenerate drift with h = 0 the gain, h and l are all zero, so
+    # mu and m stay exactly m0: their updates are skipped and m0 is the drift.
+    dead = dr.is_degenerate() and not coef.h.any()
     drift_noise = physical and not dr.is_degenerate()
+    n_normals = 3 if drift_noise else 2
     drift_const = c.a * c.theta - c.a * c.eta
+    a_eta = c.a * c.eta
 
     X_out = np.empty(cfg.n_paths)
     price_out = np.empty(cfg.n_paths)
@@ -208,46 +221,75 @@ def _simulate(model: ModelParams, strategy, cfg: SimConfig,
         nb = hi - lo
         rng = base.substream(bidx).generator()
         X = np.full(nb, ob.x0)
-        if physical:
+        m = np.full(nb, dr.m0)
+        if physical and not dead:
             mu = np.full(nb, dr.m0)
             if dr.n0 > 0:
-                mu = mu + np.sqrt(dr.n0) * rng.standard_normal(nb)
-        m = np.full(nb, dr.m0)
+                mu += np.sqrt(dr.n0) * rng.standard_normal(nb)
         log_s = np.zeros(nb)
         int_q2 = np.zeros(nb)
         int_pi2 = np.zeros(nb)
+        incr, noise, tmp = np.empty(nb), np.empty(nb), np.empty(nb)
         if traj is not None:
             traj[lo:hi, 0] = X
         # overflow on a diverging path propagates to its terminal flag
         with np.errstate(over="ignore", invalid="ignore"):
             for k in range(n_steps):
-                t = k * dt
-                r_k, sig_k, h_k = r[k], coef.sigma[k], coef.h[k]
-                q, pi = strategy(t, X, m)
-                int_q2 += q * q * dt
-                int_pi2 += pi * pi * dt
-                Z = rng.standard_normal((3 if drift_noise else 2, nb))
-                dW0, dW1 = sdt * Z[0], sdt * Z[1]
-                drift = mu if physical else m
-                X = X + (drift_const + c.a * c.eta * q + r_k * X
-                         + (drift - r_k) * pi) * dt \
-                    + c.b * q * dW0 + pi * sig_k * dW1
-                log_s = log_s + (drift - 0.5 * sig_k * sig_k) * dt + sig_k * dW1
-                if physical:
-                    obs = mu * dt + sig_k * dW1
-                    m = m + h_k * m * dt + gains[k] * (obs - m * dt)
-                    mu = mu + h_k * mu * dt
+                r_k, sig_k = r[k], coef.sigma[k]
+                q, pi = strategy(k * dt, X, m)
+                # every term that reads q or pi is formed before the state
+                # changes, so q and pi may be views of X or m
+                np.multiply(q, q, out=tmp)
+                tmp *= dt
+                int_q2 += tmp
+                np.multiply(pi, pi, out=tmp)
+                tmp *= dt
+                int_pi2 += tmp
+                dW = rng.standard_normal((n_normals, nb))
+                dW *= sdt
+                dW0, dW1 = dW[0], dW[1]
+                drift = dr.m0 if dead else (mu if physical else m)
+                # incr = [a(theta-eta) + a eta q + r X + (drift - r) pi] dt
+                np.multiply(q, a_eta, out=incr)
+                incr += drift_const
+                np.multiply(X, r_k, out=tmp)
+                incr += tmp
+                np.multiply(pi, drift - r_k, out=tmp)
+                incr += tmp
+                incr *= dt
+                np.multiply(q, c.b, out=tmp)
+                dW0 *= tmp
+                np.multiply(pi, sig_k, out=noise)
+                noise *= dW1
+                X += incr
+                X += dW0
+                X += noise
+                np.multiply(dW1, sig_k, out=noise)
+                log_s += (drift - 0.5 * sig_k * sig_k) * dt
+                log_s += noise
+                if dead:
+                    pass            # mu = m = m0 throughout
+                elif physical:
+                    resid = mu * dt
+                    resid += noise          # observed return mu dt + sigma dW1
+                    resid -= m * dt
+                    resid *= gains[k]
+                    m += coef.h[k] * m * dt
+                    m += resid
+                    mu += coef.h[k] * mu * dt
                     if drift_noise:
-                        mu = mu + coef.l[k] * dW1 + coef.z[k] * (sdt * Z[2])
+                        mu += coef.l[k] * dW1
+                        mu += coef.z[k] * dW[2]
                 else:
                     # dW1 is the innovation increment
-                    m = m + h_k * m * dt + coef.vol[k] * dW1
+                    m += coef.h[k] * m * dt
+                    m += coef.vol[k] * dW1
                 if traj is not None:
                     traj[lo:hi, k + 1] = X
         X_out[lo:hi] = X
         price_out[lo:hi] = np.exp(log_s)
         if physical:
-            err_out[lo:hi] = mu - m
+            err_out[lo:hi] = 0.0 if dead else mu - m
         q2_out[lo:hi] = int_q2
         pi2_out[lo:hi] = int_pi2
 

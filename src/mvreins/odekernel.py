@@ -102,11 +102,12 @@ def integrate_forward(rhs: Callable, initial, T: float, steps: int = 10000, *,
 
 @dataclass(frozen=True)
 class RngStream:
-    """Counter-based random stream: (master_seed, substream_id) pins the sequence.
+    """Seeded random stream: (master_seed, substream_id) pins the sequence.
 
-    Substreams are carved out of the Philox counter space (each substream owns
-    a disjoint 2**192-long counter block), so distinct ids give statistically
-    independent streams and any parallel schedule reproduces the same draws.
+    Substream k is the SFC64 generator seeded by the k-th child of
+    ``SeedSequence(master_seed)`` (spawn key ``(k,)``), so distinct ids give
+    statistically independent streams and any parallel schedule reproduces
+    the same draws.
     """
 
     master_seed: int
@@ -120,9 +121,9 @@ class RngStream:
         return RngStream(self.master_seed, k)
 
     def generator(self) -> np.random.Generator:
-        bits = np.random.Philox(key=self.master_seed,
-                                counter=[0, 0, 0, self.substream_id])
-        return np.random.Generator(bits)
+        seq = np.random.SeedSequence(self.master_seed,
+                                     spawn_key=(self.substream_id,))
+        return np.random.Generator(np.random.SFC64(seq))
 
 
 def gaussian_increments(stream: RngStream, count: int, dt: float) -> np.ndarray:

@@ -225,12 +225,14 @@ def test_missing_config_exit_code():
     (PAPER44_CFG, ["value-surface", "--x-min=-1e308", "--x-max", "1e308"]),
     (SCALED_CFG, ["simulate", "--paths", "100", "--dt", "nan"]),
     (SCALED_CFG, ["simulate", "--paths", "100", "--dt", "0"]),
+    (SCALED_CFG, ["simulate", "--seed", "-1"]),
+    (FILTER_CFG, ["filter", "--seed", "-1"]),
 ], ids=["dt-not-dividing-T", "store-paths-too-large", "filter-steps-0",
         "frontier-points-0", "dual-curve-points-0", "value-surface-nt-0",
         "value-surface-nx-0", "simulate-paths-1", "workers-0",
         "dual-curve-hidden-drift", "d-max-nan", "d-max-inf", "x-min-nan",
         "gamma-max-inf", "x-max-overflows", "x-range-overflows", "dt-nan",
-        "dt-0"])
+        "dt-0", "simulate-seed-negative", "filter-seed-negative"])
 def test_bad_input_is_one_error_line(tmp_path, capsys, cfg, args):
     out = tmp_path / "out"
     code = main(["--config", str(cfg), "--out-dir", str(out)] + args)
@@ -238,6 +240,22 @@ def test_bad_input_is_one_error_line(tmp_path, capsys, cfg, args):
     assert code == 1
     assert len(err.splitlines()) == 1 and err.startswith("error:")
     assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("args, name, first, last", [
+    (["value-surface", "--x-min", "-1e4", "--x-max", "1e4", "--nt", "3",
+      "--nx", "5"], "value_surface.csv", -1e4, 1e4),
+    (["dual-curve", "--gamma-min", "-1e2", "--gamma-max", "10", "--points", "11"],
+     "dual_curve.csv", -100.0, 10.0),
+    (["dual-curve", "--gamma-min", "-.5E2", "--gamma-max", "-1.5e-3",
+      "--points", "11"], "dual_curve.csv", -50.0, -1.5e-3),
+], ids=["x-min-exponent", "gamma-min-exponent", "gamma-range-exponents"])
+def test_negative_float_in_exponent_form(tmp_path, args, name, first, last):
+    assert main(["--config", str(PAPER44_CFG), "--out-dir", str(tmp_path)]
+                + args) == 0
+    column = 1 if name == "value_surface.csv" else 0
+    values = [float(row[column]) for row in read_csv(tmp_path / name)[1]]
+    assert (min(values), max(values)) == (first, last)
 
 
 @pytest.mark.parametrize("args, message", [

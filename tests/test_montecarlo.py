@@ -4,10 +4,13 @@ import numpy as np
 import pytest
 
 import mvreins as mv
-from mvreins.montecarlo import (InsufficientDataError, SimConfig,
+from mvreins.montecarlo import (_BLOCK, InsufficientDataError, SimConfig,
                                 SimulationError, constant_strategy, estimate,
                                 simulate_innovation, simulate_physical,
                                 zero_strategy)
+
+from mvreins.filtering import filter_coefficients
+from mvreins.odekernel import RngStream
 
 from conftest import make_model
 
@@ -87,6 +90,128 @@ def test_bitwise_reproducible_across_runs_and_workers(scaled_noncheap_model):
     assert np.array_equal(a.terminal_wealth, c.terminal_wealth)
     ea, ec = estimate(a), estimate(c)
     assert (ea.mean, ea.variance) == (ec.mean, ec.variance)
+
+
+@pytest.mark.parametrize("simulate, mode", [
+    (simulate_physical, "physical"), (simulate_innovation, "innovation")])
+def test_live_filter_reproducible_across_workers(simulate, mode):
+    """Uncertain drift (l, z, n0 > 0, h != 0): the filter and, under the
+    physical dynamics, the hidden drift with its third driver are updated."""
+    model = make_model(theta=0.2, eta=0.2, sigma=0.5, h=-0.3, l=0.3, z=0.2,
+                       m0=0.06, n0=0.05, T=1.0, d=55.0, info_mode="partial")
+    strategy = mv.partial_feedback_strategy(mv.solve_partial(model), model)
+    cfg = SimConfig(n_paths=_BLOCK + 1000, dt=0.1, seed=21, mode=mode)
+    a = simulate(model, strategy, cfg, workers=1)
+    b = simulate(model, strategy, cfg, workers=2)
+    assert np.array_equal(a.terminal_wealth, b.terminal_wealth)
+    assert np.array_equal(a.terminal_price, b.terminal_price)
+    if mode == "physical":
+        assert np.array_equal(a.terminal_drift_error, b.terminal_drift_error)
+        assert np.all(a.terminal_drift_error != 0.0)
+    else:
+        assert a.terminal_drift_error is None and b.terminal_drift_error is None
+
+
+def plain_euler(model, strategy, cfg):
+    """The engine's Euler step as plain expressions, every update applied:
+    the reference for its in-place form (one block of paths)."""
+    assert cfg.n_paths <= _BLOCK
+    physical = cfg.mode == "physical"
+    c, dr, ob = model.claim, model.drift, model.objective
+    n_steps, dt = cfg.resolve_steps(ob.T)
+    sdt = np.sqrt(dt)
+    n_curve = mv.solve_variance(dr, model.market.sigma, ob.T,
+                                steps=max(n_steps, 1000))
+    coef = filter_coefficients(dr, model.market.sigma, n_curve, n_steps, dt)
+    r = model.market.r(coef.t)
+    rng = RngStream(cfg.seed).substream(0).generator()
+    n = cfg.n_paths
+    X, mu, m, log_s, int_q2 = (np.full(n, ob.x0), np.full(n, dr.m0),
+                               np.full(n, dr.m0), np.zeros(n), np.zeros(n))
+    if physical and dr.n0 > 0:
+        mu = mu + np.sqrt(dr.n0) * rng.standard_normal(n)
+    drift_noise = physical and not dr.is_degenerate()
+    for k in range(n_steps):
+        r_k, sig_k, h_k = r[k], coef.sigma[k], coef.h[k]
+        q, pi = strategy(k * dt, X, m)
+        int_q2 = int_q2 + q * q * dt
+        Z = rng.standard_normal((3 if drift_noise else 2, n))
+        dW0, dW1 = sdt * Z[0], sdt * Z[1]
+        drift = mu if physical else m
+        X = X + (c.a * c.theta - c.a * c.eta + c.a * c.eta * q + r_k * X
+                 + (drift - r_k) * pi) * dt + c.b * q * dW0 + pi * sig_k * dW1
+        log_s = log_s + (drift - 0.5 * sig_k * sig_k) * dt + sig_k * dW1
+        if physical:
+            obs = mu * dt + sig_k * dW1
+            m = m + h_k * m * dt + coef.gain[k] * (obs - m * dt)
+            mu = mu + h_k * mu * dt
+            if drift_noise:
+                mu = mu + coef.l[k] * dW1 + coef.z[k] * (sdt * Z[2])
+        else:
+            m = m + h_k * m * dt + coef.vol[k] * dW1
+    return X, np.exp(log_s), mu - m if physical else None, int_q2
+
+
+@pytest.mark.parametrize("drift, mode", [
+    (dict(), "physical"), (dict(), "innovation"),
+    (dict(h=-0.3, l=0.3, z=0.2, n0=0.05), "physical"),
+    (dict(h=-0.3, l=0.3, z=0.2, n0=0.05), "innovation")],
+    ids=["known-physical", "known-innovation", "hidden-physical",
+         "hidden-innovation"])
+def test_engine_matches_plain_euler_bitwise(drift, mode):
+    model = make_model(theta=0.2, eta=0.2, sigma=0.5, m0=0.06, T=1.0, d=55.0,
+                       info_mode="partial", **drift)
+    strategy = mv.partial_feedback_strategy(mv.solve_partial(model), model)
+    cfg = SimConfig(n_paths=300, dt=0.01, seed=17, mode=mode)
+    simulate = simulate_physical if mode == "physical" else simulate_innovation
+    ens = simulate(model, strategy, cfg)
+    X, price, drift_err, int_q2 = plain_euler(model, strategy, cfg)
+    assert ens.n_flagged == 0
+    assert np.array_equal(ens.terminal_wealth, X)
+    assert np.array_equal(ens.terminal_price, price)
+    assert np.array_equal(ens.int_q2, int_q2)
+    if mode == "physical":
+        assert np.array_equal(ens.terminal_drift_error, drift_err)
+
+
+def test_strategy_may_return_a_view_of_wealth(scaled_cheap_model):
+    """pi aliased to the engine's wealth array gives the same ensemble as a
+    copy of it: every term is formed before the wealth is updated."""
+    cfg = SimConfig(n_paths=2000, dt=0.01, seed=3)
+    aliased = simulate_physical(scaled_cheap_model,
+                                lambda t, x, m: (0.0 * x, x), cfg)
+    copied = simulate_physical(scaled_cheap_model,
+                               lambda t, x, m: (0.0 * x, x.copy()), cfg)
+    for field in ("terminal_wealth", "terminal_price", "int_pi2"):
+        assert np.array_equal(getattr(aliased, field), getattr(copied, field))
+    assert aliased.int_pi2.min() > 0.0
+
+
+@pytest.mark.parametrize("h", [0.0, 0.1])
+@pytest.mark.parametrize("simulate, mode", [
+    (simulate_physical, "physical"), (simulate_innovation, "innovation")])
+def test_degenerate_drift_filter_mean(simulate, mode, h):
+    """A known drift has zero gain, so m follows dm = h m dt exactly as the
+    hidden drift does; with h = 0 the strategy sees m0 at every step."""
+    model = make_model(theta=0.2, eta=0.2, h=h, m0=0.07, T=1.0, d=55.0,
+                       info_mode="partial")
+    seen = []
+
+    def strategy(t, x, m):
+        seen.append(m.copy())
+        return 0.5 * np.ones_like(x), 10.0 * np.ones_like(x)
+
+    ens = simulate(model, strategy,
+                   SimConfig(n_paths=500, dt=0.01, seed=4, mode=mode))
+    m = np.array(seen)
+    assert m.shape == (100, 500) and np.all(m == m[:, :1])
+    if h == 0.0:
+        assert np.all(m == 0.07)
+    else:
+        expected = 0.07 * (1.0 + h * 0.01) ** np.arange(100)
+        np.testing.assert_allclose(m[:, 0], expected, rtol=1e-12)
+    if mode == "physical":
+        assert np.all(ens.terminal_drift_error == 0.0)
 
 
 def test_different_seeds_differ(scaled_noncheap_model):

@@ -91,6 +91,17 @@ def test_gaussian_increments_scale():
     assert draws.var() == pytest.approx(0.25, rel=0.02)
 
 
+@pytest.mark.parametrize("seed, k", [(0, 0), (42, 1), (123456789, 7)])
+def test_substream_is_sfc64_on_spawned_seed_sequence(seed, k):
+    child = np.random.SeedSequence(seed).spawn(k + 1)[k]
+    expected = np.random.Generator(np.random.SFC64(child))
+    drawn = RngStream(seed, k).generator()
+    assert np.array_equal(drawn.bit_generator.random_raw(16),
+                          expected.bit_generator.random_raw(16))
+    assert np.array_equal(drawn.standard_normal((2, 500)),
+                          expected.standard_normal((2, 500)))
+
+
 def test_invalid_dt():
     with pytest.raises(ValueError):
         gaussian_increments(RngStream(1), 10, 0.0)
