@@ -284,7 +284,7 @@ def _cmd_simulate(args, model, out_dir: Path, compat: bool) -> int:
         sim_model = partial_model
 
     cfg = montecarlo.SimConfig(n_paths=args.paths, dt=dt, seed=args.seed,
-                               mode=args.dynamics, store_paths=args.store_paths)
+                               store_paths=args.store_paths)
     if args.dynamics == "physical":
         ensemble = montecarlo.simulate_physical(sim_model, strategy, cfg,
                                                 workers=args.workers)

@@ -39,6 +39,8 @@ from .odekernel import integrate_backward
 
 Sign = Literal["plus", "minus"]
 
+_SAMPLES = 10001  # nodes of linspace(0, T) in the closed-form pair, before piece edges
+
 
 class RiccatiSolverError(MvreinsError):
     """Backward Riccati solve breached positivity or failed to converge."""
@@ -142,8 +144,8 @@ def _expm1_rate(k: np.ndarray, u: np.ndarray) -> np.ndarray:
     return np.where(flat, u, np.expm1(k * u) / np.where(flat, 1.0, k))
 
 
-def riccati_pair(model: ModelParams, samples: int = 10001) -> RiccatiSolution:
-    """Closed-form P+/- on linspace(0, T, samples) joined with the piece edges.
+def riccati_pair(model: ModelParams) -> RiccatiSolution:
+    """Closed-form P+/- on linspace(0, T, _SAMPLES) joined with the piece edges.
 
     [0, T] is cut at the breakpoints of r, sigma and h.  On a piece starting
     at a the drift is m(t) = M e^{h (t - a)} with M = m0 exp(int_0^a h); it
@@ -183,7 +185,7 @@ def riccati_pair(model: ModelParams, samples: int = 10001) -> RiccatiSolution:
         return (riskless - np.where(above[j], 0.0, excess_sq),
                 riskless - claim_rate * u - np.where(above[j], excess_sq, 0.0))
 
-    grid = np.unique(np.concatenate([np.linspace(0.0, T, samples), edges]))
+    grid = np.unique(np.concatenate([np.linspace(0.0, T, _SAMPLES), edges]))
     j = np.clip(np.searchsorted(edges, grid, side="right") - 1, 0, a.size - 1)
     at_nodes = log_growth(j, grid - a[j])
     whole = log_growth(np.arange(a.size), width)

@@ -12,6 +12,9 @@ shared by every path, while the mean is updated per path from observed returns:
 The bracketed observation residual, scaled by 1/sigma, is the innovation
 increment; it is a Brownian increment under the observation filtration.
 
+:func:`run_filter` applies this update to a whole block of paths at once, one
+row of observed returns per path.  The Monte Carlo engine writes the same
+update inside its path loop, because there it interleaves with the strategy.
 :func:`filter_coefficients` gives every Euler filter in the package (this
 module's, the Monte Carlo engine's and the CLI's) its left-endpoint
 coefficients on t_k = k dt, never on a clock of repeated t + dt additions,
@@ -40,14 +43,19 @@ class FilterState:
 
 @dataclass(frozen=True, eq=False)
 class FilterPath:
-    """One path of the filter on a uniform grid, with recorded innovations."""
+    """The filter on a uniform grid, one row per path, with recorded innovations.
+
+    ``innovations`` has the shape of the observed returns and ``means`` one
+    column more (the start m0); ``variances`` is shared by all rows.
+    """
 
     times: np.ndarray
     means: np.ndarray
     variances: np.ndarray
-    innovations: np.ndarray  # one increment per step, length len(times) - 1
+    innovations: np.ndarray  # one increment per step and path
 
     def state(self, k: int) -> FilterState:
+        """State at step k of a one-path filter."""
         return FilterState(float(self.times[k]), float(self.means[k]),
                            float(self.variances[k]))
 
@@ -119,33 +127,24 @@ def filter_coefficients(drift: DriftParams, sigma, variance: SampledCurve,
                               vol=l + variance(t) / sig)
 
 
-def filter_step(state: FilterState, observed_return: float, dt: float,
-                drift: DriftParams, sigma, variance: SampledCurve) -> FilterState:
-    """One Euler step of the mean update; variance advanced from the precomputed curve.
-
-    ``observed_return`` is the price relative dS/S accumulated over [t, t+dt].
-    Euler stepping matches the simulation grid; higher-order in the mean would
-    be wasted because the driving term is stochastic.
-    """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    sig = sigma(state.t) if callable(sigma) else float(sigma)
-    h = drift.h(state.t)
-    l = drift.l(state.t)
-    gain = (l + state.n / sig) / sig
-    m_next = state.m + h * state.m * dt + gain * (observed_return - state.m * dt)
-    return FilterState(state.t + dt, m_next, float(variance(state.t + dt)))
-
-
 def run_filter(observed_returns, drift: DriftParams, sigma, dt: float,
                variance: SampledCurve | None = None) -> FilterPath:
-    """Run the filter along one path of observed returns on a uniform dt grid.
+    """Run the Euler filter on a uniform dt grid, one row of observed returns per path.
 
-    Also records the innovation increments (obs - m dt)/sigma for each step,
-    whose empirical mean/variance should match Brownian increments.
+    ``observed_returns[..., k]`` is the price relative dS/S accumulated over
+    [t_k, t_k + dt]; a 1-D array is one path.  Every path starts from the
+    drift's m0 and n0, and the innovation increments (obs - m dt)/sigma are
+    recorded for each step; their empirical mean/variance should match
+    Brownian increments.  Euler stepping matches the simulation grid;
+    higher-order in the mean would be wasted because the driving term is
+    stochastic.
     """
+    if dt <= 0:
+        raise ValueError(f"dt must be positive, got {dt}")
     obs = np.asarray(observed_returns, dtype=float)
-    n_steps = obs.size
+    if obs.ndim == 0 or obs.size == 0:
+        raise ValueError("observed returns need one row per path and at least one step")
+    n_steps = obs.shape[-1]
     T = n_steps * dt
     if variance is None:
         variance = solve_variance(drift, sigma, T, steps=max(1000, n_steps))
@@ -153,12 +152,12 @@ def run_filter(observed_returns, drift: DriftParams, sigma, dt: float,
     gain = coef.gain
 
     times = dt * np.arange(n_steps + 1)
-    means = np.empty(n_steps + 1)
-    means[0] = m = drift.m0
+    means = np.empty(obs.shape[:-1] + (n_steps + 1,))
+    means[..., 0] = m = np.full(obs.shape[:-1], drift.m0)
     for k in range(n_steps):
-        m = m + coef.h[k] * m * dt + gain[k] * (obs[k] - m * dt)
-        means[k + 1] = m
-    innovations = (obs - means[:-1] * dt) / coef.sigma
+        m = m + coef.h[k] * m * dt + gain[k] * (obs[..., k] - m * dt)
+        means[..., k + 1] = m
+    innovations = (obs - means[..., :-1] * dt) / coef.sigma
     return FilterPath(times, means, variance(times), innovations)
 
 

@@ -30,9 +30,6 @@ class FrontierCurve:
     def std_dev(self) -> np.ndarray:
         return np.sqrt(self.variance)
 
-    def __len__(self):
-        return self.d.size
-
 
 def quadratic_frontier(vertex: float, coefficient: float, d_grid) -> FrontierCurve:
     """Var = coefficient * (d - vertex)^2 on the grid; rejects d below the vertex."""

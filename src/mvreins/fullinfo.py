@@ -339,13 +339,10 @@ class ViscosityReport:
     inequalities within 1e-12.
     """
 
-    n_samples: int
     max_branch_gap: float
     max_x_gradient: float
     max_p2_minus_p1: float
     max_abs_cone_infimum: float
-    sub_solution_ok: bool
-    super_solution_ok: bool
     failures: tuple
 
     @property
@@ -417,8 +414,7 @@ def viscosity_check(sol: FullInfoSolution, model: ModelParams,
     if not super_ok:
         failures.append("super-solution inequality violated")
     return ViscosityReport(
-        n_samples=curve_samples, max_branch_gap=max_gap, max_x_gradient=max_grad,
+        max_branch_gap=max_gap, max_x_gradient=max_grad,
         max_p2_minus_p1=float(max_p_jump), max_abs_cone_infimum=max_inf,
-        sub_solution_ok=sub_ok, super_solution_ok=super_ok,
         failures=tuple(failures),
     )

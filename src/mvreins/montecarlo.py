@@ -1,7 +1,7 @@
 """Monte Carlo simulation of drift, prices, claims, filter, and controlled wealth.
 
-Two representations of the same system, run by one Euler block loop whose
-drivers ``SimConfig.mode`` picks:
+Two representations of the same system, run by one Euler block loop; the
+public function called picks its drivers:
 
 * ``simulate_physical`` drives three independent Brownian motions (claims,
   price, idiosyncratic drift), evolves the hidden expected return, and runs
@@ -42,9 +42,6 @@ from .filtering import filter_coefficients, solve_variance
 from .model import INFO_PARTIAL, ModelParams
 from .odekernel import RngStream
 
-MODE_PHYSICAL = "physical"
-MODE_INNOVATION = "innovation"
-
 _BLOCK = 16384            # paths per RNG substream; fixed so results never
                           # depend on how blocks are spread over workers
 _MAX_STORED = 5_000_000   # trajectory elements allowed with store_paths
@@ -64,7 +61,6 @@ class SimConfig:
     n_paths: int
     dt: float
     seed: int
-    mode: str = MODE_PHYSICAL
     store_paths: bool = False
 
     def __post_init__(self):
@@ -72,8 +68,6 @@ class SimConfig:
             raise ValueError("n_paths must be >= 1")
         if self.dt <= 0:
             raise ValueError("dt must be positive")
-        if self.mode not in (MODE_PHYSICAL, MODE_INNOVATION):
-            raise ValueError(f"mode must be physical or innovation, got {self.mode!r}")
 
     def resolve_steps(self, T: float) -> tuple[int, float]:
         """Step count and effective dt; T/dt must be integral within rounding."""
@@ -186,12 +180,12 @@ def _alloc_trajectories(cfg: SimConfig, n_steps: int):
     return np.empty((cfg.n_paths, n_steps + 1))
 
 
-def _simulate(model: ModelParams, strategy, cfg: SimConfig,
-              workers: int) -> PathEnsemble:
-    """Euler block loop under ``cfg.mode``; the variance curve is shared by all
-    paths.  Innovation paths use the filter mean m as drift and drive it by dW1.
+def _simulate(model: ModelParams, strategy, cfg: SimConfig, workers: int,
+              physical: bool) -> PathEnsemble:
+    """Euler block loop under the physical or the innovation dynamics; the
+    variance curve is shared by all paths.  Innovation paths use the filter
+    mean m as drift and drive it by dW1.
     """
-    physical = cfg.mode == MODE_PHYSICAL
     c, dr, ob = model.claim, model.drift, model.objective
     n_steps, dt = cfg.resolve_steps(ob.T)
     sdt = np.sqrt(dt)
@@ -310,9 +304,7 @@ def simulate_physical(model: ModelParams, strategy, cfg: SimConfig,
     with the hidden drift mu driven by (W1, W2) and the filter mean updated
     from the observed return mu dt + sigma dW1.
     """
-    if cfg.mode != MODE_PHYSICAL:
-        raise ValueError("cfg.mode must be 'physical' for simulate_physical")
-    return _simulate(model, strategy, cfg, workers)
+    return _simulate(model, strategy, cfg, workers, physical=True)
 
 
 def simulate_innovation(model: ModelParams, strategy, cfg: SimConfig,
@@ -324,11 +316,9 @@ def simulate_innovation(model: ModelParams, strategy, cfg: SimConfig,
     partial model has eta = theta) and the filter mean follows
     dm = h m dt + (l + n/sigma) dWbar.
     """
-    if cfg.mode != MODE_INNOVATION:
-        raise ValueError("cfg.mode must be 'innovation' for simulate_innovation")
     if model.info_mode != INFO_PARTIAL:
         raise ValueError("innovation dynamics require a partial-information model")
-    return _simulate(model, strategy, cfg, workers)
+    return _simulate(model, strategy, cfg, workers, physical=False)
 
 
 def zero_strategy(t, x, m):

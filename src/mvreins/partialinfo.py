@@ -42,19 +42,15 @@ class PartialSolution:
     approximation_mode: str
 
 
-def solve_partial(model: ModelParams, steps: int = 10000) -> PartialSolution:
-    """Build the partial-information solution for the model's target mean.
-
-    The Riccati pair is the closed form sampled on ``steps`` equal intervals
-    of [0, T] plus its piece edges.
-    """
+def solve_partial(model: ModelParams) -> PartialSolution:
+    """Build the partial-information solution for the model's target mean."""
     report = validate(model)
     if not report.ok:
         raise ValueError(f"invalid model: {report}")
     if model.info_mode != INFO_PARTIAL:
         raise ValueError("solve_partial requires a partial-information model")
     mode = MODE_EXACT if model.drift.is_degenerate() else MODE_PROJECTED
-    riccati = riccati_pair(model, samples=steps + 1)
+    riccati = riccati_pair(model)
     gamma = gamma_star_partial(riccati, model)
     d0 = model.objective.x0 * model.growth_to_horizon()
     return PartialSolution(riccati=riccati, gamma_star=gamma, d0=d0,

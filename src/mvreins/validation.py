@@ -42,32 +42,52 @@ def _curve_rel_err(curve, fn) -> float:
     return _rel_err(curve.values, fn(curve.grid))
 
 
-def _cone_probe_check(rng: np.random.Generator, draws: int = 200,
-                      probes: int = 50) -> tuple[bool, str]:
-    """Randomized optimality: xi never beaten on the cone, H* never positive."""
+def cone_probe_check(rng: np.random.Generator, draws: int,
+                     probes: int) -> tuple[bool, float, float]:
+    """Randomized optimality: xi never beaten on the cone, H* never positive.
+
+    Each draw takes b_q, b_pi ~ U(-3, 3), d_q, d_pi ~ U(0.05, 4), P ~ U(0.01, 20)
+    and ``probes`` points of [0, 4]^2, shared by both signs.  Returns whether
+    both hold, the largest optimality gap and the largest H*.
+    """
     worst_gap = -np.inf
     worst_h = -np.inf
     for _ in range(draws):
         coeffs = conelq.LQCoefficients(
-            b_q=rng.uniform(-2.0, 2.0), b_pi=rng.uniform(-2.0, 2.0),
-            d_q=rng.uniform(0.1, 3.0), d_pi=rng.uniform(0.1, 3.0),
-        )
-        P = rng.uniform(0.05, 10.0)
-        for sign in ("plus", "minus"):
-            s = 1.0 if sign == "plus" else -1.0
+            b_q=rng.uniform(-3.0, 3.0), b_pi=rng.uniform(-3.0, 3.0),
+            d_q=rng.uniform(0.05, 4.0), d_pi=rng.uniform(0.05, 4.0))
+        P = rng.uniform(0.01, 20.0)
+        u = rng.uniform(0.0, 4.0, size=(probes, 2))
+        for sign, s in (("plus", 1.0), ("minus", -1.0)):
             xi = conelq.xi_minimizer(sign, P, coeffs)
-            h_min = conelq.hamiltonian_min(sign, P, coeffs)
-            worst_h = max(worst_h, h_min)
+            worst_h = max(worst_h, conelq.hamiltonian_min(sign, P, coeffs))
 
             def objective(q, pi):
                 return (P * (coeffs.d_q ** 2 * q ** 2 + coeffs.d_pi ** 2 * pi ** 2)
                         + s * 2.0 * P * (coeffs.b_q * q + coeffs.b_pi * pi))
 
-            u = rng.uniform(0.0, 3.0, size=(probes, 2))
             gap = objective(xi.q, xi.pi) - np.min(objective(u[:, 0], u[:, 1]))
             worst_gap = max(worst_gap, float(gap))
-    ok = worst_gap <= 1e-9 and worst_h <= 0.0
-    return ok, f"max optimality gap {worst_gap:.2e}, max H* {worst_h:.2e}"
+    return worst_gap <= 1e-9 and worst_h <= 0.0, worst_gap, worst_h
+
+
+def _dual_argmax_check(dual, gamma_closed: float) -> CheckResult:
+    """Closed-form gamma* against a bounded scalar maximization of the dual value."""
+    span = 10.0 * max(1.0, abs(gamma_closed))
+    res = optimize.minimize_scalar(
+        lambda g: -dual(g), bounds=(gamma_closed - span, gamma_closed + span),
+        method="bounded", options={"xatol": 1e-8})
+    err_g = abs(res.x - gamma_closed) / max(1.0, abs(gamma_closed))
+    return CheckResult("dual-argmax", err_g <= 1e-6,
+                       f"closed form {gamma_closed:.4f} vs maximizer {res.x:.4f}")
+
+
+def _frontier_vertex_check(frontier, vertex: float) -> CheckResult:
+    """Zero variance at the vertex, increasing beyond it."""
+    curve = frontier([vertex, 1.1 * vertex, 1.2 * vertex])
+    ok = curve.variance[0] == 0.0 and np.all(np.diff(curve.variance) > 0)
+    return CheckResult("frontier-vertex", ok,
+                       f"variance at vertex {curve.variance[0]:.3e}, increasing beyond")
 
 
 def _riccati_oracle_check(model: ModelParams, riccati: conelq.RiccatiSolution,
@@ -106,8 +126,9 @@ def _checks_common(model: ModelParams, rng: np.random.Generator):
         "riskless-wealth-ode", err <= 1e-9,
         f"closed {d_closed:.6f} vs ODE {d_ode:.6f}, rel err {err:.2e}"))
 
-    ok, detail = _cone_probe_check(rng)
-    results.append(CheckResult("cone-optimality", ok, detail))
+    ok, gap, h_max = cone_probe_check(rng, draws=200, probes=50)
+    results.append(CheckResult("cone-optimality", ok,
+                               f"max optimality gap {gap:.2e}, max H* {h_max:.2e}"))
     return results
 
 
@@ -176,24 +197,12 @@ def _checks_full(model: ModelParams, compat: bool, overrides: dict,
         f"gap {visc.max_branch_gap:.1e}, grad {visc.max_x_gradient:.1e}"))
 
     d = model.objective.d
-    gamma_closed = fullinfo.gamma_star_full(model, d, compat)
-    # Independent route: scalar maximization of the assembled dual value.
-    span = 10.0 * max(1.0, abs(gamma_closed))
-    res = optimize.minimize_scalar(
-        lambda g: -fullinfo.dual_value_full(model, d, g, compat),
-        bounds=(gamma_closed - span, gamma_closed + span), method="bounded",
-        options={"xatol": 1e-8})
-    err_g = abs(res.x - gamma_closed) / max(1.0, abs(gamma_closed))
-    results.append(CheckResult(
-        "dual-argmax", err_g <= 1e-6,
-        f"closed form {gamma_closed:.4f} vs maximizer {res.x:.4f}"))
-
-    k = fullinfo.vertex_constant(model, compat)
-    curve = fullinfo.frontier_full(model, [k, 1.1 * k, 1.2 * k], compat)
-    ok = curve.variance[0] == 0.0 and np.all(np.diff(curve.variance) > 0)
-    results.append(CheckResult(
-        "frontier-vertex", ok,
-        f"variance at vertex {curve.variance[0]:.3e}, increasing beyond"))
+    results.append(_dual_argmax_check(
+        lambda g: fullinfo.dual_value_full(model, d, g, compat),
+        fullinfo.gamma_star_full(model, d, compat)))
+    results.append(_frontier_vertex_check(
+        lambda ds: fullinfo.frontier_full(model, ds, compat),
+        fullinfo.vertex_constant(model, compat)))
     return results
 
 
@@ -230,24 +239,11 @@ def _checks_partial(model: ModelParams) -> list[CheckResult]:
         "filter-variance-converged", err_n <= 1e-8,
         f"step-halving rel err {err_n:.2e}"))
 
-    d = model.objective.d
-    gamma_closed = sol.gamma_star
-    span = 10.0 * max(1.0, abs(gamma_closed))
-    res = optimize.minimize_scalar(
-        lambda g: -partialinfo.dual_value_partial(sol.riccati, model, g),
-        bounds=(gamma_closed - span, gamma_closed + span), method="bounded",
-        options={"xatol": 1e-8})
-    err_g = abs(res.x - gamma_closed) / max(1.0, abs(gamma_closed))
-    results.append(CheckResult(
-        "dual-argmax", err_g <= 1e-6,
-        f"closed form {gamma_closed:.4f} vs maximizer {res.x:.4f}"))
-
-    d0 = sol.d0
-    curve = partialinfo.frontier_partial(sol.riccati, model, [d0, 1.1 * d0, 1.2 * d0])
-    ok = curve.variance[0] == 0.0 and np.all(np.diff(curve.variance) > 0)
-    results.append(CheckResult(
-        "frontier-vertex", ok,
-        f"variance at vertex {curve.variance[0]:.3e}, increasing beyond"))
+    results.append(_dual_argmax_check(
+        lambda g: partialinfo.dual_value_partial(sol.riccati, model, g),
+        sol.gamma_star))
+    results.append(_frontier_vertex_check(
+        lambda ds: partialinfo.frontier_partial(sol.riccati, model, ds), sol.d0))
     return results
 
 

@@ -16,6 +16,7 @@ import mvreins as mv
 from mvreins.cli import main
 from mvreins.filtering import projected_mean_curve
 from mvreins.montecarlo import SimConfig, estimate, simulate_physical, zero_strategy
+from mvreins.validation import cone_probe_check
 
 from conftest import make_model
 from test_cli import PAPER44_CFG, SCALED_CFG, read_csv
@@ -85,27 +86,8 @@ def test_criterion_3_riccati_equivalence(paper44_model):
 # ---------------------------------------------------------------------------
 
 def test_criterion_4_cone_optimality():
-    rng = np.random.default_rng(20240)
-    worst_gap = -np.inf
-    worst_h = -np.inf
-    for _ in range(1000):
-        coeffs = mv.LQCoefficients(
-            b_q=rng.uniform(-3.0, 3.0), b_pi=rng.uniform(-3.0, 3.0),
-            d_q=rng.uniform(0.05, 4.0), d_pi=rng.uniform(0.05, 4.0))
-        P = rng.uniform(0.01, 20.0)
-        probes = rng.uniform(0.0, 4.0, size=(100, 2))
-        for sign, s in (("plus", 1.0), ("minus", -1.0)):
-            xi = mv.xi_minimizer(sign, P, coeffs)
-            h_star = mv.hamiltonian_min(sign, P, coeffs)
-            worst_h = max(worst_h, h_star)
-
-            def obj(q, pi):
-                return (P * (coeffs.d_q ** 2 * q ** 2 + coeffs.d_pi ** 2 * pi ** 2)
-                        + s * 2.0 * P * (coeffs.b_q * q + coeffs.b_pi * pi))
-
-            gap = obj(xi.q, xi.pi) - np.min(obj(probes[:, 0], probes[:, 1]))
-            worst_gap = max(worst_gap, float(gap))
-    ok = worst_gap <= 1e-9 and worst_h <= 0.0
+    ok, worst_gap, worst_h = cone_probe_check(np.random.default_rng(20240),
+                                              draws=1000, probes=100)
     _report("criterion-4 cone-optimality", ok,
             f"1000 draws x 100 probes: max gap {worst_gap:.2e} (tol 1e-9), "
             f"max H* {worst_h:.2e} (must be <= 0)")

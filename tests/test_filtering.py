@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 import mvreins as mv
-from mvreins.filtering import (FilterState, filter_step, projected_mean_curve,
-                               run_filter, solve_variance)
+from mvreins.filtering import projected_mean_curve, run_filter, solve_variance
 
 STEADY_STATE = -3.0 + np.sqrt(13.0)  # positive root of n^2 + 6n - 4 = 0
 
@@ -43,38 +42,41 @@ def test_variance_nonnegative_assorted():
 def test_step_zero_gain_ignores_observation():
     drift = mv.DriftParams(h=0.2, l=0.0, z=0.0, m0=0.1, n0=0.0)
     variance = solve_variance(drift, 1.0, 1.0, steps=100)
-    state = FilterState(t=0.0, m=0.1, n=0.0)
-    out1 = filter_step(state, observed_return=0.5, dt=0.01, drift=drift,
-                       sigma=1.0, variance=variance)
-    out2 = filter_step(state, observed_return=-0.3, dt=0.01, drift=drift,
-                       sigma=1.0, variance=variance)
-    assert out1.m == out2.m == pytest.approx(0.1 * (1 + 0.2 * 0.01), rel=1e-15)
+    out1 = run_filter([0.5], drift, 1.0, 0.01, variance=variance)
+    out2 = run_filter([-0.3], drift, 1.0, 0.01, variance=variance)
+    assert out1.means[1] == out2.means[1] == pytest.approx(0.1 * (1 + 0.2 * 0.01),
+                                                           rel=1e-15)
 
 
 def test_step_zero_innovation_keeps_mean():
     drift = mv.DriftParams(h=0.0, l=1.0, z=0.5, m0=0.06, n0=0.2)
     variance = solve_variance(drift, 1.0, 1.0, steps=100)
-    state = FilterState(t=0.0, m=0.06, n=0.2)
-    out = filter_step(state, observed_return=0.06 * 0.01, dt=0.01, drift=drift,
-                      sigma=1.0, variance=variance)
-    assert out.m == pytest.approx(0.06, rel=1e-14)
+    out = run_filter([0.06 * 0.01], drift, 1.0, 0.01, variance=variance)
+    assert out.means[1] == pytest.approx(0.06, rel=1e-14)
 
 
 def test_step_hand_computed_update():
     # gain (l + n/sigma)/sigma = 3; innovation 0.001 - 0.0006
     drift = mv.DriftParams(h=0.0, l=3.0, z=2.0, m0=0.06, n0=0.0)
     variance = solve_variance(drift, 1.0, 1.0, steps=100)
-    state = FilterState(t=0.0, m=0.06, n=0.0)
-    out = filter_step(state, observed_return=0.001, dt=0.01, drift=drift,
-                      sigma=1.0, variance=variance)
-    assert out.m == pytest.approx(0.0612, rel=1e-12)
+    out = run_filter([0.001], drift, 1.0, 0.01, variance=variance)
+    assert out.means[1] == pytest.approx(0.0612, rel=1e-12)
 
 
 def test_step_requires_positive_dt():
     drift = mv.DriftParams(h=0.0, l=1.0, z=1.0, m0=0.0, n0=0.0)
     variance = solve_variance(drift, 1.0, 1.0, steps=10)
     with pytest.raises(ValueError):
-        filter_step(FilterState(0.0, 0.0, 0.0), 0.0, 0.0, drift, 1.0, variance)
+        run_filter([0.0], drift, 1.0, 0.0, variance=variance)
+
+
+@pytest.mark.parametrize("obs, dt", [([0.01, 0.02], 0.0), ([0.01, 0.02], -0.1),
+                                     (np.zeros((3, 0)), 0.1)],
+                         ids=["zero-dt", "negative-dt", "no-steps"])
+def test_run_filter_rejects_bad_input(obs, dt):
+    drift = mv.DriftParams(h=0.0, l=1.0, z=1.0, m0=0.0, n0=0.1)
+    with pytest.raises(ValueError, match="dt must be positive|at least one step"):
+        run_filter(obs, drift, 1.0, dt)
 
 
 def test_run_filter_zero_gain_is_euler_growth():
@@ -110,6 +112,16 @@ def test_run_filter_records_innovations():
     assert path.innovations[1] == pytest.approx((-0.01 - m1 * dt) / 2.0)
 
 
+def test_run_filter_block_rows_match_single_paths(filter_demo_drift):
+    obs = np.random.default_rng(3).normal(0.0, 0.1, size=(4, 50))
+    block = run_filter(obs, filter_demo_drift, 1.0, 0.01)
+    for row, means, innovations in zip(obs, block.means, block.innovations):
+        one = run_filter(row, filter_demo_drift, 1.0, 0.01)
+        assert np.array_equal(one.means, means)
+        assert np.array_equal(one.innovations, innovations)
+    assert np.array_equal(one.variances, block.variances)
+
+
 def test_filter_path_state_accessor(filter_demo_drift):
     obs = np.full(10, 0.001)
     path = run_filter(obs, filter_demo_drift, 1.0, 0.01)
@@ -128,20 +140,18 @@ def test_innovation_increments_are_brownian(filter_demo_drift):
     dt, n_steps, n_paths = 0.005, 120, 3000
     T = n_steps * dt
     variance = solve_variance(drift, sigma, T, steps=2000)
-    n_at = variance(dt * np.arange(n_steps))
-    gains = (3.0 + n_at / sigma) / sigma
 
     rng = np.random.default_rng(77)
-    pooled = []
+    obs = np.empty((n_paths, n_steps))
     for p in range(n_paths):
         dW1 = np.sqrt(dt) * rng.standard_normal(n_steps)
         dW2 = np.sqrt(dt) * rng.standard_normal(n_steps)
         # hidden drift and observed returns on the same grid (h = 0)
         mu = 0.06 + np.concatenate(([0.0], np.cumsum(3.0 * dW1 + 2.0 * dW2)[:-1]))
-        obs = mu * dt + sigma * dW1
-        path = run_filter(obs, drift, sigma, dt, variance=variance)
-        pooled.append(path.innovations)
-    incr = np.concatenate(pooled)
+        obs[p] = mu * dt + sigma * dW1
+    path = run_filter(obs, drift, sigma, dt, variance=variance)
+    assert path.means.shape == (n_paths, n_steps + 1)
+    incr = path.innovations.ravel()
 
     se_mean = incr.std(ddof=1) / np.sqrt(incr.size)
     assert abs(incr.mean()) <= 3 * se_mean

@@ -69,7 +69,7 @@ def test_zero_strategy_innovation_riskless(partial_exact_model):
         partial_exact_model,
         objective=dataclasses.replace(partial_exact_model.objective, T=5.0)),
         d=70.0)
-    cfg = SimConfig(n_paths=8, dt=0.001, seed=1, mode="innovation")
+    cfg = SimConfig(n_paths=8, dt=0.001, seed=1)
     ens = simulate_innovation(model, zero_strategy, cfg)
     assert ens.terminal_wealth.max() == ens.terminal_wealth.min()
     assert ens.terminal_wealth[0] == pytest.approx(50.0 * np.exp(0.2), rel=1e-5)
@@ -100,7 +100,7 @@ def test_live_filter_reproducible_across_workers(simulate, mode):
     model = make_model(theta=0.2, eta=0.2, sigma=0.5, h=-0.3, l=0.3, z=0.2,
                        m0=0.06, n0=0.05, T=1.0, d=55.0, info_mode="partial")
     strategy = mv.partial_feedback_strategy(mv.solve_partial(model), model)
-    cfg = SimConfig(n_paths=_BLOCK + 1000, dt=0.1, seed=21, mode=mode)
+    cfg = SimConfig(n_paths=_BLOCK + 1000, dt=0.1, seed=21)
     a = simulate(model, strategy, cfg, workers=1)
     b = simulate(model, strategy, cfg, workers=2)
     assert np.array_equal(a.terminal_wealth, b.terminal_wealth)
@@ -112,11 +112,10 @@ def test_live_filter_reproducible_across_workers(simulate, mode):
         assert a.terminal_drift_error is None and b.terminal_drift_error is None
 
 
-def plain_euler(model, strategy, cfg):
+def plain_euler(model, strategy, cfg, physical):
     """The engine's Euler step as plain expressions, every update applied:
     the reference for its in-place form (one block of paths)."""
     assert cfg.n_paths <= _BLOCK
-    physical = cfg.mode == "physical"
     c, dr, ob = model.claim, model.drift, model.objective
     n_steps, dt = cfg.resolve_steps(ob.T)
     sdt = np.sqrt(dt)
@@ -162,10 +161,11 @@ def test_engine_matches_plain_euler_bitwise(drift, mode):
     model = make_model(theta=0.2, eta=0.2, sigma=0.5, m0=0.06, T=1.0, d=55.0,
                        info_mode="partial", **drift)
     strategy = mv.partial_feedback_strategy(mv.solve_partial(model), model)
-    cfg = SimConfig(n_paths=300, dt=0.01, seed=17, mode=mode)
+    cfg = SimConfig(n_paths=300, dt=0.01, seed=17)
     simulate = simulate_physical if mode == "physical" else simulate_innovation
     ens = simulate(model, strategy, cfg)
-    X, price, drift_err, int_q2 = plain_euler(model, strategy, cfg)
+    X, price, drift_err, int_q2 = plain_euler(model, strategy, cfg,
+                                              physical=mode == "physical")
     assert ens.n_flagged == 0
     assert np.array_equal(ens.terminal_wealth, X)
     assert np.array_equal(ens.terminal_price, price)
@@ -202,7 +202,7 @@ def test_degenerate_drift_filter_mean(simulate, mode, h):
         return 0.5 * np.ones_like(x), 10.0 * np.ones_like(x)
 
     ens = simulate(model, strategy,
-                   SimConfig(n_paths=500, dt=0.01, seed=4, mode=mode))
+                   SimConfig(n_paths=500, dt=0.01, seed=4))
     m = np.array(seen)
     assert m.shape == (100, 500) and np.all(m == m[:, :1])
     if h == 0.0:
@@ -242,8 +242,7 @@ def test_price_moments_agree_between_representations(tame_partial_model):
     phys = simulate_physical(tame_partial_model, zero_strategy,
                              SimConfig(n_paths=n, dt=0.001, seed=5))
     innov = simulate_innovation(tame_partial_model, zero_strategy,
-                                SimConfig(n_paths=n, dt=0.001, seed=6,
-                                          mode="innovation"))
+                                SimConfig(n_paths=n, dt=0.001, seed=6))
     ep, ei = estimate(phys.terminal_price), estimate(innov.terminal_price)
     se_mean = np.hypot(ep.se_mean, ei.se_mean)
     se_var = np.hypot(ep.se_variance, ei.se_variance)
@@ -267,7 +266,7 @@ def test_innovation_filter_mean_growth():
         return zeros, zeros
 
     simulate_innovation(model, recording_strategy,
-                        SimConfig(n_paths=n, dt=0.001, seed=7, mode="innovation"))
+                        SimConfig(n_paths=n, dt=0.001, seed=7))
     m_T = np.concatenate(means)
     se = m_T.std(ddof=1) / np.sqrt(m_T.size)
     assert abs(m_T.mean() - target) <= 3 * se + 1e-4  # 1e-4 Euler drift slack
@@ -310,9 +309,9 @@ def test_partial_feedback_innovation_mode(partial_exact_model):
         partial_exact_model,
         objective=dataclasses.replace(partial_exact_model.objective, T=5.0)),
         d=1.15 * 50.0 * np.exp(0.2))
-    sol = mv.solve_partial(model, steps=4000)
+    sol = mv.solve_partial(model)
     strategy = mv.partial_feedback_strategy(sol, model)
-    cfg = SimConfig(n_paths=30_000, dt=0.002, seed=13, mode="innovation")
+    cfg = SimConfig(n_paths=30_000, dt=0.002, seed=13)
     ens = simulate_innovation(model, strategy, cfg)
     est = estimate(ens)
     frontier = mv.frontier_partial(sol.riccati, model, [model.objective.d])
@@ -359,10 +358,9 @@ def test_dt_must_divide_horizon(scaled_cheap_model):
         simulate_physical(scaled_cheap_model, zero_strategy, cfg)
 
 
-def test_mode_mismatch_rejected(scaled_cheap_model, partial_exact_model):
-    cfg = SimConfig(n_paths=4, dt=0.01, seed=0, mode="innovation")
-    with pytest.raises(ValueError):
-        simulate_physical(scaled_cheap_model, zero_strategy, cfg)
+def test_mode_mismatch_rejected(scaled_cheap_model):
+    """The innovation dynamics need a partial-information model."""
+    cfg = SimConfig(n_paths=4, dt=0.01, seed=0)
     with pytest.raises(ValueError):
         simulate_innovation(scaled_cheap_model, zero_strategy, cfg)  # full mode
 

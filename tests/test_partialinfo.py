@@ -19,8 +19,8 @@ def exact_solution(partial_exact_model):
 
 
 def test_modes_labeled(partial_exact_model, partial_filter_model):
-    assert solve_partial(partial_exact_model, steps=2000).approximation_mode == "exact"
-    assert solve_partial(partial_filter_model, steps=2000).approximation_mode == \
+    assert solve_partial(partial_exact_model).approximation_mode == "exact"
+    assert solve_partial(partial_filter_model).approximation_mode == \
         "projected_drift"
 
 
@@ -192,6 +192,6 @@ def test_solve_partial_requires_partial_mode(paper44_model):
 
 
 def test_projected_mode_coefficient_positive(partial_filter_model):
-    sol = solve_partial(partial_filter_model, steps=3000)
+    sol = solve_partial(partial_filter_model)
     from mvreins.partialinfo import frontier_coefficient
     assert frontier_coefficient(sol.riccati, partial_filter_model) > 0
