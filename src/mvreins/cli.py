@@ -5,10 +5,11 @@ Bad arguments, configurations and simulation settings, and solves that fail on
 a valid model (any :class:`~mvreins.errors.MvreinsError`), print one
 ``error: ...`` line and exit 1; counts that cannot work (``--steps 0``,
 ``--paths 1``, ...), non-finite float arguments and a time step that is not
-positive are rejected while parsing; a CSV holding a non-finite number (a
-finite argument range can overflow) is an error and is not written.  The
-full-information subcommands accept a partial config only if it meets the
-full-mode assumptions.
+positive are rejected while parsing; a range whose low end is above its high
+end, once defaults are filled in, is rejected before anything is written; a
+CSV holding a non-finite number (a finite argument range can overflow) is an
+error and is not written.  The full-information subcommands accept a partial
+config only if it meets the full-mode assumptions.
 All numeric output is written in full double precision (shortest round-trip
 decimal), so reruns with identical inputs produce byte-identical files.
 """
@@ -83,6 +84,12 @@ def _cell(path: Path, name: str, value) -> str:
         raise UsageError(f"{path.name}: {name} = {float(value)!r} is not finite; "
                          "narrow the argument range")
     return repr(float(value))
+
+
+def _ordered(lo: float, hi: float, lo_flag: str, hi_flag: str) -> None:
+    """Reject a range whose low end, after defaults are filled in, is above its high end."""
+    if lo > hi:
+        raise UsageError(f"{lo_flag} {lo!r} is above {hi_flag} {hi!r}")
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
@@ -236,6 +243,7 @@ def _cmd_value_surface(args, model, out_dir: Path, compat: bool) -> int:
     x_curve = np.array([sol.switching_x(t) for t in ts])
     lo = args.x_min if args.x_min is not None else float(2.0 * x_curve.min())
     hi = args.x_max if args.x_max is not None else float(-x_curve.min())
+    _ordered(lo, hi, "--x-min", "--x-max")
     xs = np.linspace(lo, hi, args.nx)
     rows = []
     for t in ts:
@@ -254,6 +262,7 @@ def _cmd_dual_curve(args, model, out_dir: Path, compat: bool) -> int:
     span = 3.0 * max(1.0, abs(gamma_star))
     lo = args.gamma_min if args.gamma_min is not None else gamma_star - span
     hi = args.gamma_max if args.gamma_max is not None else gamma_star + span
+    _ordered(lo, hi, "--gamma-min", "--gamma-max")
     gammas = np.linspace(lo, hi, args.points)
     rows = [(g, fullinfo.dual_value_full(full_model, d, g, compat))
             for g in gammas]

@@ -32,7 +32,7 @@ from typing import Literal
 
 import numpy as np
 
-from .curves import SampledCurve
+from .curves import SampledCurve, segments
 from .errors import MvreinsError
 from .model import ModelParams
 from .odekernel import integrate_backward
@@ -157,13 +157,8 @@ def riccati_pair(model: ModelParams) -> RiccatiSolution:
     """
     c, mk, dr = model.claim, model.market, model.drift
     T = model.objective.T
-    edges = np.unique(np.concatenate([
-        [0.0, T],
-        mk.r.breakpoints_within(0.0, T),
-        mk.sigma.breakpoints_within(0.0, T),
-        dr.h.breakpoints_within(0.0, T),
-    ]))
-    a, r, h = edges[:-1], mk.r(edges[:-1]), dr.h(edges[:-1])
+    edges, (r, h, _) = segments(0.0, T, mk.r, dr.h, mk.sigma)
+    a = edges[:-1]
     m_start = dr.m0 * np.exp(dr.h.antiderivative(a))
     with np.errstate(divide="ignore", invalid="ignore"):
         cross = a + np.log(r / m_start) / h
@@ -205,33 +200,28 @@ def solve_riccati_pair(model: ModelParams, m_bar,
     suite can check one against the other; production code calls
     :func:`riccati_pair`.  ``m_bar`` is the deterministic drift curve: the
     exact expected return in full mode, or the projected filter mean in
-    partial mode.  Raises :class:`RiccatiSolverError` if positivity is
-    breached.
+    partial mode, as a :class:`~mvreins.curves.SampledCurve`; r and sigma
+    reach the right-hand side as their values on each piece.  Raises
+    :class:`RiccatiSolverError` if positivity is breached.
     """
     T = model.objective.T
     c = model.claim
-    breaks = np.concatenate([
-        model.market.r.breakpoints_within(0.0, T),
-        model.market.sigma.breakpoints_within(0.0, T),
-    ])
-    r_at = model.market.r.scalar_evaluator()
-    sig_at = model.market.sigma.scalar_evaluator()
-    m_at = m_bar.scalar_evaluator() if hasattr(m_bar, "scalar_evaluator") else m_bar
+    m_at = m_bar.scalar_evaluator()
     b_q = c.a * c.eta
 
     def make_rhs(sign: Sign):
-        def rhs(t, p):
+        def rhs(t, p, r, sigma):
             if p <= 0:
                 raise RiccatiSolverError(
                     f"P{'+' if sign == 'plus' else '-'} reached {p:.3e} <= 0 at t={t:.6g}"
                 )
-            coeffs = LQCoefficients(b_q=b_q, b_pi=m_at(t) - r_at(t),
-                                    d_q=c.b, d_pi=sig_at(t))
-            return -(2.0 * r_at(t) * p + hamiltonian_min(sign, p, coeffs))
+            coeffs = LQCoefficients(b_q=b_q, b_pi=m_at(t) - r, d_q=c.b, d_pi=sigma)
+            return -(2.0 * r * p + hamiltonian_min(sign, p, coeffs))
         return rhs
 
-    p_plus = integrate_backward(make_rhs("plus"), 1.0, T, steps, breakpoints=breaks)
-    p_minus = integrate_backward(make_rhs("minus"), 1.0, T, steps, breakpoints=breaks)
+    coefficients = (model.market.r, model.market.sigma)
+    p_plus = integrate_backward(make_rhs("plus"), 1.0, T, steps, curves=coefficients)
+    p_minus = integrate_backward(make_rhs("minus"), 1.0, T, steps, curves=coefficients)
     for name, curve in (("P+", p_plus), ("P-", p_minus)):
         if curve.values.min() <= 0:
             raise RiccatiSolverError(f"{name} not positive on [0, T]")

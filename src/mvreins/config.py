@@ -28,14 +28,17 @@ Example::
     d = 10000.0
 
 Curve-valued keys (r, sigma, h, l, z) accept either a constant or a
-piecewise-constant specification ``t0:v0, t1:v1, ...`` with t0 = 0.  The
-optional ``[overrides]`` section carries fault-injection hooks for the
-validation suite (currently only ``a1``); unknown sections or keys are errors.
+piecewise-constant specification ``t0:v0, t1:v1, ...`` with t0 = 0 and
+strictly increasing times.  Every number, curve times and values included,
+must be finite.  The optional ``[overrides]`` section carries fault-injection
+hooks for the validation suite (currently only ``a1``); unknown sections or
+keys are errors.
 """
 
 from __future__ import annotations
 
 import configparser
+import math
 from pathlib import Path
 
 from .model import ClaimParams, DriftParams, MarketParams, ModelParams, Objective
@@ -59,9 +62,12 @@ _CURVE_KEYS = {"r", "sigma", "h", "l", "z"}
 
 def _parse_float(section: str, key: str, raw: str) -> float:
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
         raise ConfigError(f"[{section}] {key} = {raw!r} is not a number") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"[{section}] {key} = {raw!r} is not a finite number")
+    return value
 
 
 def _parse_curve(section: str, key: str, raw: str):
@@ -74,14 +80,19 @@ def _parse_curve(section: str, key: str, raw: str):
             continue
         try:
             t_str, v_str = piece.split(":")
-            pairs.append((float(t_str), float(v_str)))
+            pair = (float(t_str), float(v_str))
         except ValueError:
             raise ConfigError(
                 f"[{section}] {key}: bad curve segment {piece!r} "
                 "(expected 't:value' pairs)"
             ) from None
+        if not all(map(math.isfinite, pair)):
+            raise ConfigError(f"[{section}] {key}: curve segment {piece!r} is not finite")
+        pairs.append(pair)
     if not pairs or pairs[0][0] != 0.0:
         raise ConfigError(f"[{section}] {key}: curve must start at t=0")
+    if any(b[0] <= a[0] for a, b in zip(pairs, pairs[1:])):
+        raise ConfigError(f"[{section}] {key}: curve times must be strictly increasing")
     return pairs
 
 

@@ -1,4 +1,11 @@
-"""Time-indexed curves: piecewise-constant coefficient inputs and sampled ODE outputs."""
+"""Time-indexed curves: piecewise-constant coefficient inputs and sampled ODE outputs.
+
+:func:`segments` is the one place that cuts an interval at the breakpoints of
+piecewise-constant curves.  Every exact integral and every RK4 solve over
+these coefficients works piece by piece on its cuts, reading each curve's
+constant value there: an integrator step that straddled a jump would lose its
+order.
+"""
 
 from __future__ import annotations
 
@@ -69,11 +76,8 @@ class PiecewiseConstantCurve:
         """Exact integral of the step function over [t0, t1]."""
         if t1 < t0:
             return -self.integral(t1, t0)
-        # Segment edges restricted to (t0, t1), plus the interval endpoints.
-        inner = self.times[(self.times > t0) & (self.times < t1)]
-        edges = np.concatenate(([t0], inner, [t1]))
-        mids = 0.5 * (edges[:-1] + edges[1:])
-        return float(np.sum(self(mids) * np.diff(edges)))
+        edges, (values,) = segments(t0, t1, self)
+        return float(np.sum(values * np.diff(edges)))
 
     def antiderivative(self, t) -> np.ndarray:
         """Exact integral of the step function over [0, t], vectorized over t >= 0."""
@@ -84,37 +88,24 @@ class PiecewiseConstantCurve:
                       self.values.size - 1)
         return at_breaks[idx] + self.values[idx] * (t_arr - self.times[idx])
 
-    def breakpoints_within(self, t0: float, t1: float) -> np.ndarray:
-        """Breakpoints strictly inside (t0, t1), for integrator grid alignment."""
-        return self.times[(self.times > t0) & (self.times < t1)]
-
     def min_value(self) -> float:
         return float(self.values.min())
 
     def max_value(self) -> float:
         return float(self.values.max())
 
-    def scalar_evaluator(self):
-        """Fast scalar t -> value closure for ODE right-hand sides.
 
-        Skips domain checks (the integrator stays inside the domain); pure
-        Python bisect avoids numpy scalar overhead in tight loops.
-        """
-        if self.values.size == 1 or self.is_constant:
-            v = float(self.values[0])
-            return lambda t: v
-        times = self.times.tolist()
-        vals = self.values.tolist()
-        top = len(vals) - 1
-        from bisect import bisect_right
+def segments(t0: float, t1: float, *curves: PiecewiseConstantCurve):
+    """Cut [t0, t1] (t0 <= t1) into the pieces where every curve is constant.
 
-        def ev(t):
-            i = bisect_right(times, t) - 1
-            if i < 0:
-                return vals[0]
-            return vals[i] if i <= top else vals[top]
-
-        return ev
+    Returns ``(edges, values)``: ``edges`` is the ascending union of t0, t1
+    and each curve's breakpoints strictly inside (t0, t1), and ``values[i]``
+    holds curve i at the left edge of each piece, which is its value on the
+    whole piece.
+    """
+    inner = [c.times[(c.times > t0) & (c.times < t1)] for c in curves]
+    edges = np.unique(np.concatenate([[t0, t1], *inner]))
+    return edges, tuple(c(edges[:-1]) for c in curves)
 
 
 def as_curve(spec) -> PiecewiseConstantCurve:
@@ -195,7 +186,10 @@ class SampledCurve:
         """Fast scalar t -> value closure (1-D curves); clamps at the ends.
 
         Same linear interpolation as ``__call__`` without numpy scalar
-        overhead or domain checks, for use in ODE right-hand sides.
+        overhead or domain checks.  It serves the one ODE right-hand side
+        that reads a curve which is not piecewise constant, the drift m-bar
+        in the Riccati oracle; coefficient curves reach their right-hand
+        sides as per-piece constants instead.
         """
         if self.values.ndim != 1:
             raise ValueError("scalar_evaluator requires a scalar-valued curve")

@@ -5,7 +5,10 @@ mean m(t) and variance n(t).  The variance solves a deterministic Riccati ODE
 
     n' = 2 h n + l^2 + z^2 - (l + n/sigma)^2
 
-shared by every path, while the mean is updated per path from observed returns:
+shared by every path and marched piece by piece between the jumps of h, l, z
+and sigma (:func:`~mvreins.curves.segments`), with their constant values on
+each piece as its coefficients.  The mean is updated per path from observed
+returns:
 
     dm = h m dt + (l + n/sigma) (1/sigma) (dS/S - m dt).
 
@@ -27,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import PiecewiseConstantCurve, SampledCurve, as_curve
+from .curves import SampledCurve, as_curve, segments
 from .model import DriftParams
 from .odekernel import integrate_forward
 
@@ -60,37 +63,21 @@ class FilterPath:
                            float(self.variances[k]))
 
 
-def _variance_rhs(drift: DriftParams, sigma: PiecewiseConstantCurve):
-    h_at = drift.h.scalar_evaluator()
-    l_at = drift.l.scalar_evaluator()
-    z_at = drift.z.scalar_evaluator()
-    sig_at = sigma.scalar_evaluator()
-
-    def rhs(t, n):
-        l_t = l_at(t)
-        gain_num = l_t + n / sig_at(t)
-        return 2.0 * h_at(t) * n + l_t * l_t + z_at(t) ** 2 - gain_num * gain_num
-
-    return rhs
-
-
 def solve_variance(drift: DriftParams, sigma, T: float,
                    steps: int = 10000) -> SampledCurve:
     """Forward RK4 solution of the conditional-variance Riccati ODE from n0.
 
     The variance is deterministic, so it is solved once and shared by all
-    Monte Carlo paths.  Diverging (non-finite) states raise
-    :class:`~mvreins.odekernel.IntegrationDivergedError`.
+    Monte Carlo paths.  The march is cut where h, l, z or sigma jump and its
+    right-hand side reads their values on each piece.  Diverging (non-finite)
+    states raise :class:`~mvreins.odekernel.IntegrationDivergedError`.
     """
-    sigma = as_curve(sigma)
-    breaks = np.concatenate([
-        drift.h.breakpoints_within(0.0, T),
-        drift.l.breakpoints_within(0.0, T),
-        drift.z.breakpoints_within(0.0, T),
-        sigma.breakpoints_within(0.0, T),
-    ])
-    curve = integrate_forward(_variance_rhs(drift, sigma), drift.n0, T, steps,
-                              breakpoints=breaks)
+    def rhs(t, n, h, l, z, sig):
+        gain_num = l + n / sig
+        return 2.0 * h * n + l * l + z ** 2 - gain_num * gain_num
+
+    curve = integrate_forward(rhs, drift.n0, T, steps,
+                              curves=(drift.h, drift.l, drift.z, as_curve(sigma)))
     if curve.values.min() < -1e-12:
         raise RuntimeError(
             f"conditional variance went negative: min {curve.values.min():.3e}"
@@ -166,8 +153,9 @@ def projected_mean_curve(drift: DriftParams, T: float,
     """Mean of the filter process, m0 * exp(integral of h), sampled on [0, T].
 
     Used as the deterministic stand-in for the filtered drift when reducing
-    the backward equations to ODEs; exact when the drift is degenerate.
+    the backward equations to ODEs; exact when the drift is degenerate.  The
+    grid also holds every breakpoint of h, where the curve has a kink.
     """
-    grid = np.linspace(0.0, T, samples)
-    grid = np.unique(np.concatenate([grid, drift.h.breakpoints_within(0.0, T)]))
+    edges, _ = segments(0.0, T, drift.h)
+    grid = np.unique(np.concatenate([np.linspace(0.0, T, samples), edges]))
     return SampledCurve(grid, drift.m0 * np.exp(drift.h.antiderivative(grid)))

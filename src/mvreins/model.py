@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .curves import PiecewiseConstantCurve, as_curve
+from .curves import PiecewiseConstantCurve, as_curve, segments
 from .odekernel import integrate_forward
 
 import numpy as np
@@ -181,11 +181,9 @@ def riskless_terminal_wealth(params: ModelParams) -> float:
     """
     c, mk, T = params.claim, params.market, params.objective.T
     drift = c.a * (c.theta - c.eta)
-    edges = np.concatenate((mk.r.breakpoints_within(0.0, T), [0.0, T]))
-    edges = np.unique(edges)
+    edges, (rates,) = segments(0.0, T, mk.r)
     x = params.objective.x0
-    for t0, t1 in zip(edges[:-1], edges[1:]):
-        rate = mk.r(0.5 * (t0 + t1))
+    for t0, t1, rate in zip(edges[:-1], edges[1:], rates.tolist()):
         grow = np.exp(rate * (t1 - t0))
         x = x * grow + drift * (grow - 1.0) / rate
     return float(x)
@@ -195,10 +193,6 @@ def riskless_terminal_wealth_ode(params: ModelParams, steps: int = 10000) -> flo
     """Same quantity by numerically integrating the riskless wealth ODE (oracle)."""
     c, mk, T = params.claim, params.market, params.objective.T
     drift = c.a * (c.theta - c.eta)
-    r_at = mk.r.scalar_evaluator()
-    curve = integrate_forward(
-        lambda t, x: drift + r_at(t) * x,
-        params.objective.x0, T, steps,
-        breakpoints=mk.r.breakpoints_within(0.0, T),
-    )
+    curve = integrate_forward(lambda t, x, r: drift + r * x,
+                              params.objective.x0, T, steps, curves=(mk.r,))
     return float(curve(T))

@@ -6,9 +6,11 @@ to 0.  Production code solves nothing with it but the conditional variance
 (:func:`~mvreins.filtering.solve_variance`); every other caller is an oracle
 that checks a closed form (the Riccati pair, the full-information P, Q, R
 coefficients, the riskless wealth).  The problems are smooth and non-stiff,
-so the step is fixed; when coefficient curves are piecewise constant the march
-is cut at their breakpoints (each segment is smooth, preserving 4th-order
-accuracy).
+so the step is fixed.  The march is cut where the piecewise-constant
+coefficient curves it is given jump (:func:`~mvreins.curves.segments`), so
+every segment is smooth and keeps 4th-order accuracy, and the right-hand side
+receives each segment's coefficient values as arguments instead of looking
+the curves up at every stage.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .curves import SampledCurve
+from .curves import PiecewiseConstantCurve, SampledCurve, segments
 from .errors import MvreinsError
 
 
@@ -26,13 +28,14 @@ class IntegrationDivergedError(MvreinsError):
     """ODE state became non-finite during integration."""
 
 
-def _march(rhs: Callable, y, t0: float, t1: float, steps: int):
+def _march(rhs: Callable, y, t0: float, t1: float, steps: int, coeffs: Sequence):
     """RK4 march of y from t0 to t1 (either way) in one segment; returns the
     times after t0, the states there and the final state.
 
-    Curves are right-continuous, so stage times are clamped to [lo,
-    nextafter(hi, lo)]: a stage that rounds past either edge reads this
-    segment's coefficients.  A non-finite state raises before any rhs sees it.
+    ``rhs`` is called as ``rhs(t, y, *coeffs)``.  Stage times are clamped to
+    [lo, nextafter(hi, lo)], so a stage that rounds past either edge still
+    sees a time inside this segment.  A non-finite state raises before any
+    rhs sees it.
     """
     h = (t1 - t0) / steps
     times = t0 + h * np.arange(steps + 1)
@@ -43,10 +46,10 @@ def _march(rhs: Callable, y, t0: float, t1: float, steps: int):
     states = np.empty((steps,) + np.shape(y))
     for k, row in enumerate(stage_times):
         t, t_mid, t_end = row.tolist()
-        k1 = rhs(t, y)
-        k2 = rhs(t_mid, y + 0.5 * h * k1)
-        k3 = rhs(t_mid, y + 0.5 * h * k2)
-        k4 = rhs(t_end, y + h * k3)
+        k1 = rhs(t, y, *coeffs)
+        k2 = rhs(t_mid, y + 0.5 * h * k1, *coeffs)
+        k3 = rhs(t_mid, y + 0.5 * h * k2, *coeffs)
+        k4 = rhs(t_end, y + h * k3, *coeffs)
         y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if not np.isfinite(y).all():
             raise IntegrationDivergedError(
@@ -57,24 +60,27 @@ def _march(rhs: Callable, y, t0: float, t1: float, steps: int):
 
 
 def _integrate(rhs: Callable, y_start, t_from: float, t_to: float, steps: int,
-               breakpoints: Sequence[float]) -> SampledCurve:
-    """RK4 solve of y' = rhs(t, y), y(t_from) = y_start, marched to t_to either way.
+               curves: Sequence[PiecewiseConstantCurve]) -> SampledCurve:
+    """RK4 solve of y' = rhs(t, y, *c), y(t_from) = y_start, marched to t_to either way.
 
-    Each breakpoint segment gets max(1, round(steps * len / total)) steps; the
-    curve is returned on an ascending grid.  A scalar state marches as a float
-    and ``rhs`` returns a float; a vector state's ``rhs`` returns an array.
+    The march is cut at the breakpoints of ``curves``; on each segment ``c``
+    holds their values there, as Python floats.  Each segment gets
+    max(1, round(steps * len / total)) steps; the curve is returned on an
+    ascending grid.  A scalar state marches as a float and ``rhs`` returns a
+    float; a vector state's ``rhs`` returns an array.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    lo, hi = min(t_from, t_to), max(t_from, t_to)
-    inner = sorted({float(b) for b in breakpoints if lo < b < hi},
-                   reverse=t_to < t_from)
-    edges = [t_from] + inner + [t_to]
+    edges, levels = segments(min(t_from, t_to), max(t_from, t_to), *curves)
+    pieces = list(zip(edges[:-1].tolist(), edges[1:].tolist(),
+                      *(v.tolist() for v in levels)))
+    if t_to < t_from:
+        pieces = [(b, a, *c) for a, b, *c in reversed(pieces)]
     y = float(y_start) if np.ndim(y_start) == 0 else np.array(y_start, dtype=float)
     grids, blocks = [np.array([t_from], dtype=float)], [np.array([y])]
-    for a, b in zip(edges[:-1], edges[1:]):
+    for a, b, *coeffs in pieces:
         n = max(1, round(steps * (b - a) / (t_to - t_from)))
-        times, states, y = _march(rhs, y, a, b, n)
+        times, states, y = _march(rhs, y, a, b, n, tuple(coeffs))
         grids.append(times)
         blocks.append(states)
     grid, values = np.concatenate(grids), np.concatenate(blocks)
@@ -84,20 +90,23 @@ def _integrate(rhs: Callable, y_start, t_from: float, t_to: float, steps: int,
 
 
 def integrate_backward(rhs: Callable, terminal, T: float, steps: int = 10000, *,
-                       breakpoints: Sequence[float] = ()) -> SampledCurve:
-    """Solve y' = rhs(t, y) with y(T) = terminal, marching back to 0.
+                       curves: Sequence[PiecewiseConstantCurve] = ()) -> SampledCurve:
+    """Solve y' = rhs(t, y, *c) with y(T) = terminal, marching back to 0.
 
-    Returns the solution forward-indexed (ascending grid).  ``terminal`` may be
-    a scalar or a vector; the returned curve matches its shape.  Raises
+    ``c`` holds the values of ``curves`` on the current segment (nothing
+    when no curves are given, so the call is ``rhs(t, y)``).  Returns the
+    solution forward-indexed (ascending grid).  ``terminal`` may be a scalar
+    or a vector; the returned curve matches its shape.  Raises
     :class:`IntegrationDivergedError` if the state becomes non-finite.
     """
-    return _integrate(rhs, terminal, T, 0.0, steps, breakpoints)
+    return _integrate(rhs, terminal, T, 0.0, steps, curves)
 
 
 def integrate_forward(rhs: Callable, initial, T: float, steps: int = 10000, *,
-                      breakpoints: Sequence[float] = ()) -> SampledCurve:
-    """Solve y' = rhs(t, y) with y(0) = initial, marching to T."""
-    return _integrate(rhs, initial, 0.0, T, steps, breakpoints)
+                      curves: Sequence[PiecewiseConstantCurve] = ()) -> SampledCurve:
+    """Solve y' = rhs(t, y, *c) with y(0) = initial, marching to T; ``c`` as
+    in :func:`integrate_backward`."""
+    return _integrate(rhs, initial, 0.0, T, steps, curves)
 
 
 @dataclass(frozen=True)

@@ -227,12 +227,18 @@ def test_missing_config_exit_code():
     (SCALED_CFG, ["simulate", "--paths", "100", "--dt", "0"]),
     (SCALED_CFG, ["simulate", "--seed", "-1"]),
     (FILTER_CFG, ["filter", "--seed", "-1"]),
+    (PAPER44_CFG, ["value-surface", "--x-min", "10", "--x-max", "5"]),
+    (PAPER44_CFG, ["value-surface", "--x-min", "1e9"]),
+    (PAPER44_CFG, ["dual-curve", "--gamma-min", "5", "--gamma-max", "1"]),
+    (PAPER44_CFG, ["dual-curve", "--gamma-max=-1e6"]),
 ], ids=["dt-not-dividing-T", "store-paths-too-large", "filter-steps-0",
         "frontier-points-0", "dual-curve-points-0", "value-surface-nt-0",
         "value-surface-nx-0", "simulate-paths-1", "workers-0",
         "dual-curve-hidden-drift", "d-max-nan", "d-max-inf", "x-min-nan",
         "gamma-max-inf", "x-max-overflows", "x-range-overflows", "dt-nan",
-        "dt-0", "simulate-seed-negative", "filter-seed-negative"])
+        "dt-0", "simulate-seed-negative", "filter-seed-negative",
+        "x-range-reversed", "x-min-above-default-max", "gamma-range-reversed",
+        "gamma-max-below-default-min"])
 def test_bad_input_is_one_error_line(tmp_path, capsys, cfg, args):
     out = tmp_path / "out"
     code = main(["--config", str(cfg), "--out-dir", str(out)] + args)

@@ -97,3 +97,31 @@ def test_overrides_parsed(tmp_path):
 def test_missing_file():
     with pytest.raises(ConfigError, match="not found"):
         load_config("/nonexistent/nowhere.cfg")
+
+
+@pytest.mark.parametrize("old, new", [
+    ("T = 100.0", "T = inf"),
+    ("d = 10000.0", "d = nan"),
+    ("x0 = 50.0", "x0 = -inf"),
+    ("r = 0.04", "r = 0:0.04, inf:0.05"),
+    ("r = 0.04", "r = 0:0.04, 50:nan"),
+    ("sigma = 1.0", "sigma = 0:inf"),
+], ids=["T-inf", "d-nan", "x0-minus-inf", "curve-time-inf", "curve-value-nan",
+        "curve-value-inf"])
+def test_non_finite_number_rejected(tmp_path, old, new):
+    with pytest.raises(ConfigError, match="not a finite number|is not finite"):
+        load_config(write(tmp_path, BASE.replace(old, new)))
+
+
+def test_non_finite_override_rejected(tmp_path):
+    with pytest.raises(ConfigError, match=r"\[overrides\] a1 = 'nan'"):
+        load_config(write(tmp_path, BASE + "\n[overrides]\na1 = nan\n"))
+
+
+@pytest.mark.parametrize("curve", ["0:0.04, 50:0.05, 50:0.06",
+                                   "0:0.04, 50:0.05, 20:0.06"],
+                         ids=["repeated-time", "decreasing-time"])
+def test_curve_times_must_increase(tmp_path, curve):
+    with pytest.raises(ConfigError,
+                       match=r"^\[market\] r: curve times must be strictly increasing$"):
+        load_config(write(tmp_path, BASE.replace("r = 0.04", f"r = {curve}")))

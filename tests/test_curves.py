@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from mvreins.curves import (CurveRangeError, PiecewiseConstantCurve,
-                            SampledCurve, as_curve)
+                            SampledCurve, as_curve, segments)
 
 
 def test_as_curve_scalar():
@@ -81,10 +81,6 @@ def test_sampled_monotone_consistent(values):
 
 
 def test_scalar_evaluators_agree_with_call():
-    pc = as_curve([(0.0, 1.0), (2.0, -1.0), (5.0, 4.0)])
-    ev = pc.scalar_evaluator()
-    for t in [0.0, 1.99, 2.0, 4.7, 5.0, 9.0]:
-        assert ev(t) == pc(t)
     sc = SampledCurve(np.array([0.0, 1.0, 2.0]), np.array([0.0, 2.0, -4.0]))
     ev2 = sc.scalar_evaluator()
     for t in [0.0, 0.25, 1.0, 1.5, 2.0]:
@@ -97,3 +93,39 @@ def test_antiderivative_matches_integral_from_zero():
     old = np.array([c.integral(0.0, t) for t in ts])
     assert np.max(np.abs(c.antiderivative(ts) - old)) <= 1e-14
     assert c.antiderivative(0.0) == 0.0
+
+
+def test_segments_cut_at_the_union_of_breakpoints():
+    r = as_curve([(0.0, 0.04), (2.0, 0.05), (5.0, 0.06)])
+    sigma = as_curve([(0.0, 1.0), (2.0, 1.5), (3.0, 1.2)])
+    # Overlapping breakpoints (2.0 in both) appear once.
+    edges, (rv, sv) = segments(0.0, 10.0, r, sigma)
+    assert edges.tolist() == [0.0, 2.0, 3.0, 5.0, 10.0]
+    assert rv.tolist() == [0.04, 0.05, 0.05, 0.06]
+    assert sv.tolist() == [1.0, 1.5, 1.2, 1.2]
+    # t0 > 0 and both ends on breakpoints: only interior breakpoints cut, and
+    # the first piece takes the value that starts at t0.
+    edges, (rv, sv) = segments(2.0, 5.0, r, sigma)
+    assert edges.tolist() == [2.0, 3.0, 5.0]
+    assert rv.tolist() == [0.05, 0.05]
+    assert sv.tolist() == [1.5, 1.2]
+    edges, (rv,) = segments(2.5, 2.75, r)
+    assert edges.tolist() == [2.5, 2.75] and rv.tolist() == [0.05]
+    # No curves: the interval itself, and no values.
+    edges, values = segments(1.0, 4.0)
+    assert edges.tolist() == [1.0, 4.0] and values == ()
+
+
+_knots = st.lists(st.floats(min_value=0.01, max_value=20.0), min_size=0,
+                  max_size=6, unique=True)
+_levels = st.floats(min_value=-5.0, max_value=5.0)
+_times = st.floats(min_value=0.0, max_value=25.0)
+
+
+@given(_knots, st.data(), _times, _times)
+def test_integral_matches_antiderivative(knots, data, t0, t1):
+    times = [0.0] + sorted(knots)
+    values = data.draw(st.lists(_levels, min_size=len(times), max_size=len(times)))
+    c = PiecewiseConstantCurve(np.array(times), np.array(values))
+    expected = c.antiderivative(t1) - c.antiderivative(t0)
+    assert abs(c.integral(t0, t1) - expected) <= 1e-14 * max(1.0, abs(expected))

@@ -206,7 +206,6 @@ def test_viscosity_checks_scaled(scaled_solution, scaled_noncheap_model):
     assert report.max_branch_gap <= 1e-10
     assert report.max_x_gradient <= 1e-6
     assert report.max_p2_minus_p1 <= 0.0
-    assert report.max_abs_cone_infimum == 0.0
 
 
 def test_viscosity_checks_long_horizon(paper44_solution, paper44_model):

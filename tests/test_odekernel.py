@@ -50,11 +50,9 @@ def test_vector_state():
 
 def test_breakpoint_alignment_exactness():
     # piecewise-constant rate: closed form chains exp factors per segment
-    from mvreins.curves import as_curve
     r = as_curve([(0.0, 0.03), (1.0, 0.08)])
-    r_at = r.scalar_evaluator()
-    curve = integrate_forward(lambda t, y: r_at(t) * y, 1.0, 2.0, 1000,
-                              breakpoints=r.breakpoints_within(0.0, 2.0))
+    curve = integrate_forward(lambda t, y, rate: rate * y, 1.0, 2.0, 1000,
+                              curves=(r,))
     assert curve(2.0) == pytest.approx(np.exp(0.03) * np.exp(0.08), rel=1e-12)
     assert np.any(curve.grid == 1.0)  # grid aligned to the jump
 
@@ -114,16 +112,21 @@ def test_invalid_dt():
 def test_backward_last_stage_stays_in_its_segment(direction, steps):
     # y' = -r y backward, y' = r y forward, across a rate breakpoint: a stage
     # that rounds past a segment's edge (the last k4, or the first k1 marching
-    # backward) must not read the rate of the neighbouring segment.
+    # backward) must still see a time inside its segment, so the curve there
+    # agrees with the segment's rate that the rhs receives.
     r = as_curve([(0.0, 0.04), (4.0, 0.05)])
-    rate = r.scalar_evaluator()
+
+    def rate_at(t, r_piece):
+        assert r(t) == r_piece, (t, r_piece)
+        return r_piece
+
     if direction == "backward":
-        curve = integrate_backward(lambda t, y: -rate(t) * y, 1.0, 10.0, steps,
-                                   breakpoints=[4.0])
+        curve = integrate_backward(lambda t, y, rate: -rate_at(t, rate) * y,
+                                   1.0, 10.0, steps, curves=(r,))
         exact = np.exp(r.antiderivative(10.0) - r.antiderivative(curve.grid))
     else:
-        curve = integrate_forward(lambda t, y: rate(t) * y, 1.0, 10.0, steps,
-                                  breakpoints=[4.0])
+        curve = integrate_forward(lambda t, y, rate: rate_at(t, rate) * y,
+                                  1.0, 10.0, steps, curves=(r,))
         exact = np.exp(r.antiderivative(curve.grid))
     assert np.max(np.abs(curve.values / exact - 1.0)) <= 1e-12
 
