@@ -8,8 +8,11 @@ a valid model (any :class:`~mvreins.errors.MvreinsError`), print one
 positive are rejected while parsing; a range whose low end is above its high
 end, once defaults are filled in, is rejected before anything is written; a
 CSV holding a non-finite number (a finite argument range can overflow) is an
-error and is not written.  The full-information subcommands accept a partial
-config only if it meets the full-mode assumptions.
+error and is not written.  A solver of the other information mode than the
+config's (``--mode``, and the full-information ``value-surface`` and
+``dual-curve``) runs only if the config, converted to that mode, passes
+:func:`~mvreins.model.validate`: ``--mode partial`` needs eta = theta, and the
+full-information solvers need a known drift.
 All numeric output is written in full double precision (shortest round-trip
 decimal), so reruns with identical inputs produce byte-identical files.
 """
@@ -146,35 +149,20 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _solver_mode(args, model) -> str:
-    mode = getattr(args, "mode", None) or model.info_mode
-    if mode == INFO_PARTIAL and model.info_mode == INFO_FULL:
-        if model.claim.eta != model.claim.theta:
-            raise UsageError("--mode partial requires cheap reinsurance "
-                             "(eta = theta)")
-    return mode
+def _model_for(mode: str, model):
+    """The config as a model of information mode ``mode``.
 
-
-def _as_full_model(model):
-    """The model for the full-information solvers, which need a known drift.
-
-    A partial config qualifies only if it meets the full-mode assumptions
-    (degenerate drift, h = 0, constant r and sigma, m0 > r).
+    A config of the other mode qualifies only if, converted, it passes
+    :func:`~mvreins.model.validate`, which holds each mode's assumptions.
     """
-    if model.info_mode == INFO_FULL:
+    if model.info_mode == mode:
         return model
-    full_model = dataclasses.replace(model, info_mode=INFO_FULL)
-    report = validate(full_model)
+    converted = dataclasses.replace(model, info_mode=mode)
+    report = validate(converted)
     if not report.ok:
-        raise UsageError(
-            f"the full-information solver needs a known drift: {report}")
-    return full_model
-
-
-def _as_partial_model(model):
-    if model.info_mode == INFO_PARTIAL:
-        return model
-    return dataclasses.replace(model, info_mode=INFO_PARTIAL)
+        raise UsageError(f"the {mode}-information solver does not apply "
+                         f"to this config: {report}")
+    return converted
 
 
 def _cmd_validate(args, model, overrides) -> int:
@@ -215,17 +203,16 @@ def _d_grid(args, vertex: float, model) -> np.ndarray:
 
 
 def _cmd_frontier(args, model, out_dir: Path, compat: bool) -> int:
-    mode = _solver_mode(args, model)
+    mode = args.mode or model.info_mode
+    solver_model = _model_for(mode, model)
     if mode == INFO_FULL:
-        full_model = _as_full_model(model)
-        vertex = fullinfo.vertex_constant(full_model, compat)
-        curve = fullinfo.frontier_full(full_model, _d_grid(args, vertex, model),
+        vertex = fullinfo.vertex_constant(solver_model, compat)
+        curve = fullinfo.frontier_full(solver_model, _d_grid(args, vertex, model),
                                        compat)
         label = "full"
     else:
-        partial_model = _as_partial_model(model)
-        sol = partialinfo.solve_partial(partial_model)
-        curve = partialinfo.frontier_partial(sol.riccati, partial_model,
+        sol = partialinfo.solve_partial(solver_model)
+        curve = partialinfo.frontier_partial(sol.riccati, solver_model,
                                              _d_grid(args, sol.d0, model))
         label = sol.approximation_mode
     rows = [(d, v, s, label)
@@ -236,7 +223,7 @@ def _cmd_frontier(args, model, out_dir: Path, compat: bool) -> int:
 
 
 def _cmd_value_surface(args, model, out_dir: Path, compat: bool) -> int:
-    full_model = _as_full_model(model)
+    full_model = _model_for(INFO_FULL, model)
     sol = fullinfo.compute_solution(full_model, compat=compat)
     T = model.objective.T
     ts = np.linspace(0.0, T, args.nt)
@@ -256,7 +243,7 @@ def _cmd_value_surface(args, model, out_dir: Path, compat: bool) -> int:
 
 
 def _cmd_dual_curve(args, model, out_dir: Path, compat: bool) -> int:
-    full_model = _as_full_model(model)
+    full_model = _model_for(INFO_FULL, model)
     d = model.objective.d
     gamma_star = fullinfo.gamma_star_full(full_model, d, compat)
     span = 3.0 * max(1.0, abs(gamma_star))
@@ -272,25 +259,22 @@ def _cmd_dual_curve(args, model, out_dir: Path, compat: bool) -> int:
 
 
 def _cmd_simulate(args, model, out_dir: Path, compat: bool) -> int:
-    mode = _solver_mode(args, model)
+    mode = args.mode or model.info_mode
+    sim_model = _model_for(mode, model)
     T = model.objective.T
     d = model.objective.d
     dt = args.dt if args.dt is not None else T / 5000.0
 
     if mode == INFO_FULL:
-        full_model = _as_full_model(model)
-        sol = fullinfo.compute_solution(full_model, compat=compat)
-        strategy = fullinfo.full_feedback_strategy(sol, full_model)
-        frontier = fullinfo.frontier_full(full_model, [d], compat)
+        sol = fullinfo.compute_solution(sim_model, compat=compat)
+        strategy = fullinfo.full_feedback_strategy(sol, sim_model)
+        frontier = fullinfo.frontier_full(sim_model, [d], compat)
         approximation = "full"
-        sim_model = full_model
     else:
-        partial_model = _as_partial_model(model)
-        sol = partialinfo.solve_partial(partial_model)
-        strategy = partialinfo.partial_feedback_strategy(sol, partial_model)
-        frontier = partialinfo.frontier_partial(sol.riccati, partial_model, [d])
+        sol = partialinfo.solve_partial(sim_model)
+        strategy = partialinfo.partial_feedback_strategy(sol, sim_model)
+        frontier = partialinfo.frontier_partial(sol.riccati, sim_model, [d])
         approximation = sol.approximation_mode
-        sim_model = partial_model
 
     cfg = montecarlo.SimConfig(n_paths=args.paths, dt=dt, seed=args.seed,
                                store_paths=args.store_paths)

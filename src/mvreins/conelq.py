@@ -122,20 +122,17 @@ def hamiltonian_min(sign: Sign, P: float, coeffs: LQCoefficients) -> float:
 
 @dataclass(frozen=True, eq=False)
 class RiccatiSolution:
-    """Backward pair P+(t), P-(t) with terminal value 1, under lambda = 0."""
+    """Backward pair P+(t), P-(t) with terminal value 1, under lambda = 0.
+
+    ``kappa_plus_integral`` and ``kappa_minus_integral`` are int_0^T kappa+/-,
+    so P+/-(0) e^{-2 int_0^T r} = exp(-kappa_plus/minus_integral); the frontier
+    and the dual value read them instead of P+/-(0).
+    """
 
     p_plus: SampledCurve
     p_minus: SampledCurve
-
-
-def _coeffs_at(model: ModelParams, m_bar, t: float) -> LQCoefficients:
-    c, mk = model.claim, model.market
-    return LQCoefficients(
-        b_q=c.a * c.eta,
-        b_pi=float(m_bar(t)) - mk.r(t),
-        d_q=c.b,
-        d_pi=mk.sigma(t),
-    )
+    kappa_plus_integral: float
+    kappa_minus_integral: float
 
 
 def _expm1_rate(k: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -153,7 +150,8 @@ def riccati_pair(model: ModelParams) -> RiccatiSolution:
     cut.  Each piece then has a fixed sign of m - r, so one branch of each
     kappa, and int (M e^{h u} - r)^2 du is exact there.  Cumulative sums of
     the piece integrals give int_t^T (2r - kappa+/-) at every node, and
-    P(T) = 1 exactly.
+    P(T) = 1 exactly.  The kappa integrals, kept apart from the 2r terms,
+    sum to ``kappa_plus_integral`` and ``kappa_minus_integral``.
     """
     c, mk, dr = model.claim, model.market, model.drift
     T = model.objective.T
@@ -171,24 +169,27 @@ def riccati_pair(model: ModelParams) -> RiccatiSolution:
     above = m_start * np.exp(0.5 * h * width) > r  # sign of m - r mid-piece
     claim_rate = (c.a * c.eta / c.b) ** 2
 
-    def log_growth(j, u):
-        """int over [a_j, a_j + u] of (2r - kappa+, 2r - kappa-)."""
+    def integrals(j, u):
+        """int over [a_j, a_j + u] of (2r, kappa+, kappa-)."""
         excess_sq = (m_start[j] ** 2 * _expm1_rate(2.0 * h[j], u)
                      - 2.0 * r[j] * m_start[j] * _expm1_rate(h[j], u)
                      + r[j] ** 2 * u) / sig2[j]
-        riskless = 2.0 * r[j] * u
-        return (riskless - np.where(above[j], 0.0, excess_sq),
-                riskless - claim_rate * u - np.where(above[j], excess_sq, 0.0))
+        return (2.0 * r[j] * u, np.where(above[j], 0.0, excess_sq),
+                claim_rate * u + np.where(above[j], excess_sq, 0.0))
 
     grid = np.unique(np.concatenate([np.linspace(0.0, T, _SAMPLES), edges]))
     j = np.clip(np.searchsorted(edges, grid, side="right") - 1, 0, a.size - 1)
-    at_nodes = log_growth(j, grid - a[j])
-    whole = log_growth(np.arange(a.size), width)
+    riskless, *at_nodes = integrals(j, grid - a[j])
+    riskless_whole, *whole = integrals(np.arange(a.size), width)
     curves = []
     for node, piece in zip(at_nodes, whole):
-        from_zero = np.concatenate(([0.0], np.cumsum(piece)))[j] + node
+        log_growth = riskless_whole - piece
+        from_zero = (np.concatenate(([0.0], np.cumsum(log_growth)))[j]
+                     + (riskless - node))
         curves.append(SampledCurve(grid, np.exp(from_zero[-1] - from_zero)))
-    return RiccatiSolution(p_plus=curves[0], p_minus=curves[1])
+    return RiccatiSolution(p_plus=curves[0], p_minus=curves[1],
+                           kappa_plus_integral=float(np.sum(whole[0])),
+                           kappa_minus_integral=float(np.sum(whole[1])))
 
 
 def solve_riccati_pair(model: ModelParams, m_bar,
@@ -201,7 +202,8 @@ def solve_riccati_pair(model: ModelParams, m_bar,
     :func:`riccati_pair`.  ``m_bar`` is the deterministic drift curve: the
     exact expected return in full mode, or the projected filter mean in
     partial mode, as a :class:`~mvreins.curves.SampledCurve`; r and sigma
-    reach the right-hand side as their values on each piece.  Raises
+    reach the right-hand side as their values on each piece.
+    Each kappa integral is 2 int_0^T r - log P(0).  Raises
     :class:`RiccatiSolverError` if positivity is breached.
     """
     T = model.objective.T
@@ -225,4 +227,8 @@ def solve_riccati_pair(model: ModelParams, m_bar,
     for name, curve in (("P+", p_plus), ("P-", p_minus)):
         if curve.values.min() <= 0:
             raise RiccatiSolverError(f"{name} not positive on [0, T]")
-    return RiccatiSolution(p_plus=p_plus, p_minus=p_minus)
+    two_r = 2.0 * model.market.r.integral(0.0, T)
+    return RiccatiSolution(
+        p_plus=p_plus, p_minus=p_minus,
+        kappa_plus_integral=two_r - float(np.log(p_plus(0.0))),
+        kappa_minus_integral=two_r - float(np.log(p_minus(0.0))))

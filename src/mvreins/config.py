@@ -57,7 +57,6 @@ _SCHEMA = {
     "overrides": {"a1"},
 }
 _OPTIONAL_SECTIONS = {"overrides"}
-_CURVE_KEYS = {"r", "sigma", "h", "l", "z"}
 
 
 def _parse_float(section: str, key: str, raw: str) -> float:

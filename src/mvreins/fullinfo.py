@@ -38,6 +38,8 @@ from .frontier import FrontierCurve, InfeasibleTargetError, quadratic_frontier
 from .model import INFO_FULL, ModelParams, riskless_terminal_wealth, validate
 from .odekernel import integrate_backward
 
+_FD_STEP = 1e-4  # relative x-step and absolute t-step of the finite-difference checks
+
 
 class NearCurveError(ValueError):
     """Finite-difference stencil too close to the switching curve."""
@@ -146,15 +148,12 @@ def _dual_denominator(model: ModelParams) -> float:
     return float(denom)
 
 
-def gamma_star_full(model: ModelParams, d: float | None = None,
-                    compat: bool = False) -> float:
+def gamma_star_full(model: ModelParams, d: float, compat: bool = False) -> float:
     """Maximizer of the dual value: gamma* = (k - d) / (e^{-2 A1 T} - 1).
 
     k is the frontier vertex (riskless terminal wealth by default, the compat
     constant under the flag).  Zero exactly at d = vertex; negative beyond.
     """
-    if d is None:
-        d = model.objective.d
     k = vertex_constant(model, compat)
     if d < k - 1e-9 * max(1.0, abs(k)):
         raise InfeasibleTargetError(f"target mean {d} below frontier vertex {k}")
@@ -292,18 +291,19 @@ def full_feedback_strategy(sol: FullInfoSolution, model: ModelParams):
     return strategy
 
 
-def hjb_residual(t: float, x: float, sol: FullInfoSolution, model: ModelParams,
-                 fd_step: float = 1e-4) -> float:
+def hjb_residual(t: float, x: float, sol: FullInfoSolution,
+                 model: ModelParams) -> float:
     """Finite-difference residual of the dynamic-programming PDE at (t, x).
 
-    Central differences; the x-step is scaled by max(1, |x|) so the stencil
-    tracks the quadratic's scale (keeping the second difference exact up to
-    roundoff), the t-step is left unscaled.  The cone infimum is evaluated by
-    the closed-form per-coordinate minimizer.  Points within 10 x-steps of the
-    switching curve (or with the time stencil leaving [0, T]) are rejected.
+    Central differences with step ``_FD_STEP``; the x-step is scaled by
+    max(1, |x|) so the stencil tracks the quadratic's scale (keeping the
+    second difference exact up to roundoff), the t-step is left unscaled.
+    The cone infimum is evaluated by the closed-form per-coordinate
+    minimizer.  Points within 10 x-steps of the switching curve (or with the
+    time stencil leaving [0, T]) are rejected.
     """
-    hx = fd_step * max(1.0, abs(x))
-    ht = fd_step
+    hx = _FD_STEP * max(1.0, abs(x))
+    ht = _FD_STEP
     s = x - sol.switching_x(t)
     if abs(s) <= 10.0 * hx:
         raise NearCurveError(
@@ -320,7 +320,7 @@ def hjb_residual(t: float, x: float, sol: FullInfoSolution, model: ModelParams,
     vx = (V(t, x + hx) - V(t, x - hx)) / (2.0 * hx)
     vxx = (V(t, x + hx) - 2.0 * V(t, x) + V(t, x - hx)) / (hx * hx)
     if vxx <= 0:
-        raise RuntimeError("finite-difference curvature nonpositive; refine fd_step")
+        raise RuntimeError("finite-difference curvature nonpositive")
 
     c, mk = model.claim, model.market
     mu, r, sigma = model.drift.m0, mk.r.constant_value(), mk.sigma.constant_value()
@@ -348,14 +348,14 @@ class ViscosityReport:
         return not self.failures
 
 
-def viscosity_check(sol: FullInfoSolution, model: ModelParams,
-                    curve_samples: int = 100,
-                    fd_step: float = 1e-4) -> ViscosityReport:
+def viscosity_check(sol: FullInfoSolution,
+                    curve_samples: int = 100) -> ViscosityReport:
     """Verify the generalized-solution conditions along the switching curve.
 
-    At sampled curve points: (i) the two branches agree (both vanish there);
-    (ii) the x-derivative of each branch vanishes, measured by central
-    differences (exact for the quadratic branches up to roundoff) -- on each
+    Reads ``sol`` only.  At ``curve_samples`` midpoint times: (i) the two
+    branches agree (both vanish there); (ii) the x-derivative of each branch
+    vanishes, measured by central differences with the relative step
+    ``_FD_STEP`` (exact for the quadratic branches up to roundoff) -- on each
     branch the time derivative is an exact multiple of P_i x + Q_i, so this
     also certifies the time component; (iii) the curvature jump has the right
     sign, P2(t) <= P1(t).  With the first-order terms zero on the curve, the
@@ -375,7 +375,7 @@ def viscosity_check(sol: FullInfoSolution, model: ModelParams,
         gap = abs(_branch_above(sol, t, xc) - _branch_below(sol, t, xc))
         max_gap = max(max_gap, gap)
 
-        h = fd_step * max(1.0, abs(xc))
+        h = _FD_STEP * max(1.0, abs(xc))
         d_above = (_branch_above(sol, t, xc + h) - _branch_above(sol, t, xc - h)) / (2 * h)
         d_below = (_branch_below(sol, t, xc + h) - _branch_below(sol, t, xc - h)) / (2 * h)
         max_grad = max(max_grad, abs(d_above), abs(d_below))

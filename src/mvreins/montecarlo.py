@@ -92,12 +92,8 @@ class PathEnsemble:
     int_q2: np.ndarray
     int_pi2: np.ndarray
     n_flagged: int
-    times: np.ndarray | None = None
-    trajectories: np.ndarray | None = None
-
-    @property
-    def n_paths(self) -> int:
-        return int(self.terminal_wealth.size)
+    times: np.ndarray | None
+    trajectories: np.ndarray | None
 
 
 @dataclass(frozen=True)
@@ -148,7 +144,7 @@ def _run_blocks(n_paths: int, workers: int, block_fn):
 
 
 def _finalize(cfg: SimConfig, X, price, drift_err, int_q2, int_pi2,
-              times=None, traj=None) -> PathEnsemble:
+              times, traj) -> PathEnsemble:
     ok = np.isfinite(X) & np.isfinite(price) & np.isfinite(int_q2) & np.isfinite(int_pi2)
     if drift_err is not None:
         ok &= np.isfinite(drift_err)

@@ -6,7 +6,8 @@ applied to the positive/negative part of the discounted wealth gap
 
     u(t) = xi_plus(t) (X - gamma e^{-int_t^T r})^+  +  xi_minus(t) (...)^-,
 
-and the optimal gamma* and the frontier follow in closed form from P-(0).
+and the optimal gamma* and the frontier follow in closed form from
+int_0^T kappa- (equivalently P-(0)).
 
 Supported reductions (lambda = 0): exact when the drift is degenerate, so the
 filtered mean is deterministic; otherwise a projected-drift approximation that
@@ -20,7 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conelq import ControlPair, RiccatiSolution, riccati_pair, xi_minimizer, _coeffs_at
+from .conelq import (ControlPair, LQCoefficients, RiccatiSolution, riccati_pair,
+                     xi_minimizer)
 from .errors import MvreinsError
 from .filtering import FilterState
 from .frontier import FrontierCurve, InfeasibleTargetError, quadratic_frontier
@@ -31,7 +33,7 @@ MODE_PROJECTED = "projected_drift"
 
 
 class ModelDegenerateError(MvreinsError):
-    """Frontier denominator 1 - P-(0) e^{-2 int r} is not positive."""
+    """Frontier denominator 1 - P-(0) e^{-2 int r} = 1 - e^{-int kappa-} is not > 0."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -52,14 +54,18 @@ def solve_partial(model: ModelParams) -> PartialSolution:
     mode = MODE_EXACT if model.drift.is_degenerate() else MODE_PROJECTED
     riccati = riccati_pair(model)
     gamma = gamma_star_partial(riccati, model)
-    d0 = model.objective.x0 * model.growth_to_horizon()
-    return PartialSolution(riccati=riccati, gamma_star=gamma, d0=d0,
+    return PartialSolution(riccati=riccati, gamma_star=gamma, d0=_vertex(model),
                            approximation_mode=mode)
 
 
-def _denominator(riccati: RiccatiSolution, model: ModelParams) -> float:
-    disc = model.discount_to_horizon(0.0)
-    denom = 1.0 - riccati.p_minus(0.0) * disc * disc
+def _vertex(model: ModelParams) -> float:
+    """Frontier vertex d0 = x0 e^{int_0^T r}, the riskless terminal wealth."""
+    return model.objective.x0 * model.growth_to_horizon()
+
+
+def _denominator(riccati: RiccatiSolution) -> float:
+    """1 - P-(0) e^{-2 int r} = -expm1(-int kappa-), free of cancellation."""
+    denom = float(-np.expm1(-riccati.kappa_minus_integral))
     if denom <= 0:
         raise ModelDegenerateError(
             f"frontier denominator {denom:.3e} <= 0; model degenerate"
@@ -68,33 +74,32 @@ def _denominator(riccati: RiccatiSolution, model: ModelParams) -> float:
 
 
 def gamma_star_partial(riccati: RiccatiSolution, model: ModelParams) -> float:
-    """Optimal multiplier: gamma* = [d - x0 P-(0) e^{-int r}] / [1 - P-(0) e^{-2 int r}].
+    """Optimal multiplier gamma* = [d - d0 e^{-int kappa-}] / [1 - e^{-int kappa-}].
 
-    At d = d0 this collapses to x0 e^{int r} (the riskless terminal wealth);
-    targets below d0 are infeasible.
+    With d0 = x0 e^{int r} this is [d - x0 P-(0) e^{-int r}] /
+    [1 - P-(0) e^{-2 int r}].  At d = d0 it collapses to d0 (the riskless
+    terminal wealth); targets below d0 are infeasible.
     """
     d = model.objective.d
-    x0 = model.objective.x0
-    disc = model.discount_to_horizon(0.0)
-    d0 = x0 / disc
+    d0 = _vertex(model)
     if d < d0 - 1e-9 * max(1.0, abs(d0)):
         raise InfeasibleTargetError(f"target mean {d} below riskless wealth {d0}")
-    denom = _denominator(riccati, model)
-    return (d - x0 * riccati.p_minus(0.0) * disc) / denom
+    return ((d - d0 * float(np.exp(-riccati.kappa_minus_integral)))
+            / _denominator(riccati))
 
 
-def frontier_coefficient(riccati: RiccatiSolution, model: ModelParams) -> float:
-    """Quadratic coefficient P-(0) e^{-2 int r} / (1 - P-(0) e^{-2 int r}) > 0."""
-    disc = model.discount_to_horizon(0.0)
-    scaled = riccati.p_minus(0.0) * disc * disc
-    return scaled / _denominator(riccati, model)
+def frontier_coefficient(riccati: RiccatiSolution) -> float:
+    """Quadratic coefficient P-(0) e^{-2 int r} / (1 - P-(0) e^{-2 int r}) > 0.
+
+    Formed as e^{-int kappa-} / -expm1(-int kappa-), i.e. 1 / expm1(int kappa-).
+    """
+    return float(np.exp(-riccati.kappa_minus_integral)) / _denominator(riccati)
 
 
 def frontier_partial(riccati: RiccatiSolution, model: ModelParams,
                      d_grid) -> FrontierCurve:
-    """Efficient frontier Var = coef * (E X(T) - x0 e^{int r})^2 for d >= d0."""
-    d0 = model.objective.x0 * model.growth_to_horizon()
-    return quadratic_frontier(d0, frontier_coefficient(riccati, model), d_grid)
+    """Efficient frontier Var = coef * (E X(T) - d0)^2 for d >= d0 = x0 e^{int r}."""
+    return quadratic_frontier(_vertex(model), frontier_coefficient(riccati), d_grid)
 
 
 def feedback_partial(t: float, x: float, filter_state: FilterState,
@@ -104,9 +109,11 @@ def feedback_partial(t: float, x: float, filter_state: FilterState,
     The positive-part branch applies on the boundary, where both branches give
     (0, 0) anyway.  Output satisfies the cone constraint by construction.
     """
+    c, mk = model.claim, model.market
     disc = model.discount_to_horizon(t)
     gap = x - sol.gamma_star * disc
-    coeffs = _coeffs_at(model, lambda _t: filter_state.m, t)
+    coeffs = LQCoefficients(b_q=c.a * c.eta, b_pi=filter_state.m - mk.r(t),
+                            d_q=c.b, d_pi=mk.sigma(t))
     if gap >= 0:
         xi = xi_minimizer("plus", sol.riccati.p_plus(t), coeffs)
         scale = gap
@@ -121,17 +128,21 @@ def dual_value_partial(riccati: RiccatiSolution, model: ModelParams,
     """Optimal cost of the gamma-parameterized unconstrained problem.
 
     Piecewise quadratic in gamma: the P+ branch applies while the initial
-    wealth sits above the discounted gamma level, the P- branch below.
+    wealth sits above the discounted gamma level (d0 > gamma), the P- branch
+    below.  With P(0) e^{-2 int r} = e^{-k}, k = int kappa+/- of the branch,
+    and d0 = x0 e^{int r}, it is
+
+        expm1(-k) gamma^2 - 2 (d0 e^{-k} - d) gamma + d0^2 e^{-k} - d^2.
+
     Maximizing this over gamma recovers gamma* (tested against an independent
     scalar-maximization oracle).
     """
     d = model.objective.d
-    x0 = model.objective.x0
-    disc = model.discount_to_horizon(0.0)
-    p0 = riccati.p_plus(0.0) if x0 > gamma * disc else riccati.p_minus(0.0)
-    return ((p0 * disc * disc - 1.0) * gamma * gamma
-            - 2.0 * (x0 * p0 * disc - d) * gamma
-            + p0 * x0 * x0 - d * d)
+    d0 = _vertex(model)
+    k = riccati.kappa_plus_integral if d0 > gamma else riccati.kappa_minus_integral
+    decay = float(np.exp(-k))
+    return (float(np.expm1(-k)) * gamma * gamma - 2.0 * (d0 * decay - d) * gamma
+            + d0 * d0 * decay - d * d)
 
 
 def partial_feedback_strategy(sol: PartialSolution, model: ModelParams):

@@ -239,9 +239,9 @@ def test_criterion_8_hjb_viscosity(scaled_noncheap_model, paper44_model):
                                 abs(mv.hjb_residual(t, x, sol, model)))
     residual_ok = max(worst.values()) <= 1e-4
 
-    report = mv.viscosity_check(sol, model, curve_samples=100)
+    report = mv.viscosity_check(sol, curve_samples=100)
     report44 = mv.viscosity_check(mv.compute_solution(paper44_model),
-                                  paper44_model, curve_samples=100)
+                                  curve_samples=100)
     ok = (residual_ok and report.passed and report44.passed
           and report.max_branch_gap <= 1e-10
           and report.max_x_gradient <= 1e-6

@@ -231,6 +231,8 @@ def test_missing_config_exit_code():
     (PAPER44_CFG, ["value-surface", "--x-min", "1e9"]),
     (PAPER44_CFG, ["dual-curve", "--gamma-min", "5", "--gamma-max", "1"]),
     (PAPER44_CFG, ["dual-curve", "--gamma-max=-1e6"]),
+    (PAPER44_CFG, ["simulate", "--mode", "partial"]),
+    (PAPER44_CFG, ["frontier", "--mode", "partial"]),
 ], ids=["dt-not-dividing-T", "store-paths-too-large", "filter-steps-0",
         "frontier-points-0", "dual-curve-points-0", "value-surface-nt-0",
         "value-surface-nx-0", "simulate-paths-1", "workers-0",
@@ -238,7 +240,8 @@ def test_missing_config_exit_code():
         "gamma-max-inf", "x-max-overflows", "x-range-overflows", "dt-nan",
         "dt-0", "simulate-seed-negative", "filter-seed-negative",
         "x-range-reversed", "x-min-above-default-max", "gamma-range-reversed",
-        "gamma-max-below-default-min"])
+        "gamma-max-below-default-min", "simulate-partial-noncheap",
+        "frontier-partial-noncheap"])
 def test_bad_input_is_one_error_line(tmp_path, capsys, cfg, args):
     out = tmp_path / "out"
     code = main(["--config", str(cfg), "--out-dir", str(out)] + args)
@@ -274,10 +277,10 @@ def test_non_numeric_argument_names_its_type(capsys, args, message):
 
 
 def test_solver_failure_is_one_error_line(tmp_path, capsys):
-    # A vanishing claim rate and m0 < r leave no risk premium: P-(0) equals
-    # exp(2 int r) to rounding and the frontier denominator is not positive.
+    # A claim rate whose square underflows and m0 < r leave no risk premium:
+    # int kappa- is 0 and the frontier denominator is not positive.
     cfg = tmp_path / "degenerate.cfg"
-    cfg.write_text(FILTER_CFG.read_text().replace("\na = 1.0\n", "\na = 1e-9\n")
+    cfg.write_text(FILTER_CFG.read_text().replace("\na = 1.0\n", "\na = 1e-200\n")
                    .replace("\nm0 = 0.06\n", "\nm0 = 0.01\n"))
     out = tmp_path / "out"
     code = main(["--config", str(cfg), "--out-dir", str(out), "frontier"])
@@ -285,6 +288,16 @@ def test_solver_failure_is_one_error_line(tmp_path, capsys):
     assert code == 1
     assert len(err.splitlines()) == 1 and err.startswith("error: frontier denominator")
     assert not (out / "frontier.csv").exists()
+
+
+def test_frontier_with_tiny_claim_rate_is_finite(tmp_path):
+    # int kappa- = 4e-19: the denominator 1 - P-(0) e^{-2 int r} is tiny, not 0.
+    cfg = tmp_path / "tiny.cfg"
+    cfg.write_text(FILTER_CFG.read_text().replace("\na = 1.0\n", "\na = 1e-9\n")
+                   .replace("\nm0 = 0.06\n", "\nm0 = 0.01\n"))
+    assert main(["--config", str(cfg), "--out-dir", str(tmp_path), "frontier"]) == 0
+    _, rows = read_csv(tmp_path / "frontier.csv")
+    assert rows and all(np.isfinite(float(v)) for row in rows for v in row[:3])
 
 
 def test_python_dash_m_entry_point():

@@ -199,17 +199,16 @@ def test_hjb_residual_near_curve_rejected(scaled_solution,
         hjb_residual(1e-9, xc + 30.0, sol, scaled_noncheap_model)
 
 
-def test_viscosity_checks_scaled(scaled_solution, scaled_noncheap_model):
-    report = viscosity_check(scaled_solution, scaled_noncheap_model,
-                             curve_samples=100)
+def test_viscosity_checks_scaled(scaled_solution):
+    report = viscosity_check(scaled_solution, curve_samples=100)
     assert report.passed, report.failures
     assert report.max_branch_gap <= 1e-10
     assert report.max_x_gradient <= 1e-6
     assert report.max_p2_minus_p1 <= 0.0
 
 
-def test_viscosity_checks_long_horizon(paper44_solution, paper44_model):
-    report = viscosity_check(paper44_solution, paper44_model, curve_samples=100)
+def test_viscosity_checks_long_horizon(paper44_solution):
+    report = viscosity_check(paper44_solution, curve_samples=100)
     assert report.passed, report.failures
 
 

@@ -88,5 +88,5 @@ def test_riskless_wealth_piecewise_rate_matches_ode():
 
 def test_discount_growth_inverse(paper44_model):
     m = paper44_model
-    assert m.discount_to_horizon(30.0) * m.market.growth(30.0, 100.0) == \
+    assert m.discount_to_horizon(30.0) * m.growth_to_horizon(30.0) == \
         pytest.approx(1.0, rel=1e-15)

@@ -3,14 +3,17 @@ import pytest
 from scipy import optimize
 
 import mvreins as mv
+from conftest import make_model
 from mvreins.conelq import RiccatiSolution
 from mvreins.curves import SampledCurve
 from mvreins.filtering import FilterState
 from mvreins.frontier import InfeasibleTargetError
 from mvreins.partialinfo import (ModelDegenerateError, dual_value_partial,
-                                 feedback_partial, frontier_partial,
+                                 feedback_partial, frontier_coefficient,
+                                 frontier_partial,
                                  gamma_star_partial, partial_feedback_strategy,
                                  solve_partial)
+from mvreins.validation import _dual_argmax_check
 
 
 @pytest.fixture(scope="module")
@@ -181,7 +184,10 @@ def test_degenerate_denominator_raises(partial_exact_model):
     T = partial_exact_model.objective.T
     grid = np.linspace(0.0, T, 5)
     inflated = SampledCurve(grid, 2.0 * np.exp(2 * 0.04 * (T - grid)))
-    bad = RiccatiSolution(p_plus=inflated, p_minus=inflated)
+    # P+/-(0) = 2 exp(2 int r): int kappa+/- = -log 2
+    bad = RiccatiSolution(p_plus=inflated, p_minus=inflated,
+                          kappa_plus_integral=-np.log(2.0),
+                          kappa_minus_integral=-np.log(2.0))
     with pytest.raises(ModelDegenerateError):
         gamma_star_partial(bad, partial_exact_model)
 
@@ -193,5 +199,17 @@ def test_solve_partial_requires_partial_mode(paper44_model):
 
 def test_projected_mode_coefficient_positive(partial_filter_model):
     sol = solve_partial(partial_filter_model)
-    from mvreins.partialinfo import frontier_coefficient
-    assert frontier_coefficient(sol.riccati, partial_filter_model) > 0
+    assert frontier_coefficient(sol.riccati) > 0
+
+
+def test_tiny_claim_rate_keeps_frontier_denominator():
+    # The filterdemo model with a = 1e-9 and m0 < r: int kappa- = (a eta / b)^2 T
+    # = 4e-19, and 1 - P-(0) e^{-2 int r} must not be formed by subtraction.
+    model = make_model(a=1e-9, theta=0.2, eta=0.2, l=3.0, z=2.0, m0=0.01,
+                       T=10.0, d=80.0, info_mode="partial")
+    sol = solve_partial(model)
+    assert sol.riccati.kappa_minus_integral == pytest.approx(4e-19, rel=1e-12)
+    assert frontier_coefficient(sol.riccati) == pytest.approx(
+        1.0 / np.expm1(4e-19), rel=1e-6)
+    assert _dual_argmax_check(
+        lambda g: dual_value_partial(sol.riccati, model, g), sol.gamma_star).passed
