@@ -12,8 +12,8 @@ from .conelq import (ControlPair, LQCoefficients, RiccatiSolution,
 from .config import ConfigError, load_config
 from .curves import CurveRangeError, PiecewiseConstantCurve, SampledCurve, as_curve
 from .errors import MvreinsError
-from .filtering import (FilterPath, FilterState, projected_mean_curve,
-                        run_filter, solve_variance)
+from .filtering import (FilterPath, projected_mean_curve, run_filter,
+                        solve_variance)
 from .frontier import FrontierCurve, InfeasibleTargetError, quadratic_frontier
 from .fullinfo import (DegenerateDualError, FullInfoSolution, NearCurveError,
                        Region, ViscosityReport, compute_solution, dual_value_full,

@@ -180,13 +180,12 @@ def _cmd_filter(args, model, out_dir: Path) -> int:
     dr, sigma = model.drift, model.market.sigma
     n_curve = solve_variance(dr, sigma, T)
     coef = filter_coefficients(dr, sigma, n_curve, steps, dt)
-    # One seeded filter-mean path under the observation filtration:
-    # dm = h m dt + (l + n/sigma) dWbar.
+    # One seeded filter-mean path driven by drawn innovation increments.
     incr = gaussian_increments(RngStream(args.seed), steps, dt)
     m_vals = np.empty(steps + 1)
     m_vals[0] = dr.m0
     for k in range(steps):
-        m_vals[k + 1] = m_vals[k] + coef.h[k] * m_vals[k] * dt + coef.vol[k] * incr[k]
+        m_vals[k + 1] = coef.advance(k, m_vals[k], incr[k], dt)
     _write_csv(out_dir / "filter.csv", ["t", "m", "n"],
                zip(grid, m_vals, n_curve(grid)))
     print(f"wrote {out_dir / 'filter.csv'}")

@@ -7,21 +7,20 @@ mean m(t) and variance n(t).  The variance solves a deterministic Riccati ODE
 
 shared by every path and marched piece by piece between the jumps of h, l, z
 and sigma (:func:`~mvreins.curves.segments`), with their constant values on
-each piece as its coefficients.  The mean is updated per path from observed
-returns:
+each piece as its coefficients.  The mean is driven by the innovation
+increment dWbar = (dS/S - m dt)/sigma, a Brownian increment under the
+observation filtration:
 
-    dm = h m dt + (l + n/sigma) (1/sigma) (dS/S - m dt).
+    dm = h m dt + (l + n/sigma) dWbar.
 
-The bracketed observation residual, scaled by 1/sigma, is the innovation
-increment; it is a Brownian increment under the observation filtration.
-
-:func:`run_filter` applies this update to a whole block of paths at once, one
-row of observed returns per path.  The Monte Carlo engine writes the same
-update inside its path loop, because there it interleaves with the strategy.
-:func:`filter_coefficients` gives every Euler filter in the package (this
-module's, the Monte Carlo engine's and the CLI's) its left-endpoint
-coefficients on t_k = k dt, never on a clock of repeated t + dt additions,
-so a step that starts on a breakpoint uses the new segment's values.
+:func:`filter_coefficients` gives every Euler filter in the package its
+left-endpoint coefficients on t_k = k dt, never on a clock of repeated
+t + dt additions, so a step that starts on a breakpoint uses the new
+segment's values, and :meth:`FilterCoefficients.advance` is the one Euler
+step of the mean.  :func:`run_filter` forms the innovations from observed
+returns for a whole block of paths at once, one row per path; the Monte
+Carlo engine forms them inside its path loop (physical dynamics) or draws
+them (innovation dynamics), and the CLI's ``filter`` draws one path.
 """
 
 from __future__ import annotations
@@ -33,15 +32,6 @@ import numpy as np
 from .curves import SampledCurve, as_curve, segments
 from .model import DriftParams
 from .odekernel import integrate_forward
-
-
-@dataclass(frozen=True)
-class FilterState:
-    """Filter state at one instant: conditional mean and variance of the drift."""
-
-    t: float
-    m: float
-    n: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -56,11 +46,6 @@ class FilterPath:
     means: np.ndarray
     variances: np.ndarray
     innovations: np.ndarray  # one increment per step and path
-
-    def state(self, k: int) -> FilterState:
-        """State at step k of a one-path filter."""
-        return FilterState(float(self.times[k]), float(self.means[k]),
-                           float(self.variances[k]))
 
 
 def solve_variance(drift: DriftParams, sigma, T: float,
@@ -90,7 +75,7 @@ class FilterCoefficients:
     """Left-endpoint coefficients of the Euler filter on t_k = k dt, k < n_steps.
 
     ``vol = l + n/sigma`` is the volatility of the filter mean under the
-    innovation dynamics; the gain on the observation residual is vol/sigma.
+    innovation dynamics.
     """
 
     t: np.ndarray
@@ -100,9 +85,13 @@ class FilterCoefficients:
     sigma: np.ndarray
     vol: np.ndarray
 
-    @property
-    def gain(self) -> np.ndarray:
-        return self.vol / self.sigma
+    def advance(self, k: int, m, innovation, dt: float):
+        """Euler step k of the filter mean, m + h m dt + vol dWbar, given the
+        innovation increment dWbar: in place for an array m, and returned so
+        that a float m works too."""
+        m += self.h[k] * m * dt
+        m += self.vol[k] * innovation
+        return m
 
 
 def filter_coefficients(drift: DriftParams, sigma, variance: SampledCurve,
@@ -114,17 +103,17 @@ def filter_coefficients(drift: DriftParams, sigma, variance: SampledCurve,
                               vol=l + variance(t) / sig)
 
 
-def run_filter(observed_returns, drift: DriftParams, sigma, dt: float,
-               variance: SampledCurve | None = None) -> FilterPath:
+def run_filter(observed_returns, drift: DriftParams, sigma,
+               dt: float) -> FilterPath:
     """Run the Euler filter on a uniform dt grid, one row of observed returns per path.
 
     ``observed_returns[..., k]`` is the price relative dS/S accumulated over
     [t_k, t_k + dt]; a 1-D array is one path.  Every path starts from the
-    drift's m0 and n0, and the innovation increments (obs - m dt)/sigma are
-    recorded for each step; their empirical mean/variance should match
-    Brownian increments.  Euler stepping matches the simulation grid;
-    higher-order in the mean would be wasted because the driving term is
-    stochastic.
+    drift's m0 and n0.  Each step forms and records the innovation increment
+    (obs - m dt)/sigma, whose empirical mean/variance should match Brownian
+    increments, and advances the mean with it.  Euler stepping matches the
+    simulation grid; higher-order in the mean would be wasted because the
+    driving term is stochastic.
     """
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
@@ -132,19 +121,16 @@ def run_filter(observed_returns, drift: DriftParams, sigma, dt: float,
     if obs.ndim == 0 or obs.size == 0:
         raise ValueError("observed returns need one row per path and at least one step")
     n_steps = obs.shape[-1]
-    T = n_steps * dt
-    if variance is None:
-        variance = solve_variance(drift, sigma, T, steps=max(1000, n_steps))
+    variance = solve_variance(drift, sigma, n_steps * dt, steps=max(1000, n_steps))
     coef = filter_coefficients(drift, sigma, variance, n_steps, dt)
-    gain = coef.gain
 
     times = dt * np.arange(n_steps + 1)
     means = np.empty(obs.shape[:-1] + (n_steps + 1,))
+    innovations = np.empty(obs.shape)
     means[..., 0] = m = np.full(obs.shape[:-1], drift.m0)
     for k in range(n_steps):
-        m = m + coef.h[k] * m * dt + gain[k] * (obs[..., k] - m * dt)
-        means[..., k + 1] = m
-    innovations = (obs - means[..., :-1] * dt) / coef.sigma
+        innovations[..., k] = (obs[..., k] - m * dt) / coef.sigma[k]
+        means[..., k + 1] = coef.advance(k, m, innovations[..., k], dt)
     return FilterPath(times, means, variance(times), innovations)
 
 

@@ -12,8 +12,10 @@ public function called picks its drivers:
   its own SDE.  Partial information only.  Terminal price moments must agree
   with the physical representation within Monte Carlo error.
 
-Wealth and price read the hidden mu or the filtered m as drift; the filter's
-coefficients on t_k = k dt come from ``filtering.filter_coefficients``.
+Wealth and price read the hidden mu or the filtered m as drift.  The filter
+mean moves by ``filtering.FilterCoefficients.advance``, driven by the
+innovation (obs - m dt)/sigma formed from the observed return (physical) or by
+dW1 (innovation).
 
 Paths are partitioned into fixed-size blocks; block b draws from substream b
 of the configured seed and results are reduced in block order, so output is
@@ -25,8 +27,8 @@ Each block keeps its state arrays and updates them in place, adding the terms
 in the same order as the plain expressions, so results do not depend on the
 update style.  The arrays handed to a strategy are therefore valid only during
 the call: read them, or return views of them, but copy what must outlive it.
-Under a degenerate drift with h = 0 (every full-information model) the gain,
-h and l vanish and mu = m = m0 at every step, so those updates are skipped and
+Under a degenerate drift with h = 0 (every full-information model) the
+filter's vol, h and l vanish and mu = m = m0 at every step, so those updates are skipped and
 the scalar m0 is the wealth and price drift.
 """
 
@@ -188,8 +190,7 @@ def _simulate(model: ModelParams, strategy, cfg: SimConfig, workers: int,
     n_curve = solve_variance(dr, model.market.sigma, ob.T, steps=max(n_steps, 1000))
     coef = filter_coefficients(dr, model.market.sigma, n_curve, n_steps, dt)
     r = model.market.r(coef.t)
-    gains = coef.gain
-    # Under a degenerate drift with h = 0 the gain, h and l are all zero, so
+    # Under a degenerate drift with h = 0 the vol, h and l are all zero, so
     # mu and m stay exactly m0: their updates are skipped and m0 is the drift.
     dead = dr.is_degenerate() and not coef.h.any()
     drift_noise = physical and not dr.is_degenerate()
@@ -260,20 +261,17 @@ def _simulate(model: ModelParams, strategy, cfg: SimConfig, workers: int,
                 if dead:
                     pass            # mu = m = m0 throughout
                 elif physical:
-                    resid = mu * dt
-                    resid += noise          # observed return mu dt + sigma dW1
-                    resid -= m * dt
-                    resid *= gains[k]
-                    m += coef.h[k] * m * dt
-                    m += resid
+                    innov = mu * dt
+                    innov += noise          # observed return mu dt + sigma dW1
+                    innov -= m * dt
+                    innov /= sig_k
+                    coef.advance(k, m, innov, dt)
                     mu += coef.h[k] * mu * dt
                     if drift_noise:
                         mu += coef.l[k] * dW1
                         mu += coef.z[k] * dW[2]
                 else:
-                    # dW1 is the innovation increment
-                    m += coef.h[k] * m * dt
-                    m += coef.vol[k] * dW1
+                    coef.advance(k, m, dW1, dt)  # dW1 is the innovation
                 if traj is not None:
                     traj[lo:hi, k + 1] = X
         X_out[lo:hi] = X

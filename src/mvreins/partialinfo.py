@@ -24,7 +24,6 @@ import numpy as np
 from .conelq import (ControlPair, LQCoefficients, RiccatiSolution, riccati_pair,
                      xi_minimizer)
 from .errors import MvreinsError
-from .filtering import FilterState
 from .frontier import FrontierCurve, InfeasibleTargetError, quadratic_frontier
 from .model import INFO_PARTIAL, ModelParams, validate
 
@@ -102,9 +101,9 @@ def frontier_partial(riccati: RiccatiSolution, model: ModelParams,
     return quadratic_frontier(_vertex(model), frontier_coefficient(riccati), d_grid)
 
 
-def feedback_partial(t: float, x: float, filter_state: FilterState,
-                     sol: PartialSolution, model: ModelParams) -> ControlPair:
-    """Feedback control at wealth x given the current filter state.
+def feedback_partial(t: float, x: float, m: float, sol: PartialSolution,
+                     model: ModelParams) -> ControlPair:
+    """Feedback control at wealth x given the filtered mean m of the drift.
 
     The positive-part branch applies on the boundary, where both branches give
     (0, 0) anyway.  Output satisfies the cone constraint by construction.
@@ -112,7 +111,7 @@ def feedback_partial(t: float, x: float, filter_state: FilterState,
     c, mk = model.claim, model.market
     disc = model.discount_to_horizon(t)
     gap = x - sol.gamma_star * disc
-    coeffs = LQCoefficients(b_q=c.a * c.eta, b_pi=filter_state.m - mk.r(t),
+    coeffs = LQCoefficients(b_q=c.a * c.eta, b_pi=m - mk.r(t),
                             d_q=c.b, d_pi=mk.sigma(t))
     if gap >= 0:
         xi = xi_minimizer("plus", sol.riccati.p_plus(t), coeffs)

@@ -162,8 +162,7 @@ def test_criterion_6_frontier_reduction(partial_exact_model):
     err_fb = 0.0
     for t in np.linspace(0.0, 99.0, 12):
         for wealth in (10.0, 1000.0, 5000.0, 9000.0, 15000.0):
-            u_p = mv.feedback_partial(
-                t, wealth, mv.FilterState(t=t, m=0.06, n=0.0), sol_p, model)
+            u_p = mv.feedback_partial(t, wealth, 0.06, sol_p, model)
             u_f = mv.feedback_full(t, wealth - shift, sol_f, full_model)
             scale = max(1.0, abs(u_f.q), abs(u_f.pi))
             err_fb = max(err_fb, abs(u_p.q - u_f.q) / scale,

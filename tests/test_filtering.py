@@ -41,33 +41,29 @@ def test_variance_nonnegative_assorted():
 
 def test_step_zero_gain_ignores_observation():
     drift = mv.DriftParams(h=0.2, l=0.0, z=0.0, m0=0.1, n0=0.0)
-    variance = solve_variance(drift, 1.0, 1.0, steps=100)
-    out1 = run_filter([0.5], drift, 1.0, 0.01, variance=variance)
-    out2 = run_filter([-0.3], drift, 1.0, 0.01, variance=variance)
+    out1 = run_filter([0.5], drift, 1.0, 0.01)
+    out2 = run_filter([-0.3], drift, 1.0, 0.01)
     assert out1.means[1] == out2.means[1] == pytest.approx(0.1 * (1 + 0.2 * 0.01),
                                                            rel=1e-15)
 
 
 def test_step_zero_innovation_keeps_mean():
     drift = mv.DriftParams(h=0.0, l=1.0, z=0.5, m0=0.06, n0=0.2)
-    variance = solve_variance(drift, 1.0, 1.0, steps=100)
-    out = run_filter([0.06 * 0.01], drift, 1.0, 0.01, variance=variance)
+    out = run_filter([0.06 * 0.01], drift, 1.0, 0.01)
     assert out.means[1] == pytest.approx(0.06, rel=1e-14)
 
 
 def test_step_hand_computed_update():
     # gain (l + n/sigma)/sigma = 3; innovation 0.001 - 0.0006
     drift = mv.DriftParams(h=0.0, l=3.0, z=2.0, m0=0.06, n0=0.0)
-    variance = solve_variance(drift, 1.0, 1.0, steps=100)
-    out = run_filter([0.001], drift, 1.0, 0.01, variance=variance)
+    out = run_filter([0.001], drift, 1.0, 0.01)
     assert out.means[1] == pytest.approx(0.0612, rel=1e-12)
 
 
 def test_step_requires_positive_dt():
     drift = mv.DriftParams(h=0.0, l=1.0, z=1.0, m0=0.0, n0=0.0)
-    variance = solve_variance(drift, 1.0, 1.0, steps=10)
     with pytest.raises(ValueError):
-        run_filter([0.0], drift, 1.0, 0.0, variance=variance)
+        run_filter([0.0], drift, 1.0, 0.0)
 
 
 @pytest.mark.parametrize("obs, dt", [([0.01, 0.02], 0.0), ([0.01, 0.02], -0.1),
@@ -122,15 +118,6 @@ def test_run_filter_block_rows_match_single_paths(filter_demo_drift):
     assert np.array_equal(one.variances, block.variances)
 
 
-def test_filter_path_state_accessor(filter_demo_drift):
-    obs = np.full(10, 0.001)
-    path = run_filter(obs, filter_demo_drift, 1.0, 0.01)
-    st = path.state(3)
-    assert st.t == pytest.approx(0.03)
-    assert st.m == path.means[3]
-    assert st.n == path.variances[3]
-
-
 def test_innovation_increments_are_brownian(filter_demo_drift):
     """Recorded innovations behave like Brownian increments: pooled over
     3000 simulated paths x 120 steps, the sample mean is ~0 and the sample
@@ -138,8 +125,6 @@ def test_innovation_increments_are_brownian(filter_demo_drift):
     drift = filter_demo_drift
     sigma = 1.0
     dt, n_steps, n_paths = 0.005, 120, 3000
-    T = n_steps * dt
-    variance = solve_variance(drift, sigma, T, steps=2000)
 
     rng = np.random.default_rng(77)
     obs = np.empty((n_paths, n_steps))
@@ -149,7 +134,7 @@ def test_innovation_increments_are_brownian(filter_demo_drift):
         # hidden drift and observed returns on the same grid (h = 0)
         mu = 0.06 + np.concatenate(([0.0], np.cumsum(3.0 * dW1 + 2.0 * dW2)[:-1]))
         obs[p] = mu * dt + sigma * dW1
-    path = run_filter(obs, drift, sigma, dt, variance=variance)
+    path = run_filter(obs, drift, sigma, dt)
     assert path.means.shape == (n_paths, n_steps + 1)
     incr = path.innovations.ravel()
 

@@ -142,7 +142,7 @@ def plain_euler(model, strategy, cfg, physical):
         log_s = log_s + (drift - 0.5 * sig_k * sig_k) * dt + sig_k * dW1
         if physical:
             obs = mu * dt + sig_k * dW1
-            m = m + h_k * m * dt + coef.gain[k] * (obs - m * dt)
+            m = m + h_k * m * dt + coef.vol[k] * ((obs - m * dt) / sig_k)
             mu = mu + h_k * mu * dt
             if drift_noise:
                 mu = mu + coef.l[k] * dW1 + coef.z[k] * (sdt * Z[2])

@@ -6,7 +6,6 @@ import mvreins as mv
 from conftest import make_model
 from mvreins.conelq import RiccatiSolution
 from mvreins.curves import SampledCurve
-from mvreins.filtering import FilterState
 from mvreins.frontier import InfeasibleTargetError
 from mvreins.partialinfo import (ModelDegenerateError, dual_value_partial,
                                  feedback_partial, frontier_coefficient,
@@ -113,8 +112,7 @@ def test_frontier_degenerate_reduction(exact_solution, partial_exact_model):
 def test_feedback_zero_on_boundary(exact_solution, partial_exact_model):
     t = 30.0
     level = exact_solution.gamma_star * partial_exact_model.discount_to_horizon(t)
-    state = FilterState(t=t, m=0.06, n=0.0)
-    u = feedback_partial(t, level, state, exact_solution, partial_exact_model)
+    u = feedback_partial(t, level, 0.06, exact_solution, partial_exact_model)
     assert (u.q, u.pi) == (0.0, 0.0)
 
 
@@ -122,8 +120,7 @@ def test_feedback_zero_above_boundary_with_positive_drift(exact_solution,
                                                           partial_exact_model):
     t = 30.0
     level = exact_solution.gamma_star * partial_exact_model.discount_to_horizon(t)
-    state = FilterState(t=t, m=0.06, n=0.0)
-    u = feedback_partial(t, level + 500.0, state, exact_solution,
+    u = feedback_partial(t, level + 500.0, 0.06, exact_solution,
                          partial_exact_model)
     assert (u.q, u.pi) == (0.0, 0.0)
 
@@ -134,8 +131,7 @@ def test_feedback_below_boundary_closed_form(exact_solution,
     disc = partial_exact_model.discount_to_horizon(t)
     level = exact_solution.gamma_star * disc
     gap = 25.0
-    state = FilterState(t=t, m=0.06, n=0.0)
-    u = feedback_partial(t, level - gap, state, exact_solution,
+    u = feedback_partial(t, level - gap, 0.06, exact_solution,
                          partial_exact_model)
     assert u.q == pytest.approx(1.0 * 0.2 / 1.0 * gap, rel=1e-12)
     assert u.pi == pytest.approx((0.06 - 0.04) / 1.0 * gap, rel=1e-12)
@@ -146,8 +142,7 @@ def test_feedback_negative_filtered_excess_return(exact_solution,
     # below the boundary with m < r the risky position stays at zero
     t = 30.0
     level = exact_solution.gamma_star * partial_exact_model.discount_to_horizon(t)
-    state = FilterState(t=t, m=0.01, n=0.0)
-    u = feedback_partial(t, level - 25.0, state, exact_solution,
+    u = feedback_partial(t, level - 25.0, 0.01, exact_solution,
                          partial_exact_model)
     assert u.pi == 0.0
     assert u.q > 0.0
@@ -159,8 +154,7 @@ def test_feedback_cone_constraint_random(exact_solution, partial_exact_model):
         t = rng.uniform(0.0, 100.0)
         x = rng.uniform(-5000.0, 20000.0)
         m = rng.uniform(-0.2, 0.3)
-        u = feedback_partial(t, x, FilterState(t=t, m=m, n=0.0),
-                             exact_solution, partial_exact_model)
+        u = feedback_partial(t, x, m, exact_solution, partial_exact_model)
         assert u.q >= 0.0 and u.pi >= 0.0
 
 
@@ -173,8 +167,7 @@ def test_vectorized_strategy_matches_scalar(exact_solution,
     ms = rng.uniform(-0.1, 0.2, size=64)
     qs, pis = strategy(t, xs, ms)
     for x, m, q, pi in zip(xs, ms, qs, pis):
-        u = feedback_partial(t, x, FilterState(t=t, m=m, n=0.0),
-                             exact_solution, partial_exact_model)
+        u = feedback_partial(t, x, m, exact_solution, partial_exact_model)
         assert q == pytest.approx(u.q, rel=1e-12, abs=1e-12)
         assert pi == pytest.approx(u.pi, rel=1e-12, abs=1e-12)
 
