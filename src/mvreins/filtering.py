@@ -31,7 +31,7 @@ import numpy as np
 
 from .curves import SampledCurve, as_curve, segments
 from .model import DriftParams
-from .odekernel import integrate_forward
+from .odekernel import IntegrationDivergedError, integrate_forward
 
 
 @dataclass(frozen=True, eq=False)
@@ -54,8 +54,9 @@ def solve_variance(drift: DriftParams, sigma, T: float,
 
     The variance is deterministic, so it is solved once and shared by all
     Monte Carlo paths.  The march is cut where h, l, z or sigma jump and its
-    right-hand side reads their values on each piece.  Diverging (non-finite)
-    states raise :class:`~mvreins.odekernel.IntegrationDivergedError`.
+    right-hand side reads their values on each piece.  A non-finite or
+    negative state raises :class:`~mvreins.odekernel.IntegrationDivergedError`;
+    a stiff prior (large n0) needs more steps.
     """
     def rhs(t, n, h, l, z, sig):
         gain_num = l + n / sig
@@ -64,7 +65,7 @@ def solve_variance(drift: DriftParams, sigma, T: float,
     curve = integrate_forward(rhs, drift.n0, T, steps,
                               curves=(drift.h, drift.l, drift.z, as_curve(sigma)))
     if curve.values.min() < -1e-12:
-        raise RuntimeError(
+        raise IntegrationDivergedError(
             f"conditional variance went negative: min {curve.values.min():.3e}"
         )
     return curve

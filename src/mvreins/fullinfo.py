@@ -140,7 +140,8 @@ def _f(model: ModelParams, d: float, gamma: float) -> float:
 
 
 def _dual_denominator(model: ModelParams) -> float:
-    denom = np.exp(-2.0 * _a1(model) * model.objective.T) - 1.0
+    """e^{-2 A1 T} - 1, formed as expm1 so that a tiny premium does not cancel."""
+    denom = np.expm1(-2.0 * _a1(model) * model.objective.T)
     if denom <= 0 or not np.isfinite(denom):
         raise DegenerateDualError(
             "exp(-2 A1 T) - 1 must be positive; market is riskless-equivalent"
@@ -166,7 +167,9 @@ def dual_value_full(model: ModelParams, d: float, gamma: float,
 
     Concave quadratic in gamma while the initial state sits below the switching
     curve, linear above; the branch condition follows the actual g1, so only
-    the branch values depend on the compat flag.
+    the branch values depend on the compat flag.  Below, with k the active
+    vertex, e^{2 A1 T} (k - d + gamma)^2 - gamma^2 is expanded in gamma with
+    the leading coefficient expm1(2 A1 T), free of cancellation.
     """
     k_active = vertex_constant(model, compat)
     k_true = vertex_constant(model, compat=False)
@@ -175,8 +178,9 @@ def dual_value_full(model: ModelParams, d: float, gamma: float,
     # sign of x0 - (d - gamma) + g1(0) e^{-rT}, via the expanded constant
     below = k_true - (d - gamma) < 0
     if below:
-        return (np.exp(2.0 * a1 * T) * (k_active - (d - gamma)) ** 2
-                - gamma * gamma)
+        decay, gap = np.exp(2.0 * a1 * T), k_active - d
+        return (np.expm1(2.0 * a1 * T) * gamma * gamma + 2.0 * decay * gap * gamma
+                + decay * gap * gap)
     return (k_active - d) ** 2 + 2.0 * (k_active - d) * gamma
 
 

@@ -25,7 +25,8 @@ from .errors import MvreinsError
 
 
 class IntegrationDivergedError(MvreinsError):
-    """ODE state became non-finite during integration."""
+    """ODE state became non-finite, or left the range its equation keeps it
+    in (a negative conditional variance): the step is too coarse."""
 
 
 def _march(rhs: Callable, y, t0: float, t1: float, steps: int, coeffs: Sequence):

@@ -8,11 +8,18 @@ import numpy as np
 import pytest
 
 from mvreins.cli import main
+from mvreins.config import load_config
+from mvreins.filtering import solve_variance
+from mvreins.odekernel import RngStream, gaussian_increments
 
 REPO = Path(__file__).resolve().parents[1]
 PAPER44_CFG = REPO / "configs" / "paper44.cfg"
 FILTER_CFG = REPO / "configs" / "filterdemo.cfg"
 SCALED_CFG = REPO / "configs" / "scaled.cfg"
+PARTIAL_CFG = REPO / "bench" / "configs" / "partial.cfg"
+# filterdemo with a stiff prior: the simulation's 1000-step variance solve
+# undershoots below zero
+STIFF_PRIOR = (FILTER_CFG, "\nn0 = 0.0\n", "\nn0 = 170\n")
 
 
 def read_csv(path):
@@ -100,6 +107,28 @@ def test_filter_csv_variance_column(tmp_path):
     assert abs(n_last - 0.60555) <= 1e-3
     ns = np.array([float(r[2]) for r in rows])
     assert np.all(ns >= 0.0)
+
+
+@pytest.mark.parametrize("cfg", [FILTER_CFG, PARTIAL_CFG],
+                         ids=["filterdemo", "piecewise-sigma"])
+def test_filter_mean_column_is_the_euler_filter(tmp_path, cfg):
+    """m in filter.csv is m + h m dt + (l + n/sigma) dWbar at t_k = k dt, with
+    the seeded increments and n from the default variance solve."""
+    steps, seed = 400, 3
+    assert main(["--config", str(cfg), "--out-dir", str(tmp_path), "filter",
+                 "--steps", str(steps), "--seed", str(seed)]) == 0
+    model, _ = load_config(cfg)
+    drift, sigma, T = model.drift, model.market.sigma, model.objective.T
+    dt = T / steps
+    n = solve_variance(drift, sigma, T)
+    incr = gaussian_increments(RngStream(seed), steps, dt)
+    expected = [drift.m0]
+    for k in range(steps):
+        t, m = k * dt, expected[-1]
+        expected.append(m + drift.h(t) * m * dt
+                        + (drift.l(t) + n(t) / sigma(t)) * incr[k])
+    _, rows = read_csv(tmp_path / "filter.csv")
+    assert [float(row[1]) for row in rows] == expected
 
 
 def test_filter_idempotent(tmp_path):
@@ -233,6 +262,7 @@ def test_missing_config_exit_code():
     (PAPER44_CFG, ["dual-curve", "--gamma-max=-1e6"]),
     (PAPER44_CFG, ["simulate", "--mode", "partial"]),
     (PAPER44_CFG, ["frontier", "--mode", "partial"]),
+    (STIFF_PRIOR, ["simulate", "--paths", "100", "--dt", "0.1"]),
 ], ids=["dt-not-dividing-T", "store-paths-too-large", "filter-steps-0",
         "frontier-points-0", "dual-curve-points-0", "value-surface-nt-0",
         "value-surface-nx-0", "simulate-paths-1", "workers-0",
@@ -241,8 +271,12 @@ def test_missing_config_exit_code():
         "dt-0", "simulate-seed-negative", "filter-seed-negative",
         "x-range-reversed", "x-min-above-default-max", "gamma-range-reversed",
         "gamma-max-below-default-min", "simulate-partial-noncheap",
-        "frontier-partial-noncheap"])
+        "frontier-partial-noncheap", "stiff-prior-variance-negative"])
 def test_bad_input_is_one_error_line(tmp_path, capsys, cfg, args):
+    if isinstance(cfg, tuple):
+        base, old, new = cfg
+        cfg = tmp_path / "variant.cfg"
+        cfg.write_text(base.read_text().replace(old, new))
     out = tmp_path / "out"
     code = main(["--config", str(cfg), "--out-dir", str(out)] + args)
     err = capsys.readouterr().err

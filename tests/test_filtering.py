@@ -39,6 +39,14 @@ def test_variance_nonnegative_assorted():
         assert curve.values.min() >= -1e-12
 
 
+def test_variance_too_coarse_for_stiff_prior_is_an_mvreins_error():
+    # n0 = 170 makes the Riccati decay stiff: 1000 RK4 steps undershoot
+    # below zero, which is a failed solve, not a crash.
+    drift = mv.DriftParams(h=0.0, l=3.0, z=2.0, m0=0.06, n0=170.0)
+    with pytest.raises(mv.MvreinsError, match="variance went negative"):
+        solve_variance(drift, 1.0, 10.0, steps=1000)
+
+
 def test_step_zero_gain_ignores_observation():
     drift = mv.DriftParams(h=0.2, l=0.0, z=0.0, m0=0.1, n0=0.0)
     out1 = run_filter([0.5], drift, 1.0, 0.01)

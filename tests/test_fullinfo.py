@@ -9,6 +9,7 @@ from mvreins.fullinfo import (NearCurveError, Region, compute_solution,
                               full_feedback_strategy, gamma_star_full,
                               hjb_residual, solve_pqr, value_function,
                               vertex_constant, viscosity_check)
+from mvreins.validation import _dual_argmax_check
 
 from conftest import make_model
 
@@ -150,6 +151,21 @@ def test_frontier_coefficient_positive_and_monotone(paper44_model):
     curve = frontier_full(paper44_model, np.linspace(k, 3 * k, 25))
     assert curve.variance[0] == 0.0
     assert np.all(np.diff(curve.variance) > 0)
+
+
+def test_frontier_with_tiny_premium_is_cancellation_free():
+    # a = 1e-9 and m0 - r = 1e-9 give -2 A1 T = 1.04e-16, below half an ulp
+    # of 1: exp(-2 A1 T) - 1 rounds to 0, expm1 keeps every digit.
+    model = make_model(a=1e-9, m0=0.040000001)
+    growth = np.expm1(-2.0 * compute_solution(model).a1 * model.objective.T)
+    assert 0.0 < growth < 2e-16
+    k = vertex_constant(model)
+    curve = frontier_full(model, [k, 2.0 * k])
+    assert curve.variance[1] / (k * k) == pytest.approx(1.0 / growth, rel=1e-12)
+    d = model.objective.d
+    check = _dual_argmax_check(lambda g: dual_value_full(model, d, g),
+                               gamma_star_full(model, d))
+    assert check.passed, check.detail
 
 
 def test_frontier_infeasible_target(paper44_model):
