@@ -28,8 +28,8 @@ in the same order as the plain expressions, so results do not depend on the
 update style.  The arrays handed to a strategy are therefore valid only during
 the call: read them, or return views of them, but copy what must outlive it.
 Under a degenerate drift with h = 0 (every full-information model) the
-filter's vol, h and l vanish and mu = m = m0 at every step, so those updates are skipped and
-the scalar m0 is the wealth and price drift.
+filter's vol, h and l vanish and mu = m = m0 at every step, so those updates
+are skipped and the scalar m0 is the wealth and price drift.
 """
 
 from __future__ import annotations
