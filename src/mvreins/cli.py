@@ -266,7 +266,7 @@ def _cmd_simulate(args, model, out_dir: Path, compat: bool) -> int:
 
     if mode == INFO_FULL:
         sol = fullinfo.compute_solution(sim_model, compat=compat)
-        strategy = fullinfo.full_feedback_strategy(sol, sim_model)
+        strategy = fullinfo.full_feedback_strategy(sol)
         frontier = fullinfo.frontier_full(sim_model, [d], compat)
         approximation = "full"
     else:

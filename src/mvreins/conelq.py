@@ -8,6 +8,7 @@ Because the diffusion Gram matrix is diagonal, the constrained minimizations
     min_{u >= 0}  u' P D D' u  +/- 2 u' B' P
 
 separate per coordinate and admit exact closed forms; no numerical QP is needed.
+P > 0 only scales them, so the minimizers xi+/- (:func:`xi_minimizer`) are P-free.
 With deterministic coefficients the martingale parts of the backward equations
 vanish, and the pair P+/- solves the terminal-value ODEs
 dP/dt = -[2 r P + H*(t, P)],  P(T) = 1,  P > 0.
@@ -96,17 +97,15 @@ def _sign_factor(sign: Sign) -> float:
     raise ValueError(f"sign must be 'plus' or 'minus', got {sign!r}")
 
 
-def xi_minimizer(sign: Sign, P: float, coeffs: LQCoefficients) -> ControlPair:
+def xi_minimizer(sign: Sign, coeffs: LQCoefficients) -> ControlPair:
     """Closed-form argmin of the signed Hamiltonian over the nonnegative orthant.
 
-    Componentwise u_i = max(0, -s B_i / d_i^2) with s = +1 / -1; independent of
-    P (P > 0 only scales the objective in the deterministic reduction).
+    Componentwise u_i = max(0, -s B_i / d_i^2) with s = +1 / -1.  It takes no
+    P: any P > 0 only scales the objective in the deterministic reduction.
     """
-    if P <= 0:
-        raise ValueError("P must be positive")
     s = _sign_factor(sign)
-    q, _ = cone_quadratic_argmin(P * coeffs.d_q ** 2, s * P * coeffs.b_q)
-    pi, _ = cone_quadratic_argmin(P * coeffs.d_pi ** 2, s * P * coeffs.b_pi)
+    q, _ = cone_quadratic_argmin(coeffs.d_q ** 2, s * coeffs.b_q)
+    pi, _ = cone_quadratic_argmin(coeffs.d_pi ** 2, s * coeffs.b_pi)
     return ControlPair(q, pi)
 
 

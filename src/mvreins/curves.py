@@ -88,12 +88,6 @@ class PiecewiseConstantCurve:
                       self.values.size - 1)
         return at_breaks[idx] + self.values[idx] * (t_arr - self.times[idx])
 
-    def min_value(self) -> float:
-        return float(self.values.min())
-
-    def max_value(self) -> float:
-        return float(self.values.max())
-
 
 def segments(t0: float, t1: float, *curves: PiecewiseConstantCurve):
     """Cut [t0, t1] (t0 <= t1) into the pieces where every curve is constant.

@@ -72,7 +72,6 @@ class FullInfoSolution:
     T: float
     coef_q: float   # a eta / b^2
     coef_pi: float  # (mu - r) / sigma^2
-    compat_paper_formulas: bool
 
     # -- closed forms ------------------------------------------------------
     def g1(self, t):
@@ -121,7 +120,7 @@ def vertex_constant(model: ModelParams, compat: bool = False) -> float:
     if compat:
         c, mk = model.claim, model.market
         r = mk.r.constant_value()
-        ert = model.growth_to_horizon()
+        ert = float(np.exp(r * model.objective.T))
         return model.objective.x0 * ert + c.a * (c.theta - c.eta) / r
     return riskless_terminal_wealth(model)
 
@@ -207,7 +206,7 @@ def compute_solution(model: ModelParams, d: float | None = None,
     return FullInfoSolution(
         a1=_a1(model), gamma_star=float(gamma), d=float(d), f=_f(model, d, gamma),
         r=r, T=model.objective.T, coef_q=c.a * c.eta / c.b ** 2,
-        coef_pi=(model.drift.m0 - r) / sigma ** 2, compat_paper_formulas=compat)
+        coef_pi=(model.drift.m0 - r) / sigma ** 2)
 
 
 def solve_pqr(model: ModelParams, d: float, gamma: float) -> tuple[SampledCurve, ...]:
@@ -278,7 +277,7 @@ def frontier_full(model: ModelParams, d_grid, compat: bool = False) -> FrontierC
     return quadratic_frontier(k, 1.0 / _dual_denominator(model), d_grid)
 
 
-def full_feedback_strategy(sol: FullInfoSolution, model: ModelParams):
+def full_feedback_strategy(sol: FullInfoSolution):
     """Vectorized (t, wealth, filtered mean) -> (q, pi) arrays on actual wealth.
 
     Shifts by the embedded target d - gamma* internally; the filtered-mean

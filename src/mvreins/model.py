@@ -72,9 +72,7 @@ class DriftParams:
 
     def is_degenerate(self) -> bool:
         """True when the drift carries no uncertainty (l = z = 0, n0 = 0)."""
-        return (self.l.max_value() == 0.0 and self.l.min_value() == 0.0
-                and self.z.max_value() == 0.0 and self.z.min_value() == 0.0
-                and self.n0 == 0.0)
+        return not (self.l.values.any() or self.z.values.any() or self.n0)
 
 
 @dataclass(frozen=True)
@@ -97,10 +95,6 @@ class ModelParams:
     def discount_to_horizon(self, t: float) -> float:
         """exp(-int_t^T r)."""
         return float(np.exp(-self.market.r.integral(t, self.objective.T)))
-
-    def growth_to_horizon(self, t: float = 0.0) -> float:
-        """exp(+int_t^T r)."""
-        return float(np.exp(self.market.r.integral(t, self.objective.T)))
 
 
 @dataclass(frozen=True)
@@ -132,11 +126,9 @@ def validate(params: ModelParams) -> ValidationReport:
     if not c.eta > 0:
         v.append("claim.eta > 0 required")
 
-    if mk.r.min_value() <= 0:
+    if mk.r.values.min() <= 0:
         v.append("market.r: r(t) > 0 required")
-    if not np.isfinite(mk.r.max_value()):
-        v.append("market.r must be bounded")
-    if mk.sigma.min_value() <= 0:
+    if mk.sigma.values.min() <= 0:
         v.append("market.sigma: sigma_min > 0 required")
 
     if dr.n0 < 0:

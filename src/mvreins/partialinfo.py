@@ -7,7 +7,9 @@ applied to the positive/negative part of the discounted wealth gap
     u(t) = xi_plus(t) (X - gamma e^{-int_t^T r})^+  +  xi_minus(t) (...)^-,
 
 and the optimal gamma* and the frontier follow in closed form from
-int_0^T kappa- (equivalently P-(0)).
+int_0^T kappa- (equivalently P-(0)).  The xi+/- are P-free (P > 0 only scales
+the Hamiltonian), so the feedback reads gamma* and no P+/- curve.  The
+frontier vertex is :func:`~mvreins.model.riskless_terminal_wealth`.
 
 Supported reductions (lambda = 0): exact when the drift is degenerate, so the
 filtered mean is deterministic; otherwise a projected-drift approximation that
@@ -25,7 +27,7 @@ from .conelq import (ControlPair, LQCoefficients, RiccatiSolution, riccati_pair,
                      xi_minimizer)
 from .errors import MvreinsError
 from .frontier import FrontierCurve, InfeasibleTargetError, quadratic_frontier
-from .model import INFO_PARTIAL, ModelParams, validate
+from .model import INFO_PARTIAL, ModelParams, riskless_terminal_wealth, validate
 
 MODE_EXACT = "exact"
 MODE_PROJECTED = "projected_drift"
@@ -53,13 +55,9 @@ def solve_partial(model: ModelParams) -> PartialSolution:
     mode = MODE_EXACT if model.drift.is_degenerate() else MODE_PROJECTED
     riccati = riccati_pair(model)
     gamma = gamma_star_partial(riccati, model)
-    return PartialSolution(riccati=riccati, gamma_star=gamma, d0=_vertex(model),
+    return PartialSolution(riccati=riccati, gamma_star=gamma,
+                           d0=riskless_terminal_wealth(model),
                            approximation_mode=mode)
-
-
-def _vertex(model: ModelParams) -> float:
-    """Frontier vertex d0 = x0 e^{int_0^T r}, the riskless terminal wealth."""
-    return model.objective.x0 * model.growth_to_horizon()
 
 
 def _denominator(riccati: RiccatiSolution) -> float:
@@ -80,7 +78,7 @@ def gamma_star_partial(riccati: RiccatiSolution, model: ModelParams) -> float:
     terminal wealth); targets below d0 are infeasible.
     """
     d = model.objective.d
-    d0 = _vertex(model)
+    d0 = riskless_terminal_wealth(model)
     if d < d0 - 1e-9 * max(1.0, abs(d0)):
         raise InfeasibleTargetError(f"target mean {d} below riskless wealth {d0}")
     return ((d - d0 * float(np.exp(-riccati.kappa_minus_integral)))
@@ -98,7 +96,8 @@ def frontier_coefficient(riccati: RiccatiSolution) -> float:
 def frontier_partial(riccati: RiccatiSolution, model: ModelParams,
                      d_grid) -> FrontierCurve:
     """Efficient frontier Var = coef * (E X(T) - d0)^2 for d >= d0 = x0 e^{int r}."""
-    return quadratic_frontier(_vertex(model), frontier_coefficient(riccati), d_grid)
+    return quadratic_frontier(riskless_terminal_wealth(model),
+                              frontier_coefficient(riccati), d_grid)
 
 
 def feedback_partial(t: float, x: float, m: float, sol: PartialSolution,
@@ -106,20 +105,14 @@ def feedback_partial(t: float, x: float, m: float, sol: PartialSolution,
     """Feedback control at wealth x given the filtered mean m of the drift.
 
     The positive-part branch applies on the boundary, where both branches give
-    (0, 0) anyway.  Output satisfies the cone constraint by construction.
+    (0, 0) anyway.  Reads ``sol.gamma_star`` only; the output is in the cone.
     """
     c, mk = model.claim, model.market
-    disc = model.discount_to_horizon(t)
-    gap = x - sol.gamma_star * disc
+    gap = x - sol.gamma_star * model.discount_to_horizon(t)
     coeffs = LQCoefficients(b_q=c.a * c.eta, b_pi=m - mk.r(t),
                             d_q=c.b, d_pi=mk.sigma(t))
-    if gap >= 0:
-        xi = xi_minimizer("plus", sol.riccati.p_plus(t), coeffs)
-        scale = gap
-    else:
-        xi = xi_minimizer("minus", sol.riccati.p_minus(t), coeffs)
-        scale = -gap
-    return ControlPair(q=xi.q * scale, pi=xi.pi * scale)
+    xi = xi_minimizer("plus" if gap >= 0 else "minus", coeffs)
+    return ControlPair(q=xi.q * abs(gap), pi=xi.pi * abs(gap))
 
 
 def dual_value_partial(riccati: RiccatiSolution, model: ModelParams,
@@ -137,7 +130,7 @@ def dual_value_partial(riccati: RiccatiSolution, model: ModelParams,
     scalar-maximization oracle).
     """
     d = model.objective.d
-    d0 = _vertex(model)
+    d0 = riskless_terminal_wealth(model)
     k = riccati.kappa_plus_integral if d0 > gamma else riccati.kappa_minus_integral
     decay = float(np.exp(-k))
     return (float(np.expm1(-k)) * gamma * gamma - 2.0 * (d0 * decay - d) * gamma

@@ -59,7 +59,7 @@ def cone_probe_check(rng: np.random.Generator, draws: int,
         P = rng.uniform(0.01, 20.0)
         u = rng.uniform(0.0, 4.0, size=(probes, 2))
         for sign, s in (("plus", 1.0), ("minus", -1.0)):
-            xi = conelq.xi_minimizer(sign, P, coeffs)
+            xi = conelq.xi_minimizer(sign, coeffs)
             worst_h = max(worst_h, conelq.hamiltonian_min(sign, P, coeffs))
 
             def objective(q, pi):

@@ -180,7 +180,7 @@ def test_criterion_6_frontier_reduction(partial_exact_model):
 
 def _mc_frontier_run(model, n_paths=200_000, dt=1e-3, seed=700):
     sol = mv.compute_solution(model)
-    strategy = mv.full_feedback_strategy(sol, model)
+    strategy = mv.full_feedback_strategy(sol)
     cfg = SimConfig(n_paths=n_paths, dt=dt, seed=seed)
     est = estimate(simulate_physical(model, strategy, cfg, workers=4))
     return est

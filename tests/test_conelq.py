@@ -29,7 +29,7 @@ def grid_search_argmin(sign, P, coeffs, lo=0.0, hi=1.0, step=1e-3):
 
 def test_xi_minus_interior_example():
     coeffs = LQCoefficients(b_q=0.2, b_pi=0.02, d_q=1.0, d_pi=1.0)
-    xi = xi_minimizer("minus", 1.0, coeffs)
+    xi = xi_minimizer("minus", coeffs)
     assert xi.q == pytest.approx(0.2, abs=1e-12)
     assert xi.pi == pytest.approx(0.02, abs=1e-12)
     gq, gpi, _ = grid_search_argmin("minus", 1.0, coeffs)
@@ -38,13 +38,13 @@ def test_xi_minus_interior_example():
 
 def test_xi_plus_origin_for_nonnegative_drift():
     coeffs = LQCoefficients(b_q=0.2, b_pi=0.02, d_q=1.0, d_pi=1.0)
-    xi = xi_minimizer("plus", 1.0, coeffs)
+    xi = xi_minimizer("plus", coeffs)
     assert (xi.q, xi.pi) == (0.0, 0.0)
 
 
 def test_xi_minus_clips_negative_excess_return():
     coeffs = LQCoefficients(b_q=0.2, b_pi=-0.05, d_q=1.0, d_pi=1.0)
-    xi = xi_minimizer("minus", 1.0, coeffs)
+    xi = xi_minimizer("minus", coeffs)
     assert xi.q == pytest.approx(0.2, abs=1e-12)
     assert xi.pi == 0.0
     gq, gpi, _ = grid_search_argmin("minus", 1.0, coeffs)
@@ -76,8 +76,6 @@ def test_hamiltonian_degree_one_homogeneity():
 def test_nonpositive_p_rejected():
     coeffs = LQCoefficients(b_q=0.2, b_pi=0.02, d_q=1.0, d_pi=1.0)
     with pytest.raises(ValueError):
-        xi_minimizer("minus", 0.0, coeffs)
-    with pytest.raises(ValueError):
         hamiltonian_min("plus", -1.0, coeffs)
 
 
@@ -102,7 +100,7 @@ def test_cone_optimality_never_beaten(b_q, b_pi, d_q, d_pi, P, seed):
     rng = np.random.default_rng(seed)
     probes = rng.uniform(0.0, 5.0, size=(50, 2))
     for sign, s in (("plus", 1.0), ("minus", -1.0)):
-        xi = xi_minimizer(sign, P, coeffs)
+        xi = xi_minimizer(sign, coeffs)
         h = hamiltonian_min(sign, P, coeffs)
         assert h <= 1e-12
 

@@ -236,7 +236,7 @@ def test_p2_below_p1(paper44_solution):
 def test_vectorized_strategy_matches_feedback(scaled_solution,
                                               scaled_noncheap_model):
     sol = scaled_solution
-    strategy = full_feedback_strategy(sol, scaled_noncheap_model)
+    strategy = full_feedback_strategy(sol)
     shift = sol.target_level
     rng = np.random.default_rng(17)
     t = 2.5
@@ -249,8 +249,6 @@ def test_vectorized_strategy_matches_feedback(scaled_solution,
 
 
 def test_compat_flag_stored(paper44_model):
-    sol = compute_solution(paper44_model, compat=True)
-    assert sol.compat_paper_formulas
     assert vertex_constant(paper44_model, compat=True) == pytest.approx(
         50.0 * np.exp(4.0) + 0.1 / 0.04, rel=1e-12)
 

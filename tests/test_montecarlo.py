@@ -81,7 +81,7 @@ def test_zero_strategy_innovation_riskless(partial_exact_model):
 
 def test_bitwise_reproducible_across_runs_and_workers(scaled_noncheap_model):
     sol = mv.compute_solution(scaled_noncheap_model)
-    strategy = mv.full_feedback_strategy(sol, scaled_noncheap_model)
+    strategy = mv.full_feedback_strategy(sol)
     cfg = SimConfig(n_paths=40_000, dt=0.01, seed=99)
     a = simulate_physical(scaled_noncheap_model, strategy, cfg, workers=1)
     b = simulate_physical(scaled_noncheap_model, strategy, cfg, workers=1)
@@ -218,7 +218,7 @@ def test_different_seeds_differ(scaled_noncheap_model):
     cfg1 = SimConfig(n_paths=1000, dt=0.01, seed=1)
     cfg2 = SimConfig(n_paths=1000, dt=0.01, seed=2)
     sol = mv.compute_solution(scaled_noncheap_model)
-    strategy = mv.full_feedback_strategy(sol, scaled_noncheap_model)
+    strategy = mv.full_feedback_strategy(sol)
     a = simulate_physical(scaled_noncheap_model, strategy, cfg1)
     b = simulate_physical(scaled_noncheap_model, strategy, cfg2)
     assert not np.array_equal(a.terminal_wealth, b.terminal_wealth)
@@ -295,7 +295,7 @@ def test_filter_consistency_physical(tame_partial_model):
 
 def test_optimal_strategy_hits_target_mean(scaled_noncheap_model):
     sol = mv.compute_solution(scaled_noncheap_model)
-    strategy = mv.full_feedback_strategy(sol, scaled_noncheap_model)
+    strategy = mv.full_feedback_strategy(sol)
     cfg = SimConfig(n_paths=30_000, dt=0.002, seed=12)
     est = estimate(simulate_physical(scaled_noncheap_model, strategy, cfg))
     d = scaled_noncheap_model.objective.d
@@ -374,7 +374,7 @@ def test_diverging_paths_flagged(scaled_cheap_model):
 
 def test_admissibility_diagnostics_finite(scaled_noncheap_model):
     sol = mv.compute_solution(scaled_noncheap_model)
-    strategy = mv.full_feedback_strategy(sol, scaled_noncheap_model)
+    strategy = mv.full_feedback_strategy(sol)
     ens = simulate_physical(scaled_noncheap_model, strategy,
                             SimConfig(n_paths=2000, dt=0.005, seed=2))
     assert np.all(np.isfinite(ens.int_q2))

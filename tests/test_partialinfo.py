@@ -29,7 +29,7 @@ def test_modes_labeled(partial_exact_model, partial_filter_model):
 def test_gamma_star_at_vertex_is_riskless_wealth(exact_solution,
                                                  partial_exact_model):
     import dataclasses
-    d0 = partial_exact_model.objective.x0 * partial_exact_model.growth_to_horizon()
+    d0 = exact_solution.d0
     model_at_vertex = dataclasses.replace(
         partial_exact_model,
         objective=dataclasses.replace(partial_exact_model.objective, d=d0))
@@ -73,7 +73,7 @@ def test_gamma_star_matches_dual_maximizer(exact_solution, partial_exact_model):
 def test_dual_value_branches(exact_solution, partial_exact_model):
     # P+ branch left of the discounted-wealth kink, P- branch right of it
     riccati = exact_solution.riccati
-    kink = 50.0 * partial_exact_model.growth_to_horizon()
+    kink = exact_solution.d0
     low = dual_value_partial(riccati, partial_exact_model, kink - 1.0)
     high = dual_value_partial(riccati, partial_exact_model, kink + 1.0)
     assert np.isfinite(low) and np.isfinite(high)
