@@ -147,7 +147,9 @@ def riccati_pair(model: ModelParams) -> RiccatiSolution:
     at a the drift is m(t) = M e^{h (t - a)} with M = m0 exp(int_0^a h); it
     crosses r at most once, at s* = a + ln(r/M)/h, which becomes a further
     cut.  Each piece then has a fixed sign of m - r, so one branch of each
-    kappa, and int (M e^{h u} - r)^2 du is exact there.  Cumulative sums of
+    kappa, and int (M e^{h u} - r)^2 du is exact there.  It is integrated as
+    (e0 + M expm1(h u))^2 with e0 = M - r, so a drift next to r does not
+    cancel, and the expm1 terms vanish exactly at h = 0.  Cumulative sums of
     the piece integrals give int_t^T (2r - kappa+/-) at every node, and
     P(T) = 1 exactly.  The kappa integrals, kept apart from the 2r terms,
     sum to ``kappa_plus_integral`` and ``kappa_minus_integral``.
@@ -170,9 +172,9 @@ def riccati_pair(model: ModelParams) -> RiccatiSolution:
 
     def integrals(j, u):
         """int over [a_j, a_j + u] of (2r, kappa+, kappa-)."""
-        excess_sq = (m_start[j] ** 2 * _expm1_rate(2.0 * h[j], u)
-                     - 2.0 * r[j] * m_start[j] * _expm1_rate(h[j], u)
-                     + r[j] ** 2 * u) / sig2[j]
+        m, e0, grow = m_start[j], m_start[j] - r[j], _expm1_rate(h[j], u)
+        excess_sq = (e0 ** 2 * u + 2.0 * e0 * m * (grow - u)
+                     + m ** 2 * (_expm1_rate(2.0 * h[j], u) - 2.0 * grow + u)) / sig2[j]
         return (2.0 * r[j] * u, np.where(above[j], 0.0, excess_sq),
                 claim_rate * u + np.where(above[j], excess_sq, 0.0))
 

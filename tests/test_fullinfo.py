@@ -3,6 +3,7 @@ import pytest
 from scipy import optimize
 
 import mvreins as mv
+from mvreins import fullinfo
 from mvreins.frontier import InfeasibleTargetError
 from mvreins.fullinfo import (NearCurveError, Region, compute_solution,
                               dual_value_full, feedback_full, frontier_full,
@@ -166,6 +167,9 @@ def test_frontier_with_tiny_premium_is_cancellation_free():
     check = _dual_argmax_check(lambda g: dual_value_full(model, d, g),
                                gamma_star_full(model, d))
     assert check.passed, check.detail
+    # V is of order 1e42 here: the on-curve checks scale with the branches.
+    report = viscosity_check(compute_solution(model))
+    assert report.passed, report.failures
 
 
 def test_frontier_infeasible_target(paper44_model):
@@ -226,6 +230,18 @@ def test_viscosity_checks_scaled(scaled_solution):
 def test_viscosity_checks_long_horizon(paper44_solution):
     report = viscosity_check(paper44_solution, curve_samples=100)
     assert report.passed, report.failures
+
+
+def test_viscosity_check_catches_shifted_branch(monkeypatch, paper44_solution):
+    # Moving the lower branch's switching curve by 1e-6 relative must fail the
+    # scale-relative thresholds on a moderate and on a huge value function.
+    sols = (paper44_solution,
+            compute_solution(make_model(a=1e-9, m0=0.040000001)))
+    assert all(viscosity_check(sol).passed for sol in sols)
+    below = fullinfo._branch_below
+    monkeypatch.setattr(fullinfo, "_branch_below", lambda sol, t, x: below(
+        sol, t, x + 1e-6 * abs(sol.switching_x(t))))
+    assert not any(viscosity_check(sol).passed for sol in sols)
 
 
 def test_p2_below_p1(paper44_solution):

@@ -83,10 +83,12 @@ def test_riskless_wealth_piecewise_rate_matches_ode():
     ode = riskless_terminal_wealth_ode(m)
     assert abs(ode - closed) / abs(closed) <= 1e-9
     # cheap case: reduces to pure riskless growth with the exact rate integral
-    assert closed == pytest.approx(50.0 * np.exp(m.market.r.integral(0.0, m.objective.T)), rel=1e-12)
+    growth = np.exp(m.market.r.integral(0.0, m.objective.T))
+    assert closed == pytest.approx(50.0 * growth, rel=1e-12)
 
 
 def test_discount_growth_inverse(paper44_model):
     m = paper44_model
-    assert m.discount_to_horizon(30.0) * np.exp(m.market.r.integral(30.0, m.objective.T)) == \
+    growth = np.exp(m.market.r.integral(30.0, m.objective.T))
+    assert m.discount_to_horizon(30.0) * growth == \
         pytest.approx(1.0, rel=1e-15)

@@ -206,3 +206,17 @@ def test_tiny_claim_rate_keeps_frontier_denominator():
         1.0 / np.expm1(4e-19), rel=1e-6)
     assert _dual_argmax_check(
         lambda g: dual_value_partial(sol.riccati, model, g), sol.gamma_star).passed
+
+
+def test_drift_next_to_rate_keeps_kappa_integral():
+    # m0 - r = 1e-9 with h = 0: int (m - r)^2 must not be formed as
+    # m^2 T - 2 r m T + r^2 T, which cancels to a 10% error here.  The
+    # degenerate partial model equals its full-information twin.
+    kw = dict(a=1e-9, theta=0.2, eta=0.2, m0=0.04 + 1e-9)
+    sol = solve_partial(make_model(info_mode="partial", **kw))
+    full = make_model(**kw)
+    minus_two_a1_t = -2.0 * mv.compute_solution(full).a1 * full.objective.T
+    assert sol.riccati.kappa_minus_integral == pytest.approx(minus_two_a1_t,
+                                                             rel=1e-12)
+    assert frontier_coefficient(sol.riccati) == pytest.approx(
+        1.0 / np.expm1(minus_two_a1_t), rel=1e-12)

@@ -7,8 +7,9 @@ Usage::
 Each op runs as ``python -m mvreins`` on this checkout's ``src/`` in its own
 directory ``OUT/<op>/`` with ``--out-dir .``.  Next to the files the op writes
 go ``stdout.txt``, ``stderr.txt`` and ``exit_code.txt``.  The list covers
-every subcommand: ``validate`` on the four configs and on one with a faulty
-injected ``a1``; ``frontier`` in full and partial mode; ``value-surface``;
+every subcommand: ``validate`` on the four configs, on one with a faulty
+injected ``a1`` and on a tiny-premium one; ``frontier`` in full and partial
+mode, and in partial mode on a tiny-premium twin; ``value-surface``;
 the compat ``dual-curve``; ``filter``; and ``simulate`` in full mode and in
 partial physical and innovation dynamics, each at 1 and 2 workers, plus a
 ``--store-paths`` run.  Two checkouts whose snapshots ``diff -r`` finds equal
@@ -18,6 +19,7 @@ produce the same bytes on all of them.
 from __future__ import annotations
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -27,7 +29,15 @@ PAPER44 = REPO / "configs" / "paper44.cfg"
 FILTERDEMO = REPO / "configs" / "filterdemo.cfg"
 SCALED = REPO / "configs" / "scaled.cfg"
 PARTIAL = REPO / "bench" / "configs" / "partial.cfg"
-INJECTED = "a1-injected.cfg"  # paper44 with a faulty a1, written into the op's directory
+# Configs derived from paper44, written into the op's directory: (changed
+# values, appended text).  The tiny-premium ones set a = 1e-9 and
+# m0 - r = 1e-9; the partial twin also sets theta = eta.
+TINY = {"a": "1e-9", "m0": "0.040000001"}
+DERIVED = {
+    "a1-injected.cfg": ({}, "\n[overrides]\na1 = -0.5\n"),
+    "tiny-premium-full.cfg": (TINY, ""),
+    "tiny-premium-partial.cfg": ({**TINY, "theta": "0.2"}, ""),
+}
 
 FULL_SIM = ("simulate", "--paths", "17000", "--dt", "0.01", "--seed", "7")
 PARTIAL_SIM = ("simulate", "--paths", "17000", "--dt", "0.025", "--seed", "5")
@@ -38,9 +48,12 @@ OPS = [
     ("validate-filterdemo", FILTERDEMO, ("validate",)),
     ("validate-scaled", SCALED, ("validate",)),
     ("validate-partial", PARTIAL, ("validate",)),
-    ("validate-a1-injected", INJECTED, ("validate",)),
+    ("validate-a1-injected", "a1-injected.cfg", ("validate",)),
+    ("validate-tiny-premium-full", "tiny-premium-full.cfg", ("validate",)),
     ("frontier-full", PAPER44, ("frontier", "--mode", "full")),
     ("frontier-partial", PARTIAL, ("frontier", "--mode", "partial")),
+    ("frontier-tiny-premium-partial", "tiny-premium-partial.cfg",
+     ("frontier", "--mode", "partial")),
     ("value-surface", PAPER44, ("value-surface",)),
     ("dual-curve-compat", PAPER44, ("--compat-paper-formulas", "dual-curve")),
     ("filter", PARTIAL, ("filter", "--steps", "2000", "--seed", "5")),
@@ -57,11 +70,20 @@ OPS = [
 ]
 
 
+def _derived_text(changes: dict, extra: str) -> str:
+    text = PAPER44.read_text()
+    for key, value in changes.items():
+        text, n = re.subn(rf"^{key} = .*$", f"{key} = {value}", text, flags=re.M)
+        if n != 1:
+            raise ValueError(f"{PAPER44} has {n} lines for {key!r}")
+    return text + extra
+
+
 def _run(out: Path, name: str, config, args) -> int:
     where = out / name
     where.mkdir(parents=True)
-    if config == INJECTED:
-        (where / INJECTED).write_text(PAPER44.read_text() + "\n[overrides]\na1 = -0.5\n")
+    if config in DERIVED:
+        (where / config).write_text(_derived_text(*DERIVED[config]))
     argv = [sys.executable, "-m", "mvreins", "--config", str(config),
             "--out-dir", "."] + list(args)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
