@@ -8,7 +8,9 @@ a valid model (any :class:`~mvreins.errors.MvreinsError`), print one
 positive are rejected while parsing; a range whose low end is above its high
 end, once defaults are filled in, is rejected before anything is written; a
 CSV holding a non-finite number (a finite argument range can overflow) is an
-error and is not written.  A solver of the other information mode than the
+error and is not written: :func:`_write_csv`, the one CSV writer, checks each
+numeric column with ``np.isfinite`` before it opens the file, and names the
+first non-finite cell in row order.  A solver of the other information mode than the
 config's (``--mode``, and the full-information ``value-surface`` and
 ``dual-curve``) runs only if the config, converted to that mode, passes
 :func:`~mvreins.model.validate`: ``--mode partial`` needs eta = theta, and the
@@ -22,7 +24,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import re
 import sys
 from pathlib import Path
@@ -41,6 +42,9 @@ from .validation import format_table, run_checks
 
 class UsageError(Exception):
     pass
+
+
+_CSV_BLOCK = 4096  # rows formatted at a time by _write_csv
 
 
 class _Parser(argparse.ArgumentParser):
@@ -79,26 +83,35 @@ def _finite_float(above: float = -np.inf):
     return parse
 
 
-def _cell(path: Path, name: str, value) -> str:
-    """One CSV cell; a non-finite number (finite ranges can overflow) is an error."""
-    if isinstance(value, str):
-        return value
-    if not math.isfinite(value):
-        raise UsageError(f"{path.name}: {name} = {float(value)!r} is not finite; "
-                         "narrow the argument range")
-    return repr(float(value))
-
-
 def _ordered(lo: float, hi: float, lo_flag: str, hi_flag: str) -> None:
     """Reject a range whose low end, after defaults are filled in, is above its high end."""
     if lo > hi:
         raise UsageError(f"{lo_flag} {lo!r} is above {hi_flag} {hi!r}")
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
-    lines = [",".join(header)]
-    lines += [",".join(_cell(path, n, v) for n, v in zip(header, row)) for row in rows]
-    path.write_text("\n".join(lines) + "\n")
+def _write_csv(path: Path, header: list[str], columns) -> None:
+    """Write ``columns`` (numeric arrays, or lists of str) under ``header``.
+
+    A non-finite number (finite ranges can overflow) is an error: the first
+    such cell in row order is named, and nothing is written.  Numbers are
+    written as the shortest round-trip ``repr`` of the float, a block of rows
+    at a time.
+    """
+    columns = [col if isinstance(col, list) else np.asarray(col, dtype=float)
+               for col in columns]
+    bad = [(int(np.argmin(finite)), j) for j, col in enumerate(columns)
+           if not isinstance(col, list) and not (finite := np.isfinite(col)).all()]
+    if bad:
+        row, j = min(bad)
+        raise UsageError(f"{path.name}: {header[j]} = {columns[j][row].item()!r} "
+                         "is not finite; narrow the argument range")
+    with path.open("w") as out:
+        out.write(",".join(header) + "\n")
+        for start in range(0, len(columns[0]), _CSV_BLOCK):
+            block = [col[start:start + _CSV_BLOCK] for col in columns]
+            cells = [col if isinstance(col, list) else map(repr, col.tolist())
+                     for col in block]
+            out.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
 def _build_parser() -> _Parser:
@@ -187,7 +200,7 @@ def _cmd_filter(args, model, out_dir: Path) -> int:
     for k in range(steps):
         m_vals[k + 1] = coef.advance(k, m_vals[k], incr[k], dt)
     _write_csv(out_dir / "filter.csv", ["t", "m", "n"],
-               zip(grid, m_vals, n_curve(grid)))
+               [grid, m_vals, n_curve(grid)])
     print(f"wrote {out_dir / 'filter.csv'}")
     return 0
 
@@ -214,9 +227,8 @@ def _cmd_frontier(args, model, out_dir: Path, compat: bool) -> int:
         curve = partialinfo.frontier_partial(sol.riccati, solver_model,
                                              _d_grid(args, sol.d0, model))
         label = sol.approximation_mode
-    rows = [(d, v, s, label)
-            for d, v, s in zip(curve.d, curve.variance, curve.std_dev)]
-    _write_csv(out_dir / "frontier.csv", ["d", "variance", "std_dev", "mode"], rows)
+    _write_csv(out_dir / "frontier.csv", ["d", "variance", "std_dev", "mode"],
+               [curve.d, curve.variance, curve.std_dev, [label] * len(curve.d)])
     print(f"wrote {out_dir / 'frontier.csv'} ({label})")
     return 0
 
@@ -226,17 +238,15 @@ def _cmd_value_surface(args, model, out_dir: Path, compat: bool) -> int:
     sol = fullinfo.compute_solution(full_model, compat=compat)
     T = model.objective.T
     ts = np.linspace(0.0, T, args.nt)
-    x_curve = np.array([sol.switching_x(t) for t in ts])
+    x_curve = sol.switching_x(ts)
     lo = args.x_min if args.x_min is not None else float(2.0 * x_curve.min())
     hi = args.x_max if args.x_max is not None else float(-x_curve.min())
     _ordered(lo, hi, "--x-min", "--x-max")
     xs = np.linspace(lo, hi, args.nx)
-    rows = []
-    for t in ts:
-        for x in xs:
-            rows.append((t, x, fullinfo.value_function(t, x, sol),
-                         sol.region(t, x).value))
-    _write_csv(out_dir / "value_surface.csv", ["t", "x", "V", "region"], rows)
+    values = np.concatenate([fullinfo.value_function(t, xs, sol) for t in ts])
+    regions = [r.value for t in ts for r in sol.region(t, xs)]
+    _write_csv(out_dir / "value_surface.csv", ["t", "x", "V", "region"],
+               [np.repeat(ts, xs.size), np.tile(xs, ts.size), values, regions])
     print(f"wrote {out_dir / 'value_surface.csv'}")
     return 0
 
@@ -250,9 +260,8 @@ def _cmd_dual_curve(args, model, out_dir: Path, compat: bool) -> int:
     hi = args.gamma_max if args.gamma_max is not None else gamma_star + span
     _ordered(lo, hi, "--gamma-min", "--gamma-max")
     gammas = np.linspace(lo, hi, args.points)
-    rows = [(g, fullinfo.dual_value_full(full_model, d, g, compat))
-            for g in gammas]
-    _write_csv(out_dir / "dual_curve.csv", ["gamma", "dual_value"], rows)
+    _write_csv(out_dir / "dual_curve.csv", ["gamma", "dual_value"],
+               [gammas, fullinfo.dual_value_full(full_model, d, gammas, compat)])
     print(f"wrote {out_dir / 'dual_curve.csv'} (gamma* = {gamma_star:.4f})")
     return 0
 
@@ -313,10 +322,10 @@ def _cmd_simulate(args, model, out_dir: Path, compat: bool) -> int:
               f"(se {est.se_variance:.2g})")
 
     if args.store_paths and ensemble.trajectories is not None:
-        rows = ((str(pid), t, x)
-                for pid in range(ensemble.trajectories.shape[0])
-                for t, x in zip(ensemble.times, ensemble.trajectories[pid]))
-        _write_csv(out_dir / "paths.csv", ["path", "t", "X"], rows)
+        n_paths, n_times = ensemble.trajectories.shape
+        _write_csv(out_dir / "paths.csv", ["path", "t", "X"],
+                   [[str(pid) for pid in range(n_paths) for _ in range(n_times)],
+                    np.tile(ensemble.times, n_paths), ensemble.trajectories.ravel()])
         print(f"wrote {out_dir / 'paths.csv'}")
     return 0
 
@@ -347,7 +356,7 @@ def main(argv=None) -> int:
             "dual-curve": lambda: _cmd_dual_curve(args, model, out_dir, compat),
             "simulate": lambda: _cmd_simulate(args, model, out_dir, compat),
         }
-        # an overflowing range is one _cell error, not a numpy warning per cell
+        # an overflowing range is one _write_csv error, not a numpy warning per cell
         with np.errstate(over="ignore", invalid="ignore"):
             return commands[args.command]()
     except (ConfigError, UsageError, InfeasibleTargetError, ValueError,

@@ -59,6 +59,11 @@ class Region(enum.Enum):
     ON_CURVE = "on_curve"
 
 
+# indexed by sign(x - x_c) + 1 in FullInfoSolution.region
+_REGIONS = np.array([Region.BELOW_CURVE, Region.ON_CURVE, Region.ABOVE_CURVE],
+                    dtype=object)
+
+
 @dataclass(frozen=True, eq=False)
 class FullInfoSolution:
     """Closed-form scalars of the full-information solution; no ODE curves.
@@ -103,14 +108,14 @@ class FullInfoSolution:
         """Shifted wealth on the switching curve: x_c(t) = -g1(t) e^{-r(T-t)}."""
         return -self.g1(t) * np.exp(-self.r * (self.T - t))
 
-    def region(self, t: float, x: float) -> Region:
-        s = x - self.switching_x(t)
-        tol = 1e-12 * max(1.0, abs(x), abs(self.switching_x(t)))
-        if s > tol:
-            return Region.ABOVE_CURVE
-        if s < -tol:
-            return Region.BELOW_CURVE
-        return Region.ON_CURVE
+    def region(self, t: float, x):
+        """Side of the switching curve for shifted wealth x, within 1e-12 of
+        max(1, |x|, |x_c|).  Broadcasts over x: a scalar gives the
+        :class:`Region` member, an array an object array of members."""
+        xc = self.switching_x(t)
+        s = x - xc
+        tol = 1e-12 * np.maximum(np.maximum(1.0, np.abs(x)), np.abs(xc))
+        return _REGIONS[(s > tol).astype(int) - (s < -tol) + 1]
 
     @property
     def target_level(self) -> float:
@@ -164,27 +169,31 @@ def gamma_star_full(model: ModelParams, d: float, compat: bool = False) -> float
     return (k - d) / _dual_denominator(model)
 
 
-def dual_value_full(model: ModelParams, d: float, gamma: float,
-                    compat: bool = False) -> float:
+def _float_if_scalar(values):
+    return float(values) if np.ndim(values) == 0 else values
+
+
+def dual_value_full(model: ModelParams, d: float, gamma,
+                    compat: bool = False):
     """Optimal cost of the gamma-parameterized problem, to be maximized over gamma.
 
     Concave quadratic in gamma while the initial state sits below the switching
     curve, linear above; the branch condition follows the actual g1, so only
     the branch values depend on the compat flag.  Below, with k the active
     vertex, e^{2 A1 T} (k - d + gamma)^2 - gamma^2 is expanded in gamma with
-    the leading coefficient expm1(2 A1 T), free of cancellation.
+    the leading coefficient expm1(2 A1 T), free of cancellation.  Broadcasts
+    over ``gamma`` with the model's constants formed once; a scalar gamma
+    gives a float.
     """
-    k_active = vertex_constant(model, compat)
-    k_true = vertex_constant(model, compat=False)
-    a1 = _a1(model)
-    T = model.objective.T
+    k_true = riskless_terminal_wealth(model)
+    k_active = vertex_constant(model, compat) if compat else k_true
+    two_a1_t = 2.0 * _a1(model) * model.objective.T
+    decay, gap = np.exp(two_a1_t), k_active - d
+    below = (np.expm1(two_a1_t) * gamma * gamma + 2.0 * decay * gap * gamma
+             + decay * gap * gap)
+    above = gap ** 2 + 2.0 * gap * gamma
     # sign of x0 - (d - gamma) + g1(0) e^{-rT}, via the expanded constant
-    below = k_true - (d - gamma) < 0
-    if below:
-        decay, gap = np.exp(2.0 * a1 * T), k_active - d
-        return (np.expm1(2.0 * a1 * T) * gamma * gamma + 2.0 * decay * gap * gamma
-                + decay * gap * gap)
-    return (k_active - d) ** 2 + 2.0 * (k_active - d) * gamma
+    return _float_if_scalar(np.where(k_true - (d - gamma) < 0, below, above))
 
 
 def compute_solution(model: ModelParams, d: float | None = None,
@@ -254,11 +263,13 @@ def _branch_below(sol: FullInfoSolution, t, x):
                   + np.exp(sol.a1 * tau) * sol.g1(t)) ** 2
 
 
-def value_function(t: float, x: float, sol: FullInfoSolution) -> float:
-    """Piecewise value at shifted wealth x; both branches vanish on the curve."""
-    if x - sol.switching_x(t) >= 0.0:
-        return float(_branch_above(sol, t, x))
-    return float(_branch_below(sol, t, x))
+def value_function(t: float, x, sol: FullInfoSolution):
+    """Piecewise value at shifted wealth x; both branches vanish on the curve.
+
+    Broadcasts over x; a scalar x gives a float."""
+    return _float_if_scalar(np.where(x - sol.switching_x(t) >= 0.0,
+                                     _branch_above(sol, t, x),
+                                     _branch_below(sol, t, x)))
 
 
 def feedback_full(t: float, x: float, sol: FullInfoSolution,

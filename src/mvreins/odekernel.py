@@ -15,6 +15,7 @@ the curves up at every stage.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -45,6 +46,8 @@ def _march(rhs: Callable, y, t0: float, t1: float, steps: int, coeffs: Sequence)
     stage_times = np.clip(times[:-1, None] + np.array([0.0, 0.5 * h, h]),
                           lo, np.nextafter(hi, lo))
     states = np.empty((steps,) + np.shape(y))
+    finite = math.isfinite if np.ndim(y) == 0 else (lambda v: np.isfinite(v).all())
+    # row by row: one tolist() of every row would hold 3 floats per step at once
     for k, row in enumerate(stage_times):
         t, t_mid, t_end = row.tolist()
         k1 = rhs(t, y, *coeffs)
@@ -52,7 +55,7 @@ def _march(rhs: Callable, y, t0: float, t1: float, steps: int, coeffs: Sequence)
         k3 = rhs(t_mid, y + 0.5 * h * k2, *coeffs)
         k4 = rhs(t_end, y + h * k3, *coeffs)
         y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.isfinite(y).all():
+        if not finite(y):
             raise IntegrationDivergedError(
                 f"non-finite state at t={times[k + 1]:.6g}"
             )

@@ -7,7 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mvreins.cli import main
+from mvreins import fullinfo
+from mvreins.cli import UsageError, _write_csv, main
 from mvreins.config import load_config
 from mvreins.filtering import solve_variance
 from mvreins.odekernel import RngStream, gaussian_increments
@@ -162,6 +163,87 @@ def test_dual_curve_peak_at_gamma_star(tmp_path):
     first = (tmp_path / "dual_curve.csv").read_bytes()
     assert main(args) == 0
     assert (tmp_path / "dual_curve.csv").read_bytes() == first
+
+
+def reference_csv(header, rows):
+    """The CSV text, built one row at a time from the repr of each float."""
+    lines = [",".join(header)]
+    lines += [",".join(v if isinstance(v, str) else repr(float(v)) for v in row)
+              for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("compat", [False, True], ids=["default", "compat"])
+def test_dual_curve_bytes(tmp_path, compat):
+    # gamma from -1000 to 9000 crosses the branch flip at d - vertex ~ 7136
+    flags = ["--compat-paper-formulas"] if compat else []
+    assert main(["--config", str(PAPER44_CFG), "--out-dir", str(tmp_path), *flags,
+                 "dual-curve", "--gamma-min=-1000", "--gamma-max", "9000",
+                 "--points", "301"]) == 0
+    model, _ = load_config(PAPER44_CFG)
+    d = model.objective.d
+    rows = [(g, fullinfo.dual_value_full(model, d, float(g), compat))
+            for g in np.linspace(-1000.0, 9000.0, 301)]
+    assert (tmp_path / "dual_curve.csv").read_text() == \
+        reference_csv(["gamma", "dual_value"], rows)
+
+
+def test_frontier_bytes(tmp_path):
+    assert main(["--config", str(PAPER44_CFG), "--out-dir", str(tmp_path),
+                 "frontier", "--mode", "full", "--points", "51"]) == 0
+    model, _ = load_config(PAPER44_CFG)
+    vertex = fullinfo.vertex_constant(model)
+    curve = fullinfo.frontier_full(model, np.linspace(vertex, model.objective.d, 51))
+    rows = [(d, v, s, "full")
+            for d, v, s in zip(curve.d, curve.variance, curve.std_dev)]
+    assert (tmp_path / "frontier.csv").read_text() == \
+        reference_csv(["d", "variance", "std_dev", "mode"], rows)
+
+
+def test_filter_bytes(tmp_path):
+    steps, seed = 300, 4
+    assert main(["--config", str(PARTIAL_CFG), "--out-dir", str(tmp_path), "filter",
+                 "--steps", str(steps), "--seed", str(seed)]) == 0
+    model, _ = load_config(PARTIAL_CFG)
+    drift, sigma, T = model.drift, model.market.sigma, model.objective.T
+    dt = T / steps
+    n = solve_variance(drift, sigma, T)
+    incr = gaussian_increments(RngStream(seed), steps, dt)
+    rows, m = [], drift.m0
+    for k in range(steps + 1):
+        t = k * dt
+        rows.append((t, m, n(t)))
+        if k < steps:
+            m = m + drift.h(t) * m * dt + (drift.l(t) + n(t) / sigma(t)) * incr[k]
+    assert (tmp_path / "filter.csv").read_text() == \
+        reference_csv(["t", "m", "n"], rows)
+
+
+def test_value_surface_bytes(tmp_path):
+    assert main(["--config", str(PAPER44_CFG), "--out-dir", str(tmp_path),
+                 "value-surface", "--nt", "6", "--nx", "7"]) == 0
+    model, _ = load_config(PAPER44_CFG)
+    sol = fullinfo.compute_solution(model)
+    ts = np.linspace(0.0, model.objective.T, 6)
+    low = min(float(sol.switching_x(t)) for t in ts)
+    xs = np.linspace(2.0 * low, -low, 7)
+    rows = [(t, x, v, sol.region(t, x).value)
+            for t in ts for x, v in zip(xs, fullinfo.value_function(t, xs, sol))]
+    assert {row[3] for row in rows} == {"above_curve", "below_curve", "on_curve"}
+    assert (tmp_path / "value_surface.csv").read_text() == \
+        reference_csv(["t", "x", "V", "region"], rows)
+
+
+def test_csv_names_first_non_finite_cell_in_row_order(tmp_path):
+    path = tmp_path / "cells.csv"
+    columns = [np.array([1.0, 2.0, 3.0, 4.0]), ["a", "b", "c", "d"],
+               np.array([1.0, 2.0, 3.0, np.nan]), np.array([1.0, np.inf, 3.0, 4.0]),
+               np.array([1.0, -np.inf, 3.0, 4.0])]
+    with pytest.raises(UsageError) as err:
+        _write_csv(path, ["t", "label", "u", "v", "w"], columns)
+    assert str(err.value) == ("cells.csv: v = inf is not finite; "
+                              "narrow the argument range")
+    assert not path.exists()
 
 
 def test_value_surface_idempotent(tmp_path):

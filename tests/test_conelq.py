@@ -1,5 +1,6 @@
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -193,3 +194,50 @@ def test_riccati_pair_full_mode_exponentials(paper44_model):
     assert np.max(np.abs(sol.p_plus.values / p_plus_exact - 1.0)) <= 1e-12
     assert np.max(np.abs(sol.p_minus.values / p_minus_exact - 1.0)) <= 1e-12
     assert sol.p_plus(100.0) == 1.0 and sol.p_minus(100.0) == 1.0
+
+
+def _kappa_integrals_mpmath(model, cuts=()):
+    """int_0^T kappa+/- by mpmath quadrature, split at the breakpoints of r,
+    sigma and h and at ``cuts`` (where m crosses r)."""
+    c, mk, dr = model.claim, model.market, model.drift
+    T = model.objective.T
+    claim_rate = mpmath.mpf(c.a * c.eta / c.b) ** 2
+    points = sorted({0.0, T, *cuts, *(t for curve in (mk.r, mk.sigma, dr.h)
+                                      for t in curve.times.tolist() if 0.0 < t < T)})
+
+    def excess(t):
+        # m(t) = m0 exp(int_0^t h), with h constant on each piece
+        edges = [0.0] + [t_k for t_k in dr.h.times.tolist() if 0.0 < t_k < t] + [t]
+        log_growth = mpmath.fsum(mpmath.mpf(float(dr.h(lo))) * (hi - lo)
+                                 for lo, hi in zip(edges[:-1], edges[1:]))
+        return (mpmath.mpf(dr.m0) * mpmath.exp(log_growth)
+                - float(mk.r(float(t)))) / float(mk.sigma(float(t)))
+
+    with mpmath.workdps(40):
+        plus = mpmath.quad(lambda t: min(excess(t), 0) ** 2, points)
+        minus = mpmath.quad(lambda t: claim_rate + max(excess(t), 0) ** 2, points)
+    return float(plus), float(minus)
+
+
+@pytest.mark.parametrize("h, excess", [(1e-7, 0.0), (1e-8, 0.0), (1e-9, 0.0),
+                                       (0.0, 0.0), (1e-9, 1e-8)])
+def test_kappa_integral_with_tiny_drift_rate(h, excess):
+    # m = M e^{h t}, e0 = M - r: int (m - r)^2 = e0^2 T + 2 e0 M int expm1(h t)
+    # + M^2 int expm1(h t)^2.  The last two are O(h T^2) and O(h^2 T^3);
+    # formed from terms of size T they lost up to 2e-2 relative here.
+    model = make_model(a=1e-9, theta=0.2, eta=0.2, r=0.04, m0=0.04 + excess,
+                       h=h, info_mode="partial")
+    sol = riccati_pair(model)
+    plus, minus = _kappa_integrals_mpmath(model)
+    assert sol.kappa_plus_integral == plus == 0.0
+    assert sol.kappa_minus_integral == pytest.approx(minus, rel=1e-12, abs=0.0)
+
+
+def test_kappa_integrals_on_bench_partial_cfg():
+    model = load_config(BENCH_PARTIAL_CFG)[0]
+    sol = riccati_pair(model)
+    # m = 0.06 e^{-0.3 t} crosses r = 0.04 at t = ln(1.5)/0.3
+    crossing = float(mpmath.log(mpmath.mpf(0.06) / mpmath.mpf(0.04)) / mpmath.mpf(0.3))
+    plus, minus = _kappa_integrals_mpmath(model, cuts=(crossing,))
+    assert sol.kappa_plus_integral == pytest.approx(plus, rel=1e-12, abs=0.0)
+    assert sol.kappa_minus_integral == pytest.approx(minus, rel=1e-12, abs=0.0)

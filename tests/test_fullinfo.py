@@ -78,6 +78,43 @@ def test_region_classification(paper44_solution):
     assert sol.region(t, xc - 1.0) is Region.BELOW_CURVE
 
 
+@pytest.mark.parametrize("t", [0.0, 40.0, 99.5, 100.0])
+def test_value_and_region_broadcast_over_x(paper44_solution, t):
+    sol = paper44_solution
+    xc = float(sol.switching_x(t))
+    xs = np.concatenate([np.linspace(-30000.0, 30000.0, 1001),
+                         [xc, xc + 1e-9, xc - 1.0, xc + 1.0]])
+    values = value_function(t, xs, sol)
+    per_point = np.array([value_function(t, float(x), sol) for x in xs])
+    assert values.shape == xs.shape
+    assert np.all(np.abs(values - per_point) <= np.spacing(per_point))
+    regions = sol.region(t, xs)
+    assert regions.shape == xs.shape
+    assert all(got is sol.region(t, float(x)) for got, x in zip(regions, xs))
+    assert regions[-4] is Region.ON_CURVE
+    assert type(value_function(t, xc - 1.0, sol)) is float
+
+
+@pytest.mark.parametrize("compat", [False, True])
+@pytest.mark.parametrize("kw", [{}, dict(a=1e-9, m0=0.040000001)],
+                         ids=["paper44", "tiny-premium"])
+def test_dual_value_broadcasts_bitwise(compat, kw):
+    model = make_model(**kw)
+    d = model.objective.d
+    k = vertex_constant(model)
+    # the branch flips where k - (d - gamma) turns nonnegative
+    gammas = np.concatenate([
+        np.linspace(2.0 * gamma_star_full(model, d, compat), 2.0 * d, 1001),
+        [d - k, np.nextafter(d - k, -np.inf)]])
+    values = dual_value_full(model, d, gammas, compat)
+    per_point = np.array([dual_value_full(model, d, float(g), compat)
+                          for g in gammas])
+    assert values.tobytes() == per_point.tobytes()
+    below = k - (d - gammas) < 0
+    assert below.any() and not below.all()
+    assert type(dual_value_full(model, d, 1.0, compat)) is float
+
+
 def test_feedback_zero_above_curve(paper44_solution, paper44_model):
     sol = paper44_solution
     x = float(sol.switching_x(20.0)) + 50.0

@@ -10,9 +10,9 @@ go ``stdout.txt``, ``stderr.txt`` and ``exit_code.txt``.  The list covers
 every subcommand: ``validate`` on the four configs, on one with a faulty
 injected ``a1`` and on a tiny-premium one; ``frontier`` in full and partial
 mode, and in partial mode on a tiny-premium twin; ``value-surface``;
-the compat ``dual-curve``; ``filter``; and ``simulate`` in full mode and in
-partial physical and innovation dynamics, each at 1 and 2 workers, plus a
-``--store-paths`` run.  Two checkouts whose snapshots ``diff -r`` finds equal
+``dual-curve`` with the default and the compat constant; ``filter``; and
+``simulate`` in full mode and in partial physical and innovation dynamics,
+each at 1 and 2 workers, plus a ``--store-paths`` run.  Two checkouts whose snapshots ``diff -r`` finds equal
 produce the same bytes on all of them.
 """
 
@@ -56,6 +56,7 @@ OPS = [
      ("frontier", "--mode", "partial")),
     ("value-surface", PAPER44, ("value-surface",)),
     ("dual-curve-compat", PAPER44, ("--compat-paper-formulas", "dual-curve")),
+    ("dual-curve", PAPER44, ("dual-curve",)),
     ("filter", PARTIAL, ("filter", "--steps", "2000", "--seed", "5")),
     ("simulate-full-w1", SCALED, FULL_SIM + ("--workers", "1")),
     ("simulate-full-w2", SCALED, FULL_SIM + ("--workers", "2")),
