@@ -37,7 +37,7 @@ import numpy as np
 from .curves import SampledCurve, segments
 from .errors import MvreinsError
 from .model import ModelParams
-from .odekernel import integrate_backward
+from .odekernel import integrate_linear_backward
 
 Sign = Literal["plus", "minus"]
 
@@ -89,11 +89,19 @@ class LQCoefficients:
             raise ValueError("diffusion coefficients must be positive")
 
 
-def cone_quadratic_argmin(quad: float, lin: float) -> tuple[float, float]:
-    """Minimize quad*u^2 + 2*lin*u over u >= 0 (quad > 0); returns (argmin, value)."""
+def cone_quadratic_argmin(quad: float, lin):
+    """Minimize quad*u^2 + 2*lin*u over u >= 0 (quad > 0); returns (argmin, value).
+
+    Broadcasts over ``lin``: an array gives arrays, a float gives floats,
+    the same ones element by element.
+    """
     if quad <= 0:
         raise ValueError("quadratic coefficient must be positive")
-    u = max(0.0, -lin / quad)
+    if np.ndim(lin) == 0:
+        u = max(0.0, -lin / quad)
+    else:
+        ratio = -np.asarray(lin, dtype=float) / quad
+        u = np.where(ratio > 0.0, ratio, 0.0)  # max(0.0, ratio), as Python orders it
     return u, quad * u * u + 2.0 * lin * u
 
 
@@ -117,8 +125,12 @@ def xi_minimizer(sign: Sign, coeffs: LQCoefficients) -> ControlPair:
     return ControlPair(q, pi)
 
 
-def hamiltonian_min(sign: Sign, P: float, coeffs: LQCoefficients) -> float:
-    """Minimized signed Hamiltonian; always <= 0 since u = 0 is feasible."""
+def hamiltonian_min(sign: Sign, P: float, coeffs: LQCoefficients):
+    """Minimized signed Hamiltonian; always <= 0 since u = 0 is feasible.
+
+    Broadcasts over ``coeffs.b_pi``: an array of excess returns gives the
+    array of the scalar calls' values.
+    """
     if P <= 0:
         raise ValueError("P must be positive")
     s = _sign_factor(sign)
@@ -233,31 +245,29 @@ def solve_riccati_pair(model: ModelParams, m_bar,
     :func:`riccati_pair`.  ``m_bar`` is the deterministic drift curve: the
     exact expected return in full mode, or the projected filter mean in
     partial mode, as a :class:`~mvreins.curves.SampledCurve`; r and sigma
-    reach the right-hand side as their values on each piece.
-    Each kappa integral is 2 int_0^T r - log P(0).  Raises
-    :class:`RiccatiSolverError` if positivity is breached.
+    reach the right-hand side as their values on each piece.  H* is
+    degree-one homogeneous in P, so each equation is P' = c(t) P with
+    c = -(2r + H*(t, 1)), marched by
+    :func:`~mvreins.odekernel.integrate_linear_backward`: one array call of
+    :func:`hamiltonian_min` per segment and sign gives c at all its RK4
+    stage times.  Each kappa integral is 2 int_0^T r - log P(0).  Raises
+    :class:`RiccatiSolverError` if P+/- is not positive on the grid.
     """
     T = model.objective.T
     c = model.claim
-    m_at = m_bar.scalar_evaluator()
     b_q = c.a * c.eta
-
-    def make_rhs(sign: Sign):
-        def rhs(t, p, r, sigma):
-            if p <= 0:
-                raise RiccatiSolverError(
-                    f"P{'+' if sign == 'plus' else '-'} reached {p:.3e} <= 0 at t={t:.6g}"
-                )
-            coeffs = LQCoefficients(b_q=b_q, b_pi=m_at(t) - r, d_q=c.b, d_pi=sigma)
-            return -(2.0 * r * p + hamiltonian_min(sign, p, coeffs))
-        return rhs
-
     coefficients = (model.market.r, model.market.sigma)
-    p_plus = integrate_backward(make_rhs("plus"), 1.0, T, steps, curves=coefficients)
-    p_minus = integrate_backward(make_rhs("minus"), 1.0, T, steps, curves=coefficients)
-    for name, curve in (("P+", p_plus), ("P-", p_minus)):
+    curves = []
+    for sign, name in (("plus", "P+"), ("minus", "P-")):
+        def rate(t, r, sigma):
+            coeffs = LQCoefficients(b_q=b_q, b_pi=m_bar(t) - r, d_q=c.b, d_pi=sigma)
+            return -(2.0 * r + hamiltonian_min(sign, 1.0, coeffs))
+
+        curve = integrate_linear_backward(rate, T, steps, curves=coefficients)
         if curve.values.min() <= 0:
             raise RiccatiSolverError(f"{name} not positive on [0, T]")
+        curves.append(curve)
+    p_plus, p_minus = curves
     two_r = 2.0 * model.market.r.integral(0.0, T)
     return RiccatiSolution(
         p_plus=p_plus, p_minus=p_minus,

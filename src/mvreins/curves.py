@@ -175,34 +175,3 @@ class SampledCurve:
         if self.values.ndim == 1:
             raise ValueError("curve is scalar-valued")
         return SampledCurve(self.grid, self.values[:, k])
-
-    def scalar_evaluator(self):
-        """Fast scalar t -> value closure (1-D curves); clamps at the ends.
-
-        Same linear interpolation as ``__call__`` without numpy scalar
-        overhead or domain checks.  It serves the one ODE right-hand side
-        that reads a curve which is not piecewise constant, the drift m-bar
-        in the Riccati oracle; coefficient curves reach their right-hand
-        sides as per-piece constants instead.
-        """
-        if self.values.ndim != 1:
-            raise ValueError("scalar_evaluator requires a scalar-valued curve")
-        vals = self.values.tolist()
-        if all(v == vals[0] for v in vals):
-            v0 = vals[0]
-            return lambda t: v0
-        grid = self.grid.tolist()
-        lo, hi = grid[0], grid[-1]
-        from bisect import bisect_right
-
-        def ev(t):
-            if t <= lo:
-                return vals[0]
-            if t >= hi:
-                return vals[-1]
-            i = bisect_right(grid, t) - 1
-            t0, t1 = grid[i], grid[i + 1]
-            w = (t - t0) / (t1 - t0)
-            return vals[i] * (1.0 - w) + vals[i + 1] * w
-
-        return ev

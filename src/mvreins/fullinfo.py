@@ -236,11 +236,11 @@ def solve_pqr(model: ModelParams, d: float, gamma: float) -> tuple[SampledCurve,
     r, a1, f = model.market.r.constant_value(), _a1(model), _f(model, d, gamma)
 
     def rhs1(t, y):
-        P, Q, _R = y
+        P, Q, _R = y.tolist()
         return np.array([-2.0 * r * P, -r * Q - f * P, -f * Q])
 
     def rhs2(t, y):
-        P, Q, _R = y
+        P, Q, _R = y.tolist()
         return np.array([-(2.0 * r + 2.0 * a1) * P,
                          -(r + 2.0 * a1) * Q - f * P,
                          -a1 * Q * Q / P - f * Q])

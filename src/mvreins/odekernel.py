@@ -1,21 +1,27 @@
 """Shared deterministic numerics: fixed-step RK4 integration and seeded Gaussian streams.
 
-One RK4 march serves both directions: :func:`integrate_forward` and
-:func:`integrate_backward` are the same segment loop run from 0 to T or from T
-to 0.  Production code solves nothing with it but the conditional variance
-(:func:`~mvreins.filtering.solve_variance`); every other caller is an oracle
-that checks a closed form (the Riccati pair, the full-information P, Q, R
-coefficients, the riskless wealth).  The problems are smooth and non-stiff,
-so the step is fixed.  The march is cut where the piecewise-constant
-coefficient curves it is given jump (:func:`~mvreins.curves.segments`), so
-every segment is smooth and keeps 4th-order accuracy, and the right-hand side
-receives each segment's coefficient values as arguments instead of looking
-the curves up at every stage.
+Two RK4 marches share one segment loop.  The general march serves
+:func:`integrate_forward` and :func:`integrate_backward`, the same loop run
+from 0 to T or from T to 0; it calls the right-hand side at every stage.
+Production code solves nothing with it but the conditional variance
+(:func:`~mvreins.filtering.solve_variance`); its other callers are oracles
+that check a closed form (the full-information P, Q, R coefficients, the
+riskless wealth).  The linear march, :func:`integrate_linear_backward`,
+solves y' = c(t) y backward from y(T) = 1 for the Riccati oracle
+(:func:`~mvreins.conelq.solve_riccati_pair`): it evaluates c at every stage
+time of a segment in one array call, and its RK4 step is a per-step factor.
+The problems are smooth and non-stiff, so the step is fixed.  Both marches
+are cut where the piecewise-constant coefficient curves they are given jump
+(:func:`~mvreins.curves.segments`), so every segment is smooth and keeps
+4th-order accuracy, and the right-hand side receives each segment's
+coefficient values as arguments instead of looking the curves up at every
+stage.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import accumulate
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -30,14 +36,12 @@ class IntegrationDivergedError(MvreinsError):
     in (a negative conditional variance): the step is too coarse."""
 
 
-def _march(rhs: Callable, y, t0: float, t1: float, steps: int, coeffs: Sequence):
-    """RK4 march of y from t0 to t1 (either way) in one segment; returns the
-    times after t0, the states there and the final state.
+def _stage_times(t0: float, t1: float, steps: int):
+    """Step h, the step end times (times[0] = t0, times[-1] = t1) and the
+    (steps, 3) RK4 stage times of one segment marched from t0 to t1.
 
-    ``rhs`` is called as ``rhs(t, y, *coeffs)``.  Stage times are clamped to
-    [lo, nextafter(hi, lo)], so a stage that rounds past either edge still
-    sees a time inside this segment.  A non-finite state raises before any
-    rhs sees it.
+    Stage times are clamped to [lo, nextafter(hi, lo)], so a stage that
+    rounds past either edge still sees a time inside this segment.
     """
     h = (t1 - t0) / steps
     times = t0 + h * np.arange(steps + 1)
@@ -45,6 +49,17 @@ def _march(rhs: Callable, y, t0: float, t1: float, steps: int, coeffs: Sequence)
     lo, hi = min(t0, t1), max(t0, t1)
     stage_times = np.clip(times[:-1, None] + np.array([0.0, 0.5 * h, h]),
                           lo, np.nextafter(hi, lo))
+    return h, times, stage_times
+
+
+def _march(rhs: Callable, y, t0: float, t1: float, steps: int, coeffs: Sequence):
+    """RK4 march of y from t0 to t1 (either way) in one segment; returns the
+    times after t0, the states there and the final state.
+
+    ``rhs`` is called as ``rhs(t, y, *coeffs)`` at the stage times of
+    :func:`_stage_times`.  A non-finite state raises before any rhs sees it.
+    """
+    h, times, stage_times = _stage_times(t0, t1, steps)
     states = np.empty((steps,) + np.shape(y))
     finite = math.isfinite if np.ndim(y) == 0 else (lambda v: np.isfinite(v).all())
     # row by row: one tolist() of every row would hold 3 floats per step at once
@@ -63,15 +78,43 @@ def _march(rhs: Callable, y, t0: float, t1: float, steps: int, coeffs: Sequence)
     return times[1:], states, y
 
 
-def _integrate(rhs: Callable, y_start, t_from: float, t_to: float, steps: int,
-               curves: Sequence[PiecewiseConstantCurve]) -> SampledCurve:
+def _march_linear(rate: Callable, y: float, t0: float, t1: float, steps: int,
+                  coeffs: Sequence):
+    """RK4 march of y' = c(t) y from t0 to t1 in one segment; returns as
+    :func:`_march` does.
+
+    ``rate(stage_times, *coeffs)`` returns c at all the segment's stage
+    times at once.  With c_i = h c(stage i), the RK4 step of this equation
+    is y <- y + y delta, delta = (c_1 + 2 k_2 + 2 k_3 + k_4)/6, with
+    k_2 = c_2 (1 + c_1/2), k_3 = c_2 (1 + k_2/2), k_4 = c_4 (1 + k_3).  The
+    steps run as a float loop: a product of the factors 1 + delta in numpy
+    would round each alike and let the error grow with the step count.
+    """
+    h, times, stage_times = _stage_times(t0, t1, steps)
+    c1, c2, c4 = (h * rate(stage_times, *coeffs)).T
+    k2 = c2 * (1.0 + 0.5 * c1)
+    k3 = c2 * (1.0 + 0.5 * k2)
+    k4 = c4 * (1.0 + k3)
+    delta = (c1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
+    states = np.array(list(accumulate(delta.tolist(), lambda v, d: v + v * d,
+                                      initial=y))[1:])
+    bad = ~np.isfinite(states)
+    if bad.any():
+        raise IntegrationDivergedError(
+            f"non-finite state at t={times[np.argmax(bad) + 1]:.6g}")
+    return times[1:], states, float(states[-1])
+
+
+def _integrate(march: Callable, rhs: Callable, y_start, t_from: float, t_to: float,
+               steps: int, curves: Sequence[PiecewiseConstantCurve]) -> SampledCurve:
     """RK4 solve of y' = rhs(t, y, *c), y(t_from) = y_start, marched to t_to either way.
 
-    The march is cut at the breakpoints of ``curves``; on each segment ``c``
-    holds their values there, as Python floats.  Each segment gets
-    max(1, round(steps * len / total)) steps; the curve is returned on an
-    ascending grid.  A scalar state marches as a float and ``rhs`` returns a
-    float; a vector state's ``rhs`` returns an array.
+    ``march`` is :func:`_march` or :func:`_march_linear`, which gives ``rhs``
+    its meaning.  The march is cut at the breakpoints of ``curves``; on each
+    segment ``c`` holds their values there, as Python floats.  Each segment
+    gets max(1, round(steps * len / total)) steps; the curve is returned on
+    an ascending grid.  A scalar state marches as a float and ``rhs``
+    returns a float; a vector state's ``rhs`` returns an array.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
@@ -84,7 +127,7 @@ def _integrate(rhs: Callable, y_start, t_from: float, t_to: float, steps: int,
     grids, blocks = [np.array([t_from], dtype=float)], [np.array([y])]
     for a, b, *coeffs in pieces:
         n = max(1, round(steps * (b - a) / (t_to - t_from)))
-        times, states, y = _march(rhs, y, a, b, n, tuple(coeffs))
+        times, states, y = march(rhs, y, a, b, n, tuple(coeffs))
         grids.append(times)
         blocks.append(states)
     grid, values = np.concatenate(grids), np.concatenate(blocks)
@@ -103,14 +146,27 @@ def integrate_backward(rhs: Callable, terminal, T: float, steps: int = 10000, *,
     or a vector; the returned curve matches its shape.  Raises
     :class:`IntegrationDivergedError` if the state becomes non-finite.
     """
-    return _integrate(rhs, terminal, T, 0.0, steps, curves)
+    return _integrate(_march, rhs, terminal, T, 0.0, steps, curves)
 
 
 def integrate_forward(rhs: Callable, initial, T: float, steps: int = 10000, *,
                       curves: Sequence[PiecewiseConstantCurve] = ()) -> SampledCurve:
     """Solve y' = rhs(t, y, *c) with y(0) = initial, marching to T; ``c`` as
     in :func:`integrate_backward`."""
-    return _integrate(rhs, initial, 0.0, T, steps, curves)
+    return _integrate(_march, rhs, initial, 0.0, T, steps, curves)
+
+
+def integrate_linear_backward(rate: Callable, T: float, steps: int, *,
+                              curves: Sequence[PiecewiseConstantCurve]) -> SampledCurve:
+    """Solve y' = c(t) y with y(T) = 1, marching back to 0 by RK4.
+
+    ``rate(stage_times, *c)`` receives an (n, 3) array of one segment's RK4
+    stage times and ``c``, the values of ``curves`` there, and returns c(t)
+    at those times.  Segments and step counts are those of
+    :func:`integrate_backward`.  Returns the solution on an ascending grid;
+    raises :class:`IntegrationDivergedError` if it becomes non-finite.
+    """
+    return _integrate(_march_linear, rate, 1.0, T, 0.0, steps, curves)
 
 
 @dataclass(frozen=True)

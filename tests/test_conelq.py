@@ -6,10 +6,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mvreins.config import load_config
-from mvreins.conelq import (ControlPair, LQCoefficients, cone_quadratic_argmin,
-                            hamiltonian_min, riccati_pair, solve_riccati_pair,
-                            xi_minimizer)
+from mvreins.conelq import (ControlPair, LQCoefficients, RiccatiSolverError,
+                            cone_quadratic_argmin, hamiltonian_min, riccati_pair,
+                            solve_riccati_pair, xi_minimizer)
+from mvreins.curves import SampledCurve
 from mvreins.filtering import projected_mean_curve
+from mvreins.odekernel import integrate_backward
 
 from conftest import make_model
 
@@ -72,6 +74,17 @@ def test_hamiltonian_degree_one_homogeneity():
         for s in ("plus", "minus"):
             assert hamiltonian_min(s, alpha, coeffs) == \
                 pytest.approx(alpha * base[s], rel=1e-12)
+
+
+@pytest.mark.parametrize("sign", ["plus", "minus"])
+def test_hamiltonian_broadcasts_over_b_pi(sign):
+    b_pi = np.array([-0.7, -1e-12, 0.0, 1e-12, 0.02, 3.0])
+    coeffs = LQCoefficients(b_q=0.7, b_pi=b_pi, d_q=1.3, d_pi=0.6)
+    got = hamiltonian_min(sign, 1.0, coeffs)
+    scalar = [hamiltonian_min(sign, 1.0, LQCoefficients(0.7, b, 1.3, 0.6))
+              for b in b_pi.tolist()]
+    assert all(type(v) is float for v in scalar)
+    assert np.array_equal(got.view(np.int64), np.array(scalar).view(np.int64))
 
 
 def test_nonpositive_p_rejected():
@@ -150,6 +163,37 @@ def test_riccati_positive_and_below_envelope(partial_filter_model):
     for curve in (sol.p_plus, sol.p_minus):
         assert curve.values.min() > 0
         assert np.all(curve.values <= envelope * (1 + 1e-9))
+
+
+def test_linear_march_matches_the_general_march_on_bench_partial_cfg():
+    # The oracle marches P' = c P with c from one array Hamiltonian call per
+    # segment; the general march evaluates -(2 r P + H*(t, P)) stage by stage.
+    # On partial.cfg both cross the r and sigma breakpoints and m = r.
+    model = load_config(BENCH_PARTIAL_CFG)[0]
+    T, c = model.objective.T, model.claim
+    m_bar = projected_mean_curve(model.drift, T, samples=10001)
+    linear = solve_riccati_pair(model, m_bar, steps=10000)
+    for sign, got in (("plus", linear.p_plus), ("minus", linear.p_minus)):
+        def rhs(t, p, r, sigma):
+            coeffs = LQCoefficients(b_q=c.a * c.eta, b_pi=m_bar(t) - r,
+                                    d_q=c.b, d_pi=sigma)
+            return -(2.0 * r * p + hamiltonian_min(sign, p, coeffs))
+
+        ref = integrate_backward(rhs, 1.0, T, 10000,
+                                 curves=(model.market.r, model.market.sigma))
+        assert np.array_equal(got.grid, ref.grid)
+        assert np.max(np.abs(got.values / ref.values - 1.0)) <= 1e-13
+
+
+def test_riccati_oracle_raises_when_p_crosses_zero(paper44_model):
+    # m jumps to r + 40 sigma around t = 50 only, so kappa- is about 1600 at
+    # the one stage time t = 50 of the steps on either side (h = -0.01): each
+    # step's factor is 1 + h c / 6, about -1.7, and P- turns negative at t = 50.
+    r, m0 = 0.04, 0.06
+    m_bar = SampledCurve(np.array([0.0, 49.9995, 50.0, 50.0005, 100.0]),
+                         np.array([m0, m0, r + 40.0, m0, m0]))
+    with pytest.raises(RiccatiSolverError, match="P- not positive"):
+        solve_riccati_pair(paper44_model, m_bar, steps=10000)
 
 
 def _partial(**kw):

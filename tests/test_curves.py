@@ -80,13 +80,6 @@ def test_sampled_monotone_consistent(values):
     assert np.all(out <= np.maximum(vals[lo], vals[hi]) + 1e-12)
 
 
-def test_scalar_evaluators_agree_with_call():
-    sc = SampledCurve(np.array([0.0, 1.0, 2.0]), np.array([0.0, 2.0, -4.0]))
-    ev2 = sc.scalar_evaluator()
-    for t in [0.0, 0.25, 1.0, 1.5, 2.0]:
-        assert ev2(t) == pytest.approx(sc(t), abs=1e-15)
-
-
 def test_antiderivative_matches_integral_from_zero():
     c = as_curve([(0.0, 0.04), (1.5, -0.3), (4.0, 0.05)])
     ts = np.concatenate((np.linspace(0.0, 10.0, 97), [1.5, 4.0]))

@@ -4,7 +4,12 @@ import pytest
 from mvreins.curves import as_curve
 from mvreins.odekernel import (IntegrationDivergedError, RngStream,
                                gaussian_increments, integrate_backward,
-                               integrate_forward)
+                               integrate_forward, integrate_linear_backward)
+
+
+def _constant_rate(c):
+    """A linear-march rate that is c at every stage time."""
+    return lambda stage_times: np.full(stage_times.shape, c)
 
 
 def test_backward_exponential_long_horizon():
@@ -24,11 +29,16 @@ def test_backward_unit_decay():
     assert curve(0.0) == pytest.approx(np.e, rel=1e-10)
 
 
-def test_fourth_order_convergence():
+@pytest.mark.parametrize("solve", [
+    lambda steps: integrate_backward(lambda t, p: -p, 1.0, 1.0, steps),
+    lambda steps: integrate_linear_backward(_constant_rate(-1.0), 1.0, steps,
+                                            curves=()),
+], ids=["general", "linear"])
+def test_fourth_order_convergence(solve):
     exact = np.e
     errs = []
     for steps in (50, 100, 200):
-        curve = integrate_backward(lambda t, p: -p, 1.0, 1.0, steps)
+        curve = solve(steps)
         errs.append(abs(curve(0.0) - exact))
     # Halving the step should shrink the error ~16x.
     assert 12.0 < errs[0] / errs[1] < 20.0
@@ -57,9 +67,14 @@ def test_breakpoint_alignment_exactness():
     assert np.any(curve.grid == 1.0)  # grid aligned to the jump
 
 
-def test_divergence_raises():
-    with pytest.raises(IntegrationDivergedError):
-        integrate_forward(lambda t, y: y * y, 10.0, 5.0, 100)
+@pytest.mark.parametrize("solve", [
+    lambda: integrate_forward(lambda t, y: y * y, 10.0, 5.0, 100),
+    # y = e^{1000 (5 - t)} overflows some 60 steps back from t = 5
+    lambda: integrate_linear_backward(_constant_rate(-1e3), 5.0, 100, curves=()),
+], ids=["general", "linear"])
+def test_divergence_raises(solve):
+    with pytest.raises(IntegrationDivergedError, match="non-finite state at t="):
+        solve()
 
 
 def test_gaussian_increments_deterministic():
