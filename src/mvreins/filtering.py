@@ -86,12 +86,20 @@ class FilterCoefficients:
     sigma: np.ndarray
     vol: np.ndarray
 
-    def advance(self, k: int, m, innovation, dt: float):
+    def advance(self, k: int, m, innovation, dt: float, scratch=None):
         """Euler step k of the filter mean, m + h m dt + vol dWbar, given the
         innovation increment dWbar: in place for an array m, and returned so
-        that a float m works too."""
-        m += self.h[k] * m * dt
-        m += self.vol[k] * innovation
+        that a float m works too.  An array m takes a ``scratch`` array of its
+        shape for the two terms, so the step allocates nothing."""
+        if scratch is None:
+            m += self.h[k] * m * dt
+            m += self.vol[k] * innovation
+            return m
+        np.multiply(m, self.h[k], out=scratch)
+        scratch *= dt
+        m += scratch
+        np.multiply(innovation, self.vol[k], out=scratch)
+        m += scratch
         return m
 
 
@@ -129,9 +137,10 @@ def run_filter(observed_returns, drift: DriftParams, sigma,
     means = np.empty(obs.shape[:-1] + (n_steps + 1,))
     innovations = np.empty(obs.shape)
     means[..., 0] = m = np.full(obs.shape[:-1], drift.m0)
+    scratch = np.empty_like(m)
     for k in range(n_steps):
         innovations[..., k] = (obs[..., k] - m * dt) / coef.sigma[k]
-        means[..., k + 1] = coef.advance(k, m, innovations[..., k], dt)
+        means[..., k + 1] = coef.advance(k, m, innovations[..., k], dt, scratch)
     return FilterPath(times, means, variance(times), innovations)
 
 

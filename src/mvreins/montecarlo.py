@@ -25,8 +25,14 @@ the tested tolerances.
 
 Each block keeps its state arrays and updates them in place, adding the terms
 in the same order as the plain expressions, so results do not depend on the
-update style.  The arrays handed to a strategy are therefore valid only during
-the call: read them, or return views of them, but copy what must outlive it.
+update style.  Every temporary of a step (wealth and price terms, the
+innovation, the filter and hidden-drift increments) goes into buffers the
+block allocates once, so a step allocates only its normals and the
+strategy's outputs.  The arrays handed to a strategy are therefore valid only
+during the call: read them, or return views of them, but copy what must
+outlive it.  Worker threads call one strategy at the same time, so a
+strategy allocates its outputs on every call and keeps nothing between calls
+but pure functions of t (a per-t table of coefficients).
 Under a degenerate drift with h = 0 (every full-information model) the
 filter's vol, h and l vanish and mu = m = m0 at every step, so those updates
 are skipped and the scalar m0 is the wealth and price drift.
@@ -221,6 +227,8 @@ def _simulate(model: ModelParams, strategy, cfg: SimConfig, workers: int,
         int_q2 = np.zeros(nb)
         int_pi2 = np.zeros(nb)
         incr, noise, tmp = np.empty(nb), np.empty(nb), np.empty(nb)
+        if not dead:
+            excess, log_drift, innov = np.empty(nb), np.empty(nb), np.empty(nb)
         if traj is not None:
             traj[lo:hi, 0] = X
         # overflow on a diverging path propagates to its terminal flag
@@ -239,13 +247,21 @@ def _simulate(model: ModelParams, strategy, cfg: SimConfig, workers: int,
                 dW = rng.standard_normal((n_normals, nb))
                 dW *= sdt
                 dW0, dW1 = dW[0], dW[1]
-                drift = dr.m0 if dead else (mu if physical else m)
+                if dead:
+                    drift = dr.m0
+                    excess = drift - r_k
+                    log_drift = (drift - 0.5 * sig_k * sig_k) * dt
+                else:
+                    drift = mu if physical else m
+                    np.subtract(drift, r_k, out=excess)
+                    np.subtract(drift, 0.5 * sig_k * sig_k, out=log_drift)
+                    log_drift *= dt
                 # incr = [a(theta-eta) + a eta q + r X + (drift - r) pi] dt
                 np.multiply(q, a_eta, out=incr)
                 incr += drift_const
                 np.multiply(X, r_k, out=tmp)
                 incr += tmp
-                np.multiply(pi, drift - r_k, out=tmp)
+                np.multiply(pi, excess, out=tmp)
                 incr += tmp
                 incr *= dt
                 np.multiply(q, c.b, out=tmp)
@@ -256,22 +272,28 @@ def _simulate(model: ModelParams, strategy, cfg: SimConfig, workers: int,
                 X += dW0
                 X += noise
                 np.multiply(dW1, sig_k, out=noise)
-                log_s += (drift - 0.5 * sig_k * sig_k) * dt
+                log_s += log_drift
                 log_s += noise
                 if dead:
                     pass            # mu = m = m0 throughout
                 elif physical:
-                    innov = mu * dt
+                    np.multiply(mu, dt, out=innov)
                     innov += noise          # observed return mu dt + sigma dW1
-                    innov -= m * dt
+                    np.multiply(m, dt, out=tmp)
+                    innov -= tmp
                     innov /= sig_k
-                    coef.advance(k, m, innov, dt)
-                    mu += coef.h[k] * mu * dt
+                    coef.advance(k, m, innov, dt, tmp)
+                    np.multiply(mu, coef.h[k], out=tmp)
+                    tmp *= dt
+                    mu += tmp
                     if drift_noise:
-                        mu += coef.l[k] * dW1
-                        mu += coef.z[k] * dW[2]
+                        np.multiply(dW1, coef.l[k], out=tmp)
+                        mu += tmp
+                        dW2 = dW[2]
+                        dW2 *= coef.z[k]
+                        mu += dW2
                 else:
-                    coef.advance(k, m, dW1, dt)  # dW1 is the innovation
+                    coef.advance(k, m, dW1, dt, tmp)  # dW1 is the innovation
                 if traj is not None:
                     traj[lo:hi, k + 1] = X
         X_out[lo:hi] = X

@@ -141,18 +141,42 @@ def partial_feedback_strategy(sol: PartialSolution, model: ModelParams):
     """Vectorized (t, wealth, filtered mean) -> (q, pi) arrays, for simulation.
 
     Same formulas as :func:`feedback_partial`, evaluated on whole path blocks;
-    xi components are clipped at zero per coordinate (cone constraint).
+    xi components are clipped at zero per coordinate (cone constraint).  With
+    gap = x - gamma* e^{-int_t^T r} and excess = (m - r)/sigma^2,
+
+        pi = max(excess, 0) gap^- + max(-excess, 0) gap^+
+           = max(((r - m)/sigma^2) gap, 0),
+
+    bit for bit wherever gap and excess are finite: (r - m)/sigma^2 is
+    exactly -excess, because negation and rounding commute, and at most one
+    term of the two-term sum is non-zero, so the sum adds no rounding.  A
+    product of -0.0 leaves numpy's maximum(-0.0, 0.0) as +0.0, the sum's zero.
+
+    The per-time scalars gamma* e^{-int_t^T r}, r(t) and sigma(t)^2 are
+    formed once per t and kept in a table keyed by t, so every block of a
+    simulation reuses them.  They are pure functions of t, so worker threads
+    that call the strategy at once can only compute an entry twice, and a
+    strategy reused on another time grid looks up its own times.  Both
+    outputs are fresh arrays on every call.
     """
     c, mk = model.claim, model.market
     coef_q_minus = c.a * c.eta / c.b ** 2  # xi- retention component, constant
+    per_t = {}
 
     def strategy(t, x, m):
-        disc = model.discount_to_horizon(t)
-        gap = x - sol.gamma_star * disc
-        pos, neg = np.maximum(gap, 0.0), np.maximum(-gap, 0.0)
-        excess = (m - mk.r(t)) / mk.sigma(t) ** 2
-        q = coef_q_minus * neg  # xi+ retention component is always zero
-        pi = np.maximum(excess, 0.0) * neg + np.maximum(-excess, 0.0) * pos
+        scalars = per_t.get(t)
+        if scalars is None:
+            scalars = per_t[t] = (sol.gamma_star * model.discount_to_horizon(t),
+                                  mk.r(t), mk.sigma(t) ** 2)
+        level, r_t, var_t = scalars
+        gap = np.subtract(x, level)
+        pi = np.subtract(r_t, m)
+        pi /= var_t
+        pi *= gap
+        np.maximum(pi, 0.0, out=pi)
+        q = np.negative(gap, out=gap)
+        np.maximum(q, 0.0, out=q)
+        q *= coef_q_minus  # xi+ retention component is always zero
         return q, pi
 
     return strategy

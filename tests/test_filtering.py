@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 import mvreins as mv
-from mvreins.filtering import projected_mean_curve, run_filter, solve_variance
+from mvreins.filtering import (filter_coefficients, projected_mean_curve,
+                               run_filter, solve_variance)
 
 STEADY_STATE = -3.0 + np.sqrt(13.0)  # positive root of n^2 + 6n - 4 = 0
 
@@ -92,6 +93,29 @@ def test_run_filter_zero_gain_is_euler_growth():
     np.testing.assert_allclose(path.means, expected, rtol=1e-13)
     # Euler growth approximates exp(h t) at O(dt)
     assert path.means[-1] == pytest.approx(0.05 * np.exp(0.3), rel=2e-3)
+
+
+def test_advance_with_scratch_is_the_plain_euler_step():
+    """The array step through a scratch array is bitwise m + h m dt + vol
+    dWbar, and leaves the innovation alone; a float m still gives a float."""
+    drift = mv.DriftParams(h=[(0.0, -0.3), (0.5, 0.2)], l=3.0, z=2.0,
+                           m0=0.06, n0=0.1)
+    dt, n_steps = 0.01, 100
+    coef = filter_coefficients(drift, 1.0, solve_variance(drift, 1.0, 1.0),
+                               n_steps, dt)
+    rng = np.random.default_rng(5)
+    m = rng.normal(0.06, 0.1, size=257)
+    scratch = np.empty_like(m)
+    for k in range(n_steps):
+        innovation = rng.normal(0.0, np.sqrt(dt), size=m.size)
+        kept = innovation.copy()
+        expected = m + coef.h[k] * m * dt + coef.vol[k] * innovation
+        assert coef.advance(k, m, innovation, dt, scratch) is m
+        assert np.array_equal(m, expected)
+        assert np.array_equal(innovation, kept)
+    m_float = coef.advance(3, 0.06, 0.01, dt)
+    assert isinstance(m_float, float)
+    assert m_float == 0.06 + coef.h[3] * 0.06 * dt + coef.vol[3] * 0.01
 
 
 def test_run_filter_steps_on_exact_grid_across_breakpoint():

@@ -151,15 +151,21 @@ def plain_euler(model, strategy, cfg, physical):
     return X, np.exp(log_s), mu - m if physical else None, int_q2
 
 
-@pytest.mark.parametrize("drift, mode", [
+HIDDEN = dict(h=-0.3, l=0.3, z=0.2, n0=0.05)
+# r and sigma jump inside T = 1, so the per-step tables change mid-run
+PIECEWISE = dict(HIDDEN, r=[(0.0, 0.04), (0.5, 0.05)],
+                 sigma=[(0.0, 0.5), (0.7, 0.6)])
+
+
+@pytest.mark.parametrize("params, mode", [
     (dict(), "physical"), (dict(), "innovation"),
-    (dict(h=-0.3, l=0.3, z=0.2, n0=0.05), "physical"),
-    (dict(h=-0.3, l=0.3, z=0.2, n0=0.05), "innovation")],
+    (HIDDEN, "physical"), (HIDDEN, "innovation"),
+    (PIECEWISE, "physical"), (PIECEWISE, "innovation")],
     ids=["known-physical", "known-innovation", "hidden-physical",
-         "hidden-innovation"])
-def test_engine_matches_plain_euler_bitwise(drift, mode):
-    model = make_model(theta=0.2, eta=0.2, sigma=0.5, m0=0.06, T=1.0, d=55.0,
-                       info_mode="partial", **drift)
+         "hidden-innovation", "piecewise-physical", "piecewise-innovation"])
+def test_engine_matches_plain_euler_bitwise(params, mode):
+    model = make_model(**{**dict(theta=0.2, eta=0.2, sigma=0.5, m0=0.06, T=1.0,
+                                 d=55.0, info_mode="partial"), **params})
     strategy = mv.partial_feedback_strategy(mv.solve_partial(model), model)
     cfg = SimConfig(n_paths=300, dt=0.01, seed=17)
     simulate = simulate_physical if mode == "physical" else simulate_innovation

@@ -1,3 +1,7 @@
+import sys
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy import optimize
@@ -5,6 +9,7 @@ from scipy import optimize
 import mvreins as mv
 from conftest import make_model
 from mvreins.conelq import RiccatiSolution
+from mvreins.config import load_config
 from mvreins.curves import SampledCurve
 from mvreins.frontier import InfeasibleTargetError
 from mvreins.partialinfo import (ModelDegenerateError, dual_value_partial,
@@ -13,6 +18,8 @@ from mvreins.partialinfo import (ModelDegenerateError, dual_value_partial,
                                  gamma_star_partial, partial_feedback_strategy,
                                  solve_partial)
 from mvreins.validation import _dual_argmax_check
+
+BENCH_PARTIAL_CFG = Path(__file__).resolve().parents[1] / "bench" / "configs" / "partial.cfg"
 
 
 @pytest.fixture(scope="module")
@@ -170,6 +177,115 @@ def test_vectorized_strategy_matches_scalar(exact_solution,
         u = feedback_partial(t, x, m, exact_solution, partial_exact_model)
         assert q == pytest.approx(u.q, rel=1e-12, abs=1e-12)
         assert pi == pytest.approx(u.pi, rel=1e-12, abs=1e-12)
+
+
+@pytest.fixture(scope="module")
+def bench_partial():
+    """Bench ``partial.cfg``: r jumps at t = 4, sigma at t = 6, h < 0."""
+    model, _ = load_config(BENCH_PARTIAL_CFG)
+    return solve_partial(model), model
+
+
+def four_term_strategy(sol, model):
+    """The feedback as max(excess, 0) gap^- + max(-excess, 0) gap^+, every
+    scalar formed on each call: the reference for the two-pass form."""
+    c, mk = model.claim, model.market
+    coef_q_minus = c.a * c.eta / c.b ** 2
+
+    def strategy(t, x, m):
+        disc = model.discount_to_horizon(t)
+        gap = x - sol.gamma_star * disc
+        pos, neg = np.maximum(gap, 0.0), np.maximum(-gap, 0.0)
+        excess = (m - mk.r(t)) / mk.sigma(t) ** 2
+        q = coef_q_minus * neg
+        pi = np.maximum(excess, 0.0) * neg + np.maximum(-excess, 0.0) * pos
+        return q, pi
+
+    return strategy
+
+
+def strategy_inputs(t, sol, model, rng):
+    """x and m around the switching level and r(t): gap and excess each take
+    both signs, and gap = 0 and m = r(t) exactly."""
+    level = sol.gamma_star * model.discount_to_horizon(t)
+    r = model.market.r(t)
+    dx = np.concatenate([[0.0], rng.uniform(-30.0, 30.0, 7), [-1e-9, 1e-9]])
+    dm = np.concatenate([[0.0], rng.uniform(-0.2, 0.2, 7), [-1e-12, 1e-12]])
+    x, m = np.meshgrid(level + dx, r + dm)
+    return x.ravel(), m.ravel()
+
+
+def assert_bitwise(a, b):
+    assert np.array_equal(a, b)
+    assert np.array_equal(np.signbit(a), np.signbit(b))
+
+
+def test_two_pass_feedback_matches_four_term_form_bitwise(bench_partial):
+    sol, model = bench_partial
+    strategy = partial_feedback_strategy(sol, model)
+    reference = four_term_strategy(sol, model)
+    rng = np.random.default_rng(13)
+    times = 0.025 * np.arange(400)
+    assert 4.0 in times and 6.0 in times
+    signs = set()
+    for t in times.tolist():
+        x, m = strategy_inputs(t, sol, model, rng)
+        q, pi = strategy(t, x, m)
+        q_ref, pi_ref = reference(t, x, m)
+        assert_bitwise(q, q_ref)
+        assert_bitwise(pi, pi_ref)
+        signs |= set(zip(np.sign(x - sol.gamma_star * model.discount_to_horizon(t)),
+                         np.sign(m - model.market.r(t))))
+    assert signs == {(g, e) for g in (-1, 0, 1) for e in (-1, 0, 1)}
+
+
+def test_strategy_reused_across_grids_matches_fresh_ones(bench_partial):
+    """The per-t table serves each grid its own times, and every call returns
+    fresh arrays that share no memory with the inputs or with each other."""
+    sol, model = bench_partial
+    reused = partial_feedback_strategy(sol, model)
+    rng = np.random.default_rng(29)
+    for dt, n_steps in ((0.1, 100), (0.025, 400)):
+        fresh = partial_feedback_strategy(sol, model)
+        for k in range(n_steps):
+            t = k * dt
+            x, m = strategy_inputs(t, sol, model, rng)
+            q, pi = reused(t, x, m)
+            q_fresh, pi_fresh = fresh(t, x, m)
+            assert_bitwise(q, q_fresh)
+            assert_bitwise(pi, pi_fresh)
+            q_again, pi_again = reused(t, x, m)
+            for a in (q, pi):
+                for b in (q_again, pi_again, x, m):
+                    assert not np.shares_memory(a, b)
+            assert not np.shares_memory(q, pi)
+            assert_bitwise(q, q_fresh)
+            assert_bitwise(pi, pi_fresh)
+
+
+def test_strategy_called_from_threads_matches_serial(bench_partial):
+    """Worker threads call one strategy at once, as the engine's do: more
+    threads than cores and a short switch interval must still give every
+    call the serial result."""
+    sol, model = bench_partial
+    rng = np.random.default_rng(31)
+    times = (0.025 * np.arange(400)).tolist()
+    inputs = [strategy_inputs(t, sol, model, rng) for t in times]
+    serial = partial_feedback_strategy(sol, model)
+    expected = [serial(t, x, m) for t, (x, m) in zip(times, inputs)]
+    shared = partial_feedback_strategy(sol, model)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [pool.submit(shared, t, x, m)
+                       for _ in range(4) for t, (x, m) in zip(times, inputs)]
+            got = [f.result(timeout=60) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    for (q, pi), (q_ref, pi_ref) in zip(got, expected * 4):
+        assert_bitwise(q, q_ref)
+        assert_bitwise(pi, pi_ref)
 
 
 def test_degenerate_denominator_raises(partial_exact_model):
