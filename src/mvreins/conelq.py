@@ -263,7 +263,8 @@ def solve_riccati_pair(model: ModelParams, m_bar,
             coeffs = LQCoefficients(b_q=b_q, b_pi=m_bar(t) - r, d_q=c.b, d_pi=sigma)
             return -(2.0 * r + hamiltonian_min(sign, 1.0, coeffs))
 
-        curve = integrate_linear_backward(rate, T, steps, curves=coefficients)
+        curve = integrate_linear_backward(rate, 1.0, T, steps,
+                                          curves=coefficients)
         if curve.values.min() <= 0:
             raise RiccatiSolverError(f"{name} not positive on [0, T]")
         curves.append(curve)

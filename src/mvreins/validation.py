@@ -25,6 +25,11 @@ from .model import (INFO_FULL, ModelParams, riskless_terminal_wealth,
                     riskless_terminal_wealth_ode, validate)
 
 
+# Cap on the P, Q, R oracle's step doubling: 2000 * 2^6.  Past it the
+# spread of a long, fast-growing solve is mostly rounding, not resolution.
+_PQR_MAX_STEPS = 128_000
+
+
 @dataclass(frozen=True)
 class CheckResult:
     name: str
@@ -113,6 +118,32 @@ def _riccati_oracle_check(model: ModelParams,
                        f"closed form vs RK4 ({steps} steps), max rel err {err:.2e}")
 
 
+def _pqr_oracle_check(model: ModelParams,
+                      sol: fullinfo.FullInfoSolution) -> CheckResult:
+    """Closed-form P1 .. R2 against the backward RK4 oracle, at its nodes.
+
+    The oracle starts at 2000 steps and doubles them until the step-halving
+    spread, this check's error of the coarser solve against the finer one
+    at the coarser nodes, is at most 1e-7, a tenth of the tolerance, or the
+    finer solve reaches ``_PQR_MAX_STEPS``.  The finer solve is compared with
+    the closed forms; the detail states its steps and the spread.
+    """
+    closed = [sol.p1, sol.q1, sol.r1, sol.p2, sol.q2, sol.r2]
+    steps = 2000
+    fine = fullinfo.solve_pqr(model, sol.d, sol.gamma_star, steps)
+    while True:
+        coarse, steps = fine, 2 * steps
+        fine = fullinfo.solve_pqr(model, sol.d, sol.gamma_star, steps)
+        spread = max(_rel_err(c.values, f.values[::2]) for c, f in zip(coarse, fine))
+        if spread <= 1e-7 or steps >= _PQR_MAX_STEPS:
+            break
+    err = max(_curve_rel_err(c, fn) for c, fn in zip(fine, closed))
+    return CheckResult(
+        "pqr-ode-cross-check", err <= 1e-6,
+        f"max rel err {err:.2e}, RK4 {steps} steps, "
+        f"step-halving spread {spread:.2e}")
+
+
 def _checks_common(model: ModelParams, rng: np.random.Generator):
     results = []
 
@@ -164,11 +195,7 @@ def _checks_full(model: ModelParams, compat: bool, overrides: dict,
     results.append(CheckResult(
         "riccati-minus-closed-form", err_m <= 1e-6, f"max rel err {err_m:.2e}"))
 
-    closed = [sol.p1, sol.q1, sol.r1, sol.p2, sol.q2, sol.r2]
-    ode_curves = fullinfo.solve_pqr(model, sol.d, sol.gamma_star)
-    err_pqr = max(_curve_rel_err(c, fn) for c, fn in zip(ode_curves, closed))
-    results.append(CheckResult(
-        "pqr-ode-cross-check", err_pqr <= 1e-6, f"max rel err {err_pqr:.2e}"))
+    results.append(_pqr_oracle_check(model, sol))
 
     xs = rng.uniform(-2.0, 2.0, size=100) * max(1.0, abs(sol.switching_x(0.0)))
     lhs = 0.5 * sol.p2(0.0) * xs ** 2 + sol.q2(0.0) * xs + sol.r2(0.0)

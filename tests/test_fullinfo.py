@@ -4,15 +4,18 @@ from scipy import optimize
 
 import mvreins as mv
 from mvreins import fullinfo
+from mvreins.config import load_config
 from mvreins.frontier import InfeasibleTargetError
 from mvreins.fullinfo import (NearCurveError, Region, compute_solution,
                               dual_value_full, feedback_full, frontier_full,
                               full_feedback_strategy, gamma_star_full,
                               hjb_residual, solve_pqr, value_function,
                               vertex_constant, viscosity_check)
+from mvreins.odekernel import integrate_backward
 from mvreins.validation import _dual_argmax_check
 
 from conftest import make_model
+from test_cli import PAPER44_CFG, SCALED_CFG
 
 
 @pytest.fixture(scope="module")
@@ -222,6 +225,55 @@ def test_pqr_ode_matches_closed_forms(paper44_solution, paper44_model):
         ref = fn(curve.grid)
         err = np.max(np.abs(curve.values - ref) / np.maximum(1.0, np.abs(ref)))
         assert err <= 1e-6
+
+
+def _pqr_by_general_march(model, d, gamma, steps):
+    """The P, Q, R equations as right-hand sides of the general RK4 march."""
+    r, a1 = model.market.r.constant_value(), fullinfo._a1(model)
+    f = fullinfo._f(model, d, gamma)
+
+    def rhs1(t, y):
+        P, Q, _R = y
+        return np.array([-2.0 * r * P, -r * Q - f * P, -f * Q])
+
+    def rhs2(t, y):
+        P, Q, _R = y
+        return np.array([-(2.0 * r + 2.0 * a1) * P, -(r + 2.0 * a1) * Q - f * P,
+                         -a1 * Q * Q / P - f * Q])
+
+    curves = []
+    for rhs in (rhs1, rhs2):
+        curve = integrate_backward(rhs, np.array([1.0, 0.0, 0.0]),
+                                   model.objective.T, steps)
+        curves += [curve.component(k) for k in range(3)]
+    return curves
+
+
+@pytest.mark.parametrize("config", [PAPER44_CFG, SCALED_CFG],
+                         ids=["paper44", "scaled"])
+def test_pqr_linear_march_matches_general_march(config):
+    model = load_config(config)[0]
+    sol = compute_solution(model)
+    for steps in (2000, 4000):
+        curves = solve_pqr(model, sol.d, sol.gamma_star, steps)
+        refs = _pqr_by_general_march(model, sol.d, sol.gamma_star, steps)
+        for curve, ref in zip(curves, refs):
+            assert np.array_equal(curve.grid, ref.grid)
+            np.testing.assert_allclose(curve.values, ref.values, rtol=1e-12, atol=0)
+
+
+def test_pqr_curves_share_one_ascending_grid(paper44_solution, paper44_model):
+    sol = paper44_solution
+    curves = solve_pqr(paper44_model, sol.d, sol.gamma_star, 3000)
+    assert len(curves) == 6
+    grid = curves[0].grid
+    assert grid[0] == 0.0 and grid[-1] == sol.T and len(grid) == 3001
+    assert np.all(np.diff(grid) > 0)
+    for curve in curves:
+        assert np.array_equal(curve.grid, grid)
+        assert curve.values.shape == grid.shape
+    # the terminal condition (1, 0, 0) at T, for both systems
+    assert [float(c.values[-1]) for c in curves] == [1.0, 0.0, 0.0] * 2
 
 
 def test_completion_of_square_identity(paper44_solution):

@@ -125,8 +125,9 @@ def plain_euler(model, strategy, cfg, physical):
     r = model.market.r(coef.t)
     rng = RngStream(cfg.seed).substream(0).generator()
     n = cfg.n_paths
-    X, mu, m, log_s, int_q2 = (np.full(n, ob.x0), np.full(n, dr.m0),
-                               np.full(n, dr.m0), np.zeros(n), np.zeros(n))
+    X, mu, m, log_s = (np.full(n, ob.x0), np.full(n, dr.m0), np.full(n, dr.m0),
+                       np.zeros(n))
+    int_q2, int_pi2 = np.zeros(n), np.zeros(n)
     if physical and dr.n0 > 0:
         mu = mu + np.sqrt(dr.n0) * rng.standard_normal(n)
     drift_noise = physical and not dr.is_degenerate()
@@ -134,6 +135,7 @@ def plain_euler(model, strategy, cfg, physical):
         r_k, sig_k, h_k = r[k], coef.sigma[k], coef.h[k]
         q, pi = strategy(k * dt, X, m)
         int_q2 = int_q2 + q * q * dt
+        int_pi2 = int_pi2 + pi * pi * dt
         Z = rng.standard_normal((3 if drift_noise else 2, n))
         dW0, dW1 = sdt * Z[0], sdt * Z[1]
         drift = mu if physical else m
@@ -148,7 +150,7 @@ def plain_euler(model, strategy, cfg, physical):
                 mu = mu + coef.l[k] * dW1 + coef.z[k] * (sdt * Z[2])
         else:
             m = m + h_k * m * dt + coef.vol[k] * dW1
-    return X, np.exp(log_s), mu - m if physical else None, int_q2
+    return X, np.exp(log_s), mu - m if physical else None, int_q2, int_pi2
 
 
 HIDDEN = dict(h=-0.3, l=0.3, z=0.2, n0=0.05)
@@ -170,12 +172,13 @@ def test_engine_matches_plain_euler_bitwise(params, mode):
     cfg = SimConfig(n_paths=300, dt=0.01, seed=17)
     simulate = simulate_physical if mode == "physical" else simulate_innovation
     ens = simulate(model, strategy, cfg)
-    X, price, drift_err, int_q2 = plain_euler(model, strategy, cfg,
-                                              physical=mode == "physical")
+    X, price, drift_err, int_q2, int_pi2 = plain_euler(
+        model, strategy, cfg, physical=mode == "physical")
     assert ens.n_flagged == 0
     assert np.array_equal(ens.terminal_wealth, X)
     assert np.array_equal(ens.terminal_price, price)
     assert np.array_equal(ens.int_q2, int_q2)
+    assert np.array_equal(ens.int_pi2, int_pi2)
     if mode == "physical":
         assert np.array_equal(ens.terminal_drift_error, drift_err)
 

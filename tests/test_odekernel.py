@@ -29,20 +29,39 @@ def test_backward_unit_decay():
     assert curve(0.0) == pytest.approx(np.e, rel=1e-10)
 
 
-@pytest.mark.parametrize("solve", [
-    lambda steps: integrate_backward(lambda t, p: -p, 1.0, 1.0, steps),
-    lambda steps: integrate_linear_backward(_constant_rate(-1.0), 1.0, steps,
-                                            curves=()),
-], ids=["general", "linear"])
-def test_fourth_order_convergence(solve):
-    exact = np.e
+# y1' = -y1, y2' = y1 - y2, z' = y2^2 from (1, 0, 0) at T = 1: with
+# s = 1 - t, y = (e^s, -s e^s) and z(0) = -int_0^1 s^2 e^{2s} ds.
+_TRIANGULAR = np.array([[-1.0, 0.0], [1.0, -1.0]])
+
+
+def _matrix_rate(c):
+    """A linear-march rate that is the matrix c at every stage time."""
+    return lambda stage_times: np.broadcast_to(c, stage_times.shape + c.shape)
+
+
+@pytest.mark.parametrize("solve, exact", [
+    (lambda steps: integrate_backward(lambda t, p: -p, 1.0, 1.0, steps), np.e),
+    (lambda steps: integrate_linear_backward(_constant_rate(-1.0), 1.0, 1.0, steps),
+     np.e),
+    (lambda steps: integrate_linear_backward(
+        _matrix_rate(_TRIANGULAR), (1.0, 0.0, 0.0), 1.0, steps,
+        quadrature=lambda t, y: y[..., 1] ** 2),
+     np.array([np.e, -np.e, -(np.e ** 2 - 1.0) / 4.0])),
+], ids=["general", "linear", "linear-vector"])
+def test_fourth_order_convergence(solve, exact):
     errs = []
     for steps in (50, 100, 200):
         curve = solve(steps)
-        errs.append(abs(curve(0.0) - exact))
-    # Halving the step should shrink the error ~16x.
-    assert 12.0 < errs[0] / errs[1] < 20.0
-    assert 12.0 < errs[1] / errs[2] < 20.0
+        errs.append(np.abs(curve(0.0) - exact))
+    # Halving the step should shrink the error ~16x, in every component.
+    assert np.all((12.0 < errs[0] / errs[1]) & (errs[0] / errs[1] < 20.0))
+    assert np.all((12.0 < errs[1] / errs[2]) & (errs[1] / errs[2] < 20.0))
+
+
+def test_linear_march_needs_lower_triangular_rate():
+    rate = _matrix_rate(np.array([[-1.0, 1.0], [0.0, -1.0]]))
+    with pytest.raises(ValueError, match="lower-triangular"):
+        integrate_linear_backward(rate, (1.0, 0.0), 1.0, 10)
 
 
 def test_forward_matches_backward_on_linear_problem():
@@ -70,7 +89,7 @@ def test_breakpoint_alignment_exactness():
 @pytest.mark.parametrize("solve", [
     lambda: integrate_forward(lambda t, y: y * y, 10.0, 5.0, 100),
     # y = e^{1000 (5 - t)} overflows some 60 steps back from t = 5
-    lambda: integrate_linear_backward(_constant_rate(-1e3), 5.0, 100, curves=()),
+    lambda: integrate_linear_backward(_constant_rate(-1e3), 1.0, 5.0, 100),
 ], ids=["general", "linear"])
 def test_divergence_raises(solve):
     with pytest.raises(IntegrationDivergedError, match="non-finite state at t="):

@@ -1,10 +1,15 @@
 import dataclasses
 
+import pytest
+
+import mvreins as mv
+from mvreins import validation
 from mvreins.config import load_config
 from mvreins.curves import SampledCurve
 from mvreins.partialinfo import solve_partial
 from mvreins.validation import _riccati_oracle_check, run_checks
 
+from conftest import make_model
 from test_cli import PAPER44_CFG
 from test_conelq import BENCH_PARTIAL_CFG
 
@@ -29,3 +34,44 @@ def test_injected_a1_fails_the_pqr_oracle():
               if not r.passed}
     assert failed == {"a1-definition", "riccati-minus-closed-form",
                       "pqr-ode-cross-check", "hjb-interior-residual"}
+
+
+def _long_full_model(**params):
+    """A full model with d = 1.5 times its riskless terminal wealth."""
+    base = make_model(**params)
+    return make_model(**params, d=1.5 * mv.riskless_terminal_wealth(base))
+
+
+# Large |A1| T, and a large f over T = 100: 2000 RK4 steps under-resolve R2
+# (max rel err 5.9e-4 and 3.4e-2) though the closed forms are right.
+STEEP = dict(r=0.04, m0=0.05, sigma=0.3, eta=0.6, theta=0.8, b=0.25, T=60.0)
+LARGE_F = dict(r=0.06, m0=0.6, sigma=0.9, eta=0.95, theta=1.4, a=0.2, b=1.7,
+               T=100.0)
+
+
+def _pqr_check(model):
+    """The P, Q, R check of ``model`` and the step-halving spread it states."""
+    check = next(r for r in run_checks(model) if r.name == "pqr-ode-cross-check")
+    return check, float(check.detail.rsplit(" ", 1)[1])
+
+
+@pytest.mark.parametrize("params", [STEEP, LARGE_F], ids=["steep", "large-f"])
+def test_pqr_oracle_resolves_long_valid_models(params):
+    results = run_checks(_long_full_model(**params))
+    assert all(r.passed for r in results), validation.format_table(results)
+
+
+def test_pqr_oracle_states_its_steps_and_spread():
+    # 2000 and 4000 steps already agree to 1.9e-9 on paper44
+    check, spread = _pqr_check(load_config(PAPER44_CFG)[0])
+    assert check.passed
+    assert "RK4 4000 steps, step-halving spread" in check.detail
+    assert spread <= 1e-7
+
+
+def test_pqr_oracle_doubling_stops_at_its_cap(monkeypatch):
+    monkeypatch.setattr(validation, "_PQR_MAX_STEPS", 8000)
+    check, spread = _pqr_check(_long_full_model(**STEEP))
+    assert "RK4 8000 steps" in check.detail
+    assert spread > 1e-7
+    assert not check.passed
