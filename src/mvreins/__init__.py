@@ -30,8 +30,7 @@ from .odekernel import (IntegrationDivergedError, RngStream, gaussian_increments
                         integrate_backward, integrate_forward)
 from .partialinfo import (ModelDegenerateError, PartialSolution,
                           dual_value_partial, feedback_partial, frontier_partial,
-                          gamma_star_partial, partial_feedback_strategy,
-                          solve_partial)
+                          partial_feedback_strategy, solve_partial)
 from .validation import CheckResult, format_table, run_checks
 
 __version__ = "0.1.0"

@@ -224,8 +224,7 @@ def _cmd_frontier(args, model, out_dir: Path, compat: bool) -> int:
         label = "full"
     else:
         sol = partialinfo.solve_partial(solver_model)
-        curve = partialinfo.frontier_partial(sol.riccati, solver_model,
-                                             _d_grid(args, sol.d0, model))
+        curve = partialinfo.frontier_partial(sol, _d_grid(args, sol.d0, model))
         label = sol.approximation_mode
     _write_csv(out_dir / "frontier.csv", ["d", "variance", "std_dev", "mode"],
                [curve.d, curve.variance, curve.std_dev, [label] * len(curve.d)])
@@ -281,7 +280,7 @@ def _cmd_simulate(args, model, out_dir: Path, compat: bool) -> int:
     else:
         sol = partialinfo.solve_partial(sim_model)
         strategy = partialinfo.partial_feedback_strategy(sol, sim_model)
-        frontier = partialinfo.frontier_partial(sol.riccati, sim_model, [d])
+        frontier = partialinfo.frontier_partial(sol, [d])
         approximation = sol.approximation_mode
 
     cfg = montecarlo.SimConfig(n_paths=args.paths, dt=dt, seed=args.seed,

@@ -6,10 +6,11 @@ applied to the positive/negative part of the discounted wealth gap
 
     u(t) = xi_plus(t) (X - gamma e^{-int_t^T r})^+  +  xi_minus(t) (...)^-,
 
-and the optimal gamma* and the frontier follow in closed form from
-int_0^T kappa- (equivalently P-(0)).  The xi+/- are P-free (P > 0 only scales
-the Hamiltonian), so the feedback reads gamma* and no P+/- curve.  The
-frontier vertex is :func:`~mvreins.model.riskless_terminal_wealth`.
+and gamma*, the frontier and the dual value follow in closed form from the
+fields of :class:`PartialSolution` alone: k+/- = int_0^T kappa+/-, with
+P+/-(0) e^{-2 int r} = e^{-k+/-}, and the frontier vertex d0 = x0 e^{int r}.
+The xi+/- are P-free (P > 0 only scales the Hamiltonian), so the feedback
+reads gamma* alone.
 
 Supported reductions (lambda = 0): exact when the drift is degenerate, so the
 filtered mean is deterministic; otherwise a projected-drift approximation that
@@ -23,8 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conelq import (ControlPair, LQCoefficients, RiccatiSolution, riccati_pair,
-                     xi_minimizer)
+from .conelq import ControlPair, LQCoefficients, riccati_pair, xi_minimizer
 from .errors import MvreinsError
 from .frontier import FrontierCurve, InfeasibleTargetError, quadratic_frontier
 from .model import INFO_PARTIAL, ModelParams, riskless_terminal_wealth, validate
@@ -39,14 +39,23 @@ class ModelDegenerateError(MvreinsError):
 
 @dataclass(frozen=True, eq=False)
 class PartialSolution:
-    riccati: RiccatiSolution
+    """Exponents k+/- = int_0^T kappa+/- (P+/-(0) e^{-2 int r} = e^{-k+/-}),
+    gamma*, the riskless terminal wealth d0 (the frontier vertex) and the mode.
+    """
+
+    kappa_plus: float
+    kappa_minus: float
     gamma_star: float
     d0: float
     approximation_mode: str
 
 
 def solve_partial(model: ModelParams) -> PartialSolution:
-    """Build the partial-information solution for the model's target mean."""
+    """Build the partial-information solution for the model's target mean.
+
+    gamma* = [d - d0 e^{-k-}] / [1 - e^{-k-}] collapses to d0 at d = d0;
+    targets below d0 raise :class:`~mvreins.frontier.InfeasibleTargetError`.
+    """
     report = validate(model)
     if not report.ok:
         raise ValueError(f"invalid model: {report}")
@@ -54,15 +63,18 @@ def solve_partial(model: ModelParams) -> PartialSolution:
         raise ValueError("solve_partial requires a partial-information model")
     mode = MODE_EXACT if model.drift.is_degenerate() else MODE_PROJECTED
     riccati = riccati_pair(model)
-    gamma = gamma_star_partial(riccati, model)
-    return PartialSolution(riccati=riccati, gamma_star=gamma,
-                           d0=riskless_terminal_wealth(model),
-                           approximation_mode=mode)
+    k_minus = riccati.kappa_minus_integral
+    d, d0 = model.objective.d, riskless_terminal_wealth(model)
+    if d < d0 - 1e-9 * max(1.0, abs(d0)):
+        raise InfeasibleTargetError(f"target mean {d} below riskless wealth {d0}")
+    gamma = (d - d0 * float(np.exp(-k_minus))) / _denominator(k_minus)
+    return PartialSolution(kappa_plus=riccati.kappa_plus_integral, kappa_minus=k_minus,
+                           gamma_star=gamma, d0=d0, approximation_mode=mode)
 
 
-def _denominator(riccati: RiccatiSolution) -> float:
+def _denominator(kappa_minus: float) -> float:
     """1 - P-(0) e^{-2 int r} = -expm1(-int kappa-), free of cancellation."""
-    denom = float(-np.expm1(-riccati.kappa_minus_integral))
+    denom = float(-np.expm1(-kappa_minus))
     if denom <= 0:
         raise ModelDegenerateError(
             f"frontier denominator {denom:.3e} <= 0; model degenerate"
@@ -70,34 +82,17 @@ def _denominator(riccati: RiccatiSolution) -> float:
     return denom
 
 
-def gamma_star_partial(riccati: RiccatiSolution, model: ModelParams) -> float:
-    """Optimal multiplier gamma* = [d - d0 e^{-int kappa-}] / [1 - e^{-int kappa-}].
-
-    With d0 = x0 e^{int r} this is [d - x0 P-(0) e^{-int r}] /
-    [1 - P-(0) e^{-2 int r}].  At d = d0 it collapses to d0 (the riskless
-    terminal wealth); targets below d0 are infeasible.
-    """
-    d = model.objective.d
-    d0 = riskless_terminal_wealth(model)
-    if d < d0 - 1e-9 * max(1.0, abs(d0)):
-        raise InfeasibleTargetError(f"target mean {d} below riskless wealth {d0}")
-    return ((d - d0 * float(np.exp(-riccati.kappa_minus_integral)))
-            / _denominator(riccati))
-
-
-def frontier_coefficient(riccati: RiccatiSolution) -> float:
+def frontier_coefficient(sol: PartialSolution) -> float:
     """Quadratic coefficient P-(0) e^{-2 int r} / (1 - P-(0) e^{-2 int r}) > 0.
 
-    Formed as e^{-int kappa-} / -expm1(-int kappa-), i.e. 1 / expm1(int kappa-).
+    Formed as e^{-k-} / -expm1(-k-), i.e. 1 / expm1(k-).
     """
-    return float(np.exp(-riccati.kappa_minus_integral)) / _denominator(riccati)
+    return float(np.exp(-sol.kappa_minus)) / _denominator(sol.kappa_minus)
 
 
-def frontier_partial(riccati: RiccatiSolution, model: ModelParams,
-                     d_grid) -> FrontierCurve:
+def frontier_partial(sol: PartialSolution, d_grid) -> FrontierCurve:
     """Efficient frontier Var = coef * (E X(T) - d0)^2 for d >= d0 = x0 e^{int r}."""
-    return quadratic_frontier(riskless_terminal_wealth(model),
-                              frontier_coefficient(riccati), d_grid)
+    return quadratic_frontier(sol.d0, frontier_coefficient(sol), d_grid)
 
 
 def feedback_partial(t: float, x: float, m: float, sol: PartialSolution,
@@ -115,23 +110,22 @@ def feedback_partial(t: float, x: float, m: float, sol: PartialSolution,
     return ControlPair(q=xi.q * abs(gap), pi=xi.pi * abs(gap))
 
 
-def dual_value_partial(riccati: RiccatiSolution, model: ModelParams,
+def dual_value_partial(sol: PartialSolution, model: ModelParams,
                        gamma: float) -> float:
     """Optimal cost of the gamma-parameterized unconstrained problem.
 
     Piecewise quadratic in gamma: the P+ branch applies while the initial
     wealth sits above the discounted gamma level (d0 > gamma), the P- branch
-    below.  With P(0) e^{-2 int r} = e^{-k}, k = int kappa+/- of the branch,
-    and d0 = x0 e^{int r}, it is
+    below.  With k = k+/- of the branch, read from ``sol`` with d0, and the
+    target d from ``model``, it is
 
         expm1(-k) gamma^2 - 2 (d0 e^{-k} - d) gamma + d0^2 e^{-k} - d^2.
 
     Maximizing this over gamma recovers gamma* (tested against an independent
     scalar-maximization oracle).
     """
-    d = model.objective.d
-    d0 = riskless_terminal_wealth(model)
-    k = riccati.kappa_plus_integral if d0 > gamma else riccati.kappa_minus_integral
+    d, d0 = model.objective.d, sol.d0
+    k = sol.kappa_plus if d0 > gamma else sol.kappa_minus
     decay = float(np.exp(-k))
     return (float(np.expm1(-k)) * gamma * gamma - 2.0 * (d0 * decay - d) * gamma
             + d0 * d0 * decay - d * d)

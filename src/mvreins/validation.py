@@ -28,6 +28,7 @@ from .model import (INFO_FULL, ModelParams, riskless_terminal_wealth,
 # Cap on the P, Q, R oracle's step doubling: 2000 * 2^6.  Past it the
 # spread of a long, fast-growing solve is mostly rounding, not resolution.
 _PQR_MAX_STEPS = 128_000
+_RICCATI_STEPS = 10000  # RK4 steps of the Riccati pair's oracle
 
 
 @dataclass(frozen=True)
@@ -88,34 +89,38 @@ def _dual_argmax_check(dual, gamma_closed: float) -> CheckResult:
 
 
 def _frontier_vertex_check(frontier, vertex: float) -> CheckResult:
-    """Zero variance at the vertex, increasing beyond it."""
-    curve = frontier([vertex, 1.1 * vertex, 1.2 * vertex])
+    """Zero variance at the vertex, increasing beyond it, at any vertex sign."""
+    step = 0.1 * max(1.0, abs(vertex))
+    curve = frontier([vertex, vertex + step, vertex + 2.0 * step])
     ok = curve.variance[0] == 0.0 and np.all(np.diff(curve.variance) > 0)
     return CheckResult("frontier-vertex", ok,
                        f"variance at vertex {curve.variance[0]:.3e}, increasing beyond")
 
 
-def _riccati_oracle_check(model: ModelParams,
-                          riccati: conelq.RiccatiSolution) -> CheckResult:
+def _riccati_oracle(model: ModelParams) -> conelq.RiccatiSolution:
+    """Backward RK4 Riccati pair, on the projected drift sampled at its step count."""
+    m_bar = filtering.projected_mean_curve(model.drift, model.objective.T,
+                                           samples=_RICCATI_STEPS + 1)
+    return conelq.solve_riccati_pair(model, m_bar, steps=_RICCATI_STEPS)
+
+
+def _riccati_oracle_check(riccati: conelq.RiccatiSolution,
+                          oracle: conelq.RiccatiSolution) -> CheckResult:
     """Closed-form Riccati pair against the backward RK4 oracle, at its nodes.
 
-    The oracle takes 10 000 steps and reads the projected drift sampled at
-    its own step count.  log P is the integral of 2r - kappa, so the closed
-    form is interpolated in log P (exact where kappa is constant); the error
-    is relative to the oracle.
+    log P is the integral of 2r - kappa, so the closed form is interpolated
+    in log P (exact where kappa is constant); the error is relative to the
+    oracle.
     """
-    steps = 10000
-    m_bar = filtering.projected_mean_curve(model.drift, model.objective.T,
-                                           samples=steps + 1)
-    oracle = conelq.solve_riccati_pair(model, m_bar, steps=steps)
     err = 0.0
     for closed, rk4 in ((riccati.p_plus, oracle.p_plus),
                         (riccati.p_minus, oracle.p_minus)):
         log_closed = np.interp(rk4.grid, closed.grid, np.log(closed.values))
         rel = np.expm1(log_closed - np.log(rk4.values))
         err = max(err, float(np.max(np.abs(rel))))
-    return CheckResult("riccati-rk4-oracle", err <= 1e-8,
-                       f"closed form vs RK4 ({steps} steps), max rel err {err:.2e}")
+    return CheckResult(
+        "riccati-rk4-oracle", err <= 1e-8,
+        f"closed form vs RK4 ({_RICCATI_STEPS} steps), max rel err {err:.2e}")
 
 
 def _pqr_oracle_check(model: ModelParams,
@@ -238,23 +243,26 @@ def _checks_full(model: ModelParams, compat: bool, overrides: dict,
 def _checks_partial(model: ModelParams) -> list[CheckResult]:
     results = []
     sol = partialinfo.solve_partial(model)
+    riccati = conelq.riccati_pair(model)
+    oracle = _riccati_oracle(model)
     T = model.objective.T
 
-    nonneg = sol.riccati.p_plus.values.min() > 0 and sol.riccati.p_minus.values.min() > 0
+    nonneg = riccati.p_plus.values.min() > 0 and riccati.p_minus.values.min() > 0
     results.append(CheckResult(
         "riccati-positive", bool(nonneg),
-        f"min P+ {sol.riccati.p_plus.values.min():.3e}, "
-        f"min P- {sol.riccati.p_minus.values.min():.3e}"))
+        f"min P+ {riccati.p_plus.values.min():.3e}, "
+        f"min P- {riccati.p_minus.values.min():.3e}"))
 
-    # Backward comparison with the H* = 0 envelope.
-    grid = sol.riccati.p_plus.grid
+    # Backward comparison with the H* = 0 envelope.  The closed form meets it
+    # by construction (kappa >= 0), so the oracle's curves are held to it too.
     rate = model.market.r
-    envelope = np.exp(2.0 * (rate.antiderivative(T) - rate.antiderivative(grid)))
-    ok_env = (np.all(sol.riccati.p_plus.values <= envelope * (1 + 1e-9))
-              and np.all(sol.riccati.p_minus.values <= envelope * (1 + 1e-9)))
+    ok_env = True
+    for p in (riccati.p_plus, riccati.p_minus, oracle.p_plus, oracle.p_minus):
+        envelope = np.exp(2.0 * (rate.antiderivative(T) - rate.antiderivative(p.grid)))
+        ok_env = ok_env and bool(np.all(p.values <= envelope * (1 + 1e-9)))
     results.append(CheckResult(
         "riccati-envelope", bool(ok_env), "P+- <= exp(2 int r) pointwise"))
-    results.append(_riccati_oracle_check(model, sol.riccati))
+    results.append(_riccati_oracle_check(riccati, oracle))
 
     n_curve = filtering.solve_variance(model.drift, model.market.sigma, T)
     ok_n = n_curve.values.min() >= -1e-12
@@ -269,10 +277,9 @@ def _checks_partial(model: ModelParams) -> list[CheckResult]:
         f"step-halving rel err {err_n:.2e}"))
 
     results.append(_dual_argmax_check(
-        lambda g: partialinfo.dual_value_partial(sol.riccati, model, g),
-        sol.gamma_star))
+        lambda g: partialinfo.dual_value_partial(sol, model, g), sol.gamma_star))
     results.append(_frontier_vertex_check(
-        lambda ds: partialinfo.frontier_partial(sol.riccati, model, ds), sol.d0))
+        lambda ds: partialinfo.frontier_partial(sol, ds), sol.d0))
     return results
 
 

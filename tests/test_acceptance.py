@@ -152,7 +152,7 @@ def test_criterion_6_frontier_reduction(partial_exact_model):
 
     # frontier, pointwise
     grid = sol_p.d0 + np.array([0.0, 1.0, 50.0, 2000.0, 7000.0])
-    front_p = mv.frontier_partial(sol_p.riccati, model, grid)
+    front_p = mv.frontier_partial(sol_p, grid)
     front_f = mv.frontier_full(full_model, grid)
     err_front = np.max(np.abs(front_p.variance[1:] - front_f.variance[1:])
                        / front_f.variance[1:])

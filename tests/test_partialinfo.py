@@ -1,3 +1,4 @@
+import dataclasses
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -8,14 +9,11 @@ from scipy import optimize
 
 import mvreins as mv
 from conftest import make_model
-from mvreins.conelq import RiccatiSolution
 from mvreins.config import load_config
-from mvreins.curves import SampledCurve
 from mvreins.frontier import InfeasibleTargetError
 from mvreins.partialinfo import (ModelDegenerateError, dual_value_partial,
                                  feedback_partial, frontier_coefficient,
-                                 frontier_partial,
-                                 gamma_star_partial, partial_feedback_strategy,
+                                 frontier_partial, partial_feedback_strategy,
                                  solve_partial)
 from mvreins.validation import _dual_argmax_check
 
@@ -35,23 +33,20 @@ def test_modes_labeled(partial_exact_model, partial_filter_model):
 
 def test_gamma_star_at_vertex_is_riskless_wealth(exact_solution,
                                                  partial_exact_model):
-    import dataclasses
     d0 = exact_solution.d0
     model_at_vertex = dataclasses.replace(
         partial_exact_model,
         objective=dataclasses.replace(partial_exact_model.objective, d=d0))
-    gamma = gamma_star_partial(exact_solution.riccati, model_at_vertex)
+    gamma = solve_partial(model_at_vertex).gamma_star
     assert gamma == pytest.approx(d0, rel=1e-12)
 
 
-def test_gamma_star_rejects_infeasible_target(exact_solution,
-                                              partial_exact_model):
-    import dataclasses
+def test_gamma_star_rejects_infeasible_target(partial_exact_model):
     model = dataclasses.replace(
         partial_exact_model,
         objective=dataclasses.replace(partial_exact_model.objective, d=100.0))
     with pytest.raises(InfeasibleTargetError):
-        gamma_star_partial(exact_solution.riccati, model)
+        solve_partial(model)
 
 
 def test_gamma_star_degenerate_reduction(exact_solution, partial_exact_model):
@@ -59,7 +54,6 @@ def test_gamma_star_degenerate_reduction(exact_solution, partial_exact_model):
     carries full information, so the two solvers' multipliers must agree.
     The conventions differ by the sign of the multiplier term: the embedded
     wealth target is gamma* here and d - gamma* in the full-information dual."""
-    import dataclasses
     full_model = dataclasses.replace(partial_exact_model, info_mode="full")
     gamma_full = mv.gamma_star_full(full_model, 10000.0)
     target_full = 10000.0 - gamma_full
@@ -67,11 +61,10 @@ def test_gamma_star_degenerate_reduction(exact_solution, partial_exact_model):
 
 
 def test_gamma_star_matches_dual_maximizer(exact_solution, partial_exact_model):
-    riccati = exact_solution.riccati
     gamma_closed = exact_solution.gamma_star
     span = 5 * abs(gamma_closed)
     res = optimize.minimize_scalar(
-        lambda g: -dual_value_partial(riccati, partial_exact_model, g),
+        lambda g: -dual_value_partial(exact_solution, partial_exact_model, g),
         bounds=(gamma_closed - span, gamma_closed + span), method="bounded",
         options={"xatol": 1e-6})
     assert abs(res.x - gamma_closed) <= 1e-4 * max(1.0, abs(gamma_closed))
@@ -79,20 +72,17 @@ def test_gamma_star_matches_dual_maximizer(exact_solution, partial_exact_model):
 
 def test_dual_value_branches(exact_solution, partial_exact_model):
     # P+ branch left of the discounted-wealth kink, P- branch right of it
-    riccati = exact_solution.riccati
     kink = exact_solution.d0
-    low = dual_value_partial(riccati, partial_exact_model, kink - 1.0)
-    high = dual_value_partial(riccati, partial_exact_model, kink + 1.0)
+    low = dual_value_partial(exact_solution, partial_exact_model, kink - 1.0)
+    high = dual_value_partial(exact_solution, partial_exact_model, kink + 1.0)
     assert np.isfinite(low) and np.isfinite(high)
     # the dual is increasing toward gamma* > kink on this instance
     assert high >= low
 
 
-def test_frontier_vertex_and_quadratic_scaling(exact_solution,
-                                               partial_exact_model):
+def test_frontier_vertex_and_quadratic_scaling(exact_solution):
     d0 = exact_solution.d0
-    curve = frontier_partial(exact_solution.riccati, partial_exact_model,
-                             [d0, d0 + 1.0, d0 + 2.0, d0 + 4.0])
+    curve = frontier_partial(exact_solution, [d0, d0 + 1.0, d0 + 2.0, d0 + 4.0])
     assert curve.variance[0] == 0.0
     v1, v2, v4 = curve.variance[1:]
     assert v2 / v1 == pytest.approx(4.0, rel=1e-9)
@@ -100,18 +90,16 @@ def test_frontier_vertex_and_quadratic_scaling(exact_solution,
     assert np.all(np.diff(curve.variance) > 0)
 
 
-def test_frontier_rejects_infeasible(exact_solution, partial_exact_model):
+def test_frontier_rejects_infeasible(exact_solution):
     with pytest.raises(InfeasibleTargetError):
-        frontier_partial(exact_solution.riccati, partial_exact_model,
-                         [exact_solution.d0 - 1.0])
+        frontier_partial(exact_solution, [exact_solution.d0 - 1.0])
 
 
 def test_frontier_degenerate_reduction(exact_solution, partial_exact_model):
-    import dataclasses
     full_model = dataclasses.replace(partial_exact_model, info_mode="full")
     d0 = exact_solution.d0
     grid = d0 + np.array([0.0, 10.0, 500.0, 7000.0])
-    partial = frontier_partial(exact_solution.riccati, partial_exact_model, grid)
+    partial = frontier_partial(exact_solution, grid)
     full = mv.frontier_full(full_model, grid)
     np.testing.assert_allclose(partial.variance, full.variance, rtol=1e-9)
 
@@ -288,17 +276,29 @@ def test_strategy_called_from_threads_matches_serial(bench_partial):
         assert_bitwise(pi, pi_ref)
 
 
-def test_degenerate_denominator_raises(partial_exact_model):
-    # A hand-built pair violating the envelope bound trips the guard.
-    T = partial_exact_model.objective.T
-    grid = np.linspace(0.0, T, 5)
-    inflated = SampledCurve(grid, 2.0 * np.exp(2 * 0.04 * (T - grid)))
-    # P+/-(0) = 2 exp(2 int r): int kappa+/- = -log 2
-    bad = RiccatiSolution(p_plus=inflated, p_minus=inflated,
-                          kappa_plus_integral=-np.log(2.0),
-                          kappa_minus_integral=-np.log(2.0))
+def test_degenerate_denominator_raises(exact_solution):
+    # P-(0) = 2 exp(2 int r), past the envelope bound: k- = -log 2 trips the guard.
+    bad = dataclasses.replace(exact_solution, kappa_minus=-np.log(2.0))
     with pytest.raises(ModelDegenerateError):
-        gamma_star_partial(bad, partial_exact_model)
+        frontier_coefficient(bad)
+
+
+def test_closed_forms_read_only_the_solution(exact_solution, partial_exact_model):
+    # Replaced k+/- and d0 move every closed form as their formulas say; the
+    # model supplies only the target d.
+    k_plus, k_minus, d0 = 0.3, 1.2, 40.0
+    sol = dataclasses.replace(exact_solution, kappa_plus=k_plus,
+                              kappa_minus=k_minus, d0=d0)
+    d = partial_exact_model.objective.d
+    coef = 1.0 / np.expm1(k_minus)
+    assert frontier_coefficient(sol) == pytest.approx(coef, rel=1e-14)
+    curve = frontier_partial(sol, [d0, d0 + 2.0])
+    np.testing.assert_allclose(curve.variance, [0.0, 4.0 * coef], rtol=1e-14)
+    for gamma, k in ((d0 - 1.0, k_plus), (d0 + 1.0, k_minus)):
+        expected = (np.expm1(-k) * gamma ** 2 - 2.0 * (d0 * np.exp(-k) - d) * gamma
+                    + d0 ** 2 * np.exp(-k) - d ** 2)
+        assert dual_value_partial(sol, partial_exact_model, gamma) == \
+            pytest.approx(expected, rel=1e-14)
 
 
 def test_solve_partial_requires_partial_mode(paper44_model):
@@ -308,7 +308,7 @@ def test_solve_partial_requires_partial_mode(paper44_model):
 
 def test_projected_mode_coefficient_positive(partial_filter_model):
     sol = solve_partial(partial_filter_model)
-    assert frontier_coefficient(sol.riccati) > 0
+    assert frontier_coefficient(sol) > 0
 
 
 def test_tiny_claim_rate_keeps_frontier_denominator():
@@ -317,11 +317,11 @@ def test_tiny_claim_rate_keeps_frontier_denominator():
     model = make_model(a=1e-9, theta=0.2, eta=0.2, l=3.0, z=2.0, m0=0.01,
                        T=10.0, d=80.0, info_mode="partial")
     sol = solve_partial(model)
-    assert sol.riccati.kappa_minus_integral == pytest.approx(4e-19, rel=1e-12)
-    assert frontier_coefficient(sol.riccati) == pytest.approx(
+    assert sol.kappa_minus == pytest.approx(4e-19, rel=1e-12)
+    assert frontier_coefficient(sol) == pytest.approx(
         1.0 / np.expm1(4e-19), rel=1e-6)
     assert _dual_argmax_check(
-        lambda g: dual_value_partial(sol.riccati, model, g), sol.gamma_star).passed
+        lambda g: dual_value_partial(sol, model, g), sol.gamma_star).passed
 
 
 def test_drift_next_to_rate_keeps_kappa_integral():
@@ -332,7 +332,6 @@ def test_drift_next_to_rate_keeps_kappa_integral():
     sol = solve_partial(make_model(info_mode="partial", **kw))
     full = make_model(**kw)
     minus_two_a1_t = -2.0 * mv.compute_solution(full).a1 * full.objective.T
-    assert sol.riccati.kappa_minus_integral == pytest.approx(minus_two_a1_t,
-                                                             rel=1e-12)
-    assert frontier_coefficient(sol.riccati) == pytest.approx(
+    assert sol.kappa_minus == pytest.approx(minus_two_a1_t, rel=1e-12)
+    assert frontier_coefficient(sol) == pytest.approx(
         1.0 / np.expm1(minus_two_a1_t), rel=1e-12)

@@ -4,10 +4,10 @@ import pytest
 
 import mvreins as mv
 from mvreins import validation
+from mvreins.conelq import riccati_pair
 from mvreins.config import load_config
 from mvreins.curves import SampledCurve
-from mvreins.partialinfo import solve_partial
-from mvreins.validation import _riccati_oracle_check, run_checks
+from mvreins.validation import _riccati_oracle, _riccati_oracle_check, run_checks
 
 from conftest import make_model
 from test_cli import PAPER44_CFG
@@ -16,12 +16,12 @@ from test_conelq import BENCH_PARTIAL_CFG
 
 def test_riccati_oracle_check_catches_a_wrong_pair():
     model = load_config(BENCH_PARTIAL_CFG)[0]
-    riccati = solve_partial(model).riccati
-    assert _riccati_oracle_check(model, riccati).passed
+    riccati, oracle = riccati_pair(model), _riccati_oracle(model)
+    assert _riccati_oracle_check(riccati, oracle).passed
     p_minus = riccati.p_minus
     scaled = dataclasses.replace(
         riccati, p_minus=SampledCurve(p_minus.grid, p_minus.values * (1 + 1e-6)))
-    result = _riccati_oracle_check(model, scaled)
+    result = _riccati_oracle_check(scaled, oracle)
     assert result.name == "riccati-rk4-oracle"
     assert not result.passed
 
@@ -34,6 +34,13 @@ def test_injected_a1_fails_the_pqr_oracle():
               if not r.passed}
     assert failed == {"a1-definition", "riccati-minus-closed-form",
                       "pqr-ode-cross-check", "hjb-interior-residual"}
+
+
+def test_negative_frontier_vertex_passes_every_check():
+    # paper44 with eta = 0.5 and x0 = 1 has its frontier vertex at -213.39;
+    # the frontier-vertex probes must lie above a vertex of either sign.
+    results = run_checks(make_model(eta=0.5, x0=1.0))
+    assert [r.name for r in results if not r.passed] == []
 
 
 def _long_full_model(**params):
