@@ -6,9 +6,9 @@ invests in a risky asset, with efficient frontiers in closed form and Monte
 Carlo machinery that validates them.
 """
 
-from .conelq import (ControlPair, LQCoefficients, RiccatiSolution,
-                     RiccatiSolverError, hamiltonian_min, riccati_pair,
-                     solve_riccati_pair, xi_minimizer)
+from .conelq import (ControlPair, LQCoefficients, RiccatiSolverError,
+                     hamiltonian_min, riccati_pair, solve_riccati_pair,
+                     xi_minimizer)
 from .config import ConfigError, load_config
 from .curves import CurveRangeError, PiecewiseConstantCurve, SampledCurve, as_curve
 from .errors import MvreinsError

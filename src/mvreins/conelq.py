@@ -20,10 +20,14 @@ linear and solves in closed form:
     kappa+ = ((m - r)^-)^2 / sigma^2,
     kappa- = (a eta / b)^2 + ((m - r)^+)^2 / sigma^2,
 
-with m the deterministic drift curve m0 exp(int_0^t h).  :func:`riccati_pair`
-integrates kappa exactly on the pieces where r, sigma, h and the sign of m - r
-are fixed; it is the production solver.  The backward RK4 solve
-:func:`solve_riccati_pair` serves only as its independent oracle.
+with m the deterministic drift curve m0 exp(int_0^t h).  This is the
+cone-constrained pair of Hu and Zhou (2005, SIAM J. Control Optim. 44) with
+deterministic coefficients: its exponents int_t^T kappa+/- are the whole
+solution, and the frontier and gamma* read them at t = 0 only.
+:func:`riccati_pair` returns them, integrating kappa exactly on the pieces
+where r, sigma, h and the sign of m - r are fixed; it is the production
+solver.  The backward RK4 solve :func:`solve_riccati_pair` of the P+/- curves
+serves only as its independent oracle.
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ from .odekernel import integrate_linear_backward
 
 Sign = Literal["plus", "minus"]
 
-_SAMPLES = 10001  # nodes of linspace(0, T) in the closed-form pair, before piece edges
+_ORACLE_STEPS = 10000  # RK4 steps of :func:`solve_riccati_pair`
 # Series in z = k u of the integrals of :func:`_expm1_integrals`, highest power
 # first: u sum_{n>=2} z^{n-1}/n! and u sum_{n>=3} (2^{n-1} - 2) z^{n-1}/n!.
 # Below |z| = 0.1 the terms to n = 13 leave a tail under 1e-17 relative; above
@@ -139,21 +143,6 @@ def hamiltonian_min(sign: Sign, P: float, coeffs: LQCoefficients):
     return vq + vpi
 
 
-@dataclass(frozen=True, eq=False)
-class RiccatiSolution:
-    """Backward pair P+(t), P-(t) with terminal value 1, under lambda = 0.
-
-    ``kappa_plus_integral`` and ``kappa_minus_integral`` are int_0^T kappa+/-,
-    so P+/-(0) e^{-2 int_0^T r} = exp(-kappa_plus/minus_integral); the frontier
-    and the dual value read them instead of P+/-(0).
-    """
-
-    p_plus: SampledCurve
-    p_minus: SampledCurve
-    kappa_plus_integral: float
-    kappa_minus_integral: float
-
-
 def _expm1_rate(k: np.ndarray, u: np.ndarray) -> np.ndarray:
     """int_0^u e^{k s} ds = expm1(k u)/k, with its limit u at k = 0."""
     flat = k == 0.0
@@ -180,21 +169,23 @@ def _expm1_integrals(k: np.ndarray, u: np.ndarray):
             np.where(small, u * zs * zs * sq, _expm1_rate(2.0 * k, u) - 2.0 * grow + u))
 
 
-def riccati_pair(model: ModelParams) -> RiccatiSolution:
-    """Closed-form P+/- on linspace(0, T, _SAMPLES) joined with the piece edges.
+def riccati_pair(model: ModelParams, t):
+    """Exponents (int_t^T kappa+, int_t^T kappa-) of the closed-form pair at ``t``.
 
-    [0, T] is cut at the breakpoints of r, sigma and h.  On a piece starting
-    at a the drift is m(t) = M e^{h (t - a)} with M = m0 exp(int_0^a h); it
-    crosses r at most once, at s* = a + ln(r/M)/h, which becomes a further
-    cut.  Each piece then has a fixed sign of m - r, so one branch of each
-    kappa, and int (M e^{h u} - r)^2 du is exact there.  It is integrated as
+    P+/-(t) = exp(2 int_t^T r - int_t^T kappa+/-).  [0, T] is cut at the
+    breakpoints of r, sigma and h.  On a piece starting at a the drift is
+    m(t) = M e^{h (t - a)} with M = m0 exp(int_0^a h); it crosses r at most
+    once, at s* = a + ln(r/M)/h, which becomes a further cut.  Each piece
+    then has a fixed sign of m - r, so one branch of each kappa, and
+    int (M e^{h u} - r)^2 du is exact there.  It is integrated as
     (e0 + M expm1(h u))^2 with e0 = M - r, so a drift next to r does not
     cancel; the integrals of expm1(h u) and its square come from
     :func:`_expm1_integrals`, which sums their series at small |h u| and
-    gives exactly 0 at h = 0.  Cumulative sums of
-    the piece integrals give int_t^T (2r - kappa+/-) at every node, and
-    P(T) = 1 exactly.  The kappa integrals, kept apart from the 2r terms,
-    sum to ``kappa_plus_integral`` and ``kappa_minus_integral``.
+    gives exactly 0 at h = 0.  An exponent is the ``np.sum`` of the whole
+    pieces from t's piece on, less the part of that piece before t, which
+    is exactly 0 at its start: so t = 0 gives the plain sum over all
+    pieces, and t = T gives (0.0, 0.0).  A float t gives floats; an array
+    gives arrays, with the bits of the float calls element by element.
     """
     c, mk, dr = model.claim, model.market, model.drift
     T = model.objective.T
@@ -213,45 +204,39 @@ def riccati_pair(model: ModelParams) -> RiccatiSolution:
     claim_rate = (c.a * c.eta / c.b) ** 2
 
     def integrals(j, u):
-        """int over [a_j, a_j + u] of (2r, kappa+, kappa-)."""
+        """int over [a_j, a_j + u] of (kappa+, kappa-)."""
         m, e0 = m_start[j], m_start[j] - r[j]
         lin, sq = _expm1_integrals(h[j], u)
         excess_sq = (e0 ** 2 * u + 2.0 * e0 * m * lin + m ** 2 * sq) / sig2[j]
-        return (2.0 * r[j] * u, np.where(above[j], 0.0, excess_sq),
+        return (np.where(above[j], 0.0, excess_sq),
                 claim_rate * u + np.where(above[j], excess_sq, 0.0))
 
-    grid = np.unique(np.concatenate([np.linspace(0.0, T, _SAMPLES), edges]))
-    j = np.clip(np.searchsorted(edges, grid, side="right") - 1, 0, a.size - 1)
-    riskless, *at_nodes = integrals(j, grid - a[j])
-    riskless_whole, *whole = integrals(np.arange(a.size), width)
-    curves = []
-    for node, piece in zip(at_nodes, whole):
-        log_growth = riskless_whole - piece
-        from_zero = (np.concatenate(([0.0], np.cumsum(log_growth)))[j]
-                     + (riskless - node))
-        curves.append(SampledCurve(grid, np.exp(from_zero[-1] - from_zero)))
-    return RiccatiSolution(p_plus=curves[0], p_minus=curves[1],
-                           kappa_plus_integral=float(np.sum(whole[0])),
-                           kappa_minus_integral=float(np.sum(whole[1])))
+    t = np.asarray(t, dtype=float)
+    j = np.clip(np.searchsorted(edges, t, side="right") - 1, 0, a.size - 1)
+    pair = []
+    for whole, before in zip(integrals(np.arange(a.size), width), integrals(j, t - a[j])):
+        from_piece = np.array([np.sum(whole[i:]) for i in range(a.size)])
+        k = from_piece[j] - before
+        pair.append(float(k) if k.ndim == 0 else k)
+    return tuple(pair)
 
 
-def solve_riccati_pair(model: ModelParams, m_bar,
-                       steps: int = 10000) -> RiccatiSolution:
-    """Oracle: backward RK4 solutions of dP/dt = -[2 r P + H*(t, P)], P(T) = 1.
+def solve_riccati_pair(model: ModelParams, m_bar) -> tuple[SampledCurve, SampledCurve]:
+    """Oracle: backward RK4 solutions (P+, P-) of dP/dt = -[2 r P + H*(t, P)], P(T) = 1.
 
-    Integrates the Riccati pair numerically through :func:`hamiltonian_min`,
-    sharing none of :func:`riccati_pair`'s closed form, so the validation
-    suite can check one against the other; production code calls
-    :func:`riccati_pair`.  ``m_bar`` is the deterministic drift curve: the
-    exact expected return in full mode, or the projected filter mean in
-    partial mode, as a :class:`~mvreins.curves.SampledCurve`; r and sigma
-    reach the right-hand side as their values on each piece.  H* is
-    degree-one homogeneous in P, so each equation is P' = c(t) P with
-    c = -(2r + H*(t, 1)), marched by
+    Integrates the Riccati pair numerically through :func:`hamiltonian_min`
+    in ``_ORACLE_STEPS`` steps, sharing none of :func:`riccati_pair`'s
+    closed form, so the validation suite can check one against the other;
+    production code calls :func:`riccati_pair`.  ``m_bar`` is the
+    deterministic drift curve: the exact expected return in full mode, or
+    the projected filter mean in partial mode, as a
+    :class:`~mvreins.curves.SampledCurve`; r and sigma reach the right-hand
+    side as their values on each piece.  H* is degree-one homogeneous in P,
+    so each equation is P' = c(t) P with c = -(2r + H*(t, 1)), marched by
     :func:`~mvreins.odekernel.integrate_linear_backward`: one array call of
     :func:`hamiltonian_min` per segment and sign gives c at all its RK4
-    stage times.  Each kappa integral is 2 int_0^T r - log P(0).  Raises
-    :class:`RiccatiSolverError` if P+/- is not positive on the grid.
+    stage times.  Raises :class:`RiccatiSolverError` if P+/- is not
+    positive on the grid.
     """
     T = model.objective.T
     c = model.claim
@@ -263,14 +248,9 @@ def solve_riccati_pair(model: ModelParams, m_bar,
             coeffs = LQCoefficients(b_q=b_q, b_pi=m_bar(t) - r, d_q=c.b, d_pi=sigma)
             return -(2.0 * r + hamiltonian_min(sign, 1.0, coeffs))
 
-        curve = integrate_linear_backward(rate, 1.0, T, steps,
+        curve = integrate_linear_backward(rate, 1.0, T, _ORACLE_STEPS,
                                           curves=coefficients)
         if curve.values.min() <= 0:
             raise RiccatiSolverError(f"{name} not positive on [0, T]")
         curves.append(curve)
-    p_plus, p_minus = curves
-    two_r = 2.0 * model.market.r.integral(0.0, T)
-    return RiccatiSolution(
-        p_plus=p_plus, p_minus=p_minus,
-        kappa_plus_integral=two_r - float(np.log(p_plus(0.0))),
-        kappa_minus_integral=two_r - float(np.log(p_minus(0.0))))
+    return tuple(curves)

@@ -21,6 +21,8 @@ step of the mean.  :func:`run_filter` forms the innovations from observed
 returns for a whole block of paths at once, one row per path; the Monte
 Carlo engine forms them inside its path loop (physical dynamics) or draws
 them (innovation dynamics), and the CLI's ``filter`` draws one path.
+:func:`projected_mean_curve` samples the filter mean's expectation
+m0 exp(int h) for the Riccati oracle.
 """
 
 from __future__ import annotations
@@ -144,14 +146,15 @@ def run_filter(observed_returns, drift: DriftParams, sigma,
     return FilterPath(times, means, variance(times), innovations)
 
 
-def projected_mean_curve(drift: DriftParams, T: float,
-                         samples: int = 2001) -> SampledCurve:
+def projected_mean_curve(drift: DriftParams, T: float) -> SampledCurve:
     """Mean of the filter process, m0 * exp(integral of h), sampled on [0, T].
 
-    Used as the deterministic stand-in for the filtered drift when reducing
-    the backward equations to ODEs; exact when the drift is degenerate.  The
-    grid also holds every breakpoint of h, where the curve has a kink.
+    The deterministic stand-in for the filtered drift that the Riccati
+    oracle (:func:`~mvreins.conelq.solve_riccati_pair`) reads at its RK4
+    stage times; exact when the drift is degenerate.  The grid is
+    linspace(0, T, 10001), one node per oracle step, with every breakpoint
+    of h, where the curve has a kink.
     """
     edges, _ = segments(0.0, T, drift.h)
-    grid = np.unique(np.concatenate([np.linspace(0.0, T, samples), edges]))
+    grid = np.unique(np.concatenate([np.linspace(0.0, T, 10001), edges]))
     return SampledCurve(grid, drift.m0 * np.exp(drift.h.antiderivative(grid)))

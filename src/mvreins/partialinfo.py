@@ -7,7 +7,8 @@ applied to the positive/negative part of the discounted wealth gap
     u(t) = xi_plus(t) (X - gamma e^{-int_t^T r})^+  +  xi_minus(t) (...)^-,
 
 and gamma*, the frontier and the dual value follow in closed form from the
-fields of :class:`PartialSolution` alone: k+/- = int_0^T kappa+/-, with
+fields of :class:`PartialSolution` alone: k+/- = int_0^T kappa+/-, the
+exponents :func:`~mvreins.conelq.riccati_pair` returns at t = 0, with
 P+/-(0) e^{-2 int r} = e^{-k+/-}, and the frontier vertex d0 = x0 e^{int r}.
 The xi+/- are P-free (P > 0 only scales the Hamiltonian), so the feedback
 reads gamma* alone.
@@ -62,13 +63,12 @@ def solve_partial(model: ModelParams) -> PartialSolution:
     if model.info_mode != INFO_PARTIAL:
         raise ValueError("solve_partial requires a partial-information model")
     mode = MODE_EXACT if model.drift.is_degenerate() else MODE_PROJECTED
-    riccati = riccati_pair(model)
-    k_minus = riccati.kappa_minus_integral
+    k_plus, k_minus = riccati_pair(model, 0.0)
     d, d0 = model.objective.d, riskless_terminal_wealth(model)
     if d < d0 - 1e-9 * max(1.0, abs(d0)):
         raise InfeasibleTargetError(f"target mean {d} below riskless wealth {d0}")
     gamma = (d - d0 * float(np.exp(-k_minus))) / _denominator(k_minus)
-    return PartialSolution(kappa_plus=riccati.kappa_plus_integral, kappa_minus=k_minus,
+    return PartialSolution(kappa_plus=k_plus, kappa_minus=k_minus,
                            gamma_star=gamma, d0=d0, approximation_mode=mode)
 
 

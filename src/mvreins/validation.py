@@ -7,6 +7,11 @@ probes against the constrained minimizers, finite differences against the PDE.
 The CLI ``validate`` subcommand prints one PASS/FAIL line per check and maps
 any failure to exit code 2.
 
+One backward RK4 solve of the Riccati pair (:func:`_riccati_oracle`) serves
+both modes: in full mode it meets the solution's exponential closed forms
+P1 and P2, in partial mode the closed form exp(2 int_t^T r - int_t^T kappa+/-)
+evaluated exactly at the oracle's nodes.
+
 The ``overrides`` mapping (from the config's ``[overrides]`` section) injects
 faulty constants into the closed-form side only, so a wrong value must trip the
 cross-checks; it exists to prove the suite can fail.
@@ -28,7 +33,6 @@ from .model import (INFO_FULL, ModelParams, riskless_terminal_wealth,
 # Cap on the P, Q, R oracle's step doubling: 2000 * 2^6.  Past it the
 # spread of a long, fast-growing solve is mostly rounding, not resolution.
 _PQR_MAX_STEPS = 128_000
-_RICCATI_STEPS = 10000  # RK4 steps of the Riccati pair's oracle
 
 
 @dataclass(frozen=True)
@@ -97,30 +101,28 @@ def _frontier_vertex_check(frontier, vertex: float) -> CheckResult:
                        f"variance at vertex {curve.variance[0]:.3e}, increasing beyond")
 
 
-def _riccati_oracle(model: ModelParams) -> conelq.RiccatiSolution:
-    """Backward RK4 Riccati pair, on the projected drift sampled at its step count."""
-    m_bar = filtering.projected_mean_curve(model.drift, model.objective.T,
-                                           samples=_RICCATI_STEPS + 1)
-    return conelq.solve_riccati_pair(model, m_bar, steps=_RICCATI_STEPS)
+def _riccati_oracle(model: ModelParams):
+    """Backward RK4 Riccati pair (P+, P-) on the projected drift."""
+    m_bar = filtering.projected_mean_curve(model.drift, model.objective.T)
+    return conelq.solve_riccati_pair(model, m_bar)
 
 
-def _riccati_oracle_check(riccati: conelq.RiccatiSolution,
-                          oracle: conelq.RiccatiSolution) -> CheckResult:
-    """Closed-form Riccati pair against the backward RK4 oracle, at its nodes.
+def _riccati_closed(model: ModelParams, t):
+    """Closed-form P+/- at the times ``t``: exp(2 int_t^T r - int_t^T kappa+/-)."""
+    r = model.market.r
+    two_r = 2.0 * (r.antiderivative(model.objective.T) - r.antiderivative(t))
+    return tuple(np.exp(two_r - k) for k in conelq.riccati_pair(model, t))
 
-    log P is the integral of 2r - kappa, so the closed form is interpolated
-    in log P (exact where kappa is constant); the error is relative to the
-    oracle.
-    """
-    err = 0.0
-    for closed, rk4 in ((riccati.p_plus, oracle.p_plus),
-                        (riccati.p_minus, oracle.p_minus)):
-        log_closed = np.interp(rk4.grid, closed.grid, np.log(closed.values))
-        rel = np.expm1(log_closed - np.log(rk4.values))
-        err = max(err, float(np.max(np.abs(rel))))
+
+def _riccati_oracle_check(closed, oracle) -> CheckResult:
+    """Closed-form Riccati pair, evaluated at the oracle's nodes, against the
+    backward RK4 oracle; the error, relative to the oracle, is the expm1 of
+    the difference of the logs."""
+    err = max(float(np.max(np.abs(np.expm1(np.log(p) - np.log(rk4.values)))))
+              for p, rk4 in zip(closed, oracle))
     return CheckResult(
         "riccati-rk4-oracle", err <= 1e-8,
-        f"closed form vs RK4 ({_RICCATI_STEPS} steps), max rel err {err:.2e}")
+        f"closed form vs RK4 ({conelq._ORACLE_STEPS} steps), max rel err {err:.2e}")
 
 
 def _pqr_oracle_check(model: ModelParams,
@@ -186,22 +188,21 @@ def _checks_full(model: ModelParams, compat: bool, overrides: dict,
         "a1-definition", err <= 1e-12 * max(1.0, abs(a1_fresh)),
         f"solution A1 {sol.a1:.6g} vs definition {a1_fresh:.6g}"))
 
-    # Backward Riccati pair against the exponential closed forms (needs the
-    # constant-coefficient, positive-excess-return setting of full mode).
-    m_bar = filtering.projected_mean_curve(model.drift, model.objective.T)
-    riccati = conelq.solve_riccati_pair(model, m_bar)
-    r = model.market.r.constant_value()
-    T = model.objective.T
-    err_p = _curve_rel_err(riccati.p_plus, lambda t: np.exp(2.0 * r * (T - t)))
+    # Backward Riccati pair against the solution's exponential closed forms
+    # P1 and P2 (the constant-coefficient, positive-excess-return setting of
+    # full mode).
+    p_plus, p_minus = _riccati_oracle(model)
+    err_p = _curve_rel_err(p_plus, sol.p1)
     results.append(CheckResult(
         "riccati-plus-closed-form", err_p <= 1e-6, f"max rel err {err_p:.2e}"))
-    err_m = _curve_rel_err(
-        riccati.p_minus, lambda t: np.exp((2.0 * r + 2.0 * sol.a1) * (T - t)))
+    err_m = _curve_rel_err(p_minus, sol.p2)
     results.append(CheckResult(
         "riccati-minus-closed-form", err_m <= 1e-6, f"max rel err {err_m:.2e}"))
 
     results.append(_pqr_oracle_check(model, sol))
 
+    r = model.market.r.constant_value()
+    T = model.objective.T
     xs = rng.uniform(-2.0, 2.0, size=100) * max(1.0, abs(sol.switching_x(0.0)))
     lhs = 0.5 * sol.p2(0.0) * xs ** 2 + sol.q2(0.0) * xs + sol.r2(0.0)
     rhs = 0.5 * np.exp(2.0 * sol.a1 * T) * (np.exp(r * T) * xs + sol.g1(0.0)) ** 2
@@ -243,26 +244,26 @@ def _checks_full(model: ModelParams, compat: bool, overrides: dict,
 def _checks_partial(model: ModelParams) -> list[CheckResult]:
     results = []
     sol = partialinfo.solve_partial(model)
-    riccati = conelq.riccati_pair(model)
     oracle = _riccati_oracle(model)
+    grid = oracle[0].grid
+    closed = _riccati_closed(model, grid)
     T = model.objective.T
 
-    nonneg = riccati.p_plus.values.min() > 0 and riccati.p_minus.values.min() > 0
+    p_plus, p_minus = closed
     results.append(CheckResult(
-        "riccati-positive", bool(nonneg),
-        f"min P+ {riccati.p_plus.values.min():.3e}, "
-        f"min P- {riccati.p_minus.values.min():.3e}"))
+        "riccati-positive", bool(p_plus.min() > 0 and p_minus.min() > 0),
+        f"min P+ {p_plus.min():.3e}, min P- {p_minus.min():.3e}"))
 
-    # Backward comparison with the H* = 0 envelope.  The closed form meets it
-    # by construction (kappa >= 0), so the oracle's curves are held to it too.
+    # Backward comparison with the H* = 0 envelope, at the oracle's nodes.
+    # The closed form meets it by construction (kappa >= 0), so the oracle's
+    # curves are held to it too.
     rate = model.market.r
-    ok_env = True
-    for p in (riccati.p_plus, riccati.p_minus, oracle.p_plus, oracle.p_minus):
-        envelope = np.exp(2.0 * (rate.antiderivative(T) - rate.antiderivative(p.grid)))
-        ok_env = ok_env and bool(np.all(p.values <= envelope * (1 + 1e-9)))
+    envelope = np.exp(2.0 * (rate.antiderivative(T) - rate.antiderivative(grid)))
+    ok_env = all(np.all(p <= envelope * (1 + 1e-9))
+                 for p in (*closed, *(rk4.values for rk4 in oracle)))
     results.append(CheckResult(
         "riccati-envelope", bool(ok_env), "P+- <= exp(2 int r) pointwise"))
-    results.append(_riccati_oracle_check(riccati, oracle))
+    results.append(_riccati_oracle_check(closed, oracle))
 
     n_curve = filtering.solve_variance(model.drift, model.market.sigma, T)
     ok_n = n_curve.values.min() >= -1e-12

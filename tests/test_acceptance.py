@@ -68,14 +68,14 @@ def test_criterion_2_compat_dual_anchor(paper44_model):
 def test_criterion_3_riccati_equivalence(paper44_model):
     model = paper44_model
     m_bar = projected_mean_curve(model.drift, model.objective.T)
-    sol = mv.solve_riccati_pair(model, m_bar, steps=2500)
-    grid = sol.p_plus.grid
+    p_plus, p_minus = mv.solve_riccati_pair(model, m_bar)
+    grid = p_plus.grid
     tau = model.objective.T - grid
     a1 = -(0.06 - 0.04) ** 2 / 2.0 - 0.2 ** 2 / 2.0
-    err_plus = np.max(np.abs(sol.p_plus.values - np.exp(2 * 0.04 * tau))
+    err_plus = np.max(np.abs(p_plus.values - np.exp(2 * 0.04 * tau))
                       / np.exp(2 * 0.04 * tau))
     ref_minus = np.exp((2 * 0.04 + 2 * a1) * tau)
-    err_minus = np.max(np.abs(sol.p_minus.values - ref_minus) / ref_minus)
+    err_minus = np.max(np.abs(p_minus.values - ref_minus) / ref_minus)
     ok = err_plus <= 1e-6 and err_minus <= 1e-6
     _report("criterion-3 riccati-equivalence", ok,
             f"max rel err P+ {err_plus:.2e}, P- {err_minus:.2e} (tol 1e-6)")

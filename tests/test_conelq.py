@@ -17,6 +17,8 @@ from conftest import make_model
 
 REPO = Path(__file__).resolve().parents[1]
 BENCH_PARTIAL_CFG = REPO / "bench" / "configs" / "partial.cfg"
+# m = 0.06 e^{-0.3 t} crosses r = 0.04 at t = ln(1.5)/0.3 in bench partial.cfg
+_BENCH_CROSSING = float(mpmath.log(mpmath.mpf(0.06) / mpmath.mpf(0.04)) / mpmath.mpf(0.3))
 
 
 def grid_search_argmin(sign, P, coeffs, lo=0.0, hi=1.0, step=1e-3):
@@ -138,29 +140,29 @@ def test_h_minus_below_h_plus_for_nonnegative_drift():
 
 def test_riccati_pair_closed_forms(paper44_model):
     m_bar = projected_mean_curve(paper44_model.drift, 100.0)
-    sol = solve_riccati_pair(paper44_model, m_bar, steps=2500)
-    grid = sol.p_plus.grid
+    p_plus, p_minus = solve_riccati_pair(paper44_model, m_bar)
+    grid = p_plus.grid
     p_plus_exact = np.exp(2 * 0.04 * (100.0 - grid))
     a1 = -(0.06 - 0.04) ** 2 / 2 - 0.2 ** 2 / 2
     p_minus_exact = np.exp((2 * 0.04 + 2 * a1) * (100.0 - grid))
-    assert np.max(np.abs(sol.p_plus.values - p_plus_exact) / p_plus_exact) <= 1e-6
-    assert np.max(np.abs(sol.p_minus.values - p_minus_exact) / p_minus_exact) <= 1e-6
+    assert np.max(np.abs(p_plus.values - p_plus_exact) / p_plus_exact) <= 1e-6
+    assert np.max(np.abs(p_minus.values - p_minus_exact) / p_minus_exact) <= 1e-6
 
 
 def test_riccati_terminal_condition(paper44_model):
     m_bar = projected_mean_curve(paper44_model.drift, 100.0)
-    sol = solve_riccati_pair(paper44_model, m_bar, steps=500)
-    assert sol.p_plus(100.0) == 1.0
-    assert sol.p_minus(100.0) == 1.0
+    p_plus, p_minus = solve_riccati_pair(paper44_model, m_bar)
+    assert p_plus(100.0) == 1.0
+    assert p_minus(100.0) == 1.0
 
 
 def test_riccati_positive_and_below_envelope(partial_filter_model):
     model = partial_filter_model
     m_bar = projected_mean_curve(model.drift, model.objective.T)
-    sol = solve_riccati_pair(model, m_bar, steps=3000)
-    grid = sol.p_plus.grid
+    p_pair = solve_riccati_pair(model, m_bar)
+    grid = p_pair[0].grid
     envelope = np.exp(2 * 0.04 * (model.objective.T - grid))
-    for curve in (sol.p_plus, sol.p_minus):
+    for curve in p_pair:
         assert curve.values.min() > 0
         assert np.all(curve.values <= envelope * (1 + 1e-9))
 
@@ -171,9 +173,8 @@ def test_linear_march_matches_the_general_march_on_bench_partial_cfg():
     # On partial.cfg both cross the r and sigma breakpoints and m = r.
     model = load_config(BENCH_PARTIAL_CFG)[0]
     T, c = model.objective.T, model.claim
-    m_bar = projected_mean_curve(model.drift, T, samples=10001)
-    linear = solve_riccati_pair(model, m_bar, steps=10000)
-    for sign, got in (("plus", linear.p_plus), ("minus", linear.p_minus)):
+    m_bar = projected_mean_curve(model.drift, T)
+    for sign, got in zip(("plus", "minus"), solve_riccati_pair(model, m_bar)):
         def rhs(t, p, r, sigma):
             coeffs = LQCoefficients(b_q=c.a * c.eta, b_pi=m_bar(t) - r,
                                     d_q=c.b, d_pi=sigma)
@@ -193,7 +194,7 @@ def test_riccati_oracle_raises_when_p_crosses_zero(paper44_model):
     m_bar = SampledCurve(np.array([0.0, 49.9995, 50.0, 50.0005, 100.0]),
                          np.array([m0, m0, r + 40.0, m0, m0]))
     with pytest.raises(RiccatiSolverError, match="P- not positive"):
-        solve_riccati_pair(paper44_model, m_bar, steps=10000)
+        solve_riccati_pair(paper44_model, m_bar)
 
 
 def _partial(**kw):
@@ -216,28 +217,28 @@ ORACLE_CASES = {
 def test_riccati_pair_matches_rk4_oracle(case):
     model = ORACLE_CASES[case]()
     T = model.objective.T
-    closed = riccati_pair(model)
-    m_bar = projected_mean_curve(model.drift, T, samples=10001)
-    oracle = solve_riccati_pair(model, m_bar, steps=10000)
-    for got, ref in ((closed.p_plus, oracle.p_plus),
-                     (closed.p_minus, oracle.p_minus)):
-        assert np.max(np.abs(got(ref.grid) / ref.values - 1.0)) <= 1e-8
-        assert got(T) == 1.0
-        assert got.values.min() > 0.0
-        envelope = np.exp(2.0 * (model.market.r.antiderivative(T)
-                                 - model.market.r.antiderivative(got.grid)))
-        assert np.all(got.values <= envelope * (1 + 1e-12))
+    oracle = solve_riccati_pair(model, projected_mean_curve(model.drift, T))
+    grid = oracle[0].grid
+    two_r = 2.0 * (model.market.r.antiderivative(T)
+                   - model.market.r.antiderivative(grid))
+    for k, ref in zip(riccati_pair(model, grid), oracle):
+        got = np.exp(two_r - k)  # the closed-form P at the oracle's nodes
+        assert np.max(np.abs(got / ref.values - 1.0)) <= 1e-8
+        assert grid[-1] == T and got[-1] == 1.0
+        assert got.min() > 0.0
+        assert np.all(got <= np.exp(two_r) * (1 + 1e-12))
 
 
 def test_riccati_pair_full_mode_exponentials(paper44_model):
-    sol = riccati_pair(paper44_model)
-    tau = 100.0 - sol.p_plus.grid
+    tau = 100.0 - np.linspace(0.0, 100.0, 10001)
+    k_plus, k_minus = riccati_pair(paper44_model, 100.0 - tau)
+    p_plus, p_minus = np.exp(2 * 0.04 * tau - k_plus), np.exp(2 * 0.04 * tau - k_minus)
     a1 = -(0.06 - 0.04) ** 2 / 2 - 0.2 ** 2 / 2
     p_plus_exact = np.exp(2 * 0.04 * tau)
     p_minus_exact = np.exp((2 * 0.04 + 2 * a1) * tau)
-    assert np.max(np.abs(sol.p_plus.values / p_plus_exact - 1.0)) <= 1e-12
-    assert np.max(np.abs(sol.p_minus.values / p_minus_exact - 1.0)) <= 1e-12
-    assert sol.p_plus(100.0) == 1.0 and sol.p_minus(100.0) == 1.0
+    assert np.max(np.abs(p_plus / p_plus_exact - 1.0)) <= 1e-12
+    assert np.max(np.abs(p_minus / p_minus_exact - 1.0)) <= 1e-12
+    assert p_plus[-1] == 1.0 and p_minus[-1] == 1.0
 
 
 def _kappa_integrals_mpmath(model, cuts=()):
@@ -271,17 +272,33 @@ def test_kappa_integral_with_tiny_drift_rate(h, excess):
     # formed from terms of size T they lost up to 2e-2 relative here.
     model = make_model(a=1e-9, theta=0.2, eta=0.2, r=0.04, m0=0.04 + excess,
                        h=h, info_mode="partial")
-    sol = riccati_pair(model)
+    k_plus, k_minus = riccati_pair(model, 0.0)
     plus, minus = _kappa_integrals_mpmath(model)
-    assert sol.kappa_plus_integral == plus == 0.0
-    assert sol.kappa_minus_integral == pytest.approx(minus, rel=1e-12, abs=0.0)
+    assert k_plus == plus == 0.0
+    assert k_minus == pytest.approx(minus, rel=1e-12, abs=0.0)
 
 
 def test_kappa_integrals_on_bench_partial_cfg():
     model = load_config(BENCH_PARTIAL_CFG)[0]
-    sol = riccati_pair(model)
-    # m = 0.06 e^{-0.3 t} crosses r = 0.04 at t = ln(1.5)/0.3
-    crossing = float(mpmath.log(mpmath.mpf(0.06) / mpmath.mpf(0.04)) / mpmath.mpf(0.3))
-    plus, minus = _kappa_integrals_mpmath(model, cuts=(crossing,))
-    assert sol.kappa_plus_integral == pytest.approx(plus, rel=1e-12, abs=0.0)
-    assert sol.kappa_minus_integral == pytest.approx(minus, rel=1e-12, abs=0.0)
+    k_plus, k_minus = riccati_pair(model, 0.0)
+    plus, minus = _kappa_integrals_mpmath(model, cuts=(_BENCH_CROSSING,))
+    assert k_plus == pytest.approx(plus, rel=1e-12, abs=0.0)
+    assert k_minus == pytest.approx(minus, rel=1e-12, abs=0.0)
+
+
+def test_riccati_pair_on_an_array_matches_its_float_calls():
+    # 0, T, every piece edge of r and sigma, the m = r crossing and points
+    # between them: the array call gives the float calls' bits, and T gives
+    # exactly (0.0, 0.0).
+    model = load_config(BENCH_PARTIAL_CFG)[0]
+    T, mk = model.objective.T, model.market
+    cut = float(np.log(0.04 / 0.06) / -0.3)  # the crossing as riccati_pair cuts it
+    edges = {0.0, T, _BENCH_CROSSING, cut, *mk.r.times.tolist(), *mk.sigma.times.tolist()}
+    times = np.array(sorted(t for t in edges if t <= T) + [0.37, 2.9, 0.999 * T])
+    pair = riccati_pair(model, times)
+    for i, t in enumerate(times.tolist()):
+        got = riccati_pair(model, t)
+        assert all(type(k) is float for k in got)
+        assert [k.hex() for k in got] == [float(k[i]).hex() for k in pair]
+    assert riccati_pair(model, T) == (0.0, 0.0)
+    assert all(k[times == T].tolist() == [0.0] for k in pair)

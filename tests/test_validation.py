@@ -1,13 +1,11 @@
-import dataclasses
 
 import pytest
 
 import mvreins as mv
 from mvreins import validation
-from mvreins.conelq import riccati_pair
 from mvreins.config import load_config
-from mvreins.curves import SampledCurve
-from mvreins.validation import _riccati_oracle, _riccati_oracle_check, run_checks
+from mvreins.validation import (_riccati_closed, _riccati_oracle,
+                                _riccati_oracle_check, run_checks)
 
 from conftest import make_model
 from test_cli import PAPER44_CFG
@@ -16,12 +14,10 @@ from test_conelq import BENCH_PARTIAL_CFG
 
 def test_riccati_oracle_check_catches_a_wrong_pair():
     model = load_config(BENCH_PARTIAL_CFG)[0]
-    riccati, oracle = riccati_pair(model), _riccati_oracle(model)
-    assert _riccati_oracle_check(riccati, oracle).passed
-    p_minus = riccati.p_minus
-    scaled = dataclasses.replace(
-        riccati, p_minus=SampledCurve(p_minus.grid, p_minus.values * (1 + 1e-6)))
-    result = _riccati_oracle_check(scaled, oracle)
+    oracle = _riccati_oracle(model)
+    p_plus, p_minus = _riccati_closed(model, oracle[0].grid)
+    assert _riccati_oracle_check((p_plus, p_minus), oracle).passed
+    result = _riccati_oracle_check((p_plus, p_minus * (1 + 1e-6)), oracle)
     assert result.name == "riccati-rk4-oracle"
     assert not result.passed
 
