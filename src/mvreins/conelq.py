@@ -214,7 +214,8 @@ def riccati_pair(model: ModelParams, t):
     t = np.asarray(t, dtype=float)
     j = np.clip(np.searchsorted(edges, t, side="right") - 1, 0, a.size - 1)
     pair = []
-    for whole, before in zip(integrals(np.arange(a.size), width), integrals(j, t - a[j])):
+    pieces = integrals(np.arange(a.size), width)
+    for whole, before in zip(pieces, integrals(j, t - a[j])):
         from_piece = np.array([np.sum(whole[i:]) for i in range(a.size)])
         k = from_piece[j] - before
         pair.append(float(k) if k.ndim == 0 else k)

@@ -12,7 +12,7 @@ switching curve x = -g1(t) e^{-r(T-t)}:
     V(t, x) = 1/2 [e^{r(T-t)} x + g1(t)]^2                      above the curve,
     V(t, x) = 1/2 [e^{(A1+r)(T-t)} x + e^{A1(T-t)} g1(t)]^2     below it,
 
-with g1(t) = f [e^{r(T-t)} - 1]/r, f = a(theta - eta) + (d - gamma) r, and
+with g1(t) = f expm1(r(T-t))/r, f = a(theta - eta) + (d - gamma) r, and
 A1 = -(mu - r)^2/(2 sigma^2) - a^2 eta^2/(2 b^2).  Above the curve the optimal
 control is (0, 0); below it both components are proportional to the distance
 from the curve.  V is C^1 but not C^2 across the curve, hence the viscosity
@@ -39,7 +39,9 @@ from .frontier import FrontierCurve, InfeasibleTargetError, quadratic_frontier
 from .model import INFO_FULL, ModelParams, riskless_terminal_wealth, validate
 from .odekernel import integrate_linear_backward
 
-_FD_STEP = 1e-4  # relative x-step and absolute t-step of the finite-difference checks
+# Relative x-step of the finite-difference checks; hjb_residual's t-step is
+# _FD_STEP min(1, T).
+_FD_STEP = 1e-4
 # On-curve tolerances relative to the branch scale at t: the branch gap
 # against max(1, g1^2), the x-gradient against max(1, e^{r(T-t)} |g1|).
 _GAP_TOL = 1e-24
@@ -85,7 +87,7 @@ class FullInfoSolution:
 
     # -- closed forms ------------------------------------------------------
     def g1(self, t):
-        return self.f * (np.exp(self.r * (self.T - t)) - 1.0) / self.r
+        return self.f * np.expm1(self.r * (self.T - t)) / self.r
 
     def p1(self, t):
         return np.exp(2.0 * self.r * (self.T - t))
@@ -321,13 +323,17 @@ def hjb_residual(t: float, x: float, sol: FullInfoSolution,
 
     Central differences with step ``_FD_STEP``; the x-step is scaled by
     max(1, |x|) so the stencil tracks the quadratic's scale (keeping the
-    second difference exact up to roundoff), the t-step is left unscaled.
-    The cone infimum is evaluated by the closed-form per-coordinate
-    minimizer.  Points within 10 x-steps of the switching curve (or with the
-    time stencil leaving [0, T]) are rejected.
+    second difference exact up to roundoff), the t-step by min(1, T) so it
+    stays inside a short horizon.  The cone infimum is evaluated by the
+    closed-form per-coordinate minimizer.  Points within 10 x-steps of the
+    switching curve (or with the time stencil leaving [0, T]) are rejected.
+
+    Returns the residual V_t + V_x (r x + f) + inf_q + inf_pi and the sum of
+    its four terms' magnitudes, the scale that its rounding and
+    finite-difference error grow with.
     """
     hx = _FD_STEP * max(1.0, abs(x))
-    ht = _FD_STEP
+    ht = _FD_STEP * min(1.0, sol.T)
     s = x - sol.switching_x(t)
     if abs(s) <= 10.0 * hx:
         raise NearCurveError(
@@ -351,7 +357,8 @@ def hjb_residual(t: float, x: float, sol: FullInfoSolution,
     # inf over q, pi >= 0 of vx (a eta q + (mu - r) pi) + 1/2 vxx (b^2 q^2 + sigma^2 pi^2)
     _, val_q = cone_quadratic_argmin(0.5 * vxx * c.b ** 2, 0.5 * vx * c.a * c.eta)
     _, val_pi = cone_quadratic_argmin(0.5 * vxx * sigma ** 2, 0.5 * vx * (mu - r))
-    return float(vt + vx * (r * x + sol.f) + val_q + val_pi)
+    terms = (vt, vx * (r * x + sol.f), val_q, val_pi)
+    return float(sum(terms)), float(sum(abs(term) for term in terms))
 
 
 @dataclass(frozen=True)

@@ -163,16 +163,18 @@ def riskless_terminal_wealth(params: ModelParams) -> float:
     """Terminal wealth under the zero strategy (everything reinsured, all in the bond).
 
     Solves dX = [a(theta - eta) + r X] dt from x0 exactly, chaining the affine
-    closed form across the rate curve's segments.  This is the smallest
-    attainable expected terminal wealth (the frontier vertex), alias d_min.
+    closed form across the rate curve's segments: over a segment of length
+    u, x <- x + x expm1(r u) + a(theta - eta) expm1(r u)/r, so a tiny r does
+    not cancel in e^{r u} - 1.  This is the smallest attainable expected
+    terminal wealth (the frontier vertex), alias d_min.
     """
     c, mk, T = params.claim, params.market, params.objective.T
     drift = c.a * (c.theta - c.eta)
     edges, (rates,) = segments(0.0, T, mk.r)
     x = params.objective.x0
     for t0, t1, rate in zip(edges[:-1], edges[1:], rates.tolist()):
-        grow = np.exp(rate * (t1 - t0))
-        x = x * grow + drift * (grow - 1.0) / rate
+        grow = np.expm1(rate * (t1 - t0))
+        x = x + x * grow + drift * grow / rate
     return float(x)
 
 

@@ -210,17 +210,16 @@ def _checks_full(model: ModelParams, compat: bool, overrides: dict,
     results.append(CheckResult(
         "completion-of-square", err_sq <= 1e-9, f"max rel err {err_sq:.2e}"))
 
-    # Interior PDE residual, normalized by the value scale so the check is
-    # meaningful at any wealth magnitude.
+    # Interior PDE residual, normalized by the sum of its four terms'
+    # magnitudes so the check is meaningful at any horizon and wealth scale.
     worst = 0.0
     for t in np.linspace(0.05 * T, 0.95 * T, 7):
         xc = float(sol.switching_x(t))
         scale = max(1.0, abs(xc))
         for x in (xc + 0.5 * scale, xc + 2.0 * scale, xc - 0.5 * scale,
                   xc - 2.0 * scale):
-            res = fullinfo.hjb_residual(t, x, sol, model)
-            v = fullinfo.value_function(t, x, sol)
-            worst = max(worst, abs(res) / (1.0 + abs(v)))
+            res, magnitude = fullinfo.hjb_residual(t, x, sol, model)
+            worst = max(worst, abs(res) / magnitude)
     results.append(CheckResult(
         "hjb-interior-residual", worst <= 1e-6,
         f"max normalized residual {worst:.2e}"))

@@ -235,7 +235,7 @@ def test_criterion_8_hjb_viscosity(scaled_noncheap_model, paper44_model):
             xc = float(sol.switching_x(t))
             x = xc + sign * rng.uniform(1.0, 80.0)
             worst[region] = max(worst[region],
-                                abs(mv.hjb_residual(t, x, sol, model)))
+                                abs(mv.hjb_residual(t, x, sol, model)[0]))
     residual_ok = max(worst.values()) <= 1e-4
 
     report = mv.viscosity_check(sol, curve_samples=100)

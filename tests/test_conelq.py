@@ -18,7 +18,8 @@ from conftest import make_model
 REPO = Path(__file__).resolve().parents[1]
 BENCH_PARTIAL_CFG = REPO / "bench" / "configs" / "partial.cfg"
 # m = 0.06 e^{-0.3 t} crosses r = 0.04 at t = ln(1.5)/0.3 in bench partial.cfg
-_BENCH_CROSSING = float(mpmath.log(mpmath.mpf(0.06) / mpmath.mpf(0.04)) / mpmath.mpf(0.3))
+_BENCH_CROSSING = float(mpmath.log(mpmath.mpf(0.06) / mpmath.mpf(0.04))
+                        / mpmath.mpf(0.3))
 
 
 def grid_search_argmin(sign, P, coeffs, lo=0.0, hi=1.0, step=1e-3):
@@ -232,7 +233,8 @@ def test_riccati_pair_matches_rk4_oracle(case):
 def test_riccati_pair_full_mode_exponentials(paper44_model):
     tau = 100.0 - np.linspace(0.0, 100.0, 10001)
     k_plus, k_minus = riccati_pair(paper44_model, 100.0 - tau)
-    p_plus, p_minus = np.exp(2 * 0.04 * tau - k_plus), np.exp(2 * 0.04 * tau - k_minus)
+    p_plus = np.exp(2 * 0.04 * tau - k_plus)
+    p_minus = np.exp(2 * 0.04 * tau - k_minus)
     a1 = -(0.06 - 0.04) ** 2 / 2 - 0.2 ** 2 / 2
     p_plus_exact = np.exp(2 * 0.04 * tau)
     p_minus_exact = np.exp((2 * 0.04 + 2 * a1) * tau)
@@ -293,7 +295,8 @@ def test_riccati_pair_on_an_array_matches_its_float_calls():
     model = load_config(BENCH_PARTIAL_CFG)[0]
     T, mk = model.objective.T, model.market
     cut = float(np.log(0.04 / 0.06) / -0.3)  # the crossing as riccati_pair cuts it
-    edges = {0.0, T, _BENCH_CROSSING, cut, *mk.r.times.tolist(), *mk.sigma.times.tolist()}
+    edges = {0.0, T, _BENCH_CROSSING, cut, *mk.r.times.tolist(),
+             *mk.sigma.times.tolist()}
     times = np.array(sorted(t for t in edges if t <= T) + [0.37, 2.9, 0.999 * T])
     pair = riccati_pair(model, times)
     for i, t in enumerate(times.tolist()):

@@ -293,7 +293,7 @@ def test_hjb_residual_interior(scaled_solution, scaled_noncheap_model):
         t = rng.uniform(0.2, 4.8)
         xc = float(sol.switching_x(t))
         offset = rng.uniform(1.0, 60.0) * rng.choice([-1.0, 1.0])
-        res = hjb_residual(t, xc + offset, sol, scaled_noncheap_model)
+        res, _ = hjb_residual(t, xc + offset, sol, scaled_noncheap_model)
         assert abs(res) <= 1e-4
 
 

@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 
@@ -68,6 +69,18 @@ def test_riskless_wealth_small_rate_limit():
     m = make_model(r=1e-6, T=10.0)
     limit = 50.0 + 1.0 * (0.3 - 0.2) * 10.0
     assert mv.riskless_terminal_wealth(m) == pytest.approx(limit, rel=1e-4)
+
+
+@pytest.mark.parametrize("r", [1e-10, 1e-7])
+def test_riskless_wealth_at_a_tiny_rate_meets_mpmath(r):
+    # x0 e^{rT} + a (theta - eta) (e^{rT} - 1)/r: formed with exp(rT) - 1,
+    # the second term lost up to 1.85e-9 relative at r = 1e-10.
+    m = make_model(r=r, T=100.0, d=200.0)
+    with mpmath.workdps(40):
+        rt = mpmath.mpf(r) * 100
+        premium = mpmath.mpf(0.3) - mpmath.mpf(0.2)
+        exact = float(50 * mpmath.exp(rt) + premium * mpmath.expm1(rt) / r)
+    assert mv.riskless_terminal_wealth(m) == pytest.approx(exact, rel=1e-14, abs=0.0)
 
 
 def test_riskless_wealth_matches_ode(paper44_model):

@@ -39,6 +39,21 @@ def test_negative_frontier_vertex_passes_every_check():
     assert [r.name for r in results if not r.passed] == []
 
 
+def test_tiny_rate_passes_every_check():
+    # paper44 at r = 1e-10: e^{rT} - 1 cancelled in the riskless wealth and
+    # in g1, failing riskless-wealth-ode (1.85e-9) and hjb-interior-residual.
+    results = run_checks(make_model(r=1e-10, T=100.0, d=200.0))
+    assert [r.name for r in results if not r.passed] == []
+
+
+@pytest.mark.parametrize("T", [0.001, 0.01, 0.1])
+def test_short_horizon_passes_every_check(T):
+    # Judged against 1 + |V|, the HJB residual read 1.74e-4 at T = 0.01, and
+    # an absolute time step of 1e-4 left [0, T] at T = 0.001.
+    results = run_checks(make_model(T=T, d=60.0))
+    assert [r.name for r in results if not r.passed] == []
+
+
 def _long_full_model(**params):
     """A full model with d = 1.5 times its riskless terminal wealth."""
     base = make_model(**params)

@@ -8,13 +8,14 @@ Each op runs as ``python -m mvreins`` on this checkout's ``src/`` in its own
 directory ``OUT/<op>/`` with ``--out-dir .``.  Next to the files the op writes
 go ``stdout.txt``, ``stderr.txt`` and ``exit_code.txt``.  The list covers
 every subcommand: ``validate`` on the four configs, on one with a faulty
-injected ``a1``, on a tiny-premium one and on a full one whose frontier
-vertex is negative; ``frontier`` in full and partial mode, and in partial
-mode on a tiny-premium twin; ``value-surface``; ``dual-curve`` with the
-default and the compat constant; ``filter``; and ``simulate`` in full mode
-and in partial physical and innovation dynamics, each at 1 and 2 workers,
-plus a ``--store-paths`` run.  Two checkouts whose snapshots ``diff -r``
-finds equal produce the same bytes on all of them.
+injected ``a1``, on a tiny-premium one, on a full one whose frontier vertex
+is negative, on a tiny-rate one and on a short-horizon one; ``frontier`` in
+full and partial mode, and in partial mode on a tiny-premium twin;
+``value-surface``; ``dual-curve`` with the default and the compat constant;
+``filter``; and ``simulate`` in full mode and in partial physical and
+innovation dynamics, each at 1 and 2 workers, plus a ``--store-paths`` run.
+Two checkouts whose snapshots ``diff -r`` finds equal produce the same bytes
+on all of them.
 """
 
 from __future__ import annotations
@@ -33,13 +34,16 @@ PARTIAL = REPO / "bench" / "configs" / "partial.cfg"
 # Configs derived from paper44, written into the op's directory: (changed
 # values, appended text).  The tiny-premium ones set a = 1e-9 and
 # m0 - r = 1e-9; the partial twin also sets theta = eta.  eta = 0.5 and
-# x0 = 1 put the full frontier's vertex at -213.39.
+# x0 = 1 put the full frontier's vertex at -213.39.  The tiny-rate one sets
+# r = 1e-10 (d = 200), the short-horizon one T = 0.01 (d = 60).
 TINY = {"a": "1e-9", "m0": "0.040000001"}
 DERIVED = {
     "a1-injected.cfg": ({}, "\n[overrides]\na1 = -0.5\n"),
     "tiny-premium-full.cfg": (TINY, ""),
     "tiny-premium-partial.cfg": ({**TINY, "theta": "0.2"}, ""),
     "negative-vertex-full.cfg": ({"eta": "0.5", "x0": "1.0"}, ""),
+    "tiny-r-full.cfg": ({"r": "1e-10", "d": "200.0"}, ""),
+    "short-horizon-full.cfg": ({"T": "0.01", "d": "60.0"}, ""),
 }
 
 FULL_SIM = ("simulate", "--paths", "17000", "--dt", "0.01", "--seed", "7")
@@ -54,6 +58,8 @@ OPS = [
     ("validate-a1-injected", "a1-injected.cfg", ("validate",)),
     ("validate-tiny-premium-full", "tiny-premium-full.cfg", ("validate",)),
     ("validate-negative-vertex-full", "negative-vertex-full.cfg", ("validate",)),
+    ("validate-tiny-r-full", "tiny-r-full.cfg", ("validate",)),
+    ("validate-short-horizon-full", "short-horizon-full.cfg", ("validate",)),
     ("frontier-full", PAPER44, ("frontier", "--mode", "full")),
     ("frontier-partial", PARTIAL, ("frontier", "--mode", "partial")),
     ("frontier-tiny-premium-partial", "tiny-premium-partial.cfg",
