@@ -10,10 +10,13 @@ go ``stdout.txt``, ``stderr.txt`` and ``exit_code.txt``.  The list covers
 every subcommand: ``validate`` on the four configs, on one with a faulty
 injected ``a1``, on a tiny-premium one, on a full one whose frontier vertex
 is negative, on a tiny-rate one and on a short-horizon one; ``frontier`` in
-full and partial mode, and in partial mode on a tiny-premium twin;
-``value-surface``; ``dual-curve`` with the default and the compat constant;
-``filter``; and ``simulate`` in full mode and in partial physical and
-innovation dynamics, each at 1 and 2 workers, plus a ``--store-paths`` run.
+full and partial mode, in partial mode on a tiny-premium twin and in full
+mode on a twin whose target mean lies below the frontier vertex;
+``value-surface``; ``dual-curve``; ``filter``; and ``simulate`` in full mode
+and in partial physical and innovation dynamics, each at 1 and 2 workers,
+plus a ``--store-paths`` run.  ``validate`` on paper44, full ``frontier``,
+``value-surface``, ``dual-curve`` and a short full ``simulate`` also run
+with the compat constant (``--compat-paper-formulas``).
 Two checkouts whose snapshots ``diff -r`` finds equal produce the same bytes
 on all of them.
 """
@@ -35,7 +38,8 @@ PARTIAL = REPO / "bench" / "configs" / "partial.cfg"
 # values, appended text).  The tiny-premium ones set a = 1e-9 and
 # m0 - r = 1e-9; the partial twin also sets theta = eta.  eta = 0.5 and
 # x0 = 1 put the full frontier's vertex at -213.39.  The tiny-rate one sets
-# r = 1e-10 (d = 200), the short-horizon one T = 0.01 (d = 60).
+# r = 1e-10 (d = 200), the short-horizon one T = 0.01 (d = 60).  The low-d
+# one sets d = 2000, below the full frontier's vertex 2863.90.
 TINY = {"a": "1e-9", "m0": "0.040000001"}
 DERIVED = {
     "a1-injected.cfg": ({}, "\n[overrides]\na1 = -0.5\n"),
@@ -44,7 +48,9 @@ DERIVED = {
     "negative-vertex-full.cfg": ({"eta": "0.5", "x0": "1.0"}, ""),
     "tiny-r-full.cfg": ({"r": "1e-10", "d": "200.0"}, ""),
     "short-horizon-full.cfg": ({"T": "0.01", "d": "60.0"}, ""),
+    "low-d-full.cfg": ({"d": "2000.0"}, ""),
 }
+COMPAT = ("--compat-paper-formulas",)
 
 FULL_SIM = ("simulate", "--paths", "17000", "--dt", "0.01", "--seed", "7")
 PARTIAL_SIM = ("simulate", "--paths", "17000", "--dt", "0.025", "--seed", "5")
@@ -60,16 +66,22 @@ OPS = [
     ("validate-negative-vertex-full", "negative-vertex-full.cfg", ("validate",)),
     ("validate-tiny-r-full", "tiny-r-full.cfg", ("validate",)),
     ("validate-short-horizon-full", "short-horizon-full.cfg", ("validate",)),
+    ("validate-paper44-compat", PAPER44, COMPAT + ("validate",)),
     ("frontier-full", PAPER44, ("frontier", "--mode", "full")),
+    ("frontier-full-compat", PAPER44, COMPAT + ("frontier", "--mode", "full")),
+    ("frontier-full-low-d", "low-d-full.cfg", ("frontier", "--mode", "full")),
     ("frontier-partial", PARTIAL, ("frontier", "--mode", "partial")),
     ("frontier-tiny-premium-partial", "tiny-premium-partial.cfg",
      ("frontier", "--mode", "partial")),
     ("value-surface", PAPER44, ("value-surface",)),
-    ("dual-curve-compat", PAPER44, ("--compat-paper-formulas", "dual-curve")),
+    ("value-surface-compat", PAPER44, COMPAT + ("value-surface",)),
+    ("dual-curve-compat", PAPER44, COMPAT + ("dual-curve",)),
     ("dual-curve", PAPER44, ("dual-curve",)),
     ("filter", PARTIAL, ("filter", "--steps", "2000", "--seed", "5")),
     ("simulate-full-w1", SCALED, FULL_SIM + ("--workers", "1")),
     ("simulate-full-w2", SCALED, FULL_SIM + ("--workers", "2")),
+    ("simulate-full-compat", SCALED, COMPAT + (
+        "simulate", "--paths", "2000", "--dt", "0.01", "--seed", "3")),
     ("simulate-physical-w1", PARTIAL, PARTIAL_SIM + ("--workers", "1")),
     ("simulate-physical-w2", PARTIAL, PARTIAL_SIM + ("--workers", "2")),
     ("simulate-innovation-w1", PARTIAL,
