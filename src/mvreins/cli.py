@@ -218,9 +218,8 @@ def _cmd_frontier(args, model, out_dir: Path, compat: bool) -> int:
     mode = args.mode or model.info_mode
     solver_model = _model_for(mode, model)
     if mode == INFO_FULL:
-        vertex = fullinfo.vertex_constant(solver_model, compat)
-        curve = fullinfo.frontier_full(solver_model, _d_grid(args, vertex, model),
-                                       compat)
+        sol = fullinfo.compute_solution(solver_model, compat=compat)
+        curve = fullinfo.frontier_full(sol, _d_grid(args, sol.vertex, model))
         label = "full"
     else:
         sol = partialinfo.solve_partial(solver_model)
@@ -251,16 +250,15 @@ def _cmd_value_surface(args, model, out_dir: Path, compat: bool) -> int:
 
 
 def _cmd_dual_curve(args, model, out_dir: Path, compat: bool) -> int:
-    full_model = _model_for(INFO_FULL, model)
-    d = model.objective.d
-    gamma_star = fullinfo.gamma_star_full(full_model, d, compat)
+    sol = fullinfo.compute_solution(_model_for(INFO_FULL, model), compat=compat)
+    gamma_star = sol.gamma_star
     span = 3.0 * max(1.0, abs(gamma_star))
     lo = args.gamma_min if args.gamma_min is not None else gamma_star - span
     hi = args.gamma_max if args.gamma_max is not None else gamma_star + span
     _ordered(lo, hi, "--gamma-min", "--gamma-max")
     gammas = np.linspace(lo, hi, args.points)
     _write_csv(out_dir / "dual_curve.csv", ["gamma", "dual_value"],
-               [gammas, fullinfo.dual_value_full(full_model, d, gammas, compat)])
+               [gammas, fullinfo.dual_value_full(sol, gammas)])
     print(f"wrote {out_dir / 'dual_curve.csv'} (gamma* = {gamma_star:.4f})")
     return 0
 
@@ -275,7 +273,7 @@ def _cmd_simulate(args, model, out_dir: Path, compat: bool) -> int:
     if mode == INFO_FULL:
         sol = fullinfo.compute_solution(sim_model, compat=compat)
         strategy = fullinfo.full_feedback_strategy(sol)
-        frontier = fullinfo.frontier_full(sim_model, [d], compat)
+        frontier = fullinfo.frontier_full(sol, [d])
         approximation = "full"
     else:
         sol = partialinfo.solve_partial(sim_model)

@@ -20,9 +20,13 @@ checks.
 
 Frontier constant: expanding e^{rT} x + g1(0) gives the riskless terminal
 wealth x0 e^{rT} + a(theta-eta)(e^{rT}-1)/r as the frontier vertex.  The
-``compat_paper_formulas`` flag swaps in the constant x0 e^{rT} + a(theta-eta)/r
+``compat`` argument of :func:`compute_solution` (the CLI's
+``--compat-paper-formulas``) swaps in the constant x0 e^{rT} + a(theta-eta)/r
 instead, which reproduces historically published dual values but is refuted by
 Monte Carlo (see the acceptance suite); the expanded form is the default.
+:func:`compute_solution` is the only reader of the flag: it stores the chosen
+vertex in :class:`FullInfoSolution`, and gamma*, the dual value and the
+frontier read the solution alone.
 """
 
 from __future__ import annotations
@@ -71,9 +75,10 @@ _REGIONS = np.array([Region.BELOW_CURVE, Region.ON_CURVE, Region.ABOVE_CURVE],
 class FullInfoSolution:
     """Closed-form scalars of the full-information solution; no ODE curves.
 
-    The value function, the feedback and the coefficients P1..R2 all evaluate
-    closed forms.  :func:`solve_pqr` integrates the coefficient ODEs as the
-    oracle that checks them.
+    The value function, the feedback, the dual value, the frontier and the
+    coefficients P1..R2 all evaluate closed forms of these fields.
+    :func:`solve_pqr` integrates the coefficient ODEs as the oracle that
+    checks them.
     """
 
     a1: float
@@ -84,6 +89,8 @@ class FullInfoSolution:
     T: float
     coef_q: float   # a eta / b^2
     coef_pi: float  # (mu - r) / sigma^2
+    vertex: float   # frontier vertex: d0, or the compat constant
+    d0: float       # riskless terminal wealth; sets the dual's branch
 
     # -- closed forms ------------------------------------------------------
     def g1(self, t):
@@ -127,14 +134,12 @@ class FullInfoSolution:
         return self.d - self.gamma_star
 
 
-def vertex_constant(model: ModelParams, compat: bool = False) -> float:
-    """Frontier vertex: the riskless terminal wealth, or the compat constant."""
-    if compat:
-        c, mk = model.claim, model.market
-        r = mk.r.constant_value()
-        ert = float(np.exp(r * model.objective.T))
-        return model.objective.x0 * ert + c.a * (c.theta - c.eta) / r
-    return riskless_terminal_wealth(model)
+def _compat_vertex(model: ModelParams) -> float:
+    """The published frontier constant x0 e^{rT} + a(theta - eta)/r."""
+    c, mk = model.claim, model.market
+    r = mk.r.constant_value()
+    ert = float(np.exp(r * model.objective.T))
+    return model.objective.x0 * ert + c.a * (c.theta - c.eta) / r
 
 
 def _a1(model: ModelParams) -> float:
@@ -150,9 +155,9 @@ def _f(model: ModelParams, d: float, gamma: float) -> float:
     return c.a * c.theta - c.a * c.eta + (d - gamma) * r
 
 
-def _dual_denominator(model: ModelParams) -> float:
+def _dual_denominator(a1: float, T: float) -> float:
     """e^{-2 A1 T} - 1, formed as expm1 so that a tiny premium does not cancel."""
-    denom = np.expm1(-2.0 * _a1(model) * model.objective.T)
+    denom = np.expm1(-2.0 * a1 * T)
     if denom <= 0 or not np.isfinite(denom):
         raise DegenerateDualError(
             "exp(-2 A1 T) - 1 must be positive; market is riskless-equivalent"
@@ -160,43 +165,29 @@ def _dual_denominator(model: ModelParams) -> float:
     return float(denom)
 
 
-def gamma_star_full(model: ModelParams, d: float, compat: bool = False) -> float:
-    """Maximizer of the dual value: gamma* = (k - d) / (e^{-2 A1 T} - 1).
-
-    k is the frontier vertex (riskless terminal wealth by default, the compat
-    constant under the flag).  Zero exactly at d = vertex; negative beyond.
-    """
-    k = vertex_constant(model, compat)
-    if d < k - 1e-9 * max(1.0, abs(k)):
-        raise InfeasibleTargetError(f"target mean {d} below frontier vertex {k}")
-    return (k - d) / _dual_denominator(model)
-
-
 def _float_if_scalar(values):
     return float(values) if np.ndim(values) == 0 else values
 
 
-def dual_value_full(model: ModelParams, d: float, gamma,
-                    compat: bool = False):
+def dual_value_full(sol: FullInfoSolution, gamma):
     """Optimal cost of the gamma-parameterized problem, to be maximized over gamma.
 
     Concave quadratic in gamma while the initial state sits below the switching
-    curve, linear above; the branch condition follows the actual g1, so only
-    the branch values depend on the compat flag.  Below, with k the active
-    vertex, e^{2 A1 T} (k - d + gamma)^2 - gamma^2 is expanded in gamma with
-    the leading coefficient expm1(2 A1 T), free of cancellation.  Broadcasts
-    over ``gamma`` with the model's constants formed once; a scalar gamma
-    gives a float.
+    curve, linear above; the branch condition follows the actual g1, through
+    the riskless wealth ``sol.d0``, so only the branch values read the vertex
+    ``sol.vertex``.  Below, with k = ``sol.vertex`` and d = ``sol.d``,
+    e^{2 A1 T} (k - d + gamma)^2 - gamma^2 is expanded in gamma with the
+    leading coefficient expm1(2 A1 T), free of cancellation.  Broadcasts over
+    ``gamma``; a scalar gamma gives a float.
     """
-    k_true = riskless_terminal_wealth(model)
-    k_active = vertex_constant(model, compat) if compat else k_true
-    two_a1_t = 2.0 * _a1(model) * model.objective.T
-    decay, gap = np.exp(two_a1_t), k_active - d
+    d = sol.d
+    two_a1_t = 2.0 * sol.a1 * sol.T
+    decay, gap = np.exp(two_a1_t), sol.vertex - d
     below = (np.expm1(two_a1_t) * gamma * gamma + 2.0 * decay * gap * gamma
              + decay * gap * gap)
     above = gap ** 2 + 2.0 * gap * gamma
     # sign of x0 - (d - gamma) + g1(0) e^{-rT}, via the expanded constant
-    return _float_if_scalar(np.where(k_true - (d - gamma) < 0, below, above))
+    return _float_if_scalar(np.where(sol.d0 - (d - gamma) < 0, below, above))
 
 
 def compute_solution(model: ModelParams, d: float | None = None,
@@ -204,8 +195,13 @@ def compute_solution(model: ModelParams, d: float | None = None,
                      compat: bool = False) -> FullInfoSolution:
     """Assemble the closed-form solution.
 
-    ``gamma`` defaults to the optimal multiplier for the target mean ``d``
-    (itself defaulting to the model objective).
+    ``d`` defaults to the model objective's target mean.  The frontier
+    vertex is the riskless terminal wealth d0, or under ``compat`` the
+    published constant x0 e^{rT} + a(theta - eta)/r; nothing else reads the
+    flag.  ``gamma`` defaults to the optimal multiplier
+    gamma* = (vertex - d) / (e^{-2 A1 T} - 1), zero exactly at d = vertex
+    and negative beyond; a target below the vertex raises
+    :class:`~mvreins.frontier.InfeasibleTargetError`.
     """
     report = validate(model)
     if not report.ok:
@@ -215,14 +211,20 @@ def compute_solution(model: ModelParams, d: float | None = None,
 
     c, mk = model.claim, model.market
     r, sigma = mk.r.constant_value(), mk.sigma.constant_value()
+    a1, T = _a1(model), model.objective.T
+    d0 = riskless_terminal_wealth(model)
+    vertex = _compat_vertex(model) if compat else d0
     if d is None:
         d = model.objective.d
     if gamma is None:
-        gamma = gamma_star_full(model, d, compat)
+        if d < vertex - 1e-9 * max(1.0, abs(vertex)):
+            raise InfeasibleTargetError(
+                f"target mean {d} below frontier vertex {vertex}")
+        gamma = (vertex - d) / _dual_denominator(a1, T)
     return FullInfoSolution(
-        a1=_a1(model), gamma_star=float(gamma), d=float(d), f=_f(model, d, gamma),
-        r=r, T=model.objective.T, coef_q=c.a * c.eta / c.b ** 2,
-        coef_pi=(model.drift.m0 - r) / sigma ** 2)
+        a1=a1, gamma_star=float(gamma), d=float(d), f=_f(model, d, gamma),
+        r=r, T=T, coef_q=c.a * c.eta / c.b ** 2,
+        coef_pi=(model.drift.m0 - r) / sigma ** 2, vertex=vertex, d0=d0)
 
 
 def solve_pqr(model: ModelParams, d: float, gamma: float,
@@ -280,24 +282,20 @@ def value_function(t: float, x, sol: FullInfoSolution):
                                      _branch_below(sol, t, x)))
 
 
-def feedback_full(t: float, x: float, sol: FullInfoSolution,
-                  model: ModelParams) -> ControlPair:
+def feedback_full(t: float, x: float, sol: FullInfoSolution) -> ControlPair:
     """Optimal feedback at shifted wealth x: (0, 0) on and above the switching
     curve, components proportional to the distance below it."""
     region = sol.region(t, x)
     if region is not Region.BELOW_CURVE:
         return ControlPair(0.0, 0.0)
-    c, mk = model.claim, model.market
-    mu, r, sigma = model.drift.m0, mk.r.constant_value(), mk.sigma.constant_value()
-    s = x + sol.g1(t) * np.exp(-r * (sol.T - t))
-    return ControlPair(q=-c.a * c.eta / c.b ** 2 * s,
-                       pi=-(mu - r) / sigma ** 2 * s)
+    s = x + sol.g1(t) * np.exp(-sol.r * (sol.T - t))
+    return ControlPair(q=-sol.coef_q * s, pi=-sol.coef_pi * s)
 
 
-def frontier_full(model: ModelParams, d_grid, compat: bool = False) -> FrontierCurve:
+def frontier_full(sol: FullInfoSolution, d_grid) -> FrontierCurve:
     """Var = (k - d)^2 / (e^{-2 A1 T} - 1) for d at or above the vertex k."""
-    k = vertex_constant(model, compat)
-    return quadratic_frontier(k, 1.0 / _dual_denominator(model), d_grid)
+    return quadratic_frontier(sol.vertex, 1.0 / _dual_denominator(sol.a1, sol.T),
+                              d_grid)
 
 
 def full_feedback_strategy(sol: FullInfoSolution):

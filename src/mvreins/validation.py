@@ -172,10 +172,13 @@ def _checks_common(model: ModelParams, rng: np.random.Generator):
     return results
 
 
-def _checks_full(model: ModelParams, compat: bool, overrides: dict,
-                 rng: np.random.Generator) -> list[CheckResult]:
+def _checks_full(model: ModelParams, solution: fullinfo.FullInfoSolution,
+                 overrides: dict, rng: np.random.Generator) -> list[CheckResult]:
+    """Full-mode checks of ``solution``.  An injected ``a1`` replaces it in
+    every check but ``dual-argmax`` and ``frontier-vertex``, which read the
+    solution as computed."""
     results = []
-    sol = fullinfo.compute_solution(model, compat=compat)
+    sol = solution
     if "a1" in overrides:
         sol = dataclasses.replace(sol, a1=float(overrides["a1"]))
 
@@ -230,13 +233,10 @@ def _checks_full(model: ModelParams, compat: bool, overrides: dict,
         "; ".join(visc.failures) if visc.failures else
         f"gap {visc.max_branch_gap:.1e}, grad {visc.max_x_gradient:.1e}"))
 
-    d = model.objective.d
     results.append(_dual_argmax_check(
-        lambda g: fullinfo.dual_value_full(model, d, g, compat),
-        fullinfo.gamma_star_full(model, d, compat)))
+        lambda g: fullinfo.dual_value_full(solution, g), solution.gamma_star))
     results.append(_frontier_vertex_check(
-        lambda ds: fullinfo.frontier_full(model, ds, compat),
-        fullinfo.vertex_constant(model, compat)))
+        lambda ds: fullinfo.frontier_full(solution, ds), solution.vertex))
     return results
 
 
@@ -296,7 +296,8 @@ def run_checks(model: ModelParams, compat: bool = False,
         return global_results
     overrides = overrides or {}
     if model.info_mode == INFO_FULL:
-        results_mode = _checks_full(model, compat, overrides, rng)
+        sol = fullinfo.compute_solution(model, compat=compat)
+        results_mode = _checks_full(model, sol, overrides, rng)
     else:
         results_mode = _checks_partial(model)
     return global_results + results_mode

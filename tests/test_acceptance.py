@@ -50,10 +50,10 @@ def test_criterion_1_riskless_vertex(paper44_model, tmp_path):
 # ---------------------------------------------------------------------------
 
 def test_criterion_2_compat_dual_anchor(paper44_model):
-    closed = mv.gamma_star_full(paper44_model, 10000.0, compat=True)
+    sol = mv.compute_solution(paper44_model, d=10000.0, compat=True)
+    closed = sol.gamma_star
     gammas = np.linspace(-2000.0, 2000.0, 80001)  # grid step 0.05
-    values = np.array([mv.dual_value_full(paper44_model, 10000.0, g, compat=True)
-                       for g in gammas])
+    values = mv.dual_value_full(sol, gammas)
     grid_arg = gammas[np.argmax(values)]
     ok = abs(closed - (-130.2)) <= 0.5 and abs(grid_arg - (-130.2)) <= 0.5
     _report("criterion-2 compat-dual-anchor", ok,
@@ -144,8 +144,8 @@ def test_criterion_6_frontier_reduction(partial_exact_model):
     full_model = dataclasses.replace(model, info_mode="full")
     d = model.objective.d
     sol_p = mv.solve_partial(model)
-    gamma_full = mv.gamma_star_full(full_model, d)
     sol_f = mv.compute_solution(full_model)
+    gamma_full = sol_f.gamma_star
 
     # multiplier (after mapping between the two dual conventions)
     err_gamma = abs(sol_p.gamma_star - (d - gamma_full)) / abs(d - gamma_full)
@@ -153,7 +153,7 @@ def test_criterion_6_frontier_reduction(partial_exact_model):
     # frontier, pointwise
     grid = sol_p.d0 + np.array([0.0, 1.0, 50.0, 2000.0, 7000.0])
     front_p = mv.frontier_partial(sol_p, grid)
-    front_f = mv.frontier_full(full_model, grid)
+    front_f = mv.frontier_full(sol_f, grid)
     err_front = np.max(np.abs(front_p.variance[1:] - front_f.variance[1:])
                        / front_f.variance[1:])
 
@@ -163,7 +163,7 @@ def test_criterion_6_frontier_reduction(partial_exact_model):
     for t in np.linspace(0.0, 99.0, 12):
         for wealth in (10.0, 1000.0, 5000.0, 9000.0, 15000.0):
             u_p = mv.feedback_partial(t, wealth, 0.06, sol_p, model)
-            u_f = mv.feedback_full(t, wealth - shift, sol_f, full_model)
+            u_f = mv.feedback_full(t, wealth - shift, sol_f)
             scale = max(1.0, abs(u_f.q), abs(u_f.pi))
             err_fb = max(err_fb, abs(u_p.q - u_f.q) / scale,
                          abs(u_p.pi - u_f.pi) / scale)
@@ -192,7 +192,8 @@ def test_criterion_7_monte_carlo_frontier(scaled_cheap_model,
     model = scaled_cheap_model
     d = model.objective.d
     est = _mc_frontier_run(model, seed=700)
-    var_corrected = float(mv.frontier_full(model, [d]).variance[0])
+    var_corrected = float(mv.frontier_full(mv.compute_solution(model), [d])
+                          .variance[0])
     mean_ok = abs(est.mean - d) <= 3.0 * est.se_mean
     var_ok = abs(est.variance - var_corrected) <= 0.05 * var_corrected
 
@@ -202,9 +203,10 @@ def test_criterion_7_monte_carlo_frontier(scaled_cheap_model,
     model_nc = scaled_noncheap_model
     d_nc = model_nc.objective.d
     est_nc = _mc_frontier_run(model_nc, seed=701)
-    var_nc_corrected = float(mv.frontier_full(model_nc, [d_nc]).variance[0])
-    var_nc_printed = float(
-        mv.frontier_full(model_nc, [d_nc], compat=True).variance[0])
+    var_nc_corrected = float(
+        mv.frontier_full(mv.compute_solution(model_nc), [d_nc]).variance[0])
+    var_nc_printed = float(mv.frontier_full(
+        mv.compute_solution(model_nc, compat=True), [d_nc]).variance[0])
     mean_nc_ok = abs(est_nc.mean - d_nc) <= 3.0 * est_nc.se_mean
     var_nc_ok = abs(est_nc.variance - var_nc_corrected) <= 0.05 * var_nc_corrected
     printed_fails = abs(est_nc.variance - var_nc_printed) > 0.05 * var_nc_printed

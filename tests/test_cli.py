@@ -181,8 +181,8 @@ def test_dual_curve_bytes(tmp_path, compat):
                  "dual-curve", "--gamma-min=-1000", "--gamma-max", "9000",
                  "--points", "301"]) == 0
     model, _ = load_config(PAPER44_CFG)
-    d = model.objective.d
-    rows = [(g, fullinfo.dual_value_full(model, d, float(g), compat))
+    sol = fullinfo.compute_solution(model, compat=compat)
+    rows = [(g, fullinfo.dual_value_full(sol, float(g)))
             for g in np.linspace(-1000.0, 9000.0, 301)]
     assert (tmp_path / "dual_curve.csv").read_text() == \
         reference_csv(["gamma", "dual_value"], rows)
@@ -192,8 +192,8 @@ def test_frontier_bytes(tmp_path):
     assert main(["--config", str(PAPER44_CFG), "--out-dir", str(tmp_path),
                  "frontier", "--mode", "full", "--points", "51"]) == 0
     model, _ = load_config(PAPER44_CFG)
-    vertex = fullinfo.vertex_constant(model)
-    curve = fullinfo.frontier_full(model, np.linspace(vertex, model.objective.d, 51))
+    sol = fullinfo.compute_solution(model)
+    curve = fullinfo.frontier_full(sol, np.linspace(sol.vertex, model.objective.d, 51))
     rows = [(d, v, s, "full")
             for d, v, s in zip(curve.d, curve.variance, curve.std_dev)]
     assert (tmp_path / "frontier.csv").read_text() == \
@@ -403,6 +403,21 @@ def test_solver_failure_is_one_error_line(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 1
     assert len(err.splitlines()) == 1 and err.startswith("error: frontier denominator")
+    assert not (out / "frontier.csv").exists()
+
+
+def test_frontier_full_below_vertex_is_one_error_line(tmp_path, capsys):
+    # paper44's frontier vertex is 2863.90; a target of 2000 is infeasible,
+    # and the full frontier refuses it as every other subcommand does.
+    cfg = tmp_path / "low-d.cfg"
+    cfg.write_text(PAPER44_CFG.read_text().replace("\nd = 10000.0\n", "\nd = 2000.0\n"))
+    out = tmp_path / "out"
+    code = main(["--config", str(cfg), "--out-dir", str(out),
+                 "frontier", "--mode", "full"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: target mean 2000.0 below frontier vertex 2863.9")
     assert not (out / "frontier.csv").exists()
 
 

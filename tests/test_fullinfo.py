@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy import optimize
@@ -8,9 +10,8 @@ from mvreins.config import load_config
 from mvreins.frontier import InfeasibleTargetError
 from mvreins.fullinfo import (NearCurveError, Region, compute_solution,
                               dual_value_full, feedback_full, frontier_full,
-                              full_feedback_strategy, gamma_star_full,
-                              hjb_residual, solve_pqr, value_function,
-                              vertex_constant, viscosity_check)
+                              full_feedback_strategy, hjb_residual, solve_pqr,
+                              value_function, viscosity_check)
 from mvreins.odekernel import integrate_backward
 from mvreins.validation import _dual_argmax_check
 
@@ -104,66 +105,67 @@ def test_value_and_region_broadcast_over_x(paper44_solution, t):
 def test_dual_value_broadcasts_bitwise(compat, kw):
     model = make_model(**kw)
     d = model.objective.d
-    k = vertex_constant(model)
+    sol = compute_solution(model, compat=compat)
+    k = sol.d0
     # the branch flips where k - (d - gamma) turns nonnegative
     gammas = np.concatenate([
-        np.linspace(2.0 * gamma_star_full(model, d, compat), 2.0 * d, 1001),
+        np.linspace(2.0 * sol.gamma_star, 2.0 * d, 1001),
         [d - k, np.nextafter(d - k, -np.inf)]])
-    values = dual_value_full(model, d, gammas, compat)
-    per_point = np.array([dual_value_full(model, d, float(g), compat)
-                          for g in gammas])
+    values = dual_value_full(sol, gammas)
+    per_point = np.array([dual_value_full(sol, float(g)) for g in gammas])
     assert values.tobytes() == per_point.tobytes()
     below = k - (d - gammas) < 0
     assert below.any() and not below.all()
-    assert type(dual_value_full(model, d, 1.0, compat)) is float
+    assert type(dual_value_full(sol, 1.0)) is float
 
 
-def test_feedback_zero_above_curve(paper44_solution, paper44_model):
+def test_feedback_zero_above_curve(paper44_solution):
     sol = paper44_solution
     x = float(sol.switching_x(20.0)) + 50.0
-    assert feedback_full(20.0, x, sol, paper44_model) == mv.ControlPair(0.0, 0.0)
+    assert feedback_full(20.0, x, sol) == mv.ControlPair(0.0, 0.0)
 
 
-def test_feedback_zero_on_curve(paper44_solution, paper44_model):
+def test_feedback_zero_on_curve(paper44_solution):
     sol = paper44_solution
     xc = float(sol.switching_x(20.0))
-    assert feedback_full(20.0, xc, sol, paper44_model) == mv.ControlPair(0.0, 0.0)
+    assert feedback_full(20.0, xc, sol) == mv.ControlPair(0.0, 0.0)
 
 
-def test_feedback_below_curve_coefficients(paper44_solution, paper44_model):
+def test_feedback_below_curve_coefficients(paper44_solution):
     # distance 10 below the curve: q = 0.2*10, pi = 0.02*10
     sol = paper44_solution
     t = 20.0
     x = float(sol.switching_x(t)) - 10.0
-    u = feedback_full(t, x, sol, paper44_model)
+    u = feedback_full(t, x, sol)
     assert u.q == pytest.approx(2.0, rel=1e-9)
     assert u.pi == pytest.approx(0.2, rel=1e-9)
 
 
-def test_feedback_cone_everywhere(paper44_solution, paper44_model):
+def test_feedback_cone_everywhere(paper44_solution):
     rng = np.random.default_rng(8)
     for _ in range(300):
         t = rng.uniform(0.0, 100.0)
         x = rng.uniform(-40000.0, 40000.0)
-        u = feedback_full(t, x, paper44_solution, paper44_model)
+        u = feedback_full(t, x, paper44_solution)
         assert u.q >= 0.0 and u.pi >= 0.0
 
 
-def test_gamma_star_zero_at_vertex(paper44_model):
-    k = vertex_constant(paper44_model)
-    assert gamma_star_full(paper44_model, k) == 0.0
+def test_gamma_star_zero_at_vertex(paper44_model, paper44_solution):
+    k = paper44_solution.vertex
+    assert compute_solution(paper44_model, d=k).gamma_star == 0.0
 
 
 def test_gamma_star_compat_anchor(paper44_model):
-    gamma = gamma_star_full(paper44_model, 10000.0, compat=True)
+    gamma = compute_solution(paper44_model, d=10000.0, compat=True).gamma_star
     assert gamma == pytest.approx(-130.2, abs=0.5)
 
 
 def test_gamma_star_matches_dual_maximizer(paper44_model):
     for compat in (False, True):
-        gamma_closed = gamma_star_full(paper44_model, 10000.0, compat)
+        sol = compute_solution(paper44_model, d=10000.0, compat=compat)
+        gamma_closed = sol.gamma_star
         res = optimize.minimize_scalar(
-            lambda g: -dual_value_full(paper44_model, 10000.0, g, compat),
+            lambda g: -dual_value_full(sol, g),
             bounds=(gamma_closed - 5000.0, gamma_closed + 5000.0),
             method="bounded", options={"xatol": 1e-8})
         assert abs(res.x - gamma_closed) <= 1e-6 * max(1.0, abs(gamma_closed))
@@ -171,25 +173,24 @@ def test_gamma_star_matches_dual_maximizer(paper44_model):
 
 def test_gamma_star_infeasible_below_vertex(paper44_model):
     with pytest.raises(InfeasibleTargetError):
-        gamma_star_full(paper44_model, 2000.0)
+        compute_solution(paper44_model, d=2000.0)
 
 
-def test_dual_argmax_invariant_under_positive_scaling(paper44_model):
+def test_dual_argmax_invariant_under_positive_scaling(paper44_solution):
     gammas = np.linspace(-1000.0, 1000.0, 4001)
-    values = np.array([dual_value_full(paper44_model, 10000.0, g)
-                       for g in gammas])
+    values = np.array([dual_value_full(paper44_solution, g) for g in gammas])
     assert np.argmax(values) == np.argmax(7.3 * values)
 
 
-def test_frontier_vertex_anchor(paper44_model):
-    curve = frontier_full(paper44_model, [2863.9028767400723])
+def test_frontier_vertex_anchor(paper44_solution):
+    curve = frontier_full(paper44_solution, [2863.9028767400723])
     assert curve.variance[0] <= 1e-12
-    assert abs(2863.9 - vertex_constant(paper44_model)) <= 0.05
+    assert abs(2863.9 - paper44_solution.vertex) <= 0.05
 
 
-def test_frontier_coefficient_positive_and_monotone(paper44_model):
-    k = vertex_constant(paper44_model)
-    curve = frontier_full(paper44_model, np.linspace(k, 3 * k, 25))
+def test_frontier_coefficient_positive_and_monotone(paper44_solution):
+    k = paper44_solution.vertex
+    curve = frontier_full(paper44_solution, np.linspace(k, 3 * k, 25))
     assert curve.variance[0] == 0.0
     assert np.all(np.diff(curve.variance) > 0)
 
@@ -198,23 +199,60 @@ def test_frontier_with_tiny_premium_is_cancellation_free():
     # a = 1e-9 and m0 - r = 1e-9 give -2 A1 T = 1.04e-16, below half an ulp
     # of 1: exp(-2 A1 T) - 1 rounds to 0, expm1 keeps every digit.
     model = make_model(a=1e-9, m0=0.040000001)
-    growth = np.expm1(-2.0 * compute_solution(model).a1 * model.objective.T)
+    sol = compute_solution(model)
+    growth = np.expm1(-2.0 * sol.a1 * model.objective.T)
     assert 0.0 < growth < 2e-16
-    k = vertex_constant(model)
-    curve = frontier_full(model, [k, 2.0 * k])
+    k = sol.vertex
+    curve = frontier_full(sol, [k, 2.0 * k])
     assert curve.variance[1] / (k * k) == pytest.approx(1.0 / growth, rel=1e-12)
-    d = model.objective.d
-    check = _dual_argmax_check(lambda g: dual_value_full(model, d, g),
-                               gamma_star_full(model, d))
+    check = _dual_argmax_check(lambda g: dual_value_full(sol, g), sol.gamma_star)
     assert check.passed, check.detail
     # V is of order 1e42 here: the on-curve checks scale with the branches.
-    report = viscosity_check(compute_solution(model))
+    report = viscosity_check(sol)
     assert report.passed, report.failures
 
 
-def test_frontier_infeasible_target(paper44_model):
+def test_full_closed_forms_read_only_the_solution(paper44_solution):
+    # The frontier and the dual value read vertex, d0, a1, T and d from the
+    # solution: replacing one moves them as their formulas say, and the
+    # fields they do not read (gamma*, f) move nothing.
+    sol = paper44_solution
+    T, d = sol.T, sol.d
+
+    def frontier(s, ds):
+        return (np.asarray(ds) - s.vertex) ** 2 / np.expm1(-2.0 * s.a1 * T)
+
+    def dual(s, g):
+        gap, e = s.vertex - d, np.exp(2.0 * s.a1 * T)
+        below = np.expm1(2.0 * s.a1 * T) * g * g + 2.0 * e * gap * g + e * gap * gap
+        return np.where(s.d0 - (d - g) < 0, below, gap * gap + 2.0 * gap * g)
+
+    gammas = np.linspace(-3000.0, 8000.0, 111)
+    switch = d - sol.d0
+    between = np.linspace(switch + 10.0, switch + 490.0, 25)
+    for change in ({}, {"vertex": sol.vertex + 100.0}, {"d0": sol.d0 - 500.0},
+                   {"a1": 2.0 * sol.a1}, {"gamma_star": 5.0, "f": -1.0}):
+        moved = dataclasses.replace(sol, **change)
+        ds = moved.vertex + np.array([0.0, 10.0, 1000.0, 7000.0])
+        np.testing.assert_allclose(frontier_full(moved, ds).variance,
+                                   frontier(moved, ds), rtol=1e-12, atol=0.0)
+        for g in (gammas, between):
+            np.testing.assert_allclose(dual_value_full(moved, g), dual(moved, g),
+                                       rtol=1e-12, atol=1e-12 * d * d)
+    # d0 alone sets the branch: between the old and the new switch the dual
+    # takes the below branch, the frontier does not move.
+    lowered = dataclasses.replace(sol, d0=sol.d0 - 500.0)
+    assert np.all(dual_value_full(lowered, between) != dual_value_full(sol, between))
+    assert np.all(dual_value_full(lowered, gammas[gammas > switch + 500.0])
+                  == dual_value_full(sol, gammas[gammas > switch + 500.0]))
+    ds = sol.vertex + np.array([0.0, 1000.0])
+    assert np.all(frontier_full(lowered, ds).variance
+                  == frontier_full(sol, ds).variance)
+
+
+def test_frontier_infeasible_target(paper44_solution):
     with pytest.raises(InfeasibleTargetError):
-        frontier_full(paper44_model, [1000.0])
+        frontier_full(paper44_solution, [1000.0])
 
 
 def test_pqr_ode_matches_closed_forms(paper44_solution, paper44_model):
@@ -338,8 +376,7 @@ def test_p2_below_p1(paper44_solution):
     assert np.all(paper44_solution.p2(ts) <= paper44_solution.p1(ts) + 1e-12)
 
 
-def test_vectorized_strategy_matches_feedback(scaled_solution,
-                                              scaled_noncheap_model):
+def test_vectorized_strategy_matches_feedback(scaled_solution):
     sol = scaled_solution
     strategy = full_feedback_strategy(sol)
     shift = sol.target_level
@@ -348,14 +385,15 @@ def test_vectorized_strategy_matches_feedback(scaled_solution,
     wealth = rng.uniform(-50.0, 400.0, size=64)
     qs, pis = strategy(t, wealth, np.full(64, 0.06))
     for w, q, pi in zip(wealth, qs, pis):
-        u = feedback_full(t, w - shift, sol, scaled_noncheap_model)
+        u = feedback_full(t, w - shift, sol)
         assert q == pytest.approx(u.q, rel=1e-9, abs=1e-12)
         assert pi == pytest.approx(u.pi, rel=1e-9, abs=1e-12)
 
 
 def test_compat_flag_stored(paper44_model):
-    assert vertex_constant(paper44_model, compat=True) == pytest.approx(
-        50.0 * np.exp(4.0) + 0.1 / 0.04, rel=1e-12)
+    sol = compute_solution(paper44_model, compat=True)
+    assert sol.vertex == pytest.approx(50.0 * np.exp(4.0) + 0.1 / 0.04, rel=1e-12)
+    assert sol.d0 == mv.riskless_terminal_wealth(paper44_model)
 
 
 def test_compute_solution_requires_full_mode(partial_exact_model):

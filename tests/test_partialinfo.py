@@ -55,7 +55,7 @@ def test_gamma_star_degenerate_reduction(exact_solution, partial_exact_model):
     The conventions differ by the sign of the multiplier term: the embedded
     wealth target is gamma* here and d - gamma* in the full-information dual."""
     full_model = dataclasses.replace(partial_exact_model, info_mode="full")
-    gamma_full = mv.gamma_star_full(full_model, 10000.0)
+    gamma_full = mv.compute_solution(full_model, d=10000.0).gamma_star
     target_full = 10000.0 - gamma_full
     assert abs(exact_solution.gamma_star - target_full) / abs(target_full) <= 1e-9
 
@@ -100,7 +100,7 @@ def test_frontier_degenerate_reduction(exact_solution, partial_exact_model):
     d0 = exact_solution.d0
     grid = d0 + np.array([0.0, 10.0, 500.0, 7000.0])
     partial = frontier_partial(exact_solution, grid)
-    full = mv.frontier_full(full_model, grid)
+    full = mv.frontier_full(mv.compute_solution(full_model), grid)
     np.testing.assert_allclose(partial.variance, full.variance, rtol=1e-9)
 
 
