@@ -229,9 +229,10 @@ def solve_riccati_pair(model: ModelParams, m_bar) -> tuple[SampledCurve, Sampled
     in ``_ORACLE_STEPS`` steps, sharing none of :func:`riccati_pair`'s
     closed form, so the validation suite can check one against the other;
     production code calls :func:`riccati_pair`.  ``m_bar`` is the
-    deterministic drift curve: the exact expected return in full mode, or
-    the projected filter mean in partial mode, as a
-    :class:`~mvreins.curves.SampledCurve`; r and sigma reach the right-hand
+    deterministic drift curve, any callable of t that broadcasts over an
+    array of times: the exact expected return in full mode, or the projected
+    filter mean of :func:`~mvreins.filtering.projected_mean_curve` in
+    partial mode; r and sigma reach the right-hand
     side as their values on each piece.  H* is degree-one homogeneous in P,
     so each equation is P' = c(t) P with c = -(2r + H*(t, 1)), marched by
     :func:`~mvreins.odekernel.integrate_linear_backward`: one array call of

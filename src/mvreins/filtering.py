@@ -21,8 +21,8 @@ step of the mean.  :func:`run_filter` forms the innovations from observed
 returns for a whole block of paths at once, one row per path; the Monte
 Carlo engine forms them inside its path loop (physical dynamics) or draws
 them (innovation dynamics), and the CLI's ``filter`` draws one path.
-:func:`projected_mean_curve` samples the filter mean's expectation
-m0 exp(int h) for the Riccati oracle.
+:func:`projected_mean_curve` gives the filter mean's expectation
+m0 exp(int h) as an exact function of t for the Riccati oracle.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import SampledCurve, as_curve, segments
+from .curves import SampledCurve, as_curve
 from .model import DriftParams
 from .odekernel import IntegrationDivergedError, integrate_forward
 
@@ -146,15 +146,16 @@ def run_filter(observed_returns, drift: DriftParams, sigma,
     return FilterPath(times, means, variance(times), innovations)
 
 
-def projected_mean_curve(drift: DriftParams, T: float) -> SampledCurve:
-    """Mean of the filter process, m0 * exp(integral of h), sampled on [0, T].
+def projected_mean_curve(drift: DriftParams):
+    """Mean of the filter process as the function t -> m0 * exp(int_0^t h).
 
     The deterministic stand-in for the filtered drift that the Riccati
     oracle (:func:`~mvreins.conelq.solve_riccati_pair`) reads at its RK4
-    stage times; exact when the drift is degenerate.  The grid is
-    linspace(0, T, 10001), one node per oracle step, with every breakpoint
-    of h, where the curve has a kink.
+    stage times; exact when the drift is degenerate.  The exact
+    antiderivative of the step function h makes it exact at every t >= 0,
+    kinks included.  Broadcasts over t.
     """
-    edges, _ = segments(0.0, T, drift.h)
-    grid = np.unique(np.concatenate([np.linspace(0.0, T, 10001), edges]))
-    return SampledCurve(grid, drift.m0 * np.exp(drift.h.antiderivative(grid)))
+    def mean(t):
+        return drift.m0 * np.exp(drift.h.antiderivative(t))
+
+    return mean

@@ -20,13 +20,10 @@ checks.
 
 Frontier constant: expanding e^{rT} x + g1(0) gives the riskless terminal
 wealth x0 e^{rT} + a(theta-eta)(e^{rT}-1)/r as the frontier vertex.  The
-``compat`` argument of :func:`compute_solution` (the CLI's
-``--compat-paper-formulas``) swaps in the constant x0 e^{rT} + a(theta-eta)/r
-instead, which reproduces historically published dual values but is refuted by
-Monte Carlo (see the acceptance suite); the expanded form is the default.
-:func:`compute_solution` is the only reader of the flag: it stores the chosen
-vertex in :class:`FullInfoSolution`, and gamma*, the dual value and the
-frontier read the solution alone.
+``compat`` flag of :func:`compute_solution`, its only reader, stores the
+constant x0 e^{rT} + a(theta-eta)/r as the solution's vertex instead, which
+reproduces historically published dual values but is refuted by Monte Carlo
+(see the acceptance suite); the expanded form is the default.
 """
 
 from __future__ import annotations
@@ -75,10 +72,9 @@ _REGIONS = np.array([Region.BELOW_CURVE, Region.ON_CURVE, Region.ABOVE_CURVE],
 class FullInfoSolution:
     """Closed-form scalars of the full-information solution; no ODE curves.
 
-    The value function, the feedback, the dual value, the frontier and the
-    coefficients P1..R2 all evaluate closed forms of these fields.
+    Every full-information closed form reads these fields alone.
     :func:`solve_pqr` integrates the coefficient ODEs as the oracle that
-    checks them.
+    checks P1..R2.
     """
 
     a1: float
@@ -173,12 +169,11 @@ def dual_value_full(sol: FullInfoSolution, gamma):
     """Optimal cost of the gamma-parameterized problem, to be maximized over gamma.
 
     Concave quadratic in gamma while the initial state sits below the switching
-    curve, linear above; the branch condition follows the actual g1, through
-    the riskless wealth ``sol.d0``, so only the branch values read the vertex
-    ``sol.vertex``.  Below, with k = ``sol.vertex`` and d = ``sol.d``,
-    e^{2 A1 T} (k - d + gamma)^2 - gamma^2 is expanded in gamma with the
-    leading coefficient expm1(2 A1 T), free of cancellation.  Broadcasts over
-    ``gamma``; a scalar gamma gives a float.
+    curve, linear above; the branch condition follows the actual g1 through
+    ``sol.d0``, so only the branch values read the vertex k = ``sol.vertex``.
+    Below, e^{2 A1 T} (k - d + gamma)^2 - gamma^2 is expanded in gamma with
+    the leading coefficient expm1(2 A1 T), free of cancellation.  Broadcasts
+    over ``gamma``; a scalar gamma gives a float.
     """
     d = sol.d
     two_a1_t = 2.0 * sol.a1 * sol.T
@@ -195,13 +190,10 @@ def compute_solution(model: ModelParams, d: float | None = None,
                      compat: bool = False) -> FullInfoSolution:
     """Assemble the closed-form solution.
 
-    ``d`` defaults to the model objective's target mean.  The frontier
-    vertex is the riskless terminal wealth d0, or under ``compat`` the
-    published constant x0 e^{rT} + a(theta - eta)/r; nothing else reads the
-    flag.  ``gamma`` defaults to the optimal multiplier
-    gamma* = (vertex - d) / (e^{-2 A1 T} - 1), zero exactly at d = vertex
-    and negative beyond; a target below the vertex raises
-    :class:`~mvreins.frontier.InfeasibleTargetError`.
+    The vertex is the riskless terminal wealth d0, or the compat constant.
+    ``gamma`` defaults to gamma* = (vertex - d) / (e^{-2 A1 T} - 1) for the
+    target mean ``d`` (itself defaulting to the model objective): zero at
+    d = vertex, negative beyond, and infeasible below.
     """
     report = validate(model)
     if not report.ok:

@@ -9,7 +9,8 @@ applied to the positive/negative part of the discounted wealth gap
 and gamma*, the frontier and the dual value follow in closed form from the
 fields of :class:`PartialSolution` alone: k+/- = int_0^T kappa+/-, the
 exponents :func:`~mvreins.conelq.riccati_pair` returns at t = 0, with
-P+/-(0) e^{-2 int r} = e^{-k+/-}, and the frontier vertex d0 = x0 e^{int r}.
+P+/-(0) e^{-2 int r} = e^{-k+/-}, the target mean d and the frontier vertex
+d0 = x0 e^{int r}.
 The xi+/- are P-free (P > 0 only scales the Hamiltonian), so the feedback
 reads gamma* alone.
 
@@ -41,12 +42,14 @@ class ModelDegenerateError(MvreinsError):
 @dataclass(frozen=True, eq=False)
 class PartialSolution:
     """Exponents k+/- = int_0^T kappa+/- (P+/-(0) e^{-2 int r} = e^{-k+/-}),
-    gamma*, the riskless terminal wealth d0 (the frontier vertex) and the mode.
+    gamma*, the target mean d, the riskless terminal wealth d0 (the frontier
+    vertex) and the mode.
     """
 
     kappa_plus: float
     kappa_minus: float
     gamma_star: float
+    d: float
     d0: float
     approximation_mode: str
 
@@ -69,7 +72,7 @@ def solve_partial(model: ModelParams) -> PartialSolution:
         raise InfeasibleTargetError(f"target mean {d} below riskless wealth {d0}")
     gamma = (d - d0 * float(np.exp(-k_minus))) / _denominator(k_minus)
     return PartialSolution(kappa_plus=k_plus, kappa_minus=k_minus,
-                           gamma_star=gamma, d0=d0, approximation_mode=mode)
+                           gamma_star=gamma, d=d, d0=d0, approximation_mode=mode)
 
 
 def _denominator(kappa_minus: float) -> float:
@@ -110,21 +113,20 @@ def feedback_partial(t: float, x: float, m: float, sol: PartialSolution,
     return ControlPair(q=xi.q * abs(gap), pi=xi.pi * abs(gap))
 
 
-def dual_value_partial(sol: PartialSolution, model: ModelParams,
-                       gamma: float) -> float:
+def dual_value_partial(sol: PartialSolution, gamma: float) -> float:
     """Optimal cost of the gamma-parameterized unconstrained problem.
 
     Piecewise quadratic in gamma: the P+ branch applies while the initial
     wealth sits above the discounted gamma level (d0 > gamma), the P- branch
-    below.  With k = k+/- of the branch, read from ``sol`` with d0, and the
-    target d from ``model``, it is
+    below.  With k = k+/- of the branch, and d0 and the target d, all read
+    from ``sol``, it is
 
         expm1(-k) gamma^2 - 2 (d0 e^{-k} - d) gamma + d0^2 e^{-k} - d^2.
 
     Maximizing this over gamma recovers gamma* (tested against an independent
     scalar-maximization oracle).
     """
-    d, d0 = model.objective.d, sol.d0
+    d, d0 = sol.d, sol.d0
     k = sol.kappa_plus if d0 > gamma else sol.kappa_minus
     decay = float(np.exp(-k))
     return (float(np.expm1(-k)) * gamma * gamma - 2.0 * (d0 * decay - d) * gamma

@@ -103,7 +103,7 @@ def _frontier_vertex_check(frontier, vertex: float) -> CheckResult:
 
 def _riccati_oracle(model: ModelParams):
     """Backward RK4 Riccati pair (P+, P-) on the projected drift."""
-    m_bar = filtering.projected_mean_curve(model.drift, model.objective.T)
+    m_bar = filtering.projected_mean_curve(model.drift)
     return conelq.solve_riccati_pair(model, m_bar)
 
 
@@ -174,11 +174,8 @@ def _checks_common(model: ModelParams, rng: np.random.Generator):
 
 def _checks_full(model: ModelParams, solution: fullinfo.FullInfoSolution,
                  overrides: dict, rng: np.random.Generator) -> list[CheckResult]:
-    """Full-mode checks of ``solution``.  An injected ``a1`` replaces it in
-    every check but ``dual-argmax`` and ``frontier-vertex``, which read the
-    solution as computed."""
     results = []
-    sol = solution
+    sol = solution  # an injected a1 reaches every check but the last two
     if "a1" in overrides:
         sol = dataclasses.replace(sol, a1=float(overrides["a1"]))
 
@@ -277,7 +274,7 @@ def _checks_partial(model: ModelParams) -> list[CheckResult]:
         f"step-halving rel err {err_n:.2e}"))
 
     results.append(_dual_argmax_check(
-        lambda g: partialinfo.dual_value_partial(sol, model, g), sol.gamma_star))
+        lambda g: partialinfo.dual_value_partial(sol, g), sol.gamma_star))
     results.append(_frontier_vertex_check(
         lambda ds: partialinfo.frontier_partial(sol, ds), sol.d0))
     return results

@@ -67,7 +67,7 @@ def test_criterion_2_compat_dual_anchor(paper44_model):
 
 def test_criterion_3_riccati_equivalence(paper44_model):
     model = paper44_model
-    m_bar = projected_mean_curve(model.drift, model.objective.T)
+    m_bar = projected_mean_curve(model.drift)
     p_plus, p_minus = mv.solve_riccati_pair(model, m_bar)
     grid = p_plus.grid
     tau = model.objective.T - grid

@@ -140,7 +140,7 @@ def test_h_minus_below_h_plus_for_nonnegative_drift():
 
 
 def test_riccati_pair_closed_forms(paper44_model):
-    m_bar = projected_mean_curve(paper44_model.drift, 100.0)
+    m_bar = projected_mean_curve(paper44_model.drift)
     p_plus, p_minus = solve_riccati_pair(paper44_model, m_bar)
     grid = p_plus.grid
     p_plus_exact = np.exp(2 * 0.04 * (100.0 - grid))
@@ -151,7 +151,7 @@ def test_riccati_pair_closed_forms(paper44_model):
 
 
 def test_riccati_terminal_condition(paper44_model):
-    m_bar = projected_mean_curve(paper44_model.drift, 100.0)
+    m_bar = projected_mean_curve(paper44_model.drift)
     p_plus, p_minus = solve_riccati_pair(paper44_model, m_bar)
     assert p_plus(100.0) == 1.0
     assert p_minus(100.0) == 1.0
@@ -159,7 +159,7 @@ def test_riccati_terminal_condition(paper44_model):
 
 def test_riccati_positive_and_below_envelope(partial_filter_model):
     model = partial_filter_model
-    m_bar = projected_mean_curve(model.drift, model.objective.T)
+    m_bar = projected_mean_curve(model.drift)
     p_pair = solve_riccati_pair(model, m_bar)
     grid = p_pair[0].grid
     envelope = np.exp(2 * 0.04 * (model.objective.T - grid))
@@ -174,7 +174,7 @@ def test_linear_march_matches_the_general_march_on_bench_partial_cfg():
     # On partial.cfg both cross the r and sigma breakpoints and m = r.
     model = load_config(BENCH_PARTIAL_CFG)[0]
     T, c = model.objective.T, model.claim
-    m_bar = projected_mean_curve(model.drift, T)
+    m_bar = projected_mean_curve(model.drift)
     for sign, got in zip(("plus", "minus"), solve_riccati_pair(model, m_bar)):
         def rhs(t, p, r, sigma):
             coeffs = LQCoefficients(b_q=c.a * c.eta, b_pi=m_bar(t) - r,
@@ -218,7 +218,7 @@ ORACLE_CASES = {
 def test_riccati_pair_matches_rk4_oracle(case):
     model = ORACLE_CASES[case]()
     T = model.objective.T
-    oracle = solve_riccati_pair(model, projected_mean_curve(model.drift, T))
+    oracle = solve_riccati_pair(model, projected_mean_curve(model.drift))
     grid = oracle[0].grid
     two_r = 2.0 * (model.market.r.antiderivative(T)
                    - model.market.r.antiderivative(grid))

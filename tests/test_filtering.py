@@ -179,7 +179,7 @@ def test_innovation_increments_are_brownian(filter_demo_drift):
 
 def test_projected_mean_constant_reversion():
     drift = mv.DriftParams(h=0.25, l=1.0, z=1.0, m0=0.06, n0=0.1)
-    curve = projected_mean_curve(drift, 4.0)
+    curve = projected_mean_curve(drift)
     assert curve(0.0) == pytest.approx(0.06)
     assert curve(4.0) == pytest.approx(0.06 * np.exp(1.0), rel=1e-12)
 
@@ -187,15 +187,17 @@ def test_projected_mean_constant_reversion():
 def test_projected_mean_piecewise_h():
     drift = mv.DriftParams(h=[(0.0, 0.1), (1.0, -0.2)], l=1.0, z=1.0,
                            m0=1.0, n0=0.0)
-    curve = projected_mean_curve(drift, 3.0)
+    curve = projected_mean_curve(drift)
     assert curve(3.0) == pytest.approx(np.exp(0.1 * 1.0 - 0.2 * 2.0), rel=1e-12)
 
 
 def test_projected_mean_curve_matches_per_point_integrals():
     drift = mv.DriftParams(h=[(0.0, 0.1), (1.3, -0.4)], l=1.0, z=1.0,
                            m0=0.06, n0=0.0)
-    curve = projected_mean_curve(drift, 5.0)
-    assert 1.3 in curve.grid
+    curve = projected_mean_curve(drift)
+    # the grid the oracle's sampled curve used to hold, with the kink at 1.3
+    grid = np.unique(np.concatenate([np.linspace(0.0, 5.0, 10001), [1.3]]))
+    assert 1.3 in grid
     per_point = np.array([drift.m0 * np.exp(drift.h.integral(0.0, t))
-                          for t in curve.grid])
-    assert np.max(np.abs(curve.values - per_point)) <= 1e-14
+                          for t in grid])
+    assert np.max(np.abs(curve(grid) - per_point)) <= 1e-14

@@ -64,7 +64,7 @@ def test_gamma_star_matches_dual_maximizer(exact_solution, partial_exact_model):
     gamma_closed = exact_solution.gamma_star
     span = 5 * abs(gamma_closed)
     res = optimize.minimize_scalar(
-        lambda g: -dual_value_partial(exact_solution, partial_exact_model, g),
+        lambda g: -dual_value_partial(exact_solution, g),
         bounds=(gamma_closed - span, gamma_closed + span), method="bounded",
         options={"xatol": 1e-6})
     assert abs(res.x - gamma_closed) <= 1e-4 * max(1.0, abs(gamma_closed))
@@ -73,8 +73,8 @@ def test_gamma_star_matches_dual_maximizer(exact_solution, partial_exact_model):
 def test_dual_value_branches(exact_solution, partial_exact_model):
     # P+ branch left of the discounted-wealth kink, P- branch right of it
     kink = exact_solution.d0
-    low = dual_value_partial(exact_solution, partial_exact_model, kink - 1.0)
-    high = dual_value_partial(exact_solution, partial_exact_model, kink + 1.0)
+    low = dual_value_partial(exact_solution, kink - 1.0)
+    high = dual_value_partial(exact_solution, kink + 1.0)
     assert np.isfinite(low) and np.isfinite(high)
     # the dual is increasing toward gamma* > kink on this instance
     assert high >= low
@@ -297,7 +297,7 @@ def test_closed_forms_read_only_the_solution(exact_solution, partial_exact_model
     for gamma, k in ((d0 - 1.0, k_plus), (d0 + 1.0, k_minus)):
         expected = (np.expm1(-k) * gamma ** 2 - 2.0 * (d0 * np.exp(-k) - d) * gamma
                     + d0 ** 2 * np.exp(-k) - d ** 2)
-        assert dual_value_partial(sol, partial_exact_model, gamma) == \
+        assert dual_value_partial(sol, gamma) == \
             pytest.approx(expected, rel=1e-14)
 
 
@@ -321,7 +321,7 @@ def test_tiny_claim_rate_keeps_frontier_denominator():
     assert frontier_coefficient(sol) == pytest.approx(
         1.0 / np.expm1(4e-19), rel=1e-6)
     assert _dual_argmax_check(
-        lambda g: dual_value_partial(sol, model, g), sol.gamma_star).passed
+        lambda g: dual_value_partial(sol, g), sol.gamma_star).passed
 
 
 def test_drift_next_to_rate_keeps_kappa_integral():
