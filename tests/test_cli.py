@@ -21,6 +21,8 @@ PARTIAL_CFG = REPO / "bench" / "configs" / "partial.cfg"
 # filterdemo with a stiff prior: the simulation's 1000-step variance solve
 # undershoots below zero
 STIFF_PRIOR = (FILTER_CFG, "\nn0 = 0.0\n", "\nn0 = 170\n")
+# paper44 with a target mean below its frontier vertex 2863.90
+LOW_TARGET = (PAPER44_CFG, "\nd = 10000.0\n", "\nd = 2000.0\n")
 
 
 def read_csv(path):
@@ -345,6 +347,7 @@ def test_missing_config_exit_code():
     (PAPER44_CFG, ["simulate", "--mode", "partial"]),
     (PAPER44_CFG, ["frontier", "--mode", "partial"]),
     (STIFF_PRIOR, ["simulate", "--paths", "100", "--dt", "0.1"]),
+    (LOW_TARGET, ["frontier", "--mode", "full"]),
 ], ids=["dt-not-dividing-T", "store-paths-too-large", "filter-steps-0",
         "frontier-points-0", "dual-curve-points-0", "value-surface-nt-0",
         "value-surface-nx-0", "simulate-paths-1", "workers-0",
@@ -353,7 +356,8 @@ def test_missing_config_exit_code():
         "dt-0", "simulate-seed-negative", "filter-seed-negative",
         "x-range-reversed", "x-min-above-default-max", "gamma-range-reversed",
         "gamma-max-below-default-min", "simulate-partial-noncheap",
-        "frontier-partial-noncheap", "stiff-prior-variance-negative"])
+        "frontier-partial-noncheap", "stiff-prior-variance-negative",
+        "frontier-full-below-vertex"])
 def test_bad_input_is_one_error_line(tmp_path, capsys, cfg, args):
     if isinstance(cfg, tuple):
         base, old, new = cfg
@@ -403,21 +407,6 @@ def test_solver_failure_is_one_error_line(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 1
     assert len(err.splitlines()) == 1 and err.startswith("error: frontier denominator")
-    assert not (out / "frontier.csv").exists()
-
-
-def test_frontier_full_below_vertex_is_one_error_line(tmp_path, capsys):
-    # paper44's frontier vertex is 2863.90; a target of 2000 is infeasible,
-    # and the full frontier refuses it as every other subcommand does.
-    cfg = tmp_path / "low-d.cfg"
-    cfg.write_text(PAPER44_CFG.read_text().replace("\nd = 10000.0\n", "\nd = 2000.0\n"))
-    out = tmp_path / "out"
-    code = main(["--config", str(cfg), "--out-dir", str(out),
-                 "frontier", "--mode", "full"])
-    err = capsys.readouterr().err
-    assert code == 1
-    assert len(err.splitlines()) == 1
-    assert err.startswith("error: target mean 2000.0 below frontier vertex 2863.9")
     assert not (out / "frontier.csv").exists()
 
 
