@@ -16,7 +16,10 @@ mode on a twin whose target mean lies below the frontier vertex;
 and in partial physical and innovation dynamics, each at 1 and 2 workers,
 plus a ``--store-paths`` run.  ``validate`` on paper44, full ``frontier``,
 ``value-surface``, ``dual-curve`` and a short full ``simulate`` also run
-with the compat constant (``--compat-paper-formulas``).
+with the compat constant (``--compat-paper-formulas``); so do partial
+``frontier``, ``validate`` and a short ``simulate``, and a short ``filter``,
+where the flag has no solver to act on.  Partial ``frontier`` also runs on a
+twin whose target mean lies below the frontier vertex.
 Two checkouts whose snapshots ``diff -r`` finds equal produce the same bytes
 on all of them.
 """
@@ -39,7 +42,8 @@ PARTIAL = REPO / "bench" / "configs" / "partial.cfg"
 # m0 - r = 1e-9; the partial twin also sets theta = eta.  eta = 0.5 and
 # x0 = 1 put the full frontier's vertex at -213.39.  The tiny-rate one sets
 # r = 1e-10 (d = 200), the short-horizon one T = 0.01 (d = 60).  The low-d
-# one sets d = 2000, below the full frontier's vertex 2863.90.
+# one sets d = 2000, below the full frontier's vertex 2863.90; its partial
+# twin (theta = eta = 0.2) puts d below the vertex 2729.91.
 TINY = {"a": "1e-9", "m0": "0.040000001"}
 DERIVED = {
     "a1-injected.cfg": ({}, "\n[overrides]\na1 = -0.5\n"),
@@ -49,6 +53,7 @@ DERIVED = {
     "tiny-r-full.cfg": ({"r": "1e-10", "d": "200.0"}, ""),
     "short-horizon-full.cfg": ({"T": "0.01", "d": "60.0"}, ""),
     "low-d-full.cfg": ({"d": "2000.0"}, ""),
+    "low-d-partial.cfg": ({"theta": "0.2", "d": "2000.0"}, ""),
 }
 COMPAT = ("--compat-paper-formulas",)
 
@@ -73,11 +78,18 @@ OPS = [
     ("frontier-partial", PARTIAL, ("frontier", "--mode", "partial")),
     ("frontier-tiny-premium-partial", "tiny-premium-partial.cfg",
      ("frontier", "--mode", "partial")),
+    ("frontier-partial-low-d", "low-d-partial.cfg",
+     ("frontier", "--mode", "partial")),
+    ("frontier-partial-compat", PARTIAL,
+     COMPAT + ("frontier", "--mode", "partial")),
+    ("validate-partial-compat", PARTIAL, COMPAT + ("validate",)),
     ("value-surface", PAPER44, ("value-surface",)),
     ("value-surface-compat", PAPER44, COMPAT + ("value-surface",)),
     ("dual-curve-compat", PAPER44, COMPAT + ("dual-curve",)),
     ("dual-curve", PAPER44, ("dual-curve",)),
     ("filter", PARTIAL, ("filter", "--steps", "2000", "--seed", "5")),
+    ("filter-compat", PARTIAL,
+     COMPAT + ("filter", "--steps", "200", "--seed", "5")),
     ("simulate-full-w1", SCALED, FULL_SIM + ("--workers", "1")),
     ("simulate-full-w2", SCALED, FULL_SIM + ("--workers", "2")),
     ("simulate-full-compat", SCALED, COMPAT + (
@@ -88,6 +100,8 @@ OPS = [
      PARTIAL_SIM + ("--dynamics", "innovation", "--workers", "1")),
     ("simulate-innovation-w2", PARTIAL,
      PARTIAL_SIM + ("--dynamics", "innovation", "--workers", "2")),
+    ("simulate-partial-compat", PARTIAL, COMPAT + (
+        "simulate", "--paths", "2000", "--dt", "0.025", "--seed", "3")),
     ("simulate-store-paths", SCALED,
      ("simulate", "--paths", "5", "--dt", "0.05", "--seed", "1", "--store-paths")),
 ]
