@@ -34,7 +34,7 @@ from . import fullinfo, montecarlo, partialinfo
 from .config import ConfigError, load_config
 from .errors import MvreinsError
 from .filtering import filter_coefficients, solve_variance
-from .frontier import InfeasibleTargetError
+from .frontier import InfeasibleTargetError, efficient_frontier
 from .model import INFO_FULL, INFO_PARTIAL, validate
 from .odekernel import RngStream, gaussian_increments
 from .validation import format_table, run_checks
@@ -162,20 +162,21 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _model_for(mode: str, model):
-    """The config as a model of information mode ``mode``.
+def _solve(mode: str, model, compat: bool):
+    """The config as a model of information mode ``mode``, and its solution.
 
     A config of the other mode qualifies only if, converted, it passes
     :func:`~mvreins.model.validate`, which holds each mode's assumptions.
     """
-    if model.info_mode == mode:
-        return model
-    converted = dataclasses.replace(model, info_mode=mode)
-    report = validate(converted)
-    if not report.ok:
-        raise UsageError(f"the {mode}-information solver does not apply "
-                         f"to this config: {report}")
-    return converted
+    if model.info_mode != mode:
+        model = dataclasses.replace(model, info_mode=mode)
+        report = validate(model)
+        if not report.ok:
+            raise UsageError(f"the {mode}-information solver does not apply "
+                             f"to this config: {report}")
+    if mode == INFO_FULL:
+        return model, fullinfo.compute_solution(model, compat=compat)
+    return model, partialinfo.solve_partial(model)
 
 
 def _cmd_validate(args, model, overrides) -> int:
@@ -215,16 +216,9 @@ def _d_grid(args, vertex: float, model) -> np.ndarray:
 
 
 def _cmd_frontier(args, model, out_dir: Path, compat: bool) -> int:
-    mode = args.mode or model.info_mode
-    solver_model = _model_for(mode, model)
-    if mode == INFO_FULL:
-        sol = fullinfo.compute_solution(solver_model, compat=compat)
-        curve = fullinfo.frontier_full(sol, _d_grid(args, sol.vertex, model))
-        label = "full"
-    else:
-        sol = partialinfo.solve_partial(solver_model)
-        curve = partialinfo.frontier_partial(sol, _d_grid(args, sol.d0, model))
-        label = sol.approximation_mode
+    _, sol = _solve(args.mode or model.info_mode, model, compat)
+    curve = efficient_frontier(sol, _d_grid(args, sol.vertex, model))
+    label = sol.approximation_mode
     _write_csv(out_dir / "frontier.csv", ["d", "variance", "std_dev", "mode"],
                [curve.d, curve.variance, curve.std_dev, [label] * len(curve.d)])
     print(f"wrote {out_dir / 'frontier.csv'} ({label})")
@@ -232,8 +226,7 @@ def _cmd_frontier(args, model, out_dir: Path, compat: bool) -> int:
 
 
 def _cmd_value_surface(args, model, out_dir: Path, compat: bool) -> int:
-    full_model = _model_for(INFO_FULL, model)
-    sol = fullinfo.compute_solution(full_model, compat=compat)
+    _, sol = _solve(INFO_FULL, model, compat)
     T = model.objective.T
     ts = np.linspace(0.0, T, args.nt)
     x_curve = sol.switching_x(ts)
@@ -250,7 +243,7 @@ def _cmd_value_surface(args, model, out_dir: Path, compat: bool) -> int:
 
 
 def _cmd_dual_curve(args, model, out_dir: Path, compat: bool) -> int:
-    sol = fullinfo.compute_solution(_model_for(INFO_FULL, model), compat=compat)
+    _, sol = _solve(INFO_FULL, model, compat)
     gamma_star = sol.gamma_star
     span = 3.0 * max(1.0, abs(gamma_star))
     lo = args.gamma_min if args.gamma_min is not None else gamma_star - span
@@ -265,21 +258,14 @@ def _cmd_dual_curve(args, model, out_dir: Path, compat: bool) -> int:
 
 def _cmd_simulate(args, model, out_dir: Path, compat: bool) -> int:
     mode = args.mode or model.info_mode
-    sim_model = _model_for(mode, model)
+    sim_model, sol = _solve(mode, model, compat)
     T = model.objective.T
     d = model.objective.d
     dt = args.dt if args.dt is not None else T / 5000.0
-
     if mode == INFO_FULL:
-        sol = fullinfo.compute_solution(sim_model, compat=compat)
         strategy = fullinfo.full_feedback_strategy(sol)
-        frontier = fullinfo.frontier_full(sol, [d])
-        approximation = "full"
     else:
-        sol = partialinfo.solve_partial(sim_model)
         strategy = partialinfo.partial_feedback_strategy(sol, sim_model)
-        frontier = partialinfo.frontier_partial(sol, [d])
-        approximation = sol.approximation_mode
 
     cfg = montecarlo.SimConfig(n_paths=args.paths, dt=dt, seed=args.seed,
                                store_paths=args.store_paths)
@@ -294,7 +280,7 @@ def _cmd_simulate(args, model, out_dir: Path, compat: bool) -> int:
     summary = {
         "mode": mode,
         "dynamics": args.dynamics,
-        "approximation_mode": approximation,
+        "approximation_mode": sol.approximation_mode,
         "compat_paper_formulas": compat,
         "n_paths": cfg.n_paths,
         "n_flagged": ensemble.n_flagged,
@@ -305,7 +291,7 @@ def _cmd_simulate(args, model, out_dir: Path, compat: bool) -> int:
         "se_mean": est.se_mean,
         "se_variance": est.se_variance,
         "analytic_mean_target": d,
-        "analytic_variance": float(frontier.variance[0]),
+        "analytic_variance": float(efficient_frontier(sol, [d]).variance[0]),
         "diagnostics": {
             "mean_int_q2": float(ensemble.int_q2.mean()),
             "mean_int_pi2": float(ensemble.int_pi2.mean()),
@@ -313,7 +299,7 @@ def _cmd_simulate(args, model, out_dir: Path, compat: bool) -> int:
     }
     (out_dir / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
     print(f"wrote {out_dir / 'summary.json'}")
-    if approximation == "projected_drift":
+    if sol.approximation_mode == partialinfo.MODE_PROJECTED:
         print(f"note: analytic variance {summary['analytic_variance']:.6g} is a "
               f"projected-drift approximation; realized {est.variance:.6g} "
               f"(se {est.se_variance:.2g})")

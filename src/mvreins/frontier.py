@@ -2,6 +2,7 @@
 
 Both information regimes produce frontiers of the same shape, a parabola in
 the target mean anchored at the riskless vertex:  Var = coef * (d - vertex)^2.
+A solution of either mode exposes ``vertex`` and ``frontier_coefficient``.
 """
 
 from __future__ import annotations
@@ -31,15 +32,21 @@ class FrontierCurve:
         return np.sqrt(self.variance)
 
 
-def quadratic_frontier(vertex: float, coefficient: float, d_grid) -> FrontierCurve:
-    """Var = coefficient * (d - vertex)^2 on the grid; rejects d below the vertex."""
+def check_target(d, vertex: float) -> None:
+    """Reject target means below the vertex, with slack 1e-9 max(1, |vertex|)."""
+    d = np.asarray(d, dtype=float)
+    if np.any(d < vertex - 1e-9 * max(1.0, abs(vertex))):
+        raise InfeasibleTargetError(
+            f"target mean {d.min()} below frontier vertex {vertex}")
+
+
+def efficient_frontier(sol, d_grid) -> FrontierCurve:
+    """Var = sol.frontier_coefficient * (d - sol.vertex)^2 for d at or above
+    the vertex of a solution of either information mode."""
+    coefficient, vertex = sol.frontier_coefficient, sol.vertex
     if coefficient <= 0:
         raise ValueError("frontier coefficient must be positive")
     d = np.atleast_1d(np.asarray(d_grid, dtype=float))
-    slack = 1e-9 * max(1.0, abs(vertex))
-    if np.any(d < vertex - slack):
-        raise InfeasibleTargetError(
-            f"target mean {d.min()} below attainable vertex {vertex}"
-        )
+    check_target(d, vertex)
     gap = np.maximum(d - vertex, 0.0)
     return FrontierCurve(d=d, variance=coefficient * gap * gap)

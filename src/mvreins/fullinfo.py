@@ -1,5 +1,6 @@
 """Closed-form solution of the fully observed problem: value function, feedback,
-dual multiplier, efficient frontier, and numerical HJB/viscosity verification.
+dual multiplier, frontier vertex and coefficient, and numerical HJB/viscosity
+verification.
 
 Production code evaluates closed forms only; :func:`solve_pqr` integrates the
 coefficient ODEs by RK4 as the validation suite's oracle for them, (P, Q) on
@@ -23,7 +24,8 @@ wealth x0 e^{rT} + a(theta-eta)(e^{rT}-1)/r as the frontier vertex.  The
 ``compat`` flag of :func:`compute_solution`, its only reader, stores the
 constant x0 e^{rT} + a(theta-eta)/r as the solution's vertex instead, which
 reproduces historically published dual values but is refuted by Monte Carlo
-(see the acceptance suite); the expanded form is the default.
+(see the acceptance suite); the expanded form is the default.  The frontier
+is Var = (d - vertex)^2 / (e^{-2 A1 T} - 1), read from ``frontier_coefficient``.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ import numpy as np
 from .conelq import ControlPair, cone_quadratic_argmin
 from .curves import SampledCurve
 from .errors import MvreinsError
-from .frontier import FrontierCurve, InfeasibleTargetError, quadratic_frontier
+from .frontier import check_target
 from .model import INFO_FULL, ModelParams, riskless_terminal_wealth, validate
 from .odekernel import integrate_linear_backward
 
@@ -76,6 +78,8 @@ class FullInfoSolution:
     :func:`solve_pqr` integrates the coefficient ODEs as the oracle that
     checks P1..R2.
     """
+
+    approximation_mode = "full"  # class constant, not a field
 
     a1: float
     gamma_star: float
@@ -122,6 +126,10 @@ class FullInfoSolution:
         s = x - xc
         tol = 1e-12 * np.maximum(np.maximum(1.0, np.abs(x)), np.abs(xc))
         return _REGIONS[(s > tol).astype(int) - (s < -tol) + 1]
+
+    frontier_coefficient = property(
+        lambda self: 1.0 / _dual_denominator(self.a1, self.T),
+        doc="1 / (e^{-2 A1 T} - 1), the frontier's quadratic coefficient.")
 
     @property
     def target_level(self) -> float:
@@ -209,9 +217,7 @@ def compute_solution(model: ModelParams, d: float | None = None,
     if d is None:
         d = model.objective.d
     if gamma is None:
-        if d < vertex - 1e-9 * max(1.0, abs(vertex)):
-            raise InfeasibleTargetError(
-                f"target mean {d} below frontier vertex {vertex}")
+        check_target(d, vertex)
         gamma = (vertex - d) / _dual_denominator(a1, T)
     return FullInfoSolution(
         a1=a1, gamma_star=float(gamma), d=float(d), f=_f(model, d, gamma),
@@ -282,12 +288,6 @@ def feedback_full(t: float, x: float, sol: FullInfoSolution) -> ControlPair:
         return ControlPair(0.0, 0.0)
     s = x + sol.g1(t) * np.exp(-sol.r * (sol.T - t))
     return ControlPair(q=-sol.coef_q * s, pi=-sol.coef_pi * s)
-
-
-def frontier_full(sol: FullInfoSolution, d_grid) -> FrontierCurve:
-    """Var = (k - d)^2 / (e^{-2 A1 T} - 1) for d at or above the vertex k."""
-    return quadratic_frontier(sol.vertex, 1.0 / _dual_denominator(sol.a1, sol.T),
-                              d_grid)
 
 
 def full_feedback_strategy(sol: FullInfoSolution):

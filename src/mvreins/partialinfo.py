@@ -10,7 +10,7 @@ and gamma*, the frontier and the dual value follow in closed form from the
 fields of :class:`PartialSolution` alone: k+/- = int_0^T kappa+/-, the
 exponents :func:`~mvreins.conelq.riccati_pair` returns at t = 0, with
 P+/-(0) e^{-2 int r} = e^{-k+/-}, the target mean d and the frontier vertex
-d0 = x0 e^{int r}.
+d0 = x0 e^{int r}; ``vertex`` and ``frontier_coefficient`` expose the frontier.
 The xi+/- are P-free (P > 0 only scales the Hamiltonian), so the feedback
 reads gamma* alone.
 
@@ -28,7 +28,7 @@ import numpy as np
 
 from .conelq import ControlPair, LQCoefficients, riccati_pair, xi_minimizer
 from .errors import MvreinsError
-from .frontier import FrontierCurve, InfeasibleTargetError, quadratic_frontier
+from .frontier import check_target
 from .model import INFO_PARTIAL, ModelParams, riskless_terminal_wealth, validate
 
 MODE_EXACT = "exact"
@@ -53,6 +53,15 @@ class PartialSolution:
     d0: float
     approximation_mode: str
 
+    @property
+    def vertex(self) -> float:
+        """Frontier vertex: the riskless terminal wealth d0."""
+        return self.d0
+
+    frontier_coefficient = property(
+        lambda self: float(np.exp(-self.kappa_minus)) / _denominator(self.kappa_minus),
+        doc="P-(0) e^{-2 int r} / (1 - P-(0) e^{-2 int r}) = e^{-k-} / -expm1(-k-).")
+
 
 def solve_partial(model: ModelParams) -> PartialSolution:
     """Build the partial-information solution for the model's target mean.
@@ -68,8 +77,7 @@ def solve_partial(model: ModelParams) -> PartialSolution:
     mode = MODE_EXACT if model.drift.is_degenerate() else MODE_PROJECTED
     k_plus, k_minus = riccati_pair(model, 0.0)
     d, d0 = model.objective.d, riskless_terminal_wealth(model)
-    if d < d0 - 1e-9 * max(1.0, abs(d0)):
-        raise InfeasibleTargetError(f"target mean {d} below riskless wealth {d0}")
+    check_target(d, d0)
     gamma = (d - d0 * float(np.exp(-k_minus))) / _denominator(k_minus)
     return PartialSolution(kappa_plus=k_plus, kappa_minus=k_minus,
                            gamma_star=gamma, d=d, d0=d0, approximation_mode=mode)
@@ -83,19 +91,6 @@ def _denominator(kappa_minus: float) -> float:
             f"frontier denominator {denom:.3e} <= 0; model degenerate"
         )
     return denom
-
-
-def frontier_coefficient(sol: PartialSolution) -> float:
-    """Quadratic coefficient P-(0) e^{-2 int r} / (1 - P-(0) e^{-2 int r}) > 0.
-
-    Formed as e^{-k-} / -expm1(-k-), i.e. 1 / expm1(k-).
-    """
-    return float(np.exp(-sol.kappa_minus)) / _denominator(sol.kappa_minus)
-
-
-def frontier_partial(sol: PartialSolution, d_grid) -> FrontierCurve:
-    """Efficient frontier Var = coef * (E X(T) - d0)^2 for d >= d0 = x0 e^{int r}."""
-    return quadratic_frontier(sol.d0, frontier_coefficient(sol), d_grid)
 
 
 def feedback_partial(t: float, x: float, m: float, sol: PartialSolution,

@@ -26,6 +26,7 @@ import numpy as np
 from scipy import optimize
 
 from . import conelq, filtering, fullinfo, partialinfo
+from .frontier import efficient_frontier
 from .model import (INFO_FULL, ModelParams, riskless_terminal_wealth,
                     riskless_terminal_wealth_ode, validate)
 
@@ -92,10 +93,11 @@ def _dual_argmax_check(dual, gamma_closed: float) -> CheckResult:
                        f"closed form {gamma_closed:.4f} vs maximizer {res.x:.4f}")
 
 
-def _frontier_vertex_check(frontier, vertex: float) -> CheckResult:
-    """Zero variance at the vertex, increasing beyond it, at any vertex sign."""
+def _frontier_vertex_check(sol) -> CheckResult:
+    """Zero variance at sol.vertex, increasing beyond it, at any vertex sign."""
+    vertex = sol.vertex
     step = 0.1 * max(1.0, abs(vertex))
-    curve = frontier([vertex, vertex + step, vertex + 2.0 * step])
+    curve = efficient_frontier(sol, [vertex, vertex + step, vertex + 2.0 * step])
     ok = curve.variance[0] == 0.0 and np.all(np.diff(curve.variance) > 0)
     return CheckResult("frontier-vertex", ok,
                        f"variance at vertex {curve.variance[0]:.3e}, increasing beyond")
@@ -232,8 +234,7 @@ def _checks_full(model: ModelParams, solution: fullinfo.FullInfoSolution,
 
     results.append(_dual_argmax_check(
         lambda g: fullinfo.dual_value_full(solution, g), solution.gamma_star))
-    results.append(_frontier_vertex_check(
-        lambda ds: fullinfo.frontier_full(solution, ds), solution.vertex))
+    results.append(_frontier_vertex_check(solution))
     return results
 
 
@@ -275,8 +276,7 @@ def _checks_partial(model: ModelParams) -> list[CheckResult]:
 
     results.append(_dual_argmax_check(
         lambda g: partialinfo.dual_value_partial(sol, g), sol.gamma_star))
-    results.append(_frontier_vertex_check(
-        lambda ds: partialinfo.frontier_partial(sol, ds), sol.d0))
+    results.append(_frontier_vertex_check(sol))
     return results
 
 

@@ -152,8 +152,8 @@ def test_criterion_6_frontier_reduction(partial_exact_model):
 
     # frontier, pointwise
     grid = sol_p.d0 + np.array([0.0, 1.0, 50.0, 2000.0, 7000.0])
-    front_p = mv.frontier_partial(sol_p, grid)
-    front_f = mv.frontier_full(sol_f, grid)
+    front_p = mv.efficient_frontier(sol_p, grid)
+    front_f = mv.efficient_frontier(sol_f, grid)
     err_front = np.max(np.abs(front_p.variance[1:] - front_f.variance[1:])
                        / front_f.variance[1:])
 
@@ -192,7 +192,7 @@ def test_criterion_7_monte_carlo_frontier(scaled_cheap_model,
     model = scaled_cheap_model
     d = model.objective.d
     est = _mc_frontier_run(model, seed=700)
-    var_corrected = float(mv.frontier_full(mv.compute_solution(model), [d])
+    var_corrected = float(mv.efficient_frontier(mv.compute_solution(model), [d])
                           .variance[0])
     mean_ok = abs(est.mean - d) <= 3.0 * est.se_mean
     var_ok = abs(est.variance - var_corrected) <= 0.05 * var_corrected
@@ -204,8 +204,8 @@ def test_criterion_7_monte_carlo_frontier(scaled_cheap_model,
     d_nc = model_nc.objective.d
     est_nc = _mc_frontier_run(model_nc, seed=701)
     var_nc_corrected = float(
-        mv.frontier_full(mv.compute_solution(model_nc), [d_nc]).variance[0])
-    var_nc_printed = float(mv.frontier_full(
+        mv.efficient_frontier(mv.compute_solution(model_nc), [d_nc]).variance[0])
+    var_nc_printed = float(mv.efficient_frontier(
         mv.compute_solution(model_nc, compat=True), [d_nc]).variance[0])
     mean_nc_ok = abs(est_nc.mean - d_nc) <= 3.0 * est_nc.se_mean
     var_nc_ok = abs(est_nc.variance - var_nc_corrected) <= 0.05 * var_nc_corrected

@@ -11,6 +11,7 @@ from mvreins import fullinfo
 from mvreins.cli import UsageError, _write_csv, main
 from mvreins.config import load_config
 from mvreins.filtering import solve_variance
+from mvreins.frontier import efficient_frontier
 from mvreins.odekernel import RngStream, gaussian_increments
 
 REPO = Path(__file__).resolve().parents[1]
@@ -195,7 +196,7 @@ def test_frontier_bytes(tmp_path):
                  "frontier", "--mode", "full", "--points", "51"]) == 0
     model, _ = load_config(PAPER44_CFG)
     sol = fullinfo.compute_solution(model)
-    curve = fullinfo.frontier_full(sol, np.linspace(sol.vertex, model.objective.d, 51))
+    curve = efficient_frontier(sol, np.linspace(sol.vertex, model.objective.d, 51))
     rows = [(d, v, s, "full")
             for d, v, s in zip(curve.d, curve.variance, curve.std_dev)]
     assert (tmp_path / "frontier.csv").read_text() == \

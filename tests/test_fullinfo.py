@@ -7,9 +7,9 @@ from scipy import optimize
 import mvreins as mv
 from mvreins import fullinfo
 from mvreins.config import load_config
-from mvreins.frontier import InfeasibleTargetError
+from mvreins.frontier import InfeasibleTargetError, efficient_frontier
 from mvreins.fullinfo import (NearCurveError, Region, compute_solution,
-                              dual_value_full, feedback_full, frontier_full,
+                              dual_value_full, feedback_full,
                               full_feedback_strategy, hjb_residual, solve_pqr,
                               value_function, viscosity_check)
 from mvreins.odekernel import integrate_backward
@@ -183,14 +183,14 @@ def test_dual_argmax_invariant_under_positive_scaling(paper44_solution):
 
 
 def test_frontier_vertex_anchor(paper44_solution):
-    curve = frontier_full(paper44_solution, [2863.9028767400723])
+    curve = efficient_frontier(paper44_solution, [2863.9028767400723])
     assert curve.variance[0] <= 1e-12
     assert abs(2863.9 - paper44_solution.vertex) <= 0.05
 
 
 def test_frontier_coefficient_positive_and_monotone(paper44_solution):
     k = paper44_solution.vertex
-    curve = frontier_full(paper44_solution, np.linspace(k, 3 * k, 25))
+    curve = efficient_frontier(paper44_solution, np.linspace(k, 3 * k, 25))
     assert curve.variance[0] == 0.0
     assert np.all(np.diff(curve.variance) > 0)
 
@@ -203,7 +203,7 @@ def test_frontier_with_tiny_premium_is_cancellation_free():
     growth = np.expm1(-2.0 * sol.a1 * model.objective.T)
     assert 0.0 < growth < 2e-16
     k = sol.vertex
-    curve = frontier_full(sol, [k, 2.0 * k])
+    curve = efficient_frontier(sol, [k, 2.0 * k])
     assert curve.variance[1] / (k * k) == pytest.approx(1.0 / growth, rel=1e-12)
     check = _dual_argmax_check(lambda g: dual_value_full(sol, g), sol.gamma_star)
     assert check.passed, check.detail
@@ -234,7 +234,7 @@ def test_full_closed_forms_read_only_the_solution(paper44_solution):
                    {"a1": 2.0 * sol.a1}, {"gamma_star": 5.0, "f": -1.0}):
         moved = dataclasses.replace(sol, **change)
         ds = moved.vertex + np.array([0.0, 10.0, 1000.0, 7000.0])
-        np.testing.assert_allclose(frontier_full(moved, ds).variance,
+        np.testing.assert_allclose(efficient_frontier(moved, ds).variance,
                                    frontier(moved, ds), rtol=1e-12, atol=0.0)
         for g in (gammas, between):
             np.testing.assert_allclose(dual_value_full(moved, g), dual(moved, g),
@@ -246,13 +246,13 @@ def test_full_closed_forms_read_only_the_solution(paper44_solution):
     assert np.all(dual_value_full(lowered, gammas[gammas > switch + 500.0])
                   == dual_value_full(sol, gammas[gammas > switch + 500.0]))
     ds = sol.vertex + np.array([0.0, 1000.0])
-    assert np.all(frontier_full(lowered, ds).variance
-                  == frontier_full(sol, ds).variance)
+    assert np.all(efficient_frontier(lowered, ds).variance
+                  == efficient_frontier(sol, ds).variance)
 
 
 def test_frontier_infeasible_target(paper44_solution):
-    with pytest.raises(InfeasibleTargetError):
-        frontier_full(paper44_solution, [1000.0])
+    with pytest.raises(InfeasibleTargetError, match="below frontier vertex"):
+        efficient_frontier(paper44_solution, [1000.0])
 
 
 def test_pqr_ode_matches_closed_forms(paper44_solution, paper44_model):

@@ -323,7 +323,7 @@ def test_partial_feedback_innovation_mode(partial_exact_model):
     cfg = SimConfig(n_paths=30_000, dt=0.002, seed=13)
     ens = simulate_innovation(model, strategy, cfg)
     est = estimate(ens)
-    frontier = mv.frontier_partial(sol, [model.objective.d])
+    frontier = mv.efficient_frontier(sol, [model.objective.d])
     assert abs(est.mean - model.objective.d) <= 3.5 * est.se_mean
     assert abs(est.variance - frontier.variance[0]) <= \
         0.05 * frontier.variance[0]

@@ -10,10 +10,9 @@ from scipy import optimize
 import mvreins as mv
 from conftest import make_model
 from mvreins.config import load_config
-from mvreins.frontier import InfeasibleTargetError
+from mvreins.frontier import InfeasibleTargetError, efficient_frontier
 from mvreins.partialinfo import (ModelDegenerateError, dual_value_partial,
-                                 feedback_partial, frontier_coefficient,
-                                 frontier_partial, partial_feedback_strategy,
+                                 feedback_partial, partial_feedback_strategy,
                                  solve_partial)
 from mvreins.validation import _dual_argmax_check
 
@@ -82,7 +81,7 @@ def test_dual_value_branches(exact_solution, partial_exact_model):
 
 def test_frontier_vertex_and_quadratic_scaling(exact_solution):
     d0 = exact_solution.d0
-    curve = frontier_partial(exact_solution, [d0, d0 + 1.0, d0 + 2.0, d0 + 4.0])
+    curve = efficient_frontier(exact_solution, [d0, d0 + 1.0, d0 + 2.0, d0 + 4.0])
     assert curve.variance[0] == 0.0
     v1, v2, v4 = curve.variance[1:]
     assert v2 / v1 == pytest.approx(4.0, rel=1e-9)
@@ -91,16 +90,16 @@ def test_frontier_vertex_and_quadratic_scaling(exact_solution):
 
 
 def test_frontier_rejects_infeasible(exact_solution):
-    with pytest.raises(InfeasibleTargetError):
-        frontier_partial(exact_solution, [exact_solution.d0 - 1.0])
+    with pytest.raises(InfeasibleTargetError, match="below frontier vertex"):
+        efficient_frontier(exact_solution, [exact_solution.d0 - 1.0])
 
 
 def test_frontier_degenerate_reduction(exact_solution, partial_exact_model):
     full_model = dataclasses.replace(partial_exact_model, info_mode="full")
     d0 = exact_solution.d0
     grid = d0 + np.array([0.0, 10.0, 500.0, 7000.0])
-    partial = frontier_partial(exact_solution, grid)
-    full = mv.frontier_full(mv.compute_solution(full_model), grid)
+    partial = efficient_frontier(exact_solution, grid)
+    full = efficient_frontier(mv.compute_solution(full_model), grid)
     np.testing.assert_allclose(partial.variance, full.variance, rtol=1e-9)
 
 
@@ -280,7 +279,7 @@ def test_degenerate_denominator_raises(exact_solution):
     # P-(0) = 2 exp(2 int r), past the envelope bound: k- = -log 2 trips the guard.
     bad = dataclasses.replace(exact_solution, kappa_minus=-np.log(2.0))
     with pytest.raises(ModelDegenerateError):
-        frontier_coefficient(bad)
+        bad.frontier_coefficient
 
 
 def test_closed_forms_read_only_the_solution(exact_solution, partial_exact_model):
@@ -291,8 +290,8 @@ def test_closed_forms_read_only_the_solution(exact_solution, partial_exact_model
                               kappa_minus=k_minus, d0=d0)
     d = partial_exact_model.objective.d
     coef = 1.0 / np.expm1(k_minus)
-    assert frontier_coefficient(sol) == pytest.approx(coef, rel=1e-14)
-    curve = frontier_partial(sol, [d0, d0 + 2.0])
+    assert sol.frontier_coefficient == pytest.approx(coef, rel=1e-14)
+    curve = efficient_frontier(sol, [d0, d0 + 2.0])
     np.testing.assert_allclose(curve.variance, [0.0, 4.0 * coef], rtol=1e-14)
     for gamma, k in ((d0 - 1.0, k_plus), (d0 + 1.0, k_minus)):
         expected = (np.expm1(-k) * gamma ** 2 - 2.0 * (d0 * np.exp(-k) - d) * gamma
@@ -308,7 +307,7 @@ def test_solve_partial_requires_partial_mode(paper44_model):
 
 def test_projected_mode_coefficient_positive(partial_filter_model):
     sol = solve_partial(partial_filter_model)
-    assert frontier_coefficient(sol) > 0
+    assert sol.frontier_coefficient > 0
 
 
 def test_tiny_claim_rate_keeps_frontier_denominator():
@@ -318,7 +317,7 @@ def test_tiny_claim_rate_keeps_frontier_denominator():
                        T=10.0, d=80.0, info_mode="partial")
     sol = solve_partial(model)
     assert sol.kappa_minus == pytest.approx(4e-19, rel=1e-12)
-    assert frontier_coefficient(sol) == pytest.approx(
+    assert sol.frontier_coefficient == pytest.approx(
         1.0 / np.expm1(4e-19), rel=1e-6)
     assert _dual_argmax_check(
         lambda g: dual_value_partial(sol, g), sol.gamma_star).passed
@@ -333,5 +332,5 @@ def test_drift_next_to_rate_keeps_kappa_integral():
     full = make_model(**kw)
     minus_two_a1_t = -2.0 * mv.compute_solution(full).a1 * full.objective.T
     assert sol.kappa_minus == pytest.approx(minus_two_a1_t, rel=1e-12)
-    assert frontier_coefficient(sol) == pytest.approx(
+    assert sol.frontier_coefficient == pytest.approx(
         1.0 / np.expm1(minus_two_a1_t), rel=1e-12)
