@@ -10,11 +10,14 @@ end, once defaults are filled in, is rejected before anything is written; a
 CSV holding a non-finite number (a finite argument range can overflow) is an
 error and is not written: :func:`_write_csv`, the one CSV writer, checks each
 numeric column with ``np.isfinite`` before it opens the file, and names the
-first non-finite cell in row order.  A solver of the other information mode than the
-config's (``--mode``, and the full-information ``value-surface`` and
-``dual-curve``) runs only if the config, converted to that mode, passes
-:func:`~mvreins.model.validate`: ``--mode partial`` needs eta = theta, and the
-full-information solvers need a known drift.
+first non-finite cell in row order.  :func:`_solve` picks the solver: one of
+the other information mode than the config's (``--mode``, and the
+full-information ``value-surface`` and ``dual-curve``) runs only if the config,
+converted to that mode, passes :func:`~mvreins.model.validate`: ``--mode
+partial`` needs eta = theta, and the full-information solvers need a known
+drift.  ``--compat-paper-formulas`` acts only on the full-information solver,
+so ``filter``, and ``validate``, ``frontier`` and ``simulate`` when the solver
+that runs is the partial one, refuse it with one error line and write nothing.
 All numeric output is written in full double precision (shortest round-trip
 decimal), so reruns with identical inputs produce byte-identical files.
 """
@@ -121,7 +124,8 @@ def _build_parser() -> _Parser:
     parser.add_argument("--out-dir", default=".", help="directory for output files")
     parser.add_argument("--compat-paper-formulas", action="store_true",
                         help="use the historically published dual/frontier "
-                             "constant instead of the corrected one")
+                             "constant instead of the corrected one "
+                             "(full-information solver only)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("validate", help="run the named-check validation suite")
@@ -215,8 +219,8 @@ def _d_grid(args, vertex: float, model) -> np.ndarray:
     return np.linspace(vertex, d_max, args.points)
 
 
-def _cmd_frontier(args, model, out_dir: Path, compat: bool) -> int:
-    _, sol = _solve(args.mode or model.info_mode, model, compat)
+def _cmd_frontier(args, model, out_dir: Path, mode: str, compat: bool) -> int:
+    _, sol = _solve(mode, model, compat)
     curve = efficient_frontier(sol, _d_grid(args, sol.vertex, model))
     label = sol.approximation_mode
     _write_csv(out_dir / "frontier.csv", ["d", "variance", "std_dev", "mode"],
@@ -256,8 +260,7 @@ def _cmd_dual_curve(args, model, out_dir: Path, compat: bool) -> int:
     return 0
 
 
-def _cmd_simulate(args, model, out_dir: Path, compat: bool) -> int:
-    mode = args.mode or model.info_mode
+def _cmd_simulate(args, model, out_dir: Path, mode: str, compat: bool) -> int:
     sim_model, sol = _solve(mode, model, compat)
     T = model.objective.T
     d = model.objective.d
@@ -327,17 +330,24 @@ def main(argv=None) -> int:
         if not report.ok:
             print(f"error: invalid configuration: {report}", file=sys.stderr)
             return 1
+        # information mode of the solver the subcommand runs; filter runs none
+        mode = {"filter": None, "value-surface": INFO_FULL,
+                "dual-curve": INFO_FULL}.get(
+            args.command, getattr(args, "mode", None) or model.info_mode)
+        compat = args.compat_paper_formulas
+        if compat and mode != INFO_FULL:
+            raise UsageError("--compat-paper-formulas applies only to the "
+                             "full-information solver")
         out_dir = Path(args.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-        compat = args.compat_paper_formulas
 
         commands = {
             "validate": lambda: _cmd_validate(args, model, overrides),
             "filter": lambda: _cmd_filter(args, model, out_dir),
-            "frontier": lambda: _cmd_frontier(args, model, out_dir, compat),
+            "frontier": lambda: _cmd_frontier(args, model, out_dir, mode, compat),
             "value-surface": lambda: _cmd_value_surface(args, model, out_dir, compat),
             "dual-curve": lambda: _cmd_dual_curve(args, model, out_dir, compat),
-            "simulate": lambda: _cmd_simulate(args, model, out_dir, compat),
+            "simulate": lambda: _cmd_simulate(args, model, out_dir, mode, compat),
         }
         # an overflowing range is one _write_csv error, not a numpy warning per cell
         with np.errstate(over="ignore", invalid="ignore"):

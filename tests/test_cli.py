@@ -349,6 +349,11 @@ def test_missing_config_exit_code():
     (PAPER44_CFG, ["frontier", "--mode", "partial"]),
     (STIFF_PRIOR, ["simulate", "--paths", "100", "--dt", "0.1"]),
     (LOW_TARGET, ["frontier", "--mode", "full"]),
+    (PARTIAL_CFG, ["--compat-paper-formulas", "filter"]),
+    (PARTIAL_CFG, ["--compat-paper-formulas", "validate"]),
+    (PARTIAL_CFG, ["--compat-paper-formulas", "frontier"]),
+    (PARTIAL_CFG, ["--compat-paper-formulas", "simulate", "--paths", "100",
+                   "--dt", "0.1"]),
 ], ids=["dt-not-dividing-T", "store-paths-too-large", "filter-steps-0",
         "frontier-points-0", "dual-curve-points-0", "value-surface-nt-0",
         "value-surface-nx-0", "simulate-paths-1", "workers-0",
@@ -358,7 +363,8 @@ def test_missing_config_exit_code():
         "x-range-reversed", "x-min-above-default-max", "gamma-range-reversed",
         "gamma-max-below-default-min", "simulate-partial-noncheap",
         "frontier-partial-noncheap", "stiff-prior-variance-negative",
-        "frontier-full-below-vertex"])
+        "frontier-full-below-vertex", "filter-compat", "validate-partial-compat",
+        "frontier-partial-compat", "simulate-partial-compat"])
 def test_bad_input_is_one_error_line(tmp_path, capsys, cfg, args):
     if isinstance(cfg, tuple):
         base, old, new = cfg

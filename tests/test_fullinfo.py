@@ -172,7 +172,7 @@ def test_gamma_star_matches_dual_maximizer(paper44_model):
 
 
 def test_gamma_star_infeasible_below_vertex(paper44_model):
-    with pytest.raises(InfeasibleTargetError):
+    with pytest.raises(InfeasibleTargetError, match="below frontier vertex"):
         compute_solution(paper44_model, d=2000.0)
 
 

@@ -44,7 +44,7 @@ def test_gamma_star_rejects_infeasible_target(partial_exact_model):
     model = dataclasses.replace(
         partial_exact_model,
         objective=dataclasses.replace(partial_exact_model.objective, d=100.0))
-    with pytest.raises(InfeasibleTargetError):
+    with pytest.raises(InfeasibleTargetError, match="below frontier vertex"):
         solve_partial(model)
 
 
@@ -94,12 +94,27 @@ def test_frontier_rejects_infeasible(exact_solution):
         efficient_frontier(exact_solution, [exact_solution.d0 - 1.0])
 
 
-def test_frontier_degenerate_reduction(exact_solution, partial_exact_model):
-    full_model = dataclasses.replace(partial_exact_model, info_mode="full")
-    d0 = exact_solution.d0
-    grid = d0 + np.array([0.0, 10.0, 500.0, 7000.0])
-    partial = efficient_frontier(exact_solution, grid)
-    full = efficient_frontier(mv.compute_solution(full_model), grid)
+@pytest.mark.parametrize("kw", [
+    {},
+    {"T": 5.0, "d": 1.2 * 50.0 * np.exp(0.2)},
+    {"a": 1e-9, "m0": 0.040000001},
+    {"r": 1e-10, "d": 200.0},
+    {"T": 0.01, "d": 60.0},
+], ids=["paper44", "scaled-cheap", "tiny-premium", "tiny-r", "short-horizon"])
+def test_frontier_degenerate_reduction(kw):
+    # A full model with theta = eta and its partial twin: the same vertex, the
+    # same frontier coefficient, and gamma* in the two dual conventions.
+    partial_sol = solve_partial(make_model(theta=0.2, eta=0.2, info_mode="partial",
+                                           **kw))
+    full_sol = mv.compute_solution(make_model(theta=0.2, eta=0.2, **kw))
+    assert partial_sol.vertex == full_sol.vertex
+    assert partial_sol.frontier_coefficient == pytest.approx(
+        full_sol.frontier_coefficient, rel=1e-12)
+    assert partial_sol.gamma_star == pytest.approx(
+        full_sol.d - full_sol.gamma_star, rel=1e-12)
+    grid = partial_sol.vertex + np.array([0.0, 10.0, 500.0, 7000.0])
+    partial = efficient_frontier(partial_sol, grid)
+    full = efficient_frontier(full_sol, grid)
     np.testing.assert_allclose(partial.variance, full.variance, rtol=1e-9)
 
 
