@@ -297,6 +297,14 @@ def test_degenerate_denominator_raises(exact_solution):
         bad.frontier_coefficient
 
 
+def test_underflowed_frontier_coefficient_is_refused(exact_solution):
+    # k- = 800: e^{-k-} underflows to 0, which would draw a flat frontier.
+    sol = dataclasses.replace(exact_solution, kappa_minus=800.0)
+    assert sol.frontier_coefficient == 0.0
+    with pytest.raises(ValueError, match="frontier coefficient must be positive"):
+        efficient_frontier(sol, [sol.vertex, sol.vertex + 1.0])
+
+
 def test_closed_forms_read_only_the_solution(exact_solution, partial_exact_model):
     # Replaced k+/- and d0 move every closed form as their formulas say; the
     # model supplies only the target d.
