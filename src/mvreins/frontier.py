@@ -3,6 +3,8 @@
 Both information regimes produce frontiers of the same shape, a parabola in
 the target mean anchored at the riskless vertex:  Var = coef * (d - vertex)^2.
 A solution of either mode exposes ``vertex`` and ``frontier_coefficient``.
+Its coefficient is e^{-k} / (1 - e^{-k}) = 1 / expm1(k) for the frontier
+exponent k: -2 A1 T in full mode, int_0^T kappa- in partial mode.
 """
 
 from __future__ import annotations
@@ -10,6 +12,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+from .errors import MvreinsError
+
+# Largest frontier exponent k whose e^{-k} is a normal double (708.396...);
+# past it the coefficient e^{-k} / (1 - e^{-k}) is subnormal or zero, and
+# from 709.78 on expm1(k) overflows.
+MAX_EXPONENT = float(-np.log(np.finfo(float).tiny))
+
+
+class FrontierUnderflowError(MvreinsError):
+    """Frontier exponent k past MAX_EXPONENT: e^{-k} underflows."""
 
 
 class InfeasibleTargetError(ValueError):
@@ -38,6 +51,15 @@ def check_target(d, vertex: float) -> None:
     if np.any(d < vertex - 1e-9 * max(1.0, abs(vertex))):
         raise InfeasibleTargetError(
             f"target mean {d.min()} below frontier vertex {vertex}")
+
+
+def check_exponent(k: float) -> None:
+    """Refuse a frontier exponent past MAX_EXPONENT, in the same words in
+    both information modes."""
+    if not k <= MAX_EXPONENT:
+        raise FrontierUnderflowError(
+            f"frontier exponent {k:.6g} exceeds {MAX_EXPONENT:.6g}: e^-k "
+            "underflows, so the frontier coefficient is not a normal double")
 
 
 def efficient_frontier(sol, d_grid) -> FrontierCurve:

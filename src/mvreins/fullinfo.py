@@ -38,7 +38,7 @@ import numpy as np
 from .conelq import ControlPair, cone_quadratic_argmin
 from .curves import SampledCurve
 from .errors import MvreinsError
-from .frontier import check_target
+from .frontier import check_exponent, check_target
 from .model import INFO_FULL, ModelParams, riskless_terminal_wealth, validate
 from .odekernel import integrate_linear_backward
 
@@ -161,8 +161,10 @@ def _f(model: ModelParams, d: float, gamma: float) -> float:
 
 def _dual_denominator(a1: float, T: float) -> float:
     """e^{-2 A1 T} - 1, formed as expm1 so that a tiny premium does not cancel."""
-    denom = np.expm1(-2.0 * a1 * T)
-    if denom <= 0 or not np.isfinite(denom):
+    exponent = -2.0 * a1 * T
+    check_exponent(exponent)
+    denom = np.expm1(exponent)
+    if denom <= 0:
         raise DegenerateDualError(
             "exp(-2 A1 T) - 1 must be positive; market is riskless-equivalent"
         )

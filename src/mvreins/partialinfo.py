@@ -28,7 +28,7 @@ import numpy as np
 
 from .conelq import ControlPair, LQCoefficients, riccati_pair, xi_minimizer
 from .errors import MvreinsError
-from .frontier import check_target
+from .frontier import check_exponent, check_target
 from .model import INFO_PARTIAL, ModelParams, riskless_terminal_wealth, validate
 
 MODE_EXACT = "exact"
@@ -67,7 +67,9 @@ def solve_partial(model: ModelParams) -> PartialSolution:
     """Build the partial-information solution for the model's target mean.
 
     gamma* = [d - d0 e^{-k-}] / [1 - e^{-k-}] collapses to d0 at d = d0;
-    targets below d0 raise :class:`~mvreins.frontier.InfeasibleTargetError`.
+    targets below d0 raise :class:`~mvreins.frontier.InfeasibleTargetError`,
+    and k- past :data:`~mvreins.frontier.MAX_EXPONENT` raises
+    :class:`~mvreins.frontier.FrontierUnderflowError`, as in full mode.
     """
     report = validate(model)
     if not report.ok:
@@ -78,6 +80,7 @@ def solve_partial(model: ModelParams) -> PartialSolution:
     k_plus, k_minus = riccati_pair(model, 0.0)
     d, d0 = model.objective.d, riskless_terminal_wealth(model)
     check_target(d, d0)
+    check_exponent(k_minus)
     gamma = (d - d0 * float(np.exp(-k_minus))) / _denominator(k_minus)
     return PartialSolution(kappa_plus=k_plus, kappa_minus=k_minus,
                            gamma_star=gamma, d=d, d0=d0, approximation_mode=mode)

@@ -23,7 +23,6 @@ import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
 from . import conelq, filtering, fullinfo, partialinfo
 from .frontier import efficient_frontier
@@ -84,6 +83,8 @@ def cone_probe_check(rng: np.random.Generator, draws: int,
 
 def _dual_argmax_check(dual, gamma_closed: float) -> CheckResult:
     """Closed-form gamma* against a bounded scalar maximization of the dual value."""
+    from scipy import optimize  # only here, so the other subcommands never load it
+
     span = 10.0 * max(1.0, abs(gamma_closed))
     res = optimize.minimize_scalar(
         lambda g: -dual(g), bounds=(gamma_closed - span, gamma_closed + span),

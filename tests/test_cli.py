@@ -427,10 +427,63 @@ def test_frontier_with_tiny_claim_rate_is_finite(tmp_path):
     assert rows and all(np.isfinite(float(v)) for row in rows for v in row[:3])
 
 
-def test_python_dash_m_entry_point():
-    proc = subprocess.run(
-        [sys.executable, "-m", "mvreins", "--config", "configs/paper44.cfg", "validate"],
-        cwd=REPO, capture_output=True, text=True, timeout=300,
-        env={**os.environ, "PYTHONPATH": os.pathsep.join(
+@pytest.mark.parametrize("T, exponent", [("180", "720.072"), ("190", "760.076")])
+def test_frontier_exponent_past_double_range_is_one_error_in_both_modes(
+        tmp_path, capsys, T, exponent):
+    # paper44 with a = 10, theta = 0.2: -2 A1 T = int kappa- = 4.0004 T.  Full
+    # mode's expm1 would overflow and partial mode's e^{-k-} would underflow.
+    cfg = tmp_path / "long.cfg"
+    cfg.write_text(PAPER44_CFG.read_text().replace("\na = 1.0\n", "\na = 10\n")
+                   .replace("\ntheta = 0.3\n", "\ntheta = 0.2\n")
+                   .replace("\nd = 10000.0\n", "\nd = 1e7\n")
+                   .replace("\nT = 100.0\n", f"\nT = {T}\n"))
+    for mode in ("full", "partial"):
+        out = tmp_path / mode
+        code = main(["--config", str(cfg), "--out-dir", str(out),
+                     "frontier", "--mode", mode])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: frontier exponent {exponent} exceeds 708.396: e^-k "
+            "underflows, so the frontier coefficient is not a normal double\n")
+        assert not (out / "frontier.csv").exists()
+
+
+def run_python(*args):
+    """A fresh interpreter with the package's source first on its path."""
+    return subprocess.run(
+        [sys.executable, *args], cwd=REPO, capture_output=True, text=True,
+        timeout=300, env={**os.environ, "PYTHONPATH": os.pathsep.join(
             filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))})
+
+
+def test_python_dash_m_entry_point():
+    proc = run_python("-m", "mvreins", "--config", "configs/paper44.cfg", "validate")
+    assert proc.returncode == 0, proc.stderr
+
+
+# Every subcommand but validate, then validate, in one interpreter.
+SCIPY_GUARD = """
+import sys
+from mvreins.cli import main
+
+out, paper44, filterdemo = sys.argv[1:]
+for cfg, args in [
+        (paper44, ["frontier", "--mode", "full", "--points", "5"]),
+        (paper44, ["value-surface", "--nt", "3", "--nx", "3"]),
+        (paper44, ["dual-curve", "--points", "5"]),
+        (paper44, ["simulate", "--mode", "full", "--paths", "100", "--dt", "1"]),
+        (filterdemo, ["filter", "--steps", "50"]),
+        (filterdemo, ["simulate", "--paths", "100", "--dt", "0.1"])]:
+    assert main(["--config", cfg, "--out-dir", out] + args) == 0, args
+loaded = [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")]
+assert not loaded, loaded
+assert main(["--config", paper44, "--out-dir", out, "validate"]) == 0
+assert "scipy.optimize" in sys.modules
+"""
+
+
+def test_only_validate_loads_scipy(tmp_path):
+    # The pytest process has scipy loaded already, so the guard runs apart.
+    proc = run_python("-c", SCIPY_GUARD, str(tmp_path), str(PAPER44_CFG),
+                      str(FILTER_CFG))
     assert proc.returncode == 0, proc.stderr
