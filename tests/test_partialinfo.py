@@ -100,7 +100,9 @@ def test_frontier_rejects_infeasible(exact_solution):
     {"a": 1e-9, "m0": 0.040000001},
     {"r": 1e-10, "d": 200.0},
     {"T": 0.01, "d": 60.0},
-], ids=["paper44", "scaled-cheap", "tiny-premium", "tiny-r", "short-horizon"])
+    {"a": 10.0, "T": 177.0, "d": 1e7},
+], ids=["paper44", "scaled-cheap", "tiny-premium", "tiny-r", "short-horizon",
+        "exponent-708.07"])
 def test_frontier_degenerate_reduction(kw):
     # A full model with theta = eta and its partial twin: the same vertex, the
     # same frontier coefficient, and gamma* in the two dual conventions.
