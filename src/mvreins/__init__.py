@@ -14,11 +14,11 @@ from .curves import CurveRangeError, PiecewiseConstantCurve, SampledCurve, as_cu
 from .errors import MvreinsError
 from .filtering import (FilterPath, projected_mean_curve, run_filter,
                         solve_variance)
-from .frontier import FrontierCurve, InfeasibleTargetError, efficient_frontier
-from .fullinfo import (DegenerateDualError, FullInfoSolution, NearCurveError,
-                       Region, ViscosityReport, compute_solution, dual_value_full,
-                       feedback_full, full_feedback_strategy, hjb_residual,
-                       solve_pqr, value_function, viscosity_check)
+from .frontier import (DegenerateFrontierError, FrontierCurve,
+                       InfeasibleTargetError, dual_value, efficient_frontier)
+from .fullinfo import (FullInfoSolution, NearCurveError, Region, ViscosityReport,
+                       compute_solution, feedback_full, full_feedback_strategy,
+                       hjb_residual, solve_pqr, value_function, viscosity_check)
 from .model import (ClaimParams, DriftParams, MarketParams, ModelParams,
                     Objective, ValidationReport, riskless_terminal_wealth,
                     validate)
@@ -27,8 +27,7 @@ from .montecarlo import (EstimateResult, InsufficientDataError, PathEnsemble,
                          simulate_innovation, simulate_physical, zero_strategy)
 from .odekernel import (IntegrationDivergedError, RngStream, gaussian_increments,
                         integrate_backward, integrate_forward)
-from .partialinfo import (ModelDegenerateError, PartialSolution,
-                          dual_value_partial, feedback_partial,
+from .partialinfo import (PartialSolution, feedback_partial,
                           partial_feedback_strategy, solve_partial)
 from .validation import CheckResult, format_table, run_checks
 

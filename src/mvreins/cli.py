@@ -37,7 +37,7 @@ from . import fullinfo, montecarlo, partialinfo
 from .config import ConfigError, load_config
 from .errors import MvreinsError
 from .filtering import filter_coefficients, solve_variance
-from .frontier import InfeasibleTargetError, efficient_frontier
+from .frontier import InfeasibleTargetError, dual_value, efficient_frontier
 from .model import INFO_FULL, INFO_PARTIAL, validate
 from .odekernel import RngStream, gaussian_increments
 from .validation import format_table, run_checks
@@ -255,7 +255,7 @@ def _cmd_dual_curve(args, model, out_dir: Path, compat: bool) -> int:
     _ordered(lo, hi, "--gamma-min", "--gamma-max")
     gammas = np.linspace(lo, hi, args.points)
     _write_csv(out_dir / "dual_curve.csv", ["gamma", "dual_value"],
-               [gammas, fullinfo.dual_value_full(sol, gammas)])
+               [gammas, dual_value(sol, gammas)])
     print(f"wrote {out_dir / 'dual_curve.csv'} (gamma* = {gamma_star:.4f})")
     return 0
 

@@ -1,10 +1,18 @@
-"""Efficient frontier curves: (target mean, minimal variance) pairs.
+"""The mean-variance layer of both information regimes: multiplier, dual value
+and efficient frontier.
 
-Both information regimes produce frontiers of the same shape, a parabola in
-the target mean anchored at the riskless vertex:  Var = coef * (d - vertex)^2.
-A solution of either mode exposes ``vertex`` and ``frontier_coefficient``.
-Its coefficient is e^{-k} / (1 - e^{-k}) = 1 / expm1(k) for the frontier
-exponent k: -2 A1 T in full mode, int_0^T kappa- in partial mode.
+A multiplier gamma embeds "min Var X(T) subject to E X(T) = d" in an
+unconstrained cone-constrained LQ problem with wealth target d - gamma.  Its
+optimal cost, gamma* and the frontier depend only on the exponents
+k+/- = int_0^T kappa+/- of the Riccati pair, the riskless vertex and d
+(Hu and Zhou 2005): in full information k+ = 0 and k- = -2 A1 T.
+
+A solution of either mode carries ``kappa_plus``, ``kappa_minus``, ``vertex``,
+``d0`` (the riskless terminal wealth, which sets the dual's branch), ``d`` and
+``gamma_star``, and inherits ``frontier_coefficient`` and ``target_level``
+from :class:`MeanVarianceLayer`.  The frontier is a parabola anchored at the
+vertex, Var = (d - vertex)^2 / (e^{k-} - 1), and gamma* =
+(vertex - d) / (e^{k-} - 1).
 """
 
 from __future__ import annotations
@@ -16,13 +24,17 @@ import numpy as np
 from .errors import MvreinsError
 
 # Largest frontier exponent k whose e^{-k} is a normal double (708.396...);
-# past it the coefficient e^{-k} / (1 - e^{-k}) is subnormal or zero, and
-# from 709.78 on expm1(k) overflows.
+# past it the coefficient 1 / (e^k - 1) is subnormal or zero, and from
+# 709.78 on expm1(k) overflows.
 MAX_EXPONENT = float(-np.log(np.finfo(float).tiny))
 
 
 class FrontierUnderflowError(MvreinsError):
     """Frontier exponent k past MAX_EXPONENT: e^{-k} underflows."""
+
+
+class DegenerateFrontierError(MvreinsError):
+    """Frontier denominator e^{k-} - 1 is not > 0: no risk premium to trade."""
 
 
 class InfeasibleTargetError(ValueError):
@@ -53,13 +65,69 @@ def check_target(d, vertex: float) -> None:
             f"target mean {d.min()} below frontier vertex {vertex}")
 
 
-def check_exponent(k: float) -> None:
-    """Refuse a frontier exponent past MAX_EXPONENT, in the same words in
-    both information modes."""
-    if not k <= MAX_EXPONENT:
+def _frontier_denominator(k_minus: float) -> float:
+    """e^{k-} - 1, formed as expm1 so that a tiny premium does not cancel;
+    an exponent past MAX_EXPONENT is refused."""
+    if not k_minus <= MAX_EXPONENT:
         raise FrontierUnderflowError(
-            f"frontier exponent {k:.6g} exceeds {MAX_EXPONENT:.6g}: e^-k "
+            f"frontier exponent {k_minus:.6g} exceeds {MAX_EXPONENT:.6g}: e^-k "
             "underflows, so the frontier coefficient is not a normal double")
+    denom = float(np.expm1(k_minus))
+    if denom <= 0:
+        raise DegenerateFrontierError(
+            f"frontier denominator {denom:.3e} <= 0; model degenerate")
+    return denom
+
+
+def gamma_star(vertex: float, d: float, k_minus: float) -> float:
+    """The optimal multiplier (vertex - d) / (e^{k-} - 1): zero at d = vertex,
+    negative beyond; a target below the vertex raises
+    :class:`InfeasibleTargetError`."""
+    check_target(d, vertex)
+    return (vertex - d) / _frontier_denominator(k_minus)
+
+
+class MeanVarianceLayer:
+    """The frontier coefficient and wealth target of a solution of either
+    mode, read from its ``kappa_minus``, ``d`` and ``gamma_star``."""
+
+    @property
+    def frontier_coefficient(self) -> float:
+        """1 / (e^{k-} - 1), the frontier's quadratic coefficient."""
+        return 1.0 / _frontier_denominator(self.kappa_minus)
+
+    @property
+    def target_level(self) -> float:
+        """Embedded wealth target d - gamma*: the strategy is active below its
+        discounted value and coasts risk-free above it."""
+        return self.d - self.gamma_star
+
+
+def _float_if_scalar(values):
+    return float(values) if np.ndim(values) == 0 else values
+
+
+def dual_value(sol, gamma):
+    """Optimal cost of the gamma-embedded problem, to be maximized over gamma.
+
+    With gap = vertex - d, and k = k- where d0 < d - gamma (the initial
+    wealth below the target level) and k+ elsewhere, it is
+
+        expm1(-k) gamma^2 + 2 e^{-k} gap gamma + e^{-k} gap^2,
+
+    that is e^{-k} (gamma + gap)^2 - gamma^2, with the leading coefficient
+    free of cancellation.  Its maximizer is gamma*.  The branch reads d0 and
+    the values read the vertex; the two differ only under full mode's compat
+    constant.  Broadcasts over ``gamma``; a scalar gamma gives a float.
+    """
+    gap = sol.vertex - sol.d
+
+    def branch(k):
+        decay = np.exp(-k)
+        return np.expm1(-k) * gamma * gamma + 2.0 * decay * gap * gamma + decay * gap * gap
+
+    return _float_if_scalar(np.where(sol.d0 - (sol.d - gamma) < 0,
+                                     branch(sol.kappa_minus), branch(sol.kappa_plus)))
 
 
 def efficient_frontier(sol, d_grid) -> FrontierCurve:

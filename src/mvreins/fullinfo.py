@@ -1,6 +1,5 @@
 """Closed-form solution of the fully observed problem: value function, feedback,
-dual multiplier, frontier vertex and coefficient, and numerical HJB/viscosity
-verification.
+frontier vertex, and numerical HJB/viscosity verification.
 
 Production code evaluates closed forms only; :func:`solve_pqr` integrates the
 coefficient ODEs by RK4 as the validation suite's oracle for them, (P, Q) on
@@ -24,8 +23,9 @@ wealth x0 e^{rT} + a(theta-eta)(e^{rT}-1)/r as the frontier vertex.  The
 ``compat`` flag of :func:`compute_solution`, its only reader, stores the
 constant x0 e^{rT} + a(theta-eta)/r as the solution's vertex instead, which
 reproduces historically published dual values but is refuted by Monte Carlo
-(see the acceptance suite); the expanded form is the default.  The frontier
-is Var = (d - vertex)^2 / (e^{-2 A1 T} - 1), read from ``frontier_coefficient``.
+(see the acceptance suite); the expanded form is the default.  With the
+exponents k+ = 0 and k- = -2 A1 T, gamma*, the dual value and the frontier
+come from :mod:`~mvreins.frontier`.
 """
 
 from __future__ import annotations
@@ -37,8 +37,7 @@ import numpy as np
 
 from .conelq import ControlPair, cone_quadratic_argmin
 from .curves import SampledCurve
-from .errors import MvreinsError
-from .frontier import check_exponent, check_target
+from .frontier import MeanVarianceLayer, _float_if_scalar, dual_value, gamma_star
 from .model import INFO_FULL, ModelParams, riskless_terminal_wealth, validate
 from .odekernel import integrate_linear_backward
 
@@ -55,10 +54,6 @@ class NearCurveError(ValueError):
     """Finite-difference stencil too close to the switching curve."""
 
 
-class DegenerateDualError(MvreinsError):
-    """Dual problem degenerate: exp(-2 A1 T) = 1 (riskless-equivalent market)."""
-
-
 class Region(enum.Enum):
     ABOVE_CURVE = "above_curve"
     BELOW_CURVE = "below_curve"
@@ -71,7 +66,7 @@ _REGIONS = np.array([Region.BELOW_CURVE, Region.ON_CURVE, Region.ABOVE_CURVE],
 
 
 @dataclass(frozen=True, eq=False)
-class FullInfoSolution:
+class FullInfoSolution(MeanVarianceLayer):
     """Closed-form scalars of the full-information solution; no ODE curves.
 
     Every full-information closed form reads these fields alone.
@@ -79,7 +74,8 @@ class FullInfoSolution:
     checks P1..R2.
     """
 
-    approximation_mode = "full"  # class constant, not a field
+    approximation_mode = "full"  # class constants, not fields
+    kappa_plus = 0.0  # validate requires m0 > r, so kappa+ vanishes
 
     a1: float
     gamma_star: float
@@ -127,15 +123,10 @@ class FullInfoSolution:
         tol = 1e-12 * np.maximum(np.maximum(1.0, np.abs(x)), np.abs(xc))
         return _REGIONS[(s > tol).astype(int) - (s < -tol) + 1]
 
-    frontier_coefficient = property(
-        lambda self: 1.0 / _dual_denominator(self.a1, self.T),
-        doc="1 / (e^{-2 A1 T} - 1), the frontier's quadratic coefficient.")
-
     @property
-    def target_level(self) -> float:
-        """Embedded wealth target d - gamma*: the strategy is active below its
-        discounted value and coasts risk-free above it."""
-        return self.d - self.gamma_star
+    def kappa_minus(self) -> float:
+        """Frontier exponent -2 A1 T."""
+        return -2.0 * self.a1 * self.T
 
 
 def _compat_vertex(model: ModelParams) -> float:
@@ -159,40 +150,8 @@ def _f(model: ModelParams, d: float, gamma: float) -> float:
     return c.a * c.theta - c.a * c.eta + (d - gamma) * r
 
 
-def _dual_denominator(a1: float, T: float) -> float:
-    """e^{-2 A1 T} - 1, formed as expm1 so that a tiny premium does not cancel."""
-    exponent = -2.0 * a1 * T
-    check_exponent(exponent)
-    denom = np.expm1(exponent)
-    if denom <= 0:
-        raise DegenerateDualError(
-            "exp(-2 A1 T) - 1 must be positive; market is riskless-equivalent"
-        )
-    return float(denom)
-
-
-def _float_if_scalar(values):
-    return float(values) if np.ndim(values) == 0 else values
-
-
-def dual_value_full(sol: FullInfoSolution, gamma):
-    """Optimal cost of the gamma-parameterized problem, to be maximized over gamma.
-
-    Concave quadratic in gamma while the initial state sits below the switching
-    curve, linear above; the branch condition follows the actual g1 through
-    ``sol.d0``, so only the branch values read the vertex k = ``sol.vertex``.
-    Below, e^{2 A1 T} (k - d + gamma)^2 - gamma^2 is expanded in gamma with
-    the leading coefficient expm1(2 A1 T), free of cancellation.  Broadcasts
-    over ``gamma``; a scalar gamma gives a float.
-    """
-    d = sol.d
-    two_a1_t = 2.0 * sol.a1 * sol.T
-    decay, gap = np.exp(two_a1_t), sol.vertex - d
-    below = (np.expm1(two_a1_t) * gamma * gamma + 2.0 * decay * gap * gamma
-             + decay * gap * gap)
-    above = gap ** 2 + 2.0 * gap * gamma
-    # sign of x0 - (d - gamma) + g1(0) e^{-rT}, via the expanded constant
-    return _float_if_scalar(np.where(sol.d0 - (d - gamma) < 0, below, above))
+# A second name of frontier.dual_value, the one bench/tracer.py hooks.
+dual_value_full = dual_value
 
 
 def compute_solution(model: ModelParams, d: float | None = None,
@@ -201,9 +160,9 @@ def compute_solution(model: ModelParams, d: float | None = None,
     """Assemble the closed-form solution.
 
     The vertex is the riskless terminal wealth d0, or the compat constant.
-    ``gamma`` defaults to gamma* = (vertex - d) / (e^{-2 A1 T} - 1) for the
-    target mean ``d`` (itself defaulting to the model objective): zero at
-    d = vertex, negative beyond, and infeasible below.
+    ``gamma`` defaults to :func:`~mvreins.frontier.gamma_star` with
+    k- = -2 A1 T for the target mean ``d`` (itself defaulting to the model
+    objective).
     """
     report = validate(model)
     if not report.ok:
@@ -219,8 +178,7 @@ def compute_solution(model: ModelParams, d: float | None = None,
     if d is None:
         d = model.objective.d
     if gamma is None:
-        check_target(d, vertex)
-        gamma = (vertex - d) / _dual_denominator(a1, T)
+        gamma = gamma_star(vertex, d, -2.0 * a1 * T)
     return FullInfoSolution(
         a1=a1, gamma_star=float(gamma), d=float(d), f=_f(model, d, gamma),
         r=r, T=T, coef_q=c.a * c.eta / c.b ** 2,

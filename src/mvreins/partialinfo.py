@@ -4,15 +4,15 @@ The mean constraint is removed by a scalar multiplier gamma; for each gamma the
 unconstrained problem is solved in feedback form through the cone minimizers
 applied to the positive/negative part of the discounted wealth gap
 
-    u(t) = xi_plus(t) (X - gamma e^{-int_t^T r})^+  +  xi_minus(t) (...)^-,
+    u(t) = xi_plus(t) (X - (d - gamma) e^{-int_t^T r})^+  +  xi_minus(t) (...)^-,
 
-and gamma*, the frontier and the dual value follow in closed form from the
-fields of :class:`PartialSolution` alone: k+/- = int_0^T kappa+/-, the
-exponents :func:`~mvreins.conelq.riccati_pair` returns at t = 0, with
-P+/-(0) e^{-2 int r} = e^{-k+/-}, the target mean d and the frontier vertex
-d0 = x0 e^{int r}; ``vertex`` and ``frontier_coefficient`` expose the frontier.
-The xi+/- are P-free (P > 0 only scales the Hamiltonian), so the feedback
-reads gamma* alone.
+and gamma*, the frontier and the dual value follow from
+:mod:`~mvreins.frontier` and the fields of :class:`PartialSolution` alone:
+k+/- = int_0^T kappa+/-, the exponents :func:`~mvreins.conelq.riccati_pair`
+returns at t = 0, with P+/-(0) e^{-2 int r} = e^{-k+/-}, the target mean d
+and the frontier vertex d0 = x0 e^{int r}.  The xi+/- are P-free (P > 0 only
+scales the Hamiltonian), so the feedback reads the target level d - gamma*
+alone.
 
 Supported reductions (lambda = 0): exact when the drift is degenerate, so the
 filtered mean is deterministic; otherwise a projected-drift approximation that
@@ -27,20 +27,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .conelq import ControlPair, LQCoefficients, riccati_pair, xi_minimizer
-from .errors import MvreinsError
-from .frontier import check_exponent, check_target
+from .frontier import MeanVarianceLayer, gamma_star
 from .model import INFO_PARTIAL, ModelParams, riskless_terminal_wealth, validate
 
 MODE_EXACT = "exact"
 MODE_PROJECTED = "projected_drift"
 
 
-class ModelDegenerateError(MvreinsError):
-    """Frontier denominator 1 - P-(0) e^{-2 int r} = 1 - e^{-int kappa-} is not > 0."""
-
-
 @dataclass(frozen=True, eq=False)
-class PartialSolution:
+class PartialSolution(MeanVarianceLayer):
     """Exponents k+/- = int_0^T kappa+/- (P+/-(0) e^{-2 int r} = e^{-k+/-}),
     gamma*, the target mean d, the riskless terminal wealth d0 (the frontier
     vertex) and the mode.
@@ -58,18 +53,12 @@ class PartialSolution:
         """Frontier vertex: the riskless terminal wealth d0."""
         return self.d0
 
-    frontier_coefficient = property(
-        lambda self: float(np.exp(-self.kappa_minus)) / _denominator(self.kappa_minus),
-        doc="P-(0) e^{-2 int r} / (1 - P-(0) e^{-2 int r}) = e^{-k-} / -expm1(-k-).")
-
 
 def solve_partial(model: ModelParams) -> PartialSolution:
     """Build the partial-information solution for the model's target mean.
 
-    gamma* = [d - d0 e^{-k-}] / [1 - e^{-k-}] collapses to d0 at d = d0;
-    targets below d0 raise :class:`~mvreins.frontier.InfeasibleTargetError`,
-    and k- past :data:`~mvreins.frontier.MAX_EXPONENT` raises
-    :class:`~mvreins.frontier.FrontierUnderflowError`, as in full mode.
+    gamma* is :func:`~mvreins.frontier.gamma_star` with vertex d0, as in
+    full mode.
     """
     report = validate(model)
     if not report.ok:
@@ -79,21 +68,9 @@ def solve_partial(model: ModelParams) -> PartialSolution:
     mode = MODE_EXACT if model.drift.is_degenerate() else MODE_PROJECTED
     k_plus, k_minus = riccati_pair(model, 0.0)
     d, d0 = model.objective.d, riskless_terminal_wealth(model)
-    check_target(d, d0)
-    check_exponent(k_minus)
-    gamma = (d - d0 * float(np.exp(-k_minus))) / _denominator(k_minus)
     return PartialSolution(kappa_plus=k_plus, kappa_minus=k_minus,
-                           gamma_star=gamma, d=d, d0=d0, approximation_mode=mode)
-
-
-def _denominator(kappa_minus: float) -> float:
-    """1 - P-(0) e^{-2 int r} = -expm1(-int kappa-), free of cancellation."""
-    denom = float(-np.expm1(-kappa_minus))
-    if denom <= 0:
-        raise ModelDegenerateError(
-            f"frontier denominator {denom:.3e} <= 0; model degenerate"
-        )
-    return denom
+                           gamma_star=gamma_star(d0, d, k_minus), d=d, d0=d0,
+                           approximation_mode=mode)
 
 
 def feedback_partial(t: float, x: float, m: float, sol: PartialSolution,
@@ -101,34 +78,14 @@ def feedback_partial(t: float, x: float, m: float, sol: PartialSolution,
     """Feedback control at wealth x given the filtered mean m of the drift.
 
     The positive-part branch applies on the boundary, where both branches give
-    (0, 0) anyway.  Reads ``sol.gamma_star`` only; the output is in the cone.
+    (0, 0) anyway.  Reads ``sol.target_level`` only; the output is in the cone.
     """
     c, mk = model.claim, model.market
-    gap = x - sol.gamma_star * model.discount_to_horizon(t)
+    gap = x - sol.target_level * model.discount_to_horizon(t)
     coeffs = LQCoefficients(b_q=c.a * c.eta, b_pi=m - mk.r(t),
                             d_q=c.b, d_pi=mk.sigma(t))
     xi = xi_minimizer("plus" if gap >= 0 else "minus", coeffs)
     return ControlPair(q=xi.q * abs(gap), pi=xi.pi * abs(gap))
-
-
-def dual_value_partial(sol: PartialSolution, gamma: float) -> float:
-    """Optimal cost of the gamma-parameterized unconstrained problem.
-
-    Piecewise quadratic in gamma: the P+ branch applies while the initial
-    wealth sits above the discounted gamma level (d0 > gamma), the P- branch
-    below.  With k = k+/- of the branch, and d0 and the target d, all read
-    from ``sol``, it is
-
-        expm1(-k) gamma^2 - 2 (d0 e^{-k} - d) gamma + d0^2 e^{-k} - d^2.
-
-    Maximizing this over gamma recovers gamma* (tested against an independent
-    scalar-maximization oracle).
-    """
-    d, d0 = sol.d, sol.d0
-    k = sol.kappa_plus if d0 > gamma else sol.kappa_minus
-    decay = float(np.exp(-k))
-    return (float(np.expm1(-k)) * gamma * gamma - 2.0 * (d0 * decay - d) * gamma
-            + d0 * d0 * decay - d * d)
 
 
 def partial_feedback_strategy(sol: PartialSolution, model: ModelParams):
@@ -136,7 +93,7 @@ def partial_feedback_strategy(sol: PartialSolution, model: ModelParams):
 
     Same formulas as :func:`feedback_partial`, evaluated on whole path blocks;
     xi components are clipped at zero per coordinate (cone constraint).  With
-    gap = x - gamma* e^{-int_t^T r} and excess = (m - r)/sigma^2,
+    gap = x - (d - gamma*) e^{-int_t^T r} and excess = (m - r)/sigma^2,
 
         pi = max(excess, 0) gap^- + max(-excess, 0) gap^+
            = max(((r - m)/sigma^2) gap, 0),
@@ -146,7 +103,7 @@ def partial_feedback_strategy(sol: PartialSolution, model: ModelParams):
     term of the two-term sum is non-zero, so the sum adds no rounding.  A
     product of -0.0 leaves numpy's maximum(-0.0, 0.0) as +0.0, the sum's zero.
 
-    The per-time scalars gamma* e^{-int_t^T r}, r(t) and sigma(t)^2 are
+    The per-time scalars (d - gamma*) e^{-int_t^T r}, r(t) and sigma(t)^2 are
     formed once per t and kept in a table keyed by t, so every block of a
     simulation reuses them.  They are pure functions of t, so worker threads
     that call the strategy at once can only compute an entry twice, and a
@@ -155,12 +112,13 @@ def partial_feedback_strategy(sol: PartialSolution, model: ModelParams):
     """
     c, mk = model.claim, model.market
     coef_q_minus = c.a * c.eta / c.b ** 2  # xi- retention component, constant
+    target = sol.target_level
     per_t = {}
 
     def strategy(t, x, m):
         scalars = per_t.get(t)
         if scalars is None:
-            scalars = per_t[t] = (sol.gamma_star * model.discount_to_horizon(t),
+            scalars = per_t[t] = (target * model.discount_to_horizon(t),
                                   mk.r(t), mk.sigma(t) ** 2)
         level, r_t, var_t = scalars
         gap = np.subtract(x, level)

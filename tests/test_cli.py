@@ -11,7 +11,7 @@ from mvreins import fullinfo
 from mvreins.cli import UsageError, _write_csv, main
 from mvreins.config import load_config
 from mvreins.filtering import solve_variance
-from mvreins.frontier import efficient_frontier
+from mvreins.frontier import dual_value, efficient_frontier
 from mvreins.odekernel import RngStream, gaussian_increments
 
 REPO = Path(__file__).resolve().parents[1]
@@ -185,7 +185,7 @@ def test_dual_curve_bytes(tmp_path, compat):
                  "--points", "301"]) == 0
     model, _ = load_config(PAPER44_CFG)
     sol = fullinfo.compute_solution(model, compat=compat)
-    rows = [(g, fullinfo.dual_value_full(sol, float(g)))
+    rows = [(g, dual_value(sol, float(g)))
             for g in np.linspace(-1000.0, 9000.0, 301)]
     assert (tmp_path / "dual_curve.csv").read_text() == \
         reference_csv(["gamma", "dual_value"], rows)

@@ -7,11 +7,11 @@ from scipy import optimize
 import mvreins as mv
 from mvreins import fullinfo
 from mvreins.config import load_config
-from mvreins.frontier import InfeasibleTargetError, efficient_frontier
+from mvreins.frontier import InfeasibleTargetError, dual_value, efficient_frontier
 from mvreins.fullinfo import (NearCurveError, Region, compute_solution,
-                              dual_value_full, feedback_full,
-                              full_feedback_strategy, hjb_residual, solve_pqr,
-                              value_function, viscosity_check)
+                              feedback_full, full_feedback_strategy,
+                              hjb_residual, solve_pqr, value_function,
+                              viscosity_check)
 from mvreins.odekernel import integrate_backward
 from mvreins.validation import _dual_argmax_check
 
@@ -111,12 +111,12 @@ def test_dual_value_broadcasts_bitwise(compat, kw):
     gammas = np.concatenate([
         np.linspace(2.0 * sol.gamma_star, 2.0 * d, 1001),
         [d - k, np.nextafter(d - k, -np.inf)]])
-    values = dual_value_full(sol, gammas)
-    per_point = np.array([dual_value_full(sol, float(g)) for g in gammas])
+    values = dual_value(sol, gammas)
+    per_point = np.array([dual_value(sol, float(g)) for g in gammas])
     assert values.tobytes() == per_point.tobytes()
     below = k - (d - gammas) < 0
     assert below.any() and not below.all()
-    assert type(dual_value_full(sol, 1.0)) is float
+    assert type(dual_value(sol, 1.0)) is float
 
 
 def test_feedback_zero_above_curve(paper44_solution):
@@ -165,7 +165,7 @@ def test_gamma_star_matches_dual_maximizer(paper44_model):
         sol = compute_solution(paper44_model, d=10000.0, compat=compat)
         gamma_closed = sol.gamma_star
         res = optimize.minimize_scalar(
-            lambda g: -dual_value_full(sol, g),
+            lambda g: -dual_value(sol, g),
             bounds=(gamma_closed - 5000.0, gamma_closed + 5000.0),
             method="bounded", options={"xatol": 1e-8})
         assert abs(res.x - gamma_closed) <= 1e-6 * max(1.0, abs(gamma_closed))
@@ -178,7 +178,7 @@ def test_gamma_star_infeasible_below_vertex(paper44_model):
 
 def test_dual_argmax_invariant_under_positive_scaling(paper44_solution):
     gammas = np.linspace(-1000.0, 1000.0, 4001)
-    values = np.array([dual_value_full(paper44_solution, g) for g in gammas])
+    values = np.array([dual_value(paper44_solution, g) for g in gammas])
     assert np.argmax(values) == np.argmax(7.3 * values)
 
 
@@ -205,7 +205,7 @@ def test_frontier_with_tiny_premium_is_cancellation_free():
     k = sol.vertex
     curve = efficient_frontier(sol, [k, 2.0 * k])
     assert curve.variance[1] / (k * k) == pytest.approx(1.0 / growth, rel=1e-12)
-    check = _dual_argmax_check(lambda g: dual_value_full(sol, g), sol.gamma_star)
+    check = _dual_argmax_check(lambda g: dual_value(sol, g), sol.gamma_star)
     assert check.passed, check.detail
     # V is of order 1e42 here: the on-curve checks scale with the branches.
     report = viscosity_check(sol)
@@ -237,14 +237,14 @@ def test_full_closed_forms_read_only_the_solution(paper44_solution):
         np.testing.assert_allclose(efficient_frontier(moved, ds).variance,
                                    frontier(moved, ds), rtol=1e-12, atol=0.0)
         for g in (gammas, between):
-            np.testing.assert_allclose(dual_value_full(moved, g), dual(moved, g),
+            np.testing.assert_allclose(dual_value(moved, g), dual(moved, g),
                                        rtol=1e-12, atol=1e-12 * d * d)
     # d0 alone sets the branch: between the old and the new switch the dual
     # takes the below branch, the frontier does not move.
     lowered = dataclasses.replace(sol, d0=sol.d0 - 500.0)
-    assert np.all(dual_value_full(lowered, between) != dual_value_full(sol, between))
-    assert np.all(dual_value_full(lowered, gammas[gammas > switch + 500.0])
-                  == dual_value_full(sol, gammas[gammas > switch + 500.0]))
+    assert np.all(dual_value(lowered, between) != dual_value(sol, between))
+    assert np.all(dual_value(lowered, gammas[gammas > switch + 500.0])
+                  == dual_value(sol, gammas[gammas > switch + 500.0]))
     ds = sol.vertex + np.array([0.0, 1000.0])
     assert np.all(efficient_frontier(lowered, ds).variance
                   == efficient_frontier(sol, ds).variance)

@@ -2,6 +2,7 @@ import dataclasses
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,9 +11,10 @@ from scipy import optimize
 import mvreins as mv
 from conftest import make_model
 from mvreins.config import load_config
-from mvreins.frontier import InfeasibleTargetError, efficient_frontier
-from mvreins.partialinfo import (ModelDegenerateError, dual_value_partial,
-                                 feedback_partial, partial_feedback_strategy,
+from mvreins.frontier import (DegenerateFrontierError, FrontierUnderflowError,
+                              InfeasibleTargetError, dual_value,
+                              efficient_frontier)
+from mvreins.partialinfo import (feedback_partial, partial_feedback_strategy,
                                  solve_partial)
 from mvreins.validation import _dual_argmax_check
 
@@ -36,8 +38,9 @@ def test_gamma_star_at_vertex_is_riskless_wealth(exact_solution,
     model_at_vertex = dataclasses.replace(
         partial_exact_model,
         objective=dataclasses.replace(partial_exact_model.objective, d=d0))
-    gamma = solve_partial(model_at_vertex).gamma_star
-    assert gamma == pytest.approx(d0, rel=1e-12)
+    sol = solve_partial(model_at_vertex)
+    assert sol.gamma_star == 0.0
+    assert sol.target_level == pytest.approx(d0, rel=1e-12)
 
 
 def test_gamma_star_rejects_infeasible_target(partial_exact_model):
@@ -50,32 +53,30 @@ def test_gamma_star_rejects_infeasible_target(partial_exact_model):
 
 def test_gamma_star_degenerate_reduction(exact_solution, partial_exact_model):
     """With degenerate drift and cheap reinsurance the observation filtration
-    carries full information, so the two solvers' multipliers must agree.
-    The conventions differ by the sign of the multiplier term: the embedded
-    wealth target is gamma* here and d - gamma* in the full-information dual."""
+    carries full information, so the two solvers' multipliers must agree."""
     full_model = dataclasses.replace(partial_exact_model, info_mode="full")
     gamma_full = mv.compute_solution(full_model, d=10000.0).gamma_star
-    target_full = 10000.0 - gamma_full
-    assert abs(exact_solution.gamma_star - target_full) / abs(target_full) <= 1e-9
+    assert abs(exact_solution.gamma_star - gamma_full) / abs(gamma_full) <= 1e-9
 
 
 def test_gamma_star_matches_dual_maximizer(exact_solution, partial_exact_model):
     gamma_closed = exact_solution.gamma_star
     span = 5 * abs(gamma_closed)
     res = optimize.minimize_scalar(
-        lambda g: -dual_value_partial(exact_solution, g),
+        lambda g: -dual_value(exact_solution, g),
         bounds=(gamma_closed - span, gamma_closed + span), method="bounded",
         options={"xatol": 1e-6})
     assert abs(res.x - gamma_closed) <= 1e-4 * max(1.0, abs(gamma_closed))
 
 
 def test_dual_value_branches(exact_solution, partial_exact_model):
-    # P+ branch left of the discounted-wealth kink, P- branch right of it
-    kink = exact_solution.d0
-    low = dual_value_partial(exact_solution, kink - 1.0)
-    high = dual_value_partial(exact_solution, kink + 1.0)
+    # P- branch left of the kink gamma = d - d0, P+ branch right of it
+    kink = exact_solution.d - exact_solution.d0
+    low = dual_value(exact_solution, kink + 1.0)
+    high = dual_value(exact_solution, kink - 1.0)
     assert np.isfinite(low) and np.isfinite(high)
-    # the dual is increasing toward gamma* > kink on this instance
+    # the dual is increasing toward gamma* < kink on this instance
+    assert exact_solution.gamma_star < kink
     assert high >= low
 
 
@@ -105,15 +106,14 @@ def test_frontier_rejects_infeasible(exact_solution):
         "exponent-708.07"])
 def test_frontier_degenerate_reduction(kw):
     # A full model with theta = eta and its partial twin: the same vertex, the
-    # same frontier coefficient, and gamma* in the two dual conventions.
+    # same frontier coefficient and the same gamma*.
     partial_sol = solve_partial(make_model(theta=0.2, eta=0.2, info_mode="partial",
                                            **kw))
     full_sol = mv.compute_solution(make_model(theta=0.2, eta=0.2, **kw))
     assert partial_sol.vertex == full_sol.vertex
     assert partial_sol.frontier_coefficient == pytest.approx(
         full_sol.frontier_coefficient, rel=1e-12)
-    assert partial_sol.gamma_star == pytest.approx(
-        full_sol.d - full_sol.gamma_star, rel=1e-12)
+    assert partial_sol.gamma_star == pytest.approx(full_sol.gamma_star, rel=1e-12)
     grid = partial_sol.vertex + np.array([0.0, 10.0, 500.0, 7000.0])
     partial = efficient_frontier(partial_sol, grid)
     full = efficient_frontier(full_sol, grid)
@@ -122,7 +122,7 @@ def test_frontier_degenerate_reduction(kw):
 
 def test_feedback_zero_on_boundary(exact_solution, partial_exact_model):
     t = 30.0
-    level = exact_solution.gamma_star * partial_exact_model.discount_to_horizon(t)
+    level = exact_solution.target_level * partial_exact_model.discount_to_horizon(t)
     u = feedback_partial(t, level, 0.06, exact_solution, partial_exact_model)
     assert (u.q, u.pi) == (0.0, 0.0)
 
@@ -130,7 +130,7 @@ def test_feedback_zero_on_boundary(exact_solution, partial_exact_model):
 def test_feedback_zero_above_boundary_with_positive_drift(exact_solution,
                                                           partial_exact_model):
     t = 30.0
-    level = exact_solution.gamma_star * partial_exact_model.discount_to_horizon(t)
+    level = exact_solution.target_level * partial_exact_model.discount_to_horizon(t)
     u = feedback_partial(t, level + 500.0, 0.06, exact_solution,
                          partial_exact_model)
     assert (u.q, u.pi) == (0.0, 0.0)
@@ -140,7 +140,7 @@ def test_feedback_below_boundary_closed_form(exact_solution,
                                              partial_exact_model):
     t = 30.0
     disc = partial_exact_model.discount_to_horizon(t)
-    level = exact_solution.gamma_star * disc
+    level = exact_solution.target_level * disc
     gap = 25.0
     u = feedback_partial(t, level - gap, 0.06, exact_solution,
                          partial_exact_model)
@@ -152,7 +152,7 @@ def test_feedback_negative_filtered_excess_return(exact_solution,
                                                   partial_exact_model):
     # below the boundary with m < r the risky position stays at zero
     t = 30.0
-    level = exact_solution.gamma_star * partial_exact_model.discount_to_horizon(t)
+    level = exact_solution.target_level * partial_exact_model.discount_to_horizon(t)
     u = feedback_partial(t, level - 25.0, 0.01, exact_solution,
                          partial_exact_model)
     assert u.pi == 0.0
@@ -198,7 +198,7 @@ def four_term_strategy(sol, model):
 
     def strategy(t, x, m):
         disc = model.discount_to_horizon(t)
-        gap = x - sol.gamma_star * disc
+        gap = x - sol.target_level * disc
         pos, neg = np.maximum(gap, 0.0), np.maximum(-gap, 0.0)
         excess = (m - mk.r(t)) / mk.sigma(t) ** 2
         q = coef_q_minus * neg
@@ -211,7 +211,7 @@ def four_term_strategy(sol, model):
 def strategy_inputs(t, sol, model, rng):
     """x and m around the switching level and r(t): gap and excess each take
     both signs, and gap = 0 and m = r(t) exactly."""
-    level = sol.gamma_star * model.discount_to_horizon(t)
+    level = sol.target_level * model.discount_to_horizon(t)
     r = model.market.r(t)
     dx = np.concatenate([[0.0], rng.uniform(-30.0, 30.0, 7), [-1e-9, 1e-9]])
     dm = np.concatenate([[0.0], rng.uniform(-0.2, 0.2, 7), [-1e-12, 1e-12]])
@@ -238,7 +238,7 @@ def test_two_pass_feedback_matches_four_term_form_bitwise(bench_partial):
         q_ref, pi_ref = reference(t, x, m)
         assert_bitwise(q, q_ref)
         assert_bitwise(pi, pi_ref)
-        signs |= set(zip(np.sign(x - sol.gamma_star * model.discount_to_horizon(t)),
+        signs |= set(zip(np.sign(x - sol.target_level * model.discount_to_horizon(t)),
                          np.sign(m - model.market.r(t))))
     assert signs == {(g, e) for g in (-1, 0, 1) for e in (-1, 0, 1)}
 
@@ -295,16 +295,26 @@ def test_strategy_called_from_threads_matches_serial(bench_partial):
 def test_degenerate_denominator_raises(exact_solution):
     # P-(0) = 2 exp(2 int r), past the envelope bound: k- = -log 2 trips the guard.
     bad = dataclasses.replace(exact_solution, kappa_minus=-np.log(2.0))
-    with pytest.raises(ModelDegenerateError):
+    with pytest.raises(DegenerateFrontierError, match="frontier denominator"):
         bad.frontier_coefficient
 
 
-def test_underflowed_frontier_coefficient_is_refused(exact_solution):
-    # k- = 800: e^{-k-} underflows to 0, which would draw a flat frontier.
-    sol = dataclasses.replace(exact_solution, kappa_minus=800.0)
-    assert sol.frontier_coefficient == 0.0
+def test_underflowed_frontier_coefficient_is_refused(exact_solution, paper44_model):
+    # An exponent of 800 would underflow e^{-k} to a flat frontier: both modes
+    # refuse it, the full one through the a1 that gives -2 a1 T = 800.
+    partial = dataclasses.replace(exact_solution, kappa_minus=800.0)
+    full = mv.compute_solution(paper44_model)
+    full = dataclasses.replace(full, a1=-400.0 / full.T)
+    assert full.kappa_minus == 800.0
+    for sol in (partial, full):
+        with pytest.raises(FrontierUnderflowError, match="frontier exponent 800"):
+            sol.frontier_coefficient
+        with pytest.raises(FrontierUnderflowError):
+            efficient_frontier(sol, [sol.vertex, sol.vertex + 1.0])
+    # A coefficient that reached 0.0 another way would still draw no frontier.
+    flat = SimpleNamespace(frontier_coefficient=0.0, vertex=1.0)
     with pytest.raises(ValueError, match="frontier coefficient must be positive"):
-        efficient_frontier(sol, [sol.vertex, sol.vertex + 1.0])
+        efficient_frontier(flat, [1.0, 2.0])
 
 
 def test_closed_forms_read_only_the_solution(exact_solution, partial_exact_model):
@@ -318,11 +328,9 @@ def test_closed_forms_read_only_the_solution(exact_solution, partial_exact_model
     assert sol.frontier_coefficient == pytest.approx(coef, rel=1e-14)
     curve = efficient_frontier(sol, [d0, d0 + 2.0])
     np.testing.assert_allclose(curve.variance, [0.0, 4.0 * coef], rtol=1e-14)
-    for gamma, k in ((d0 - 1.0, k_plus), (d0 + 1.0, k_minus)):
-        expected = (np.expm1(-k) * gamma ** 2 - 2.0 * (d0 * np.exp(-k) - d) * gamma
-                    + d0 ** 2 * np.exp(-k) - d ** 2)
-        assert dual_value_partial(sol, gamma) == \
-            pytest.approx(expected, rel=1e-14)
+    for gamma, k in ((d - d0 + 1.0, k_plus), (d - d0 - 1.0, k_minus)):
+        expected = np.exp(-k) * (gamma + d0 - d) ** 2 - gamma ** 2
+        assert dual_value(sol, gamma) == pytest.approx(expected, rel=1e-14)
 
 
 def test_solve_partial_requires_partial_mode(paper44_model):
@@ -345,7 +353,7 @@ def test_tiny_claim_rate_keeps_frontier_denominator():
     assert sol.frontier_coefficient == pytest.approx(
         1.0 / np.expm1(4e-19), rel=1e-6)
     assert _dual_argmax_check(
-        lambda g: dual_value_partial(sol, g), sol.gamma_star).passed
+        lambda g: dual_value(sol, g), sol.gamma_star).passed
 
 
 def test_drift_next_to_rate_keeps_kappa_integral():
