@@ -35,7 +35,13 @@ strategy allocates its outputs on every call and keeps nothing between calls
 but pure functions of t (a per-t table of coefficients).
 Under a degenerate drift with h = 0 (every full-information model) the
 filter's vol, h and l vanish and mu = m = m0 at every step, so those updates
-are skipped and the scalar m0 is the wealth and price drift.
+are skipped and the scalar m0 is the wealth drift.  The strategy is then a
+feedback in (t, X) alone, so given X the step's noise b q dW0 + sigma pi dW1
+is exactly N(0, (b^2 q^2 + sigma^2 pi^2) dt): wealth is driven by one normal
+per path-step, which leaves the law of the Euler chain and of its integrals
+of q^2 and pi^2 unchanged (a weak scheme needs only the law of the increment;
+Glasserman 2003, sec. 6.1).  The price, coupled to wealth only through W1 and
+read by nothing there, is not simulated: ``terminal_price`` is None.
 """
 
 from __future__ import annotations
@@ -91,11 +97,13 @@ class PathEnsemble:
 
     ``terminal_drift_error`` holds mu(T) - m(T) for physical simulations (the
     filter-consistency statistic) and is None under the innovation dynamics.
+    ``terminal_price`` is None under a known drift with h = 0, where wealth
+    has one driver and no price is simulated.
     Non-finite paths are dropped from all arrays; their count is reported.
     """
 
     terminal_wealth: np.ndarray
-    terminal_price: np.ndarray
+    terminal_price: np.ndarray | None
     terminal_drift_error: np.ndarray | None
     int_q2: np.ndarray
     int_pi2: np.ndarray
@@ -153,9 +161,10 @@ def _run_blocks(n_paths: int, workers: int, block_fn):
 
 def _finalize(cfg: SimConfig, X, price, drift_err, int_q2, int_pi2,
               times, traj) -> PathEnsemble:
-    ok = np.isfinite(X) & np.isfinite(price) & np.isfinite(int_q2) & np.isfinite(int_pi2)
-    if drift_err is not None:
-        ok &= np.isfinite(drift_err)
+    ok = np.isfinite(X) & np.isfinite(int_q2) & np.isfinite(int_pi2)
+    for extra in (price, drift_err):
+        if extra is not None:
+            ok &= np.isfinite(extra)
     n_flagged = int((~ok).sum())
     if n_flagged > _FLAG_LIMIT * cfg.n_paths:
         raise SimulationError(
@@ -163,7 +172,7 @@ def _finalize(cfg: SimConfig, X, price, drift_err, int_q2, int_pi2,
         )
     return PathEnsemble(
         terminal_wealth=X[ok],
-        terminal_price=price[ok],
+        terminal_price=None if price is None else price[ok],
         terminal_drift_error=None if drift_err is None else drift_err[ok],
         int_q2=int_q2[ok],
         int_pi2=int_pi2[ok],
@@ -197,15 +206,17 @@ def _simulate(model: ModelParams, strategy, cfg: SimConfig, workers: int,
     coef = filter_coefficients(dr, model.market.sigma, n_curve, n_steps, dt)
     r = model.market.r(coef.t)
     # Under a degenerate drift with h = 0 the vol, h and l are all zero, so
-    # mu and m stay exactly m0: their updates are skipped and m0 is the drift.
+    # mu and m stay exactly m0: their updates are skipped, m0 is the drift,
+    # wealth takes one normal per step and no price is simulated.
     dead = dr.is_degenerate() and not coef.h.any()
     drift_noise = physical and not dr.is_degenerate()
     n_normals = 3 if drift_noise else 2
     drift_const = c.a * c.theta - c.a * c.eta
     a_eta = c.a * c.eta
+    b2 = c.b * c.b
 
     X_out = np.empty(cfg.n_paths)
-    price_out = np.empty(cfg.n_paths)
+    price_out = None if dead else np.empty(cfg.n_paths)
     err_out = np.empty(cfg.n_paths) if physical else None
     q2_out = np.empty(cfg.n_paths)
     pi2_out = np.empty(cfg.n_paths)
@@ -223,11 +234,11 @@ def _simulate(model: ModelParams, strategy, cfg: SimConfig, workers: int,
             mu = np.full(nb, dr.m0)
             if dr.n0 > 0:
                 mu += np.sqrt(dr.n0) * rng.standard_normal(nb)
-        log_s = np.zeros(nb)
         int_q2 = np.zeros(nb)
         int_pi2 = np.zeros(nb)
         incr, noise, tmp = np.empty(nb), np.empty(nb), np.empty(nb)
         if not dead:
+            log_s = np.zeros(nb)
             excess, log_drift, innov = np.empty(nb), np.empty(nb), np.empty(nb)
         if traj is not None:
             traj[lo:hi, 0] = X
@@ -241,17 +252,23 @@ def _simulate(model: ModelParams, strategy, cfg: SimConfig, workers: int,
                 np.multiply(q, q, out=tmp)
                 tmp *= dt
                 int_q2 += tmp
+                if dead:
+                    np.multiply(tmp, b2, out=noise)
                 np.multiply(pi, pi, out=tmp)
                 tmp *= dt
                 int_pi2 += tmp
-                dW = rng.standard_normal((n_normals, nb))
-                dW *= sdt
-                dW0, dW1 = dW[0], dW[1]
                 if dead:
-                    drift = dr.m0
-                    excess = drift - r_k
-                    log_drift = (drift - 0.5 * sig_k * sig_k) * dt
+                    # given X, b q dW0 + sigma pi dW1 is exactly
+                    # N(0, (b^2 q^2 + sigma^2 pi^2) dt): one normal suffices
+                    tmp *= sig_k * sig_k
+                    noise += tmp
+                    np.sqrt(noise, out=noise)
+                    noise *= rng.standard_normal(nb)
+                    excess = dr.m0 - r_k
                 else:
+                    dW = rng.standard_normal((n_normals, nb))
+                    dW *= sdt
+                    dW0, dW1 = dW[0], dW[1]
                     drift = mu if physical else m
                     np.subtract(drift, r_k, out=excess)
                     np.subtract(drift, 0.5 * sig_k * sig_k, out=log_drift)
@@ -264,40 +281,43 @@ def _simulate(model: ModelParams, strategy, cfg: SimConfig, workers: int,
                 np.multiply(pi, excess, out=tmp)
                 incr += tmp
                 incr *= dt
-                np.multiply(q, c.b, out=tmp)
-                dW0 *= tmp
-                np.multiply(pi, sig_k, out=noise)
-                noise *= dW1
-                X += incr
-                X += dW0
-                X += noise
-                np.multiply(dW1, sig_k, out=noise)
-                log_s += log_drift
-                log_s += noise
-                if dead:
-                    pass            # mu = m = m0 throughout
-                elif physical:
-                    np.multiply(mu, dt, out=innov)
-                    innov += noise          # observed return mu dt + sigma dW1
-                    np.multiply(m, dt, out=tmp)
-                    innov -= tmp
-                    innov /= sig_k
-                    coef.advance(k, m, innov, dt, tmp)
-                    np.multiply(mu, coef.h[k], out=tmp)
-                    tmp *= dt
-                    mu += tmp
-                    if drift_noise:
-                        np.multiply(dW1, coef.l[k], out=tmp)
-                        mu += tmp
-                        dW2 = dW[2]
-                        dW2 *= coef.z[k]
-                        mu += dW2
+                if dead:            # mu = m = m0 throughout, no price
+                    X += incr
+                    X += noise
                 else:
-                    coef.advance(k, m, dW1, dt, tmp)  # dW1 is the innovation
+                    np.multiply(q, c.b, out=tmp)
+                    dW0 *= tmp
+                    np.multiply(pi, sig_k, out=noise)
+                    noise *= dW1
+                    X += incr
+                    X += dW0
+                    X += noise
+                    np.multiply(dW1, sig_k, out=noise)
+                    log_s += log_drift
+                    log_s += noise
+                    if physical:
+                        np.multiply(mu, dt, out=innov)
+                        innov += noise      # observed return mu dt + sigma dW1
+                        np.multiply(m, dt, out=tmp)
+                        innov -= tmp
+                        innov /= sig_k
+                        coef.advance(k, m, innov, dt, tmp)
+                        np.multiply(mu, coef.h[k], out=tmp)
+                        tmp *= dt
+                        mu += tmp
+                        if drift_noise:
+                            np.multiply(dW1, coef.l[k], out=tmp)
+                            mu += tmp
+                            dW2 = dW[2]
+                            dW2 *= coef.z[k]
+                            mu += dW2
+                    else:
+                        coef.advance(k, m, dW1, dt, tmp)  # dW1 is the innovation
                 if traj is not None:
                     traj[lo:hi, k + 1] = X
         X_out[lo:hi] = X
-        price_out[lo:hi] = np.exp(log_s)
+        if not dead:
+            price_out[lo:hi] = np.exp(log_s)
         if physical:
             err_out[lo:hi] = 0.0 if dead else mu - m
         q2_out[lo:hi] = int_q2
@@ -318,7 +338,10 @@ def simulate_physical(model: ModelParams, strategy, cfg: SimConfig,
         dX = [a(theta-eta) + a eta q + r X + (mu - r) pi] dt + b q dW0 + pi sigma dW1
 
     with the hidden drift mu driven by (W1, W2) and the filter mean updated
-    from the observed return mu dt + sigma dW1.
+    from the observed return mu dt + sigma dW1.  Under a known drift with
+    h = 0 (every full-information model) mu = m = m0, the two noise terms are
+    drawn as one normal of variance (b^2 q^2 + sigma^2 pi^2) dt, and the
+    ensemble carries no price.
     """
     return _simulate(model, strategy, cfg, workers, physical=True)
 

@@ -114,7 +114,9 @@ def test_live_filter_reproducible_across_workers(simulate, mode):
 
 def plain_euler(model, strategy, cfg, physical):
     """The engine's Euler step as plain expressions, every update applied:
-    the reference for its in-place form (one block of paths)."""
+    the reference for its in-place form (one block of paths).  Under a known
+    drift with h = 0 the wealth noise is one normal per path-step and there
+    is no price."""
     assert cfg.n_paths <= _BLOCK
     c, dr, ob = model.claim, model.drift, model.objective
     n_steps, dt = cfg.resolve_steps(ob.T)
@@ -123,6 +125,7 @@ def plain_euler(model, strategy, cfg, physical):
                                 steps=max(n_steps, 1000))
     coef = filter_coefficients(dr, model.market.sigma, n_curve, n_steps, dt)
     r = model.market.r(coef.t)
+    dead = dr.is_degenerate() and not coef.h.any()
     rng = RngStream(cfg.seed).substream(0).generator()
     n = cfg.n_paths
     X, mu, m, log_s = (np.full(n, ob.x0), np.full(n, dr.m0), np.full(n, dr.m0),
@@ -134,13 +137,19 @@ def plain_euler(model, strategy, cfg, physical):
     for k in range(n_steps):
         r_k, sig_k, h_k = r[k], coef.sigma[k], coef.h[k]
         q, pi = strategy(k * dt, X, m)
-        int_q2 = int_q2 + q * q * dt
-        int_pi2 = int_pi2 + pi * pi * dt
+        q2_dt, pi2_dt = q * q * dt, pi * pi * dt
+        int_q2 = int_q2 + q2_dt
+        int_pi2 = int_pi2 + pi2_dt
+        drift = mu if physical else m
+        incr = (c.a * c.theta - c.a * c.eta + c.a * c.eta * q + r_k * X
+                + (drift - r_k) * pi) * dt
+        if dead:
+            vol = np.sqrt(c.b * c.b * q2_dt + sig_k * sig_k * pi2_dt)
+            X = X + incr + vol * rng.standard_normal(n)
+            continue
         Z = rng.standard_normal((3 if drift_noise else 2, n))
         dW0, dW1 = sdt * Z[0], sdt * Z[1]
-        drift = mu if physical else m
-        X = X + (c.a * c.theta - c.a * c.eta + c.a * c.eta * q + r_k * X
-                 + (drift - r_k) * pi) * dt + c.b * q * dW0 + pi * sig_k * dW1
+        X = X + incr + c.b * q * dW0 + pi * sig_k * dW1
         log_s = log_s + (drift - 0.5 * sig_k * sig_k) * dt + sig_k * dW1
         if physical:
             obs = mu * dt + sig_k * dW1
@@ -150,7 +159,8 @@ def plain_euler(model, strategy, cfg, physical):
                 mu = mu + coef.l[k] * dW1 + coef.z[k] * (sdt * Z[2])
         else:
             m = m + h_k * m * dt + coef.vol[k] * dW1
-    return X, np.exp(log_s), mu - m if physical else None, int_q2, int_pi2
+    price = None if dead else np.exp(log_s)
+    return X, price, mu - m if physical else None, int_q2, int_pi2
 
 
 HIDDEN = dict(h=-0.3, l=0.3, z=0.2, n0=0.05)
@@ -176,7 +186,10 @@ def test_engine_matches_plain_euler_bitwise(params, mode):
         model, strategy, cfg, physical=mode == "physical")
     assert ens.n_flagged == 0
     assert np.array_equal(ens.terminal_wealth, X)
-    assert np.array_equal(ens.terminal_price, price)
+    if price is None:
+        assert ens.terminal_price is None
+    else:
+        assert np.array_equal(ens.terminal_price, price)
     assert np.array_equal(ens.int_q2, int_q2)
     assert np.array_equal(ens.int_pi2, int_pi2)
     if mode == "physical":
@@ -191,9 +204,10 @@ def test_strategy_may_return_a_view_of_wealth(scaled_cheap_model):
                                 lambda t, x, m: (0.0 * x, x), cfg)
     copied = simulate_physical(scaled_cheap_model,
                                lambda t, x, m: (0.0 * x, x.copy()), cfg)
-    for field in ("terminal_wealth", "terminal_price", "int_pi2"):
+    for field in ("terminal_wealth", "int_pi2"):
         assert np.array_equal(getattr(aliased, field), getattr(copied, field))
     assert aliased.int_pi2.min() > 0.0
+    assert aliased.terminal_price is None  # known drift: no price simulated
 
 
 @pytest.mark.parametrize("h", [0.0, 0.1])
@@ -327,6 +341,105 @@ def test_partial_feedback_innovation_mode(partial_exact_model):
     assert abs(est.mean - model.objective.d) <= 3.5 * est.se_mean
     assert abs(est.variance - frontier.variance[0]) <= \
         0.05 * frontier.variance[0]
+
+
+@pytest.fixture(scope="module")
+def unit_free_model():
+    """Full-information model with b and sigma away from 1, so that a wrong
+    power of either shows in the wealth noise."""
+    base = make_model(theta=0.3, eta=0.2, b=1.5, sigma=0.6, m0=0.12, T=5.0,
+                      d=100.0)
+    return with_d(base, 1.2 * mv.riskless_terminal_wealth(base))
+
+
+def test_one_driver_step_matches_exact_discrete_law(unit_free_model):
+    """Known drift, constant control: the Euler chain is
+    X_{k+1} = (1 + r dt) X_k + c dt + s sqrt(dt) Z with c = a(theta-eta)
+    + a eta q + (m0 - r) pi and s^2 = b^2 q^2 + sigma^2 pi^2, so its terminal
+    mean and variance are geometric sums."""
+    model = unit_free_model
+    c, ob, m0 = model.claim, model.objective, model.drift.m0
+    r, sigma = model.market.r.values[0], model.market.sigma.values[0]
+    q_bar, pi_bar, dt = 0.7, 1.5, 0.05
+    n = round(ob.T / dt)
+    rho = 1.0 + r * dt
+    drift = c.a * (c.theta - c.eta) + c.a * c.eta * q_bar + (m0 - r) * pi_bar
+    s2 = c.b ** 2 * q_bar ** 2 + sigma ** 2 * pi_bar ** 2
+    mean = rho ** n * ob.x0 + drift * dt * (rho ** n - 1.0) / (rho - 1.0)
+    var = s2 * dt * (rho ** (2 * n) - 1.0) / (rho ** 2 - 1.0)
+    ens = simulate_physical(model, constant_strategy(q_bar, pi_bar),
+                            SimConfig(n_paths=60_000, dt=dt, seed=31))
+    est = estimate(ens)
+    assert abs(est.mean - mean) <= 4 * est.se_mean
+    assert abs(est.variance - var) <= 4 * est.se_variance
+    np.testing.assert_allclose(ens.int_q2, q_bar ** 2 * ob.T, rtol=1e-12)
+    np.testing.assert_allclose(ens.int_pi2, pi_bar ** 2 * ob.T, rtol=1e-12)
+
+
+def two_driver_euler(model, strategy, n, dt, seed):
+    """Full-information Euler step with the claims and stock noises drawn as
+    two independent normals: the reference law for the one-driver step."""
+    c, ob, m0 = model.claim, model.objective, model.drift.m0
+    r, sigma = model.market.r.values[0], model.market.sigma.values[0]
+    rng = np.random.default_rng(seed)
+    sdt = np.sqrt(dt)
+    X, int_q2, int_pi2 = np.full(n, ob.x0), np.zeros(n), np.zeros(n)
+    m = np.full(n, m0)
+    for k in range(round(ob.T / dt)):
+        q, pi = strategy(k * dt, X, m)
+        int_q2 = int_q2 + q * q * dt
+        int_pi2 = int_pi2 + pi * pi * dt
+        dW0, dW1 = sdt * rng.standard_normal((2, n))
+        X = X + (c.a * (c.theta - c.eta) + c.a * c.eta * q + r * X
+                 + (m0 - r) * pi) * dt + c.b * q * dW0 + sigma * pi * dW1
+    return X, int_q2, int_pi2
+
+
+def test_one_driver_step_matches_two_driver_reference(unit_free_model):
+    """Under the full-information feedback, terminal wealth and both
+    admissibility integrals have the same moments as with two drivers."""
+    model = unit_free_model
+    strategy = mv.full_feedback_strategy(mv.compute_solution(model))
+    n, dt = 30_000, 0.02
+    ens = simulate_physical(model, strategy, SimConfig(n_paths=n, dt=dt, seed=32))
+    assert ens.n_flagged == 0
+    reference = two_driver_euler(model, strategy, n, dt, seed=33)
+    for got, ref in zip((ens.terminal_wealth, ens.int_q2, ens.int_pi2), reference):
+        eg, er = estimate(got), estimate(ref)
+        assert abs(eg.mean - er.mean) <= 4 * np.hypot(eg.se_mean, er.se_mean)
+        assert abs(eg.variance - er.variance) <= \
+            4 * np.hypot(eg.se_variance, er.se_variance)
+
+
+@pytest.mark.parametrize("params, mode, per_step", [
+    (dict(), "physical", 1), (dict(), "innovation", 1),
+    (dict(h=-0.3, l=0.3, z=0.2), "physical", 3),
+    (dict(h=-0.3, l=0.3, z=0.2), "innovation", 2)],
+    ids=["known-physical", "known-innovation", "hidden-physical",
+         "hidden-innovation"])
+def test_normals_per_path_step(monkeypatch, params, mode, per_step):
+    """One normal per path-step under a known drift, two under the innovation
+    dynamics and three under the physical dynamics of a live filter."""
+    drawn = []
+    generator = RngStream.generator
+
+    class Counting:
+        def __init__(self, gen):
+            self._gen = gen
+
+        def standard_normal(self, size):
+            drawn.append(int(np.prod(size)))
+            return self._gen.standard_normal(size)
+
+    monkeypatch.setattr(RngStream, "generator",
+                        lambda self: Counting(generator(self)))
+    model = make_model(**{**dict(theta=0.2, eta=0.2, sigma=0.5, m0=0.06, T=1.0,
+                                 d=55.0, info_mode="partial"), **params})
+    cfg = SimConfig(n_paths=_BLOCK + 100, dt=0.05, seed=8)
+    simulate = simulate_physical if mode == "physical" else simulate_innovation
+    simulate(model, zero_strategy, cfg)
+    n_steps, _ = cfg.resolve_steps(model.objective.T)
+    assert sum(drawn) == per_step * cfg.n_paths * n_steps
 
 
 # ---------------------------------------------------------------------------
