@@ -17,18 +17,18 @@ from .filtering import (FilterPath, projected_mean_curve, run_filter,
 from .frontier import (DegenerateFrontierError, FrontierCurve,
                        InfeasibleTargetError, dual_value, efficient_frontier)
 from .fullinfo import (FullInfoSolution, NearCurveError, Region, ViscosityReport,
-                       compute_solution, feedback_full, full_feedback_strategy,
-                       hjb_residual, solve_pqr, value_function, viscosity_check)
+                       compute_solution, full_feedback_strategy, hjb_residual,
+                       solve_pqr, value_function, viscosity_check)
 from .model import (ClaimParams, DriftParams, MarketParams, ModelParams,
-                    Objective, ValidationReport, riskless_terminal_wealth,
-                    validate)
+                    Objective, ValidationReport, riskless_level,
+                    riskless_terminal_wealth, validate)
 from .montecarlo import (EstimateResult, InsufficientDataError, PathEnsemble,
                          SimConfig, SimulationError, constant_strategy, estimate,
                          simulate_innovation, simulate_physical, zero_strategy)
 from .odekernel import (IntegrationDivergedError, RngStream, gaussian_increments,
                         integrate_backward, integrate_forward)
-from .partialinfo import (PartialSolution, feedback_partial,
-                          partial_feedback_strategy, solve_partial)
+from .partialinfo import (PartialSolution, partial_feedback_strategy,
+                          solve_partial)
 from .validation import CheckResult, format_table, run_checks
 
 __version__ = "0.1.0"

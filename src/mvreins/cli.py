@@ -13,11 +13,12 @@ numeric column with ``np.isfinite`` before it opens the file, and names the
 first non-finite cell in row order.  :func:`_solve` picks the solver: one of
 the other information mode than the config's (``--mode``, and the
 full-information ``value-surface`` and ``dual-curve``) runs only if the config,
-converted to that mode, passes :func:`~mvreins.model.validate`: ``--mode
-partial`` needs eta = theta, and the full-information solvers need a known
-drift.  ``--compat-paper-formulas`` acts only on the full-information solver,
-so ``filter``, and ``validate``, ``frontier`` and ``simulate`` when the solver
-that runs is the partial one, refuse it with one error line and write nothing.
+converted to that mode, passes :func:`~mvreins.model.validate`: the
+full-information solvers need a known drift, and ``--mode partial`` runs on
+any valid config.  ``--compat-paper-formulas`` acts only on the
+full-information solver, so ``filter``, and ``validate``, ``frontier`` and
+``simulate`` when the solver that runs is the partial one, refuse it with one
+error line and write nothing.
 All numeric output is written in full double precision (shortest round-trip
 decimal), so reruns with identical inputs produce byte-identical files.
 """
@@ -266,7 +267,7 @@ def _cmd_simulate(args, model, out_dir: Path, mode: str, compat: bool) -> int:
     d = model.objective.d
     dt = args.dt if args.dt is not None else T / 5000.0
     if mode == INFO_FULL:
-        strategy = fullinfo.full_feedback_strategy(sol)
+        strategy = fullinfo.full_feedback_strategy(sol, sim_model)
     else:
         strategy = partialinfo.partial_feedback_strategy(sol, sim_model)
 

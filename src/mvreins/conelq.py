@@ -40,7 +40,7 @@ import numpy as np
 
 from .curves import SampledCurve, segments
 from .errors import MvreinsError
-from .model import ModelParams
+from .model import ModelParams, riskless_level
 from .odekernel import integrate_linear_backward
 
 Sign = Literal["plus", "minus"]
@@ -141,6 +141,49 @@ def hamiltonian_min(sign: Sign, P: float, coeffs: LQCoefficients):
     _, vq = cone_quadratic_argmin(P * coeffs.d_q ** 2, s * P * coeffs.b_q)
     _, vpi = cone_quadratic_argmin(P * coeffs.d_pi ** 2, s * P * coeffs.b_pi)
     return vq + vpi
+
+
+def gap_feedback(model: ModelParams, target: float):
+    """Vectorized (t, wealth, m) -> (q, pi) arrays: the feedback law of both
+    information modes, for simulation.
+
+    S(t) = :func:`~mvreins.model.riskless_level` is the wealth from which the
+    zero strategy ends at ``target``; the gap Y = X - S obeys the homogeneous
+    LQ SDE of this module, and u = xi+ Y^+ + xi- Y^- is
+
+        q = (a eta / b^2) (S - X)^+,    pi = max(((r - m)/sigma^2) (X - S), 0),
+
+    m being the filtered mean: an array, or a float under a known drift.  pi
+    equals max(excess, 0) Y^- + max(-excess, 0) Y^+, excess = (m - r)/sigma^2,
+    bit for bit wherever both are finite: negation and rounding commute, at
+    most one term is non-zero, and numpy's maximum(-0.0, 0.0) is +0.0.
+
+    S(t), r(t) and sigma(t)^2 are formed once per t, in a table keyed by t
+    that every block reuses.  They are pure functions of t, so worker threads
+    can at worst compute an entry twice, and a strategy reused on another
+    grid looks up its own times.  Both outputs are fresh arrays on every call.
+    """
+    c, mk = model.claim, model.market
+    coef_q_minus = c.a * c.eta / c.b ** 2  # xi- retention component, constant
+    per_t = {}
+
+    def strategy(t, x, m):
+        scalars = per_t.get(t)
+        if scalars is None:
+            scalars = per_t[t] = (riskless_level(model, t, target),
+                                  mk.r(t), mk.sigma(t) ** 2)
+        level, r_t, var_t = scalars
+        gap = np.subtract(x, level)
+        pi = np.subtract(r_t, m)
+        pi /= var_t
+        pi *= gap
+        np.maximum(pi, 0.0, out=pi)
+        q = np.negative(gap, out=gap)
+        np.maximum(q, 0.0, out=q)
+        q *= coef_q_minus
+        return q, pi
+
+    return strategy
 
 
 def _expm1_rate(k: np.ndarray, u: np.ndarray) -> np.ndarray:

@@ -9,6 +9,7 @@ order.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,8 +54,15 @@ class PiecewiseConstantCurve:
             raise ValueError("curve values must be finite")
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "values", values)
+        # list copies for the float-time paths of __call__ and integral
+        object.__setattr__(self, "_times", times.tolist())
+        object.__setattr__(self, "_values", values.tolist())
 
     def __call__(self, t):
+        if isinstance(t, float):  # the same piece and value as the array path
+            if t < -_EDGE_TOL:
+                raise CurveRangeError(f"curve evaluated at t={t} < 0")
+            return self._values[max(bisect_right(self._times, t) - 1, 0)]
         t_arr = np.asarray(t, dtype=float)
         if np.any(t_arr < -_EDGE_TOL):
             raise CurveRangeError(f"curve evaluated at t={t} < 0")
@@ -76,6 +84,10 @@ class PiecewiseConstantCurve:
         """Exact integral of the step function over [t0, t1]."""
         if t1 < t0:
             return -self.integral(t1, t0)
+        if (isinstance(t0, float) and isinstance(t1, float)
+                and bisect_left(self._times, t1) <= bisect_right(self._times, t0)):
+            # no breakpoint inside: the sum below of one piece, bit for bit
+            return 0.0 + self(t0) * (t1 - t0)
         edges, (values,) = segments(t0, t1, self)
         return float(np.sum(values * np.diff(edges)))
 

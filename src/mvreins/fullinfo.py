@@ -13,10 +13,13 @@ switching curve x = -g1(t) e^{-r(T-t)}:
     V(t, x) = 1/2 [e^{(A1+r)(T-t)} x + e^{A1(T-t)} g1(t)]^2     below it,
 
 with g1(t) = f expm1(r(T-t))/r, f = a(theta - eta) + (d - gamma) r, and
-A1 = -(mu - r)^2/(2 sigma^2) - a^2 eta^2/(2 b^2).  Above the curve the optimal
-control is (0, 0); below it both components are proportional to the distance
-from the curve.  V is C^1 but not C^2 across the curve, hence the viscosity
-checks.
+A1 = -(mu - r)^2/(2 sigma^2) - a^2 eta^2/(2 b^2).  V is C^1 but not C^2
+across the curve, hence the viscosity checks.  In actual wealth the curve is
+X = S(t), the wealth from which the zero strategy ends at d - gamma
+(:func:`~mvreins.model.riskless_level`), so the shifted wealth less the curve
+is the gap X - S(t) of partial information.  Above the curve the optimal
+control is (0, 0); below it both components are proportional to the gap:
+the law :func:`~mvreins.conelq.gap_feedback` of both modes.
 
 Frontier constant: expanding e^{rT} x + g1(0) gives the riskless terminal
 wealth x0 e^{rT} + a(theta-eta)(e^{rT}-1)/r as the frontier vertex.  The
@@ -35,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conelq import ControlPair, cone_quadratic_argmin
+from .conelq import cone_quadratic_argmin, gap_feedback
 from .curves import SampledCurve
 from .frontier import MeanVarianceLayer, _float_if_scalar, dual_value, gamma_star
 from .model import INFO_FULL, ModelParams, riskless_terminal_wealth, validate
@@ -83,8 +86,6 @@ class FullInfoSolution(MeanVarianceLayer):
     f: float
     r: float
     T: float
-    coef_q: float   # a eta / b^2
-    coef_pi: float  # (mu - r) / sigma^2
     vertex: float   # frontier vertex: d0, or the compat constant
     d0: float       # riskless terminal wealth; sets the dual's branch
 
@@ -154,15 +155,11 @@ def _f(model: ModelParams, d: float, gamma: float) -> float:
 dual_value_full = dual_value
 
 
-def compute_solution(model: ModelParams, d: float | None = None,
-                     gamma: float | None = None,
-                     compat: bool = False) -> FullInfoSolution:
-    """Assemble the closed-form solution.
+def compute_solution(model: ModelParams, compat: bool = False) -> FullInfoSolution:
+    """Assemble the closed-form solution for the model's target mean d.
 
-    The vertex is the riskless terminal wealth d0, or the compat constant.
-    ``gamma`` defaults to :func:`~mvreins.frontier.gamma_star` with
-    k- = -2 A1 T for the target mean ``d`` (itself defaulting to the model
-    objective).
+    The vertex is the riskless terminal wealth d0, or the compat constant;
+    gamma* is :func:`~mvreins.frontier.gamma_star` with k- = -2 A1 T.
     """
     report = validate(model)
     if not report.ok:
@@ -170,19 +167,14 @@ def compute_solution(model: ModelParams, d: float | None = None,
     if model.info_mode != INFO_FULL:
         raise ValueError("compute_solution requires a full-information model")
 
-    c, mk = model.claim, model.market
-    r, sigma = mk.r.constant_value(), mk.sigma.constant_value()
     a1, T = _a1(model), model.objective.T
     d0 = riskless_terminal_wealth(model)
     vertex = _compat_vertex(model) if compat else d0
-    if d is None:
-        d = model.objective.d
-    if gamma is None:
-        gamma = gamma_star(vertex, d, -2.0 * a1 * T)
+    d = model.objective.d
+    gamma = gamma_star(vertex, d, -2.0 * a1 * T)
     return FullInfoSolution(
         a1=a1, gamma_star=float(gamma), d=float(d), f=_f(model, d, gamma),
-        r=r, T=T, coef_q=c.a * c.eta / c.b ** 2,
-        coef_pi=(model.drift.m0 - r) / sigma ** 2, vertex=vertex, d0=d0)
+        r=model.market.r.constant_value(), T=T, vertex=vertex, d0=d0)
 
 
 def solve_pqr(model: ModelParams, d: float, gamma: float,
@@ -240,31 +232,11 @@ def value_function(t: float, x, sol: FullInfoSolution):
                                      _branch_below(sol, t, x)))
 
 
-def feedback_full(t: float, x: float, sol: FullInfoSolution) -> ControlPair:
-    """Optimal feedback at shifted wealth x: (0, 0) on and above the switching
-    curve, components proportional to the distance below it."""
-    region = sol.region(t, x)
-    if region is not Region.BELOW_CURVE:
-        return ControlPair(0.0, 0.0)
-    s = x + sol.g1(t) * np.exp(-sol.r * (sol.T - t))
-    return ControlPair(q=-sol.coef_q * s, pi=-sol.coef_pi * s)
-
-
-def full_feedback_strategy(sol: FullInfoSolution):
-    """Vectorized (t, wealth, filtered mean) -> (q, pi) arrays on actual wealth.
-
-    Shifts by the embedded target d - gamma* internally; the filtered-mean
-    argument is ignored (the drift is known in full information).
-    """
-    shift = sol.target_level
-
-    def strategy(t, x, m):
-        disc = np.exp(-sol.r * (sol.T - t))
-        bracket = x - shift + sol.g1(t) * disc
-        neg = np.maximum(-bracket, 0.0)
-        return sol.coef_q * neg, sol.coef_pi * neg
-
-    return strategy
+def full_feedback_strategy(sol: FullInfoSolution, model: ModelParams):
+    """Vectorized (t, wealth, m) -> (q, pi) arrays on actual wealth, for
+    simulation: :func:`~mvreins.conelq.gap_feedback` at the target level
+    d - gamma*; m is the known drift m0."""
+    return gap_feedback(model, sol.target_level)
 
 
 def hjb_residual(t: float, x: float, sol: FullInfoSolution,

@@ -152,9 +152,6 @@ def validate(params: ModelParams) -> ValidationReport:
             v.append("full mode requires constant r and sigma")
         if mk.r.is_constant and not dr.m0 > mk.r.constant_value():
             v.append("full mode requires m0 > r (positive excess return)")
-    else:
-        if c.eta != c.theta:
-            v.append("cheap reinsurance required in partial mode (eta = theta)")
 
     return ValidationReport(ok=not v, violations=tuple(v))
 
@@ -176,6 +173,30 @@ def riskless_terminal_wealth(params: ModelParams) -> float:
         grow = np.expm1(rate * (t1 - t0))
         x = x + x * grow + drift * grow / rate
     return float(x)
+
+
+def riskless_level(params: ModelParams, t: float, target: float) -> float:
+    """S(t): the wealth at t from which the zero strategy ends at ``target`` at T.
+
+        S(t) = target e^{-int_t^T r} - a(theta - eta) int_t^T e^{-int_t^s r} ds,
+
+    the riskless wealth ODE of :func:`riskless_terminal_wealth` run back from
+    T.  The premium integral I is chained over the rate curve's pieces from T
+    back to t: over a piece of length u, I <- I + I expm1(-r u) - expm1(-r u)/r.
+    The premium term is added only when a(theta - eta) is non-zero, so at
+    theta = eta S(t) is target e^{-int_t^T r} bit for bit.
+    """
+    c = params.claim
+    level = target * params.discount_to_horizon(t)
+    premium = c.a * (c.theta - c.eta)
+    if premium == 0.0:
+        return level
+    edges, (rates,) = segments(t, params.objective.T, params.market.r)
+    tail = 0.0
+    for rate, width in zip(rates[::-1].tolist(), np.diff(edges)[::-1].tolist()):
+        shrink = np.expm1(-rate * width)
+        tail = tail + tail * shrink - shrink / rate
+    return float(level - premium * tail)
 
 
 def riskless_terminal_wealth_ode(params: ModelParams) -> float:

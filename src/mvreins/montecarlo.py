@@ -35,9 +35,10 @@ strategy allocates its outputs on every call and keeps nothing between calls
 but pure functions of t (a per-t table of coefficients).
 Under a degenerate drift with h = 0 (every full-information model) the
 filter's vol, h and l vanish and mu = m = m0 at every step, so those updates
-are skipped and the scalar m0 is the wealth drift.  The strategy is then a
-feedback in (t, X) alone, so given X the step's noise b q dW0 + sigma pi dW1
-is exactly N(0, (b^2 q^2 + sigma^2 pi^2) dt): wealth is driven by one normal
+are skipped and the float m0 is both the wealth drift and the m handed to
+the strategy.  The strategy is then a feedback in (t, X) alone, so given X
+the step's noise b q dW0 + sigma pi dW1 is exactly
+N(0, (b^2 q^2 + sigma^2 pi^2) dt): wealth is driven by one normal
 per path-step, which leaves the law of the Euler chain and of its integrals
 of q^2 and pi^2 unchanged (a weak scheme needs only the law of the increment;
 Glasserman 2003, sec. 6.1).  The price, coupled to wealth only through W1 and
@@ -206,8 +207,9 @@ def _simulate(model: ModelParams, strategy, cfg: SimConfig, workers: int,
     coef = filter_coefficients(dr, model.market.sigma, n_curve, n_steps, dt)
     r = model.market.r(coef.t)
     # Under a degenerate drift with h = 0 the vol, h and l are all zero, so
-    # mu and m stay exactly m0: their updates are skipped, m0 is the drift,
-    # wealth takes one normal per step and no price is simulated.
+    # mu and m stay exactly m0: their updates are skipped, the float m0 is
+    # the drift and the strategy's m, wealth takes one normal per step and
+    # no price is simulated.
     dead = dr.is_degenerate() and not coef.h.any()
     drift_noise = physical and not dr.is_degenerate()
     n_normals = 3 if drift_noise else 2
@@ -229,7 +231,7 @@ def _simulate(model: ModelParams, strategy, cfg: SimConfig, workers: int,
         nb = hi - lo
         rng = base.substream(bidx).generator()
         X = np.full(nb, ob.x0)
-        m = np.full(nb, dr.m0)
+        m = dr.m0 if dead else np.full(nb, dr.m0)
         if physical and not dead:
             mu = np.full(nb, dr.m0)
             if dr.n0 > 0:
@@ -332,8 +334,9 @@ def simulate_physical(model: ModelParams, strategy, cfg: SimConfig,
                       workers: int = 1) -> PathEnsemble:
     """Simulate under the physical dynamics with the filter run alongside.
 
-    ``strategy`` maps (t, wealth array, filtered-mean array) to (q, pi) arrays;
-    it never sees the hidden drift.  The wealth step is
+    ``strategy`` maps (t, wealth array, filtered mean) to (q, pi) arrays; it
+    never sees the hidden drift.  The filtered mean is an array, or the float
+    m0 under a known drift with h = 0.  The wealth step is
 
         dX = [a(theta-eta) + a eta q + r X + (mu - r) pi] dt + b q dW0 + pi sigma dW1
 
@@ -351,8 +354,8 @@ def simulate_innovation(model: ModelParams, strategy, cfg: SimConfig,
     """Simulate directly under the observation filtration (partial mode only).
 
     Two drivers: claims noise and the innovation Brownian motion.  The wealth
-    step is the physical one with the filtered mean m as drift (a validated
-    partial model has eta = theta) and the filter mean follows
+    step is the physical one, premium surplus a(theta - eta) included, with
+    the filtered mean m as drift, and the filter mean follows
     dm = h m dt + (l + n/sigma) dWbar.
     """
     if model.info_mode != INFO_PARTIAL:

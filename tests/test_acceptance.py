@@ -18,7 +18,7 @@ from mvreins.filtering import projected_mean_curve
 from mvreins.montecarlo import SimConfig, estimate, simulate_physical, zero_strategy
 from mvreins.validation import cone_probe_check
 
-from conftest import make_model
+from conftest import cone_feedback, make_model
 from test_cli import PAPER44_CFG, SCALED_CFG, read_csv
 
 
@@ -50,7 +50,7 @@ def test_criterion_1_riskless_vertex(paper44_model, tmp_path):
 # ---------------------------------------------------------------------------
 
 def test_criterion_2_compat_dual_anchor(paper44_model):
-    sol = mv.compute_solution(paper44_model, d=10000.0, compat=True)
+    sol = mv.compute_solution(paper44_model, compat=True)
     closed = sol.gamma_star
     gammas = np.linspace(-2000.0, 2000.0, 80001)  # grid step 0.05
     values = mv.dual_value(sol, gammas)
@@ -139,9 +139,11 @@ def test_criterion_5_filter_suite(filter_demo_drift):
 # 6. Frontier reduction identity
 # ---------------------------------------------------------------------------
 
-def test_criterion_6_frontier_reduction(partial_exact_model):
-    model = partial_exact_model
-    full_model = dataclasses.replace(model, info_mode="full")
+def test_criterion_6_frontier_reduction(paper44_model):
+    # paper44 (theta = 0.3, eta = 0.2) and its partial twin: a known drift
+    # makes the observation filtration carry full information.
+    full_model = paper44_model
+    model = dataclasses.replace(full_model, info_mode="partial")
     sol_p = mv.solve_partial(model)
     sol_f = mv.compute_solution(full_model)
     # multiplier
@@ -154,21 +156,42 @@ def test_criterion_6_frontier_reduction(partial_exact_model):
     err_front = np.max(np.abs(front_p.variance[1:] - front_f.variance[1:])
                        / front_f.variance[1:])
 
-    # feedback, pointwise on a (t, wealth) grid
-    shift = sol_f.target_level
-    err_fb = 0.0
+    # feedback of the two strategy factories on a (t, wealth) grid, and the
+    # full one against the cone minimizer at the closed-form switching curve
+    strategy_p = mv.partial_feedback_strategy(sol_p, model)
+    strategy_f = mv.full_feedback_strategy(sol_f, full_model)
+    wealth = np.array([10.0, 1000.0, 5000.0, 9000.0, 15000.0])
+    err_fb = err_ref = 0.0
     for t in np.linspace(0.0, 99.0, 12):
-        for wealth in (10.0, 1000.0, 5000.0, 9000.0, 15000.0):
-            u_p = mv.feedback_partial(t, wealth, 0.06, sol_p, model)
-            u_f = mv.feedback_full(t, wealth - shift, sol_f)
-            scale = max(1.0, abs(u_f.q), abs(u_f.pi))
-            err_fb = max(err_fb, abs(u_p.q - u_f.q) / scale,
-                         abs(u_p.pi - u_f.pi) / scale)
+        u_p = strategy_p(t, wealth, np.full(wealth.size, 0.06))
+        u_f = strategy_f(t, wealth, 0.06)
+        curve = float(sol_f.switching_x(t)) + sol_f.target_level
+        for k, x in enumerate(wealth):
+            ref = cone_feedback(full_model, t, x - curve, 0.06)
+            for up, uf, r in zip(u_p, u_f, ref):
+                scale = max(1.0, abs(r))
+                err_fb = max(err_fb, abs(up[k] - uf[k]) / scale)
+                err_ref = max(err_ref, abs(uf[k] - r) / scale)
 
-    ok = err_gamma <= 1e-9 and err_front <= 1e-9 and err_fb <= 1e-9
+    ok = (err_gamma <= 1e-12 and err_front <= 1e-12 and err_fb <= 1e-9
+          and err_ref <= 1e-9)
     _report("criterion-6 frontier-reduction", ok,
-            f"gamma rel err {err_gamma:.2e}, frontier {err_front:.2e}, "
-            f"feedback {err_fb:.2e} (tol 1e-9)")
+            f"gamma rel err {err_gamma:.2e}, frontier {err_front:.2e} (tol "
+            f"1e-12); feedback partial vs full {err_fb:.2e}, full vs cone "
+            f"minimizer {err_ref:.2e} (tol 1e-9)")
+
+
+def test_criterion_6_partial_frontier_on_a_full_config(tmp_path):
+    # paper44 has theta != eta: frontier --mode partial runs on it and draws
+    # the full-information frontier.
+    out_p, out_f = tmp_path / "partial", tmp_path / "full"
+    args = ["--config", str(PAPER44_CFG), "--out-dir"]
+    assert main(args + [str(out_p), "frontier", "--mode", "partial"]) == 0
+    assert main(args + [str(out_f), "frontier", "--mode", "full"]) == 0
+    _, rows_p = read_csv(out_p / "frontier.csv")
+    _, rows_f = read_csv(out_f / "frontier.csv")
+    assert [r[:2] for r in rows_p] == [r[:2] for r in rows_f]
+    assert {r[3] for r in rows_p} == {"exact"}
 
 
 # ---------------------------------------------------------------------------
@@ -177,7 +200,7 @@ def test_criterion_6_frontier_reduction(partial_exact_model):
 
 def _mc_frontier_run(model, n_paths=200_000, dt=1e-3, seed=700):
     sol = mv.compute_solution(model)
-    strategy = mv.full_feedback_strategy(sol)
+    strategy = mv.full_feedback_strategy(sol, model)
     cfg = SimConfig(n_paths=n_paths, dt=dt, seed=seed)
     est = estimate(simulate_physical(model, strategy, cfg, workers=4))
     return est

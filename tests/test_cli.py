@@ -38,6 +38,7 @@ def test_validate_paper44_passes(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "PASS" in out and "FAIL" not in out
+    assert "12/12 checks passed" in out
 
 
 def test_validate_injected_wrong_a1_fails(tmp_path, capsys):
@@ -92,12 +93,6 @@ def test_frontier_partial_exact_label_and_full_crossover(tmp_path):
     _, rows_full = read_csv(out_b / "frontier.csv")
     assert rows_full[0][0] == rows[0][0]
     assert float(rows_full[0][1]) == float(rows[0][1]) == 0.0
-
-
-def test_frontier_partial_on_noncheap_config_rejected(tmp_path):
-    code = main(["--config", str(PAPER44_CFG), "--out-dir", str(tmp_path),
-                 "frontier", "--mode", "partial"])
-    assert code == 1
 
 
 def test_filter_csv_variance_column(tmp_path):
@@ -345,8 +340,6 @@ def test_missing_config_exit_code():
     (PAPER44_CFG, ["value-surface", "--x-min", "1e9"]),
     (PAPER44_CFG, ["dual-curve", "--gamma-min", "5", "--gamma-max", "1"]),
     (PAPER44_CFG, ["dual-curve", "--gamma-max=-1e6"]),
-    (PAPER44_CFG, ["simulate", "--mode", "partial"]),
-    (PAPER44_CFG, ["frontier", "--mode", "partial"]),
     (STIFF_PRIOR, ["simulate", "--paths", "100", "--dt", "0.1"]),
     (LOW_TARGET, ["frontier", "--mode", "full"]),
     (PARTIAL_CFG, ["--compat-paper-formulas", "filter"]),
@@ -361,8 +354,7 @@ def test_missing_config_exit_code():
         "gamma-max-inf", "x-max-overflows", "x-range-overflows", "dt-nan",
         "dt-0", "simulate-seed-negative", "filter-seed-negative",
         "x-range-reversed", "x-min-above-default-max", "gamma-range-reversed",
-        "gamma-max-below-default-min", "simulate-partial-noncheap",
-        "frontier-partial-noncheap", "stiff-prior-variance-negative",
+        "gamma-max-below-default-min", "stiff-prior-variance-negative",
         "frontier-full-below-vertex", "filter-compat", "validate-partial-compat",
         "frontier-partial-compat", "simulate-partial-compat"])
 def test_bad_input_is_one_error_line(tmp_path, capsys, cfg, args):

@@ -29,6 +29,26 @@ def test_piecewise_integral_exact():
     assert c.integral(60.0, 40.0) == pytest.approx(-(0.04 * 10 + 0.05 * 10), rel=1e-15)
 
 
+def test_float_time_paths_match_the_array_paths_bitwise():
+    # A float t takes the list lookup and a one-piece integral skips
+    # segments(); both give the bits of the array route, at and between the
+    # breakpoints, at t0 = t1 and in the slack below 0.
+    c = as_curve([(0.0, 0.04), (2.0, -0.05), (3.0, 1e-10)])
+    rng = np.random.default_rng(2)
+    times = np.concatenate([[-1e-10, 0.0, 2.0, 3.0, 5.0, 0.1 + 0.2],
+                            rng.uniform(0.0, 5.0, 40)]).tolist()
+    for t0 in times:
+        assert c(t0) == float(c(np.array([t0]))[0])
+        for t1 in times:
+            if t0 <= t1:
+                edges, (values,) = segments(t0, t1, c)
+                ref = float(np.sum(values * np.diff(edges)))
+                got = c.integral(t0, t1)
+                assert got == ref and np.signbit(got) == np.signbit(ref)
+    with pytest.raises(CurveRangeError):
+        c(-0.5)
+
+
 def test_piecewise_must_start_at_zero():
     with pytest.raises(ValueError):
         PiecewiseConstantCurve(np.array([1.0]), np.array([2.0]))

@@ -9,14 +9,25 @@ from mvreins import fullinfo
 from mvreins.config import load_config
 from mvreins.frontier import InfeasibleTargetError, dual_value, efficient_frontier
 from mvreins.fullinfo import (NearCurveError, Region, compute_solution,
-                              feedback_full, full_feedback_strategy,
-                              hjb_residual, solve_pqr, value_function,
-                              viscosity_check)
+                              full_feedback_strategy, hjb_residual, solve_pqr,
+                              value_function, viscosity_check)
 from mvreins.odekernel import integrate_backward
 from mvreins.validation import _dual_argmax_check
 
-from conftest import make_model
+from conftest import cone_feedback, make_model
 from test_cli import PAPER44_CFG, SCALED_CFG
+
+
+def with_d(model, d):
+    return dataclasses.replace(
+        model, objective=dataclasses.replace(model.objective, d=d))
+
+
+def at_gamma(sol, model, gamma):
+    """``sol`` with the multiplier ``gamma`` in place of gamma*: the fields
+    that read it, gamma_star and f, replaced."""
+    return dataclasses.replace(sol, gamma_star=gamma,
+                               f=fullinfo._f(model, sol.d, gamma))
 
 
 @pytest.fixture(scope="module")
@@ -33,15 +44,16 @@ def test_a1_value(paper44_solution):
     assert paper44_solution.a1 == pytest.approx(-0.0202, abs=1e-15)
 
 
-def test_g1_vanishes_at_horizon(paper44_model):
+def test_g1_vanishes_at_horizon(paper44_model, paper44_solution):
     for gamma in (-500.0, 0.0, 800.0):
-        sol = compute_solution(paper44_model, d=10000.0, gamma=gamma)
+        sol = at_gamma(paper44_solution, paper44_model, gamma)
         assert sol.g1(100.0) == 0.0
 
 
 def test_g1_identically_zero_cheap_at_target(scaled_cheap_model):
     # eta = theta and gamma = d make the affine drift term vanish
-    sol = compute_solution(scaled_cheap_model, d=70.0, gamma=70.0)
+    model = with_d(scaled_cheap_model, 70.0)
+    sol = at_gamma(compute_solution(model), model, 70.0)
     ts = np.linspace(0.0, 5.0, 7)
     assert np.all(sol.g1(ts) == 0.0)
 
@@ -60,7 +72,7 @@ def test_value_zero_on_switching_curve(paper44_solution):
 def test_value_region1_exponential_anchor(scaled_cheap_model):
     # g1 = 0 branch: V(0, 1) = e^{2 r T} / 2 at long horizon T = 100
     model = make_model(theta=0.2, eta=0.2, T=100.0, d=10000.0)
-    sol = compute_solution(model, d=10000.0, gamma=10000.0)
+    sol = at_gamma(compute_solution(model), model, 10000.0)
     assert value_function(0.0, 1.0, sol) == pytest.approx(0.5 * np.exp(8.0),
                                                           rel=1e-12)
 
@@ -119,50 +131,63 @@ def test_dual_value_broadcasts_bitwise(compat, kw):
     assert type(dual_value(sol, 1.0)) is float
 
 
-def test_feedback_zero_above_curve(paper44_solution):
+def test_feedback_zero_above_curve(paper44_solution, paper44_model):
     sol = paper44_solution
-    x = float(sol.switching_x(20.0)) + 50.0
-    assert feedback_full(20.0, x, sol) == mv.ControlPair(0.0, 0.0)
+    x = float(sol.switching_x(20.0)) + sol.target_level + np.array([50.0, 5e3])
+    q, pi = full_feedback_strategy(sol, paper44_model)(20.0, x, 0.06)
+    assert np.all(q == 0.0) and np.all(pi == 0.0)
 
 
-def test_feedback_zero_on_curve(paper44_solution):
+def test_feedback_zero_on_curve(paper44_solution, paper44_model):
     sol = paper44_solution
-    xc = float(sol.switching_x(20.0))
-    assert feedback_full(20.0, xc, sol) == mv.ControlPair(0.0, 0.0)
+    x = np.array([float(sol.switching_x(20.0)) + sol.target_level])
+    q, pi = full_feedback_strategy(sol, paper44_model)(20.0, x, 0.06)
+    assert (q[0], pi[0]) == (0.0, 0.0)
 
 
-def test_feedback_below_curve_coefficients(paper44_solution):
+def test_feedback_below_curve_coefficients(paper44_solution, paper44_model):
     # distance 10 below the curve: q = 0.2*10, pi = 0.02*10
     sol = paper44_solution
     t = 20.0
-    x = float(sol.switching_x(t)) - 10.0
-    u = feedback_full(t, x, sol)
-    assert u.q == pytest.approx(2.0, rel=1e-9)
-    assert u.pi == pytest.approx(0.2, rel=1e-9)
+    x = float(sol.switching_x(t)) + sol.target_level - 10.0
+    q, pi = full_feedback_strategy(sol, paper44_model)(t, np.array([x]), 0.06)
+    assert q[0] == pytest.approx(2.0, rel=1e-9)
+    assert pi[0] == pytest.approx(0.2, rel=1e-9)
 
 
-def test_feedback_cone_everywhere(paper44_solution):
+def test_feedback_cone_everywhere(paper44_solution, paper44_model):
     rng = np.random.default_rng(8)
-    for _ in range(300):
-        t = rng.uniform(0.0, 100.0)
-        x = rng.uniform(-40000.0, 40000.0)
-        u = feedback_full(t, x, paper44_solution)
-        assert u.q >= 0.0 and u.pi >= 0.0
+    strategy = full_feedback_strategy(paper44_solution, paper44_model)
+    for t in rng.uniform(0.0, 100.0, 30):
+        q, pi = strategy(t, rng.uniform(-40000.0, 40000.0, 100), 0.06)
+        assert np.all(q >= 0.0) and np.all(pi >= 0.0)
+
+
+@pytest.mark.parametrize("model_name", ["paper44_model", "scaled_noncheap_model"])
+def test_switching_curve_is_the_riskless_level(request, model_name):
+    # The curve in shifted wealth, -g1 e^{-r(T-t)}, read in actual wealth, is
+    # the riskless level S(t) of the target d - gamma*.
+    model = request.getfixturevalue(model_name)
+    sol = compute_solution(model)
+    target = sol.target_level
+    for t in np.linspace(0.0, model.objective.T, 50):
+        level = mv.riskless_level(model, t, target)
+        assert float(sol.switching_x(t)) + target == pytest.approx(level, rel=1e-12)
 
 
 def test_gamma_star_zero_at_vertex(paper44_model, paper44_solution):
     k = paper44_solution.vertex
-    assert compute_solution(paper44_model, d=k).gamma_star == 0.0
+    assert compute_solution(with_d(paper44_model, k)).gamma_star == 0.0
 
 
 def test_gamma_star_compat_anchor(paper44_model):
-    gamma = compute_solution(paper44_model, d=10000.0, compat=True).gamma_star
+    gamma = compute_solution(paper44_model, compat=True).gamma_star
     assert gamma == pytest.approx(-130.2, abs=0.5)
 
 
 def test_gamma_star_matches_dual_maximizer(paper44_model):
     for compat in (False, True):
-        sol = compute_solution(paper44_model, d=10000.0, compat=compat)
+        sol = compute_solution(paper44_model, compat=compat)
         gamma_closed = sol.gamma_star
         res = optimize.minimize_scalar(
             lambda g: -dual_value(sol, g),
@@ -173,7 +198,7 @@ def test_gamma_star_matches_dual_maximizer(paper44_model):
 
 def test_gamma_star_infeasible_below_vertex(paper44_model):
     with pytest.raises(InfeasibleTargetError, match="below frontier vertex"):
-        compute_solution(paper44_model, d=2000.0)
+        compute_solution(with_d(paper44_model, 2000.0))
 
 
 def test_dual_argmax_invariant_under_positive_scaling(paper44_solution):
@@ -376,18 +401,21 @@ def test_p2_below_p1(paper44_solution):
     assert np.all(paper44_solution.p2(ts) <= paper44_solution.p1(ts) + 1e-12)
 
 
-def test_vectorized_strategy_matches_feedback(scaled_solution):
-    sol = scaled_solution
-    strategy = full_feedback_strategy(sol)
-    shift = sol.target_level
+def test_vectorized_strategy_matches_feedback(scaled_solution,
+                                             scaled_noncheap_model):
+    # The strategy against xi_minimizer(sign, coeffs) |gap|, with the gap
+    # measured from the closed-form switching curve.
+    sol, model = scaled_solution, scaled_noncheap_model
+    strategy = full_feedback_strategy(sol, model)
     rng = np.random.default_rng(17)
-    t = 2.5
-    wealth = rng.uniform(-50.0, 400.0, size=64)
-    qs, pis = strategy(t, wealth, np.full(64, 0.06))
-    for w, q, pi in zip(wealth, qs, pis):
-        u = feedback_full(t, w - shift, sol)
-        assert q == pytest.approx(u.q, rel=1e-9, abs=1e-12)
-        assert pi == pytest.approx(u.pi, rel=1e-9, abs=1e-12)
+    for t in (0.0, 2.5, 4.99):
+        wealth = rng.uniform(-50.0, 400.0, size=64)
+        qs, pis = strategy(t, wealth, 0.06)
+        curve = float(sol.switching_x(t)) + sol.target_level
+        for w, q, pi in zip(wealth, qs, pis):
+            q_ref, pi_ref = cone_feedback(model, t, w - curve, 0.06)
+            assert q == pytest.approx(q_ref, rel=1e-9, abs=1e-12)
+            assert pi == pytest.approx(pi_ref, rel=1e-9, abs=1e-12)
 
 
 def test_compat_flag_stored(paper44_model):

@@ -21,13 +21,6 @@ def test_zero_volatility_rejected():
     assert any("sigma" in v for v in report.violations)
 
 
-def test_partial_mode_requires_cheap_reinsurance():
-    m = make_model(theta=0.2, eta=0.3, info_mode="partial")
-    report = mv.validate(m)
-    assert not report.ok
-    assert any("cheap reinsurance" in v for v in report.violations)
-
-
 def test_full_mode_requires_degenerate_drift():
     m = make_model(l=1.0)
     report = mv.validate(m)
@@ -105,3 +98,35 @@ def test_discount_growth_inverse(paper44_model):
     growth = np.exp(m.market.r.integral(30.0, m.objective.T))
     assert m.discount_to_horizon(30.0) * growth == \
         pytest.approx(1.0, rel=1e-15)
+
+
+def test_riskless_level_runs_the_riskless_wealth_back(partial_premium_model):
+    # Piecewise r and theta != eta: S(0) at the riskless terminal wealth is
+    # x0, and S(T) is the target itself.
+    m = partial_premium_model
+    d0 = mv.riskless_terminal_wealth(m)
+    assert mv.riskless_level(m, 0.0, d0) == pytest.approx(m.objective.x0,
+                                                         rel=1e-12)
+    for target in (0.0, -3.5, 73.25, d0, m.objective.d):
+        assert mv.riskless_level(m, m.objective.T, target) == target
+
+
+def test_riskless_level_at_cheap_reinsurance_is_the_discounted_target():
+    m = make_model(r=[(0.0, 0.03), (40.0, 0.05), (70.0, 0.02)], theta=0.2,
+                   eta=0.2, info_mode="partial")
+    for t in (0.0, 12.5, 40.0, 55.0, 99.0, 100.0):
+        assert mv.riskless_level(m, t, 8000.0) == 8000.0 * m.discount_to_horizon(t)
+
+
+def test_riskless_level_matches_mpmath_at_a_tiny_rate():
+    # S(t) = target e^{-r tau} + a (theta - eta) expm1(-r tau)/r: the premium
+    # integral is formed with expm1, so r = 1e-10 does not cancel it.
+    r, T, t, target = 1e-10, 100.0, 30.0, 200.0
+    m = make_model(r=r, T=T, d=target)
+    with mpmath.workdps(40):
+        tau = mpmath.mpf(T - t)
+        premium = mpmath.mpf(0.3) - mpmath.mpf(0.2)
+        exact = float(target * mpmath.exp(-r * tau)
+                      + premium * mpmath.expm1(-r * tau) / r)
+    assert mv.riskless_level(m, t, target) == pytest.approx(exact, rel=1e-13,
+                                                            abs=0.0)

@@ -81,7 +81,7 @@ def test_zero_strategy_innovation_riskless(partial_exact_model):
 
 def test_bitwise_reproducible_across_runs_and_workers(scaled_noncheap_model):
     sol = mv.compute_solution(scaled_noncheap_model)
-    strategy = mv.full_feedback_strategy(sol)
+    strategy = mv.full_feedback_strategy(sol, scaled_noncheap_model)
     cfg = SimConfig(n_paths=40_000, dt=0.01, seed=99)
     a = simulate_physical(scaled_noncheap_model, strategy, cfg, workers=1)
     b = simulate_physical(scaled_noncheap_model, strategy, cfg, workers=1)
@@ -115,8 +115,8 @@ def test_live_filter_reproducible_across_workers(simulate, mode):
 def plain_euler(model, strategy, cfg, physical):
     """The engine's Euler step as plain expressions, every update applied:
     the reference for its in-place form (one block of paths).  Under a known
-    drift with h = 0 the wealth noise is one normal per path-step and there
-    is no price."""
+    drift with h = 0 the wealth noise is one normal per path-step, there is
+    no price and the strategy sees the float m0."""
     assert cfg.n_paths <= _BLOCK
     c, dr, ob = model.claim, model.drift, model.objective
     n_steps, dt = cfg.resolve_steps(ob.T)
@@ -136,7 +136,7 @@ def plain_euler(model, strategy, cfg, physical):
     drift_noise = physical and not dr.is_degenerate()
     for k in range(n_steps):
         r_k, sig_k, h_k = r[k], coef.sigma[k], coef.h[k]
-        q, pi = strategy(k * dt, X, m)
+        q, pi = strategy(k * dt, X, dr.m0 if dead else m)
         q2_dt, pi2_dt = q * q * dt, pi * pi * dt
         int_q2 = int_q2 + q2_dt
         int_pi2 = int_pi2 + pi2_dt
@@ -215,22 +215,24 @@ def test_strategy_may_return_a_view_of_wealth(scaled_cheap_model):
     (simulate_physical, "physical"), (simulate_innovation, "innovation")])
 def test_degenerate_drift_filter_mean(simulate, mode, h):
     """A known drift has zero gain, so m follows dm = h m dt exactly as the
-    hidden drift does; with h = 0 the strategy sees m0 at every step."""
+    hidden drift does; with h = 0 the strategy is handed the float m0 at
+    every step, in place of an array of it."""
     model = make_model(theta=0.2, eta=0.2, h=h, m0=0.07, T=1.0, d=55.0,
                        info_mode="partial")
     seen = []
 
     def strategy(t, x, m):
-        seen.append(m.copy())
+        seen.append(m if type(m) is float else m.copy())
         return 0.5 * np.ones_like(x), 10.0 * np.ones_like(x)
 
     ens = simulate(model, strategy,
                    SimConfig(n_paths=500, dt=0.01, seed=4))
-    m = np.array(seen)
-    assert m.shape == (100, 500) and np.all(m == m[:, :1])
+    assert len(seen) == 100
     if h == 0.0:
-        assert np.all(m == 0.07)
+        assert all(type(m) is float and m == 0.07 for m in seen)
     else:
+        m = np.array(seen)
+        assert m.shape == (100, 500) and np.all(m == m[:, :1])
         expected = 0.07 * (1.0 + h * 0.01) ** np.arange(100)
         np.testing.assert_allclose(m[:, 0], expected, rtol=1e-12)
     if mode == "physical":
@@ -241,7 +243,7 @@ def test_different_seeds_differ(scaled_noncheap_model):
     cfg1 = SimConfig(n_paths=1000, dt=0.01, seed=1)
     cfg2 = SimConfig(n_paths=1000, dt=0.01, seed=2)
     sol = mv.compute_solution(scaled_noncheap_model)
-    strategy = mv.full_feedback_strategy(sol)
+    strategy = mv.full_feedback_strategy(sol, scaled_noncheap_model)
     a = simulate_physical(scaled_noncheap_model, strategy, cfg1)
     b = simulate_physical(scaled_noncheap_model, strategy, cfg2)
     assert not np.array_equal(a.terminal_wealth, b.terminal_wealth)
@@ -318,7 +320,7 @@ def test_filter_consistency_physical(tame_partial_model):
 
 def test_optimal_strategy_hits_target_mean(scaled_noncheap_model):
     sol = mv.compute_solution(scaled_noncheap_model)
-    strategy = mv.full_feedback_strategy(sol)
+    strategy = mv.full_feedback_strategy(sol, scaled_noncheap_model)
     cfg = SimConfig(n_paths=30_000, dt=0.002, seed=12)
     est = estimate(simulate_physical(scaled_noncheap_model, strategy, cfg))
     d = scaled_noncheap_model.objective.d
@@ -341,6 +343,22 @@ def test_partial_feedback_innovation_mode(partial_exact_model):
     assert abs(est.mean - model.objective.d) <= 3.5 * est.se_mean
     assert abs(est.variance - frontier.variance[0]) <= \
         0.05 * frontier.variance[0]
+
+
+@pytest.mark.parametrize("simulate", [simulate_physical, simulate_innovation],
+                         ids=["physical", "innovation"])
+def test_partial_feedback_with_premium_surplus(partial_premium_model, simulate):
+    """theta != eta, with r and sigma jumping inside T: the gap X - S(t)
+    carries the premium surplus, and the realized moments meet the target
+    mean and the frontier variance under both dynamics."""
+    model = partial_premium_model
+    sol = mv.solve_partial(model)
+    strategy = mv.partial_feedback_strategy(sol, model)
+    est = estimate(simulate(model, strategy,
+                            SimConfig(n_paths=40_000, dt=0.01, seed=14)))
+    variance = mv.efficient_frontier(sol, [model.objective.d]).variance[0]
+    assert abs(est.mean - model.objective.d) <= 4.0 * est.se_mean
+    assert abs(est.variance - variance) <= 0.05 * variance
 
 
 @pytest.fixture(scope="module")
@@ -399,7 +417,7 @@ def test_one_driver_step_matches_two_driver_reference(unit_free_model):
     """Under the full-information feedback, terminal wealth and both
     admissibility integrals have the same moments as with two drivers."""
     model = unit_free_model
-    strategy = mv.full_feedback_strategy(mv.compute_solution(model))
+    strategy = mv.full_feedback_strategy(mv.compute_solution(model), model)
     n, dt = 30_000, 0.02
     ens = simulate_physical(model, strategy, SimConfig(n_paths=n, dt=dt, seed=32))
     assert ens.n_flagged == 0
@@ -496,7 +514,7 @@ def test_diverging_paths_flagged(scaled_cheap_model):
 
 def test_admissibility_diagnostics_finite(scaled_noncheap_model):
     sol = mv.compute_solution(scaled_noncheap_model)
-    strategy = mv.full_feedback_strategy(sol)
+    strategy = mv.full_feedback_strategy(sol, scaled_noncheap_model)
     ens = simulate_physical(scaled_noncheap_model, strategy,
                             SimConfig(n_paths=2000, dt=0.005, seed=2))
     assert np.all(np.isfinite(ens.int_q2))

@@ -9,13 +9,12 @@ import pytest
 from scipy import optimize
 
 import mvreins as mv
-from conftest import make_model
+from conftest import cone_feedback, make_model
 from mvreins.config import load_config
 from mvreins.frontier import (DegenerateFrontierError, FrontierUnderflowError,
                               InfeasibleTargetError, dual_value,
                               efficient_frontier)
-from mvreins.partialinfo import (feedback_partial, partial_feedback_strategy,
-                                 solve_partial)
+from mvreins.partialinfo import partial_feedback_strategy, solve_partial
 from mvreins.validation import _dual_argmax_check
 
 BENCH_PARTIAL_CFG = Path(__file__).resolve().parents[1] / "bench" / "configs" / "partial.cfg"
@@ -55,7 +54,7 @@ def test_gamma_star_degenerate_reduction(exact_solution, partial_exact_model):
     """With degenerate drift and cheap reinsurance the observation filtration
     carries full information, so the two solvers' multipliers must agree."""
     full_model = dataclasses.replace(partial_exact_model, info_mode="full")
-    gamma_full = mv.compute_solution(full_model, d=10000.0).gamma_star
+    gamma_full = mv.compute_solution(full_model).gamma_star
     assert abs(exact_solution.gamma_star - gamma_full) / abs(gamma_full) <= 1e-9
 
 
@@ -120,67 +119,80 @@ def test_frontier_degenerate_reduction(kw):
     np.testing.assert_allclose(partial.variance, full.variance, rtol=1e-9)
 
 
+def _level(sol, model, t):
+    return mv.riskless_level(model, t, sol.target_level)
+
+
 def test_feedback_zero_on_boundary(exact_solution, partial_exact_model):
-    t = 30.0
-    level = exact_solution.target_level * partial_exact_model.discount_to_horizon(t)
-    u = feedback_partial(t, level, 0.06, exact_solution, partial_exact_model)
-    assert (u.q, u.pi) == (0.0, 0.0)
+    strategy = partial_feedback_strategy(exact_solution, partial_exact_model)
+    level = _level(exact_solution, partial_exact_model, 30.0)
+    q, pi = strategy(30.0, np.array([level]), np.array([0.06]))
+    assert (q[0], pi[0]) == (0.0, 0.0)
 
 
 def test_feedback_zero_above_boundary_with_positive_drift(exact_solution,
                                                           partial_exact_model):
-    t = 30.0
-    level = exact_solution.target_level * partial_exact_model.discount_to_horizon(t)
-    u = feedback_partial(t, level + 500.0, 0.06, exact_solution,
-                         partial_exact_model)
-    assert (u.q, u.pi) == (0.0, 0.0)
+    strategy = partial_feedback_strategy(exact_solution, partial_exact_model)
+    level = _level(exact_solution, partial_exact_model, 30.0)
+    q, pi = strategy(30.0, np.array([level + 500.0]), np.array([0.06]))
+    assert (q[0], pi[0]) == (0.0, 0.0)
 
 
 def test_feedback_below_boundary_closed_form(exact_solution,
                                              partial_exact_model):
-    t = 30.0
-    disc = partial_exact_model.discount_to_horizon(t)
-    level = exact_solution.target_level * disc
+    strategy = partial_feedback_strategy(exact_solution, partial_exact_model)
     gap = 25.0
-    u = feedback_partial(t, level - gap, 0.06, exact_solution,
-                         partial_exact_model)
-    assert u.q == pytest.approx(1.0 * 0.2 / 1.0 * gap, rel=1e-12)
-    assert u.pi == pytest.approx((0.06 - 0.04) / 1.0 * gap, rel=1e-12)
+    level = _level(exact_solution, partial_exact_model, 30.0)
+    q, pi = strategy(30.0, np.array([level - gap]), np.array([0.06]))
+    assert q[0] == pytest.approx(1.0 * 0.2 / 1.0 * gap, rel=1e-12)
+    assert pi[0] == pytest.approx((0.06 - 0.04) / 1.0 * gap, rel=1e-12)
 
 
 def test_feedback_negative_filtered_excess_return(exact_solution,
                                                   partial_exact_model):
     # below the boundary with m < r the risky position stays at zero
-    t = 30.0
-    level = exact_solution.target_level * partial_exact_model.discount_to_horizon(t)
-    u = feedback_partial(t, level - 25.0, 0.01, exact_solution,
-                         partial_exact_model)
-    assert u.pi == 0.0
-    assert u.q > 0.0
+    strategy = partial_feedback_strategy(exact_solution, partial_exact_model)
+    level = _level(exact_solution, partial_exact_model, 30.0)
+    q, pi = strategy(30.0, np.array([level - 25.0]), np.array([0.01]))
+    assert pi[0] == 0.0
+    assert q[0] > 0.0
 
 
 def test_feedback_cone_constraint_random(exact_solution, partial_exact_model):
+    strategy = partial_feedback_strategy(exact_solution, partial_exact_model)
     rng = np.random.default_rng(11)
-    for _ in range(200):
-        t = rng.uniform(0.0, 100.0)
-        x = rng.uniform(-5000.0, 20000.0)
-        m = rng.uniform(-0.2, 0.3)
-        u = feedback_partial(t, x, m, exact_solution, partial_exact_model)
-        assert u.q >= 0.0 and u.pi >= 0.0
+    for t in rng.uniform(0.0, 100.0, 20):
+        q, pi = strategy(t, rng.uniform(-5000.0, 20000.0, 50),
+                         rng.uniform(-0.2, 0.3, 50))
+        assert np.all(q >= 0.0) and np.all(pi >= 0.0)
+
+
+def assert_matches_cone_minimizer(sol, model, seed):
+    """The strategy against xi_minimizer(sign, coeffs) |X - S(t)| at random
+    points of both signs of the gap and of the excess return."""
+    strategy = partial_feedback_strategy(sol, model)
+    rng = np.random.default_rng(seed)
+    for t in rng.uniform(0.0, model.objective.T, 8):
+        level = _level(sol, model, t)
+        xs = level + level * rng.uniform(-1.0, 1.0, size=64)
+        ms = rng.uniform(-0.1, 0.2, size=64)
+        qs, pis = strategy(t, xs, ms)
+        for x, m, q, pi in zip(xs, ms, qs, pis):
+            q_ref, pi_ref = cone_feedback(model, t, x - level, m)
+            assert q == pytest.approx(q_ref, rel=1e-12, abs=1e-12)
+            assert pi == pytest.approx(pi_ref, rel=1e-12, abs=1e-12)
 
 
 def test_vectorized_strategy_matches_scalar(exact_solution,
                                             partial_exact_model):
-    strategy = partial_feedback_strategy(exact_solution, partial_exact_model)
-    rng = np.random.default_rng(3)
-    t = 42.0
-    xs = rng.uniform(-2000.0, 15000.0, size=64)
-    ms = rng.uniform(-0.1, 0.2, size=64)
-    qs, pis = strategy(t, xs, ms)
-    for x, m, q, pi in zip(xs, ms, qs, pis):
-        u = feedback_partial(t, x, m, exact_solution, partial_exact_model)
-        assert q == pytest.approx(u.q, rel=1e-12, abs=1e-12)
-        assert pi == pytest.approx(u.pi, rel=1e-12, abs=1e-12)
+    assert_matches_cone_minimizer(exact_solution, partial_exact_model, seed=3)
+
+
+def test_strategy_with_premium_surplus_matches_cone_minimizer(
+        partial_premium_model):
+    # theta != eta and r, sigma jumping inside T: the gap is X - S(t)
+    model = partial_premium_model
+    assert_matches_cone_minimizer(solve_partial(model), model, seed=5)
 
 
 @pytest.fixture(scope="module")
@@ -197,8 +209,7 @@ def four_term_strategy(sol, model):
     coef_q_minus = c.a * c.eta / c.b ** 2
 
     def strategy(t, x, m):
-        disc = model.discount_to_horizon(t)
-        gap = x - sol.target_level * disc
+        gap = x - mv.riskless_level(model, t, sol.target_level)
         pos, neg = np.maximum(gap, 0.0), np.maximum(-gap, 0.0)
         excess = (m - mk.r(t)) / mk.sigma(t) ** 2
         q = coef_q_minus * neg
@@ -211,7 +222,7 @@ def four_term_strategy(sol, model):
 def strategy_inputs(t, sol, model, rng):
     """x and m around the switching level and r(t): gap and excess each take
     both signs, and gap = 0 and m = r(t) exactly."""
-    level = sol.target_level * model.discount_to_horizon(t)
+    level = mv.riskless_level(model, t, sol.target_level)
     r = model.market.r(t)
     dx = np.concatenate([[0.0], rng.uniform(-30.0, 30.0, 7), [-1e-9, 1e-9]])
     dm = np.concatenate([[0.0], rng.uniform(-0.2, 0.2, 7), [-1e-12, 1e-12]])
@@ -238,7 +249,7 @@ def test_two_pass_feedback_matches_four_term_form_bitwise(bench_partial):
         q_ref, pi_ref = reference(t, x, m)
         assert_bitwise(q, q_ref)
         assert_bitwise(pi, pi_ref)
-        signs |= set(zip(np.sign(x - sol.target_level * model.discount_to_horizon(t)),
+        signs |= set(zip(np.sign(x - mv.riskless_level(model, t, sol.target_level)),
                          np.sign(m - model.market.r(t))))
     assert signs == {(g, e) for g in (-1, 0, 1) for e in (-1, 0, 1)}
 

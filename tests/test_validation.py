@@ -2,8 +2,9 @@
 import pytest
 
 import mvreins as mv
-from mvreins import validation
+from mvreins import conelq, validation
 from mvreins.config import load_config
+from mvreins.curves import SampledCurve
 from mvreins.validation import (_riccati_closed, _riccati_oracle,
                                 _riccati_oracle_check, run_checks)
 
@@ -20,6 +21,21 @@ def test_riccati_oracle_check_catches_a_wrong_pair():
     result = _riccati_oracle_check((p_plus, p_minus * (1 + 1e-6)), oracle)
     assert result.name == "riccati-rk4-oracle"
     assert not result.passed
+
+
+def test_riccati_envelope_fails_on_a_scaled_oracle(monkeypatch):
+    # Partial validate runs eight checks; the envelope holds the RK4 curves
+    # to exp(2 int_t^T r), so curves 1% high (P = 1.01 at T) must fail it.
+    model = load_config(BENCH_PARTIAL_CFG)[0]
+    solve = conelq.solve_riccati_pair
+    monkeypatch.setattr(conelq, "solve_riccati_pair", lambda model, m_bar: tuple(
+        SampledCurve(p.grid, 1.01 * p.values) for p in solve(model, m_bar)))
+    results = {r.name: r for r in run_checks(model)}
+    assert list(results) == [
+        "model-invariants", "riskless-wealth-ode", "cone-optimality",
+        "riccati-envelope", "riccati-rk4-oracle", "filter-variance-converged",
+        "dual-argmax", "frontier-vertex"]
+    assert not results["riccati-envelope"].passed
 
 
 def test_injected_a1_fails_the_pqr_oracle():
