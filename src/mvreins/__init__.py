@@ -15,8 +15,9 @@ from .errors import MvreinsError
 from .filtering import (FilterPath, projected_mean_curve, run_filter,
                         solve_variance)
 from .frontier import (DegenerateFrontierError, FrontierCurve,
-                       InfeasibleTargetError, dual_value, efficient_frontier)
-from .fullinfo import (FullInfoSolution, NearCurveError, Region, ViscosityReport,
+                       InfeasibleTargetError, Solution, dual_value,
+                       efficient_frontier)
+from .fullinfo import (NearCurveError, Region, ViscosityReport,
                        compute_solution, full_feedback_strategy, hjb_residual,
                        solve_pqr, value_function, viscosity_check)
 from .model import (ClaimParams, DriftParams, MarketParams, ModelParams,
@@ -27,8 +28,7 @@ from .montecarlo import (EstimateResult, InsufficientDataError, PathEnsemble,
                          simulate_innovation, simulate_physical, zero_strategy)
 from .odekernel import (IntegrationDivergedError, RngStream, gaussian_increments,
                         integrate_backward, integrate_forward)
-from .partialinfo import (PartialSolution, partial_feedback_strategy,
-                          solve_partial)
+from .partialinfo import partial_feedback_strategy, solve_partial
 from .validation import CheckResult, format_table, run_checks
 
 __version__ = "0.1.0"

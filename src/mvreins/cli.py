@@ -139,7 +139,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--mode", choices=[INFO_FULL, INFO_PARTIAL], default=None,
                    help="solver to use (defaults to the config's info_mode)")
     p.add_argument("--d-max", type=_finite_float(), default=None,
-                   help="largest target mean (default: max(objective d, 1.5 vertex))")
+                   help="largest target mean (default: max(objective d, "
+                        "vertex + 0.5 max(1, |vertex|)))")
     p.add_argument("--points", type=_int_at_least(1), default=101)
 
     p = sub.add_parser("value-surface", help="write value_surface.csv (t, x, V, region)")
@@ -214,7 +215,7 @@ def _cmd_filter(args, model, out_dir: Path) -> int:
 def _d_grid(args, vertex: float, model) -> np.ndarray:
     d_max = args.d_max
     if d_max is None:
-        d_max = max(model.objective.d, 1.5 * vertex)
+        d_max = max(model.objective.d, vertex + 0.5 * max(1.0, abs(vertex)))
     if d_max < vertex:
         raise UsageError(f"--d-max {d_max} below the frontier vertex {vertex}")
     return np.linspace(vertex, d_max, args.points)
@@ -231,16 +232,18 @@ def _cmd_frontier(args, model, out_dir: Path, mode: str, compat: bool) -> int:
 
 
 def _cmd_value_surface(args, model, out_dir: Path, compat: bool) -> int:
-    _, sol = _solve(INFO_FULL, model, compat)
-    T = model.objective.T
-    ts = np.linspace(0.0, T, args.nt)
-    x_curve = sol.switching_x(ts)
-    lo = args.x_min if args.x_min is not None else float(2.0 * x_curve.min())
-    hi = args.x_max if args.x_max is not None else float(-x_curve.min())
+    model, sol = _solve(INFO_FULL, model, compat)
+    ts = np.linspace(0.0, model.objective.T, args.nt)
+    # default x range: the curve's span, widened on each side by its largest
+    # distance from 0 (1 when the curve is identically 0)
+    x_curve = fullinfo.switching_x(ts, sol, model)
+    spread = float(np.max(np.abs(x_curve))) or 1.0
+    lo = args.x_min if args.x_min is not None else float(x_curve.min()) - spread
+    hi = args.x_max if args.x_max is not None else float(x_curve.max()) + spread
     _ordered(lo, hi, "--x-min", "--x-max")
     xs = np.linspace(lo, hi, args.nx)
-    values = np.concatenate([fullinfo.value_function(t, xs, sol) for t in ts])
-    regions = [r.value for t in ts for r in sol.region(t, xs)]
+    values = np.concatenate([fullinfo.value_function(t, xs, sol, model) for t in ts])
+    regions = [r.value for t in ts for r in fullinfo.region(t, xs, sol, model)]
     _write_csv(out_dir / "value_surface.csv", ["t", "x", "V", "region"],
                [np.repeat(ts, xs.size), np.tile(xs, ts.size), values, regions])
     print(f"wrote {out_dir / 'value_surface.csv'}")

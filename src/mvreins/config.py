@@ -31,8 +31,8 @@ Curve-valued keys (r, sigma, h, l, z) accept either a constant or a
 piecewise-constant specification ``t0:v0, t1:v1, ...`` with t0 = 0 and
 strictly increasing times.  Every number, curve times and values included,
 must be finite.  The optional ``[overrides]`` section carries fault-injection
-hooks for the validation suite (currently only ``a1``); unknown sections or
-keys are errors.
+hooks for the validation suite (currently only ``a1``, which replaces the
+full solution record's k- with -2 a1 T); unknown sections or keys are errors.
 """
 
 from __future__ import annotations

@@ -1,16 +1,19 @@
-"""The mean-variance layer of both information regimes: multiplier, dual value
-and efficient frontier.
+"""The mean-variance layer of both information regimes: one solution record,
+multiplier, dual value and efficient frontier.
 
 A multiplier gamma embeds "min Var X(T) subject to E X(T) = d" in an
 unconstrained cone-constrained LQ problem with wealth target d - gamma.  Its
 optimal cost, gamma* and the frontier depend only on the exponents
 k+/- = int_0^T kappa+/- of the Riccati pair, the riskless vertex and d
-(Hu and Zhou 2005): in full information k+ = 0 and k- = -2 A1 T.
+(Hu and Zhou 2005): in full information, a known constant drift above r,
+k+ = 0 and k- = -2 A1 T.
 
-A solution of either mode carries ``kappa_plus``, ``kappa_minus``, ``vertex``,
-``d0`` (the riskless terminal wealth, which sets the dual's branch), ``d`` and
-``gamma_star``, and inherits ``frontier_coefficient`` and ``target_level``
-from :class:`MeanVarianceLayer`.  The frontier is a parabola anchored at the
+A solution of either mode is one :class:`Solution` record, built by
+:func:`assemble_solution`: ``kappa_plus``, ``kappa_minus`` (from
+:func:`~mvreins.conelq.riccati_pair` at t = 0), ``gamma_star``, ``d``,
+``d0`` (the riskless terminal wealth, which sets the dual's branch),
+``vertex`` and ``approximation_mode``, with ``frontier_coefficient`` and
+``target_level`` read from them.  The frontier is a parabola anchored at the
 vertex, Var = (d - vertex)^2 / (e^{k-} - 1), and gamma* =
 (vertex - d) / (e^{k-} - 1).
 """
@@ -21,7 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .conelq import riccati_pair
 from .errors import MvreinsError
+from .model import ModelParams, riskless_terminal_wealth
 
 # Largest frontier exponent k whose e^{-k} is a normal double (708.396...);
 # past it the coefficient 1 / (e^k - 1) is subnormal or zero, and from
@@ -87,9 +92,20 @@ def gamma_star(vertex: float, d: float, k_minus: float) -> float:
     return (vertex - d) / _frontier_denominator(k_minus)
 
 
-class MeanVarianceLayer:
-    """The frontier coefficient and wealth target of a solution of either
-    mode, read from its ``kappa_minus``, ``d`` and ``gamma_star``."""
+@dataclass(frozen=True, eq=False)
+class Solution:
+    """The solution of either information mode: exponents k+/- =
+    int_0^T kappa+/- (P+/-(0) e^{-2 int r} = e^{-k+/-}), gamma*, the target
+    mean d, the riskless terminal wealth d0, the frontier vertex (d0, or
+    full mode's compat constant) and the mode's label."""
+
+    kappa_plus: float
+    kappa_minus: float
+    gamma_star: float
+    d: float
+    d0: float
+    vertex: float
+    approximation_mode: str
 
     @property
     def frontier_coefficient(self) -> float:
@@ -101,6 +117,19 @@ class MeanVarianceLayer:
         """Embedded wealth target d - gamma*: the strategy is active below its
         discounted value and coasts risk-free above it."""
         return self.d - self.gamma_star
+
+
+def assemble_solution(model: ModelParams, approximation_mode: str,
+                      vertex: float | None = None) -> Solution:
+    """The solution record of ``model``'s target mean: k+/- from
+    :func:`~mvreins.conelq.riccati_pair` at t = 0, d0 the riskless terminal
+    wealth, and gamma* from :func:`gamma_star` at ``vertex`` (d0 when None)."""
+    k_plus, k_minus = riccati_pair(model, 0.0)
+    d, d0 = model.objective.d, riskless_terminal_wealth(model)
+    vertex = d0 if vertex is None else vertex
+    return Solution(kappa_plus=k_plus, kappa_minus=k_minus,
+                    gamma_star=gamma_star(vertex, d, k_minus), d=d, d0=d0,
+                    vertex=vertex, approximation_mode=approximation_mode)
 
 
 def _float_if_scalar(values):

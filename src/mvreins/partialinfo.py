@@ -14,8 +14,9 @@ level d - gamma* alone; the law is :func:`~mvreins.conelq.gap_feedback`,
 shared with full information.
 
 gamma*, the frontier and the dual value follow from :mod:`~mvreins.frontier`
-and the fields of :class:`PartialSolution` alone: k+/- = int_0^T kappa+/-,
-the exponents :func:`~mvreins.conelq.riccati_pair` returns at t = 0, with
+and the fields of its :class:`~mvreins.frontier.Solution` record alone, the
+one record of both modes: k+/- = int_0^T kappa+/-, the exponents
+:func:`~mvreins.conelq.riccati_pair` returns at t = 0, with
 P+/-(0) e^{-2 int r} = e^{-k+/-}, the target mean d and the frontier vertex
 d0, the riskless terminal wealth.
 
@@ -27,56 +28,27 @@ labeled; Monte Carlo quantifies its gap.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .conelq import gap_feedback, riccati_pair
-from .frontier import MeanVarianceLayer, gamma_star
-from .model import INFO_PARTIAL, ModelParams, riskless_terminal_wealth, validate
+from .conelq import gap_feedback
+from .frontier import Solution, assemble_solution
+from .model import INFO_PARTIAL, ModelParams, validate
 
 MODE_EXACT = "exact"
 MODE_PROJECTED = "projected_drift"
 
 
-@dataclass(frozen=True, eq=False)
-class PartialSolution(MeanVarianceLayer):
-    """Exponents k+/- = int_0^T kappa+/- (P+/-(0) e^{-2 int r} = e^{-k+/-}),
-    gamma*, the target mean d, the riskless terminal wealth d0 (the frontier
-    vertex) and the mode.
-    """
-
-    kappa_plus: float
-    kappa_minus: float
-    gamma_star: float
-    d: float
-    d0: float
-    approximation_mode: str
-
-    @property
-    def vertex(self) -> float:
-        """Frontier vertex: the riskless terminal wealth d0."""
-        return self.d0
-
-
-def solve_partial(model: ModelParams) -> PartialSolution:
-    """Build the partial-information solution for the model's target mean.
-
-    gamma* is :func:`~mvreins.frontier.gamma_star` with vertex d0, as in
-    full mode.
-    """
+def solve_partial(model: ModelParams) -> Solution:
+    """The partial-information solution record for the model's target mean,
+    labeled exact under a degenerate drift and projected otherwise."""
     report = validate(model)
     if not report.ok:
         raise ValueError(f"invalid model: {report}")
     if model.info_mode != INFO_PARTIAL:
         raise ValueError("solve_partial requires a partial-information model")
     mode = MODE_EXACT if model.drift.is_degenerate() else MODE_PROJECTED
-    k_plus, k_minus = riccati_pair(model, 0.0)
-    d, d0 = model.objective.d, riskless_terminal_wealth(model)
-    return PartialSolution(kappa_plus=k_plus, kappa_minus=k_minus,
-                           gamma_star=gamma_star(d0, d, k_minus), d=d, d0=d0,
-                           approximation_mode=mode)
+    return assemble_solution(model, mode)
 
 
-def partial_feedback_strategy(sol: PartialSolution, model: ModelParams):
+def partial_feedback_strategy(sol: Solution, model: ModelParams):
     """Vectorized (t, wealth, filtered mean) -> (q, pi) arrays, for simulation:
     :func:`~mvreins.conelq.gap_feedback` at the target level d - gamma*."""
     return gap_feedback(model, sol.target_level)

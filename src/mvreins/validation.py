@@ -8,13 +8,17 @@ The CLI ``validate`` subcommand prints one PASS/FAIL line per check and maps
 any failure to exit code 2.
 
 One backward RK4 solve of the Riccati pair (:func:`_riccati_oracle`) serves
-both modes: in full mode it meets the solution's exponential closed forms
-P1 and P2, in partial mode the closed form exp(2 int_t^T r - int_t^T kappa+/-)
-evaluated exactly at the oracle's nodes.
+both modes: in full mode it meets the record's P+/-(t) =
+exp((T - t)(2r - k+/-/T)), in partial mode the closed form
+exp(2 int_t^T r - int_t^T kappa+/-) evaluated exactly at the oracle's nodes.
+In full mode the paper's own coefficients are the independent route: A1 for
+k- (``a1-definition``) and the RK4 P, Q, R of its two branches for the gap
+form (``pqr-ode-cross-check``).
 
 The ``overrides`` mapping (from the config's ``[overrides]`` section) injects
-faulty constants into the closed-form side only, so a wrong value must trip the
-cross-checks; it exists to prove the suite can fail.
+faulty constants into the solution side only, so a wrong value must trip the
+cross-checks; it exists to prove the suite can fail.  ``a1`` replaces the
+full record's k- with -2 a1 T.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import conelq, filtering, fullinfo, partialinfo
-from .frontier import dual_value, efficient_frontier
+from .frontier import Solution, dual_value, efficient_frontier
 from .model import (INFO_FULL, ModelParams, riskless_terminal_wealth,
                     riskless_terminal_wealth_ode, validate)
 
@@ -46,10 +50,6 @@ def _rel_err(got, ref) -> float:
     got = np.asarray(got, dtype=float)
     ref = np.asarray(ref, dtype=float)
     return float(np.max(np.abs(got - ref) / np.maximum(1.0, np.abs(ref))))
-
-
-def _curve_rel_err(curve, fn) -> float:
-    return _rel_err(curve.values, fn(curve.grid))
 
 
 def cone_probe_check(rng: np.random.Generator, draws: int,
@@ -128,17 +128,18 @@ def _riccati_oracle_check(closed, oracle) -> CheckResult:
         f"closed form vs RK4 ({conelq._ORACLE_STEPS} steps), max rel err {err:.2e}")
 
 
-def _pqr_oracle_check(model: ModelParams,
-                      sol: fullinfo.FullInfoSolution) -> CheckResult:
-    """Closed-form P1 .. R2 against the backward RK4 oracle, at its nodes.
+def _pqr_oracle_check(model: ModelParams, sol: Solution) -> CheckResult:
+    """The gap form against the backward RK4 oracle of the paper's P, Q, R,
+    at its nodes: each branch 1/2 P_i x^2 + Q_i x + R_i must be the perfect
+    square 1/2 P+/-(x - x_c)^2, so (P_i, Q_i, R_i) = (P, -P x_c, 1/2 P x_c^2)
+    with P = P+ for the first branch and P- for the second.
 
     The oracle starts at 2000 steps and doubles them until the step-halving
     spread, this check's error of the coarser solve against the finer one
     at the coarser nodes, is at most 1e-7, a tenth of the tolerance, or the
     finer solve reaches ``_PQR_MAX_STEPS``.  The finer solve is compared with
-    the closed forms; the detail states its steps and the spread.
+    the gap form; the detail states its steps and the spread.
     """
-    closed = [sol.p1, sol.q1, sol.r1, sol.p2, sol.q2, sol.r2]
     steps = 2000
     fine = fullinfo.solve_pqr(model, sol.d, sol.gamma_star, steps)
     while True:
@@ -147,14 +148,18 @@ def _pqr_oracle_check(model: ModelParams,
         spread = max(_rel_err(c.values, f.values[::2]) for c, f in zip(coarse, fine))
         if spread <= 1e-7 or steps >= _PQR_MAX_STEPS:
             break
-    err = max(_curve_rel_err(c, fn) for c, fn in zip(fine, closed))
+    grid = fine[0].grid
+    xc = fullinfo.switching_x(grid, sol, model)
+    closed = [part for p in fullinfo.p_pair(grid, sol, model)
+              for part in (p, -p * xc, 0.5 * p * xc * xc)]
+    err = max(_rel_err(c.values, ref) for c, ref in zip(fine, closed))
     return CheckResult(
         "pqr-ode-cross-check", err <= 1e-6,
         f"max rel err {err:.2e}, RK4 {steps} steps, "
         f"step-halving spread {spread:.2e}")
 
 
-def _checks_common(model: ModelParams, rng: np.random.Generator):
+def _checks_common(model: ModelParams):
     results = []
 
     report = validate(model)
@@ -169,54 +174,42 @@ def _checks_common(model: ModelParams, rng: np.random.Generator):
         "riskless-wealth-ode", err <= 1e-9,
         f"closed {d_closed:.6f} vs ODE {d_ode:.6f}, rel err {err:.2e}"))
 
-    ok, gap, h_max = cone_probe_check(rng, draws=200, probes=50)
+    ok, gap, h_max = cone_probe_check(np.random.default_rng(20240), draws=200,
+                                      probes=50)
     results.append(CheckResult("cone-optimality", ok,
                                f"max optimality gap {gap:.2e}, max H* {h_max:.2e}"))
     return results
 
 
-def _checks_full(model: ModelParams, sol: fullinfo.FullInfoSolution,
-                 overrides: dict, rng: np.random.Generator) -> list[CheckResult]:
+def _checks_full(model: ModelParams, sol: Solution,
+                 overrides: dict) -> list[CheckResult]:
     results = []
+    T = model.objective.T
     if "a1" in overrides:  # an injected a1 reaches every check here
-        sol = dataclasses.replace(sol, a1=float(overrides["a1"]))
+        sol = dataclasses.replace(sol, kappa_minus=-2.0 * float(overrides["a1"]) * T)
 
-    a1_fresh = (-(model.drift.m0 - model.market.r.constant_value()) ** 2
-                / (2.0 * model.market.sigma.constant_value() ** 2)
-                - model.claim.a ** 2 * model.claim.eta ** 2
-                / (2.0 * model.claim.b ** 2))
-    err = abs(sol.a1 - a1_fresh)
+    a1_sol, a1_paper = -sol.kappa_minus / (2.0 * T), fullinfo._a1(model)
+    err = abs(a1_sol - a1_paper)
     results.append(CheckResult(
-        "a1-definition", err <= 1e-12 * max(1.0, abs(a1_fresh)),
-        f"solution A1 {sol.a1:.6g} vs definition {a1_fresh:.6g}"))
+        "a1-definition", err <= 1e-12 * max(1.0, abs(a1_paper)),
+        f"solution -k-/(2T) {a1_sol:.6g} vs A1 {a1_paper:.6g}"))
 
-    # Backward Riccati pair against the solution's exponential closed forms
-    # P1 and P2 (the constant-coefficient, positive-excess-return setting of
-    # full mode).
-    p_plus, p_minus = _riccati_oracle(model)
-    err_p = _curve_rel_err(p_plus, sol.p1)
-    results.append(CheckResult(
-        "riccati-plus-closed-form", err_p <= 1e-6, f"max rel err {err_p:.2e}"))
-    err_m = _curve_rel_err(p_minus, sol.p2)
-    results.append(CheckResult(
-        "riccati-minus-closed-form", err_m <= 1e-6, f"max rel err {err_m:.2e}"))
+    # Backward Riccati pair against the record's P+/- (the constant-
+    # coefficient, positive-excess-return setting of full mode).
+    oracle = _riccati_oracle(model)
+    closed = fullinfo.p_pair(oracle[0].grid, sol, model)
+    for name, rk4, p in zip(("plus", "minus"), oracle, closed):
+        err_p = _rel_err(rk4.values, p)
+        results.append(CheckResult(
+            f"riccati-{name}-closed-form", err_p <= 1e-6, f"max rel err {err_p:.2e}"))
 
     results.append(_pqr_oracle_check(model, sol))
-
-    r = model.market.r.constant_value()
-    T = model.objective.T
-    xs = rng.uniform(-2.0, 2.0, size=100) * max(1.0, abs(sol.switching_x(0.0)))
-    lhs = 0.5 * sol.p2(0.0) * xs ** 2 + sol.q2(0.0) * xs + sol.r2(0.0)
-    rhs = 0.5 * np.exp(2.0 * sol.a1 * T) * (np.exp(r * T) * xs + sol.g1(0.0)) ** 2
-    err_sq = _rel_err(lhs, rhs)
-    results.append(CheckResult(
-        "completion-of-square", err_sq <= 1e-9, f"max rel err {err_sq:.2e}"))
 
     # Interior PDE residual, normalized by the sum of its four terms'
     # magnitudes so the check is meaningful at any horizon and wealth scale.
     worst = 0.0
     for t in np.linspace(0.05 * T, 0.95 * T, 7):
-        xc = float(sol.switching_x(t))
+        xc = float(fullinfo.switching_x(t, sol, model))
         scale = max(1.0, abs(xc))
         for x in (xc + 0.5 * scale, xc + 2.0 * scale, xc - 0.5 * scale,
                   xc - 2.0 * scale):
@@ -226,11 +219,11 @@ def _checks_full(model: ModelParams, sol: fullinfo.FullInfoSolution,
         "hjb-interior-residual", worst <= 1e-6,
         f"max normalized residual {worst:.2e}"))
 
-    visc = fullinfo.viscosity_check(sol, curve_samples=50)
+    visc = fullinfo.viscosity_check(sol, model, curve_samples=50)
     results.append(CheckResult(
         "viscosity-switching-curve", visc.passed,
         "; ".join(visc.failures) if visc.failures else
-        f"gap {visc.max_branch_gap:.1e}, grad {visc.max_x_gradient:.1e}"))
+        f"max(P- - P+) {visc.max_p2_minus_p1:.2e}"))
     return results
 
 
@@ -265,19 +258,17 @@ def run_checks(model: ModelParams, compat: bool = False,
                overrides: dict | None = None) -> list[CheckResult]:
     """Run the full named-check suite for the given model; deterministic.
 
-    The randomized checks (cone probes, completion-of-square points) draw
-    from one generator with the fixed seed 20240.  ``dual-argmax`` and
-    ``frontier-vertex`` read the solution of either mode, never an injected
-    constant.
+    The randomized cone probes draw from a generator with the fixed seed
+    20240.  ``dual-argmax`` and ``frontier-vertex`` read the solution of
+    either mode, never an injected constant.
     """
-    rng = np.random.default_rng(20240)
-    global_results = _checks_common(model, rng)
+    global_results = _checks_common(model)
     if not global_results[0].passed:
         return global_results
     overrides = overrides or {}
     if model.info_mode == INFO_FULL:
         sol = fullinfo.compute_solution(model, compat=compat)
-        results_mode = _checks_full(model, sol, overrides, rng)
+        results_mode = _checks_full(model, sol, overrides)
     else:
         sol = partialinfo.solve_partial(model)
         results_mode = _checks_partial(model)

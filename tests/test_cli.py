@@ -38,7 +38,7 @@ def test_validate_paper44_passes(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "PASS" in out and "FAIL" not in out
-    assert "12/12 checks passed" in out
+    assert "11/11 checks passed" in out
 
 
 def test_validate_injected_wrong_a1_fails(tmp_path, capsys):
@@ -223,13 +223,52 @@ def test_value_surface_bytes(tmp_path):
     model, _ = load_config(PAPER44_CFG)
     sol = fullinfo.compute_solution(model)
     ts = np.linspace(0.0, model.objective.T, 6)
-    low = min(float(sol.switching_x(t)) for t in ts)
+    low = min(float(fullinfo.switching_x(t, sol, model)) for t in ts)
     xs = np.linspace(2.0 * low, -low, 7)
-    rows = [(t, x, v, sol.region(t, x).value)
-            for t in ts for x, v in zip(xs, fullinfo.value_function(t, xs, sol))]
+    rows = [(t, x, v, fullinfo.region(t, x, sol, model).value)
+            for t in ts for x, v in zip(xs, fullinfo.value_function(t, xs, sol, model))]
     assert {row[3] for row in rows} == {"above_curve", "below_curve", "on_curve"}
     assert (tmp_path / "value_surface.csv").read_text() == \
         reference_csv(["t", "x", "V", "region"], rows)
+
+
+def _negative_vertex_cfg(tmp_path, d):
+    """paper44 with eta = 0.5 and x0 = 1 (frontier vertex -213.39) and target d."""
+    cfg = tmp_path / "negative-vertex.cfg"
+    cfg.write_text(PAPER44_CFG.read_text().replace("\neta = 0.2\n", "\neta = 0.5\n")
+                   .replace("\nx0 = 50.0\n", "\nx0 = 1.0\n")
+                   .replace("\nd = 10000.0\n", f"\nd = {d}\n"))
+    return cfg
+
+
+def test_value_surface_default_range_spans_a_curve_above_zero(tmp_path):
+    # At d = -200 the switching curve lies at or above 0: the default x range
+    # still reaches either side of it.
+    cfg = _negative_vertex_cfg(tmp_path, -200.0)
+    assert main(["--config", str(cfg), "--out-dir", str(tmp_path),
+                 "value-surface", "--nt", "3", "--nx", "4"]) == 0
+    model, _ = load_config(cfg)
+    sol = fullinfo.compute_solution(model)
+    x_curve = fullinfo.switching_x(np.linspace(0.0, 100.0, 3), sol, model)
+    assert x_curve.min() >= 0.0 and x_curve.max() > 0.0
+    _, rows = read_csv(tmp_path / "value_surface.csv")
+    xs = sorted({float(r[1]) for r in rows})
+    spread = x_curve.max()
+    assert xs[0] == x_curve.min() - spread and xs[-1] == x_curve.max() + spread
+    assert {r[3] for r in rows} >= {"above_curve", "below_curve"}
+
+
+def test_frontier_default_range_above_a_negative_vertex(tmp_path):
+    # d = -213.39 sits 0.0026 above the vertex -213.3926; the default d-max is
+    # vertex + 0.5 |vertex|, not 1.5 vertex, which lies below a negative one.
+    cfg = _negative_vertex_cfg(tmp_path, -213.39)
+    assert main(["--config", str(cfg), "--out-dir", str(tmp_path),
+                 "frontier", "--mode", "full", "--points", "5"]) == 0
+    model, _ = load_config(cfg)
+    vertex = fullinfo.compute_solution(model).vertex
+    _, rows = read_csv(tmp_path / "frontier.csv")
+    assert float(rows[0][0]) == vertex
+    assert float(rows[-1][0]) == vertex + 0.5 * abs(vertex)
 
 
 def test_csv_names_first_non_finite_cell_in_row_order(tmp_path):

@@ -1,8 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mvreins.frontier import dual_value, efficient_frontier, gamma_star
-from mvreins.partialinfo import PartialSolution
+from mvreins.frontier import Solution, dual_value, efficient_frontier, gamma_star
 
 
 @settings(max_examples=500, deadline=None, derandomize=True)
@@ -13,9 +12,9 @@ def test_dual_peaks_at_gamma_star_with_the_frontier_variance(k_plus, k_minus,
     # gamma* maximizes the dual, and the maximum is the frontier's variance at
     # d (strong duality), for any exponents and a vertex of either sign.
     d = vertex + spread
-    sol = PartialSolution(kappa_plus=k_plus, kappa_minus=k_minus,
-                          gamma_star=gamma_star(vertex, d, k_minus), d=d,
-                          d0=vertex, approximation_mode="exact")
+    sol = Solution(kappa_plus=k_plus, kappa_minus=k_minus,
+                   gamma_star=gamma_star(vertex, d, k_minus), d=d, d0=vertex,
+                   vertex=vertex, approximation_mode="exact")
     peak = dual_value(sol, sol.gamma_star)
     delta = 1e-3 * max(1.0, abs(sol.gamma_star))
     assert peak >= dual_value(sol, sol.gamma_star - delta)

@@ -2,15 +2,18 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 from scipy import optimize
 
 import mvreins as mv
 from mvreins import fullinfo
 from mvreins.config import load_config
-from mvreins.frontier import InfeasibleTargetError, dual_value, efficient_frontier
+from mvreins.frontier import (MAX_EXPONENT, InfeasibleTargetError, dual_value,
+                              efficient_frontier)
 from mvreins.fullinfo import (NearCurveError, Region, compute_solution,
-                              full_feedback_strategy, hjb_residual, solve_pqr,
-                              value_function, viscosity_check)
+                              full_feedback_strategy, hjb_residual, p_pair,
+                              region, solve_pqr, switching_x, value_function,
+                              viscosity_check)
 from mvreins.odekernel import integrate_backward
 from mvreins.validation import _dual_argmax_check
 
@@ -23,11 +26,9 @@ def with_d(model, d):
         model, objective=dataclasses.replace(model.objective, d=d))
 
 
-def at_gamma(sol, model, gamma):
-    """``sol`` with the multiplier ``gamma`` in place of gamma*: the fields
-    that read it, gamma_star and f, replaced."""
-    return dataclasses.replace(sol, gamma_star=gamma,
-                               f=fullinfo._f(model, sol.d, gamma))
+def at_gamma(sol, gamma):
+    """``sol`` with the multiplier ``gamma`` in place of gamma*."""
+    return dataclasses.replace(sol, gamma_star=gamma)
 
 
 @pytest.fixture(scope="module")
@@ -40,75 +41,80 @@ def scaled_solution(scaled_noncheap_model):
     return compute_solution(scaled_noncheap_model)
 
 
-def test_a1_value(paper44_solution):
-    assert paper44_solution.a1 == pytest.approx(-0.0202, abs=1e-15)
+def test_a1_value(paper44_model, paper44_solution):
+    # the paper's A1, and the record's k+ = 0 and k- = -2 A1 T, bit for bit
+    a1 = fullinfo._a1(paper44_model)
+    assert a1 == pytest.approx(-0.0202, abs=1e-15)
+    assert paper44_solution.kappa_plus == 0.0
+    assert paper44_solution.kappa_minus == -2.0 * a1 * paper44_model.objective.T
 
 
-def test_g1_vanishes_at_horizon(paper44_model, paper44_solution):
+def test_switching_curve_vanishes_at_horizon(paper44_model, paper44_solution):
     for gamma in (-500.0, 0.0, 800.0):
-        sol = at_gamma(paper44_solution, paper44_model, gamma)
-        assert sol.g1(100.0) == 0.0
+        sol = at_gamma(paper44_solution, gamma)
+        assert switching_x(100.0, sol, paper44_model) == 0.0
 
 
-def test_g1_identically_zero_cheap_at_target(scaled_cheap_model):
+def test_switching_curve_identically_zero_cheap_at_target(scaled_cheap_model):
     # eta = theta and gamma = d make the affine drift term vanish
     model = with_d(scaled_cheap_model, 70.0)
-    sol = at_gamma(compute_solution(model), model, 70.0)
+    sol = at_gamma(compute_solution(model), 70.0)
     ts = np.linspace(0.0, 5.0, 7)
-    assert np.all(sol.g1(ts) == 0.0)
+    assert np.all(switching_x(ts, sol, model) == 0.0)
 
 
-def test_terminal_value_is_half_square(paper44_solution):
+def test_terminal_value_is_half_square(paper44_model, paper44_solution):
     for x in (-3.0, 0.0, 4.0):
-        assert value_function(100.0, x, paper44_solution) == 0.5 * x * x
+        value = value_function(100.0, x, paper44_solution, paper44_model)
+        assert value == 0.5 * x * x
 
 
-def test_value_zero_on_switching_curve(paper44_solution):
+def test_value_zero_on_switching_curve(paper44_model, paper44_solution):
     for t in np.linspace(0.0, 99.0, 8):
-        xc = float(paper44_solution.switching_x(t))
-        assert abs(value_function(t, xc, paper44_solution)) <= 1e-10
+        xc = float(switching_x(t, paper44_solution, paper44_model))
+        assert value_function(t, xc, paper44_solution, paper44_model) == 0.0
 
 
-def test_value_region1_exponential_anchor(scaled_cheap_model):
-    # g1 = 0 branch: V(0, 1) = e^{2 r T} / 2 at long horizon T = 100
+def test_value_region1_exponential_anchor():
+    # x_c = 0 branch: V(0, 1) = e^{2 r T} / 2 at long horizon T = 100
     model = make_model(theta=0.2, eta=0.2, T=100.0, d=10000.0)
-    sol = at_gamma(compute_solution(model), model, 10000.0)
-    assert value_function(0.0, 1.0, sol) == pytest.approx(0.5 * np.exp(8.0),
-                                                          rel=1e-12)
+    sol = at_gamma(compute_solution(model), 10000.0)
+    assert value_function(0.0, 1.0, sol, model) == pytest.approx(
+        0.5 * np.exp(8.0), rel=1e-12)
 
 
-def test_value_nonnegative(paper44_solution):
+def test_value_nonnegative(paper44_model, paper44_solution):
     rng = np.random.default_rng(0)
     for _ in range(300):
         t = rng.uniform(0.0, 100.0)
         x = rng.uniform(-30000.0, 30000.0)
-        assert value_function(t, x, paper44_solution) >= 0.0
+        assert value_function(t, x, paper44_solution, paper44_model) >= 0.0
 
 
-def test_region_classification(paper44_solution):
-    sol = paper44_solution
+def test_region_classification(paper44_model, paper44_solution):
+    sol, model = paper44_solution, paper44_model
     t = 40.0
-    xc = float(sol.switching_x(t))
-    assert sol.region(t, xc) is Region.ON_CURVE
-    assert sol.region(t, xc + 1.0) is Region.ABOVE_CURVE
-    assert sol.region(t, xc - 1.0) is Region.BELOW_CURVE
+    xc = float(switching_x(t, sol, model))
+    assert region(t, xc, sol, model) is Region.ON_CURVE
+    assert region(t, xc + 1.0, sol, model) is Region.ABOVE_CURVE
+    assert region(t, xc - 1.0, sol, model) is Region.BELOW_CURVE
 
 
 @pytest.mark.parametrize("t", [0.0, 40.0, 99.5, 100.0])
-def test_value_and_region_broadcast_over_x(paper44_solution, t):
-    sol = paper44_solution
-    xc = float(sol.switching_x(t))
+def test_value_and_region_broadcast_over_x(paper44_model, paper44_solution, t):
+    sol, model = paper44_solution, paper44_model
+    xc = float(switching_x(t, sol, model))
     xs = np.concatenate([np.linspace(-30000.0, 30000.0, 1001),
                          [xc, xc + 1e-9, xc - 1.0, xc + 1.0]])
-    values = value_function(t, xs, sol)
-    per_point = np.array([value_function(t, float(x), sol) for x in xs])
+    values = value_function(t, xs, sol, model)
+    per_point = np.array([value_function(t, float(x), sol, model) for x in xs])
     assert values.shape == xs.shape
     assert np.all(np.abs(values - per_point) <= np.spacing(per_point))
-    regions = sol.region(t, xs)
+    regions = region(t, xs, sol, model)
     assert regions.shape == xs.shape
-    assert all(got is sol.region(t, float(x)) for got, x in zip(regions, xs))
+    assert all(got is region(t, float(x), sol, model) for got, x in zip(regions, xs))
     assert regions[-4] is Region.ON_CURVE
-    assert type(value_function(t, xc - 1.0, sol)) is float
+    assert type(value_function(t, xc - 1.0, sol, model)) is float
 
 
 @pytest.mark.parametrize("compat", [False, True])
@@ -133,14 +139,15 @@ def test_dual_value_broadcasts_bitwise(compat, kw):
 
 def test_feedback_zero_above_curve(paper44_solution, paper44_model):
     sol = paper44_solution
-    x = float(sol.switching_x(20.0)) + sol.target_level + np.array([50.0, 5e3])
+    curve = float(switching_x(20.0, sol, paper44_model)) + sol.target_level
+    x = curve + np.array([50.0, 5e3])
     q, pi = full_feedback_strategy(sol, paper44_model)(20.0, x, 0.06)
     assert np.all(q == 0.0) and np.all(pi == 0.0)
 
 
 def test_feedback_zero_on_curve(paper44_solution, paper44_model):
     sol = paper44_solution
-    x = np.array([float(sol.switching_x(20.0)) + sol.target_level])
+    x = np.array([float(switching_x(20.0, sol, paper44_model)) + sol.target_level])
     q, pi = full_feedback_strategy(sol, paper44_model)(20.0, x, 0.06)
     assert (q[0], pi[0]) == (0.0, 0.0)
 
@@ -149,7 +156,7 @@ def test_feedback_below_curve_coefficients(paper44_solution, paper44_model):
     # distance 10 below the curve: q = 0.2*10, pi = 0.02*10
     sol = paper44_solution
     t = 20.0
-    x = float(sol.switching_x(t)) + sol.target_level - 10.0
+    x = float(switching_x(t, sol, paper44_model)) + sol.target_level - 10.0
     q, pi = full_feedback_strategy(sol, paper44_model)(t, np.array([x]), 0.06)
     assert q[0] == pytest.approx(2.0, rel=1e-9)
     assert pi[0] == pytest.approx(0.2, rel=1e-9)
@@ -165,14 +172,15 @@ def test_feedback_cone_everywhere(paper44_solution, paper44_model):
 
 @pytest.mark.parametrize("model_name", ["paper44_model", "scaled_noncheap_model"])
 def test_switching_curve_is_the_riskless_level(request, model_name):
-    # The curve in shifted wealth, -g1 e^{-r(T-t)}, read in actual wealth, is
-    # the riskless level S(t) of the target d - gamma*.
+    # The curve in shifted wealth, read in actual wealth, is the riskless
+    # level S(t) of the target d - gamma*.
     model = request.getfixturevalue(model_name)
     sol = compute_solution(model)
     target = sol.target_level
     for t in np.linspace(0.0, model.objective.T, 50):
         level = mv.riskless_level(model, t, target)
-        assert float(sol.switching_x(t)) + target == pytest.approx(level, rel=1e-12)
+        assert float(switching_x(t, sol, model)) + target == pytest.approx(
+            level, rel=1e-12)
 
 
 def test_gamma_star_zero_at_vertex(paper44_model, paper44_solution):
@@ -225,7 +233,7 @@ def test_frontier_with_tiny_premium_is_cancellation_free():
     # of 1: exp(-2 A1 T) - 1 rounds to 0, expm1 keeps every digit.
     model = make_model(a=1e-9, m0=0.040000001)
     sol = compute_solution(model)
-    growth = np.expm1(-2.0 * sol.a1 * model.objective.T)
+    growth = np.expm1(sol.kappa_minus)
     assert 0.0 < growth < 2e-16
     k = sol.vertex
     curve = efficient_frontier(sol, [k, 2.0 * k])
@@ -233,30 +241,30 @@ def test_frontier_with_tiny_premium_is_cancellation_free():
     check = _dual_argmax_check(lambda g: dual_value(sol, g), sol.gamma_star)
     assert check.passed, check.detail
     # V is of order 1e42 here: the on-curve checks scale with the branches.
-    report = viscosity_check(sol)
+    report = viscosity_check(sol, model)
     assert report.passed, report.failures
 
 
 def test_full_closed_forms_read_only_the_solution(paper44_solution):
-    # The frontier and the dual value read vertex, d0, a1, T and d from the
+    # The frontier and the dual value read vertex, d0, k- and d from the
     # solution: replacing one moves them as their formulas say, and the
-    # fields they do not read (gamma*, f) move nothing.
+    # field they do not read (gamma*) moves nothing.
     sol = paper44_solution
-    T, d = sol.T, sol.d
+    d = sol.d
 
     def frontier(s, ds):
-        return (np.asarray(ds) - s.vertex) ** 2 / np.expm1(-2.0 * s.a1 * T)
+        return (np.asarray(ds) - s.vertex) ** 2 / np.expm1(s.kappa_minus)
 
     def dual(s, g):
-        gap, e = s.vertex - d, np.exp(2.0 * s.a1 * T)
-        below = np.expm1(2.0 * s.a1 * T) * g * g + 2.0 * e * gap * g + e * gap * gap
+        gap, e = s.vertex - d, np.exp(-s.kappa_minus)
+        below = np.expm1(-s.kappa_minus) * g * g + 2.0 * e * gap * g + e * gap * gap
         return np.where(s.d0 - (d - g) < 0, below, gap * gap + 2.0 * gap * g)
 
     gammas = np.linspace(-3000.0, 8000.0, 111)
     switch = d - sol.d0
     between = np.linspace(switch + 10.0, switch + 490.0, 25)
     for change in ({}, {"vertex": sol.vertex + 100.0}, {"d0": sol.d0 - 500.0},
-                   {"a1": 2.0 * sol.a1}, {"gamma_star": 5.0, "f": -1.0}):
+                   {"kappa_minus": 2.0 * sol.kappa_minus}, {"gamma_star": 5.0}):
         moved = dataclasses.replace(sol, **change)
         ds = moved.vertex + np.array([0.0, 10.0, 1000.0, 7000.0])
         np.testing.assert_allclose(efficient_frontier(moved, ds).variance,
@@ -280,12 +288,19 @@ def test_frontier_infeasible_target(paper44_solution):
         efficient_frontier(paper44_solution, [1000.0])
 
 
+def gap_form_pqr(t, sol, model):
+    """(P, Q, R) of both branches from the gap form: each branch
+    1/2 P x^2 + Q x + R is 1/2 P+/-(x - x_c)^2."""
+    xc = switching_x(t, sol, model)
+    return [part for p in p_pair(t, sol, model)
+            for part in (p, -p * xc, 0.5 * p * xc * xc)]
+
+
 def test_pqr_ode_matches_closed_forms(paper44_solution, paper44_model):
+    # each RK4 branch is a perfect square that vanishes on the curve
     sol = paper44_solution
-    closed = [sol.p1, sol.q1, sol.r1, sol.p2, sol.q2, sol.r2]
     curves = solve_pqr(paper44_model, sol.d, sol.gamma_star)
-    for curve, fn in zip(curves, closed):
-        ref = fn(curve.grid)
+    for curve, ref in zip(curves, gap_form_pqr(curves[0].grid, sol, paper44_model)):
         err = np.max(np.abs(curve.values - ref) / np.maximum(1.0, np.abs(ref)))
         assert err <= 1e-6
 
@@ -330,7 +345,7 @@ def test_pqr_curves_share_one_ascending_grid(paper44_solution, paper44_model):
     curves = solve_pqr(paper44_model, sol.d, sol.gamma_star, 3000)
     assert len(curves) == 6
     grid = curves[0].grid
-    assert grid[0] == 0.0 and grid[-1] == sol.T and len(grid) == 3001
+    assert grid[0] == 0.0 and grid[-1] == 100.0 and len(grid) == 3001
     assert np.all(np.diff(grid) > 0)
     for curve in curves:
         assert np.array_equal(curve.grid, grid)
@@ -339,14 +354,16 @@ def test_pqr_curves_share_one_ascending_grid(paper44_solution, paper44_model):
     assert [float(c.values[-1]) for c in curves] == [1.0, 0.0, 0.0] * 2
 
 
-def test_completion_of_square_identity(paper44_solution):
-    sol = paper44_solution
+def test_completion_of_square_identity(paper44_solution, paper44_model):
+    # below the curve the gap form at t = 0 is the paper's completed square
+    # 1/2 e^{2 A1 T} (e^{rT} x + g1(0))^2
+    sol, model = paper44_solution, paper44_model
     rng = np.random.default_rng(21)
-    xs = rng.uniform(-3e4, 3e4, size=100)
-    lhs = 0.5 * sol.p2(0.0) * xs ** 2 + sol.q2(0.0) * xs + sol.r2(0.0)
-    rhs = 0.5 * np.exp(2 * sol.a1 * sol.T) * \
-        (np.exp(sol.r * sol.T) * xs + sol.g1(0.0)) ** 2
-    np.testing.assert_allclose(lhs, rhs, rtol=1e-9)
+    xs = switching_x(0.0, sol, model) - rng.uniform(0.0, 3e4, size=100)
+    a1, r, T = fullinfo._a1(model), 0.04, 100.0
+    g1 = fullinfo._f(model, sol.d, sol.gamma_star) * np.expm1(r * T) / r
+    paper = 0.5 * np.exp(2.0 * a1 * T) * (np.exp(r * T) * xs + g1) ** 2
+    np.testing.assert_allclose(value_function(0.0, xs, sol, model), paper, rtol=1e-9)
 
 
 def test_hjb_residual_interior(scaled_solution, scaled_noncheap_model):
@@ -354,7 +371,7 @@ def test_hjb_residual_interior(scaled_solution, scaled_noncheap_model):
     rng = np.random.default_rng(4)
     for _ in range(50):
         t = rng.uniform(0.2, 4.8)
-        xc = float(sol.switching_x(t))
+        xc = float(switching_x(t, sol, scaled_noncheap_model))
         offset = rng.uniform(1.0, 60.0) * rng.choice([-1.0, 1.0])
         res, _ = hjb_residual(t, xc + offset, sol, scaled_noncheap_model)
         assert abs(res) <= 1e-4
@@ -364,41 +381,41 @@ def test_hjb_residual_near_curve_rejected(scaled_solution,
                                           scaled_noncheap_model):
     sol = scaled_solution
     t = 2.0
-    xc = float(sol.switching_x(t))
+    xc = float(switching_x(t, sol, scaled_noncheap_model))
     with pytest.raises(NearCurveError):
         hjb_residual(t, xc + 1e-6, sol, scaled_noncheap_model)
     with pytest.raises(NearCurveError):
         hjb_residual(1e-9, xc + 30.0, sol, scaled_noncheap_model)
 
 
-def test_viscosity_checks_scaled(scaled_solution):
-    report = viscosity_check(scaled_solution, curve_samples=100)
+def test_viscosity_checks_scaled(scaled_solution, scaled_noncheap_model):
+    report = viscosity_check(scaled_solution, scaled_noncheap_model,
+                             curve_samples=100)
     assert report.passed, report.failures
-    assert report.max_branch_gap <= 1e-10
-    assert report.max_x_gradient <= 1e-6
     assert report.max_p2_minus_p1 <= 0.0
 
 
-def test_viscosity_checks_long_horizon(paper44_solution):
-    report = viscosity_check(paper44_solution, curve_samples=100)
+def test_viscosity_checks_long_horizon(paper44_solution, paper44_model):
+    report = viscosity_check(paper44_solution, paper44_model, curve_samples=100)
     assert report.passed, report.failures
 
 
-def test_viscosity_check_catches_shifted_branch(monkeypatch, paper44_solution):
-    # Moving the lower branch's switching curve by 1e-6 relative must fail the
-    # scale-relative thresholds on a moderate and on a huge value function.
-    sols = (paper44_solution,
-            compute_solution(make_model(a=1e-9, m0=0.040000001)))
-    assert all(viscosity_check(sol).passed for sol in sols)
-    below = fullinfo._branch_below
-    monkeypatch.setattr(fullinfo, "_branch_below", lambda sol, t, x: below(
-        sol, t, x + 1e-6 * abs(sol.switching_x(t))))
-    assert not any(viscosity_check(sol).passed for sol in sols)
+def test_viscosity_check_catches_inverted_curvature(paper44_model, paper44_solution):
+    # k- below k+ = 0 puts P- above P+: the curvature would rise across the
+    # curve, on a moderate and on a huge value function.
+    tiny = make_model(a=1e-9, m0=0.040000001)
+    cases = ((paper44_solution, paper44_model), (compute_solution(tiny), tiny))
+    assert all(viscosity_check(sol, model).passed for sol, model in cases)
+    for sol, model in cases:
+        inverted = dataclasses.replace(sol, kappa_minus=-1e-9)
+        report = viscosity_check(inverted, model)
+        assert not report.passed and report.max_p2_minus_p1 > 0.0
 
 
-def test_p2_below_p1(paper44_solution):
-    ts = np.linspace(0.0, 100.0, 101)
-    assert np.all(paper44_solution.p2(ts) <= paper44_solution.p1(ts) + 1e-12)
+def test_p2_below_p1(paper44_model, paper44_solution):
+    p_plus, p_minus = p_pair(np.linspace(0.0, 100.0, 101), paper44_solution,
+                             paper44_model)
+    assert np.all(p_minus <= p_plus + 1e-12)
 
 
 def test_vectorized_strategy_matches_feedback(scaled_solution,
@@ -411,7 +428,7 @@ def test_vectorized_strategy_matches_feedback(scaled_solution,
     for t in (0.0, 2.5, 4.99):
         wealth = rng.uniform(-50.0, 400.0, size=64)
         qs, pis = strategy(t, wealth, 0.06)
-        curve = float(sol.switching_x(t)) + sol.target_level
+        curve = float(switching_x(t, sol, model)) + sol.target_level
         for w, q, pi in zip(wealth, qs, pis):
             q_ref, pi_ref = cone_feedback(model, t, w - curve, 0.06)
             assert q == pytest.approx(q_ref, rel=1e-9, abs=1e-12)
@@ -427,3 +444,58 @@ def test_compat_flag_stored(paper44_model):
 def test_compute_solution_requires_full_mode(partial_exact_model):
     with pytest.raises(ValueError):
         compute_solution(partial_exact_model)
+
+
+def _log_uniform(lo, hi):
+    return st.floats(np.log10(lo), np.log10(hi)).map(lambda e: 10.0 ** e)
+
+
+@st.composite
+def full_models(draw):
+    """Valid constant-coefficient full models, theta != eta allowed, with d
+    above the frontier vertex; models past the frontier exponent limit are
+    skipped."""
+    r = draw(_log_uniform(1e-10, 0.2))
+    params = dict(r=r, m0=r + draw(_log_uniform(1e-9, 10.0)),
+                  a=draw(_log_uniform(1e-9, 10.0)), T=draw(_log_uniform(1e-3, 100.0)),
+                  sigma=draw(st.floats(0.05, 5.0)), b=draw(st.floats(0.05, 5.0)),
+                  theta=draw(st.floats(0.01, 2.0)), eta=draw(st.floats(0.01, 2.0)),
+                  x0=draw(_log_uniform(1e-3, 1e3)))
+    model = make_model(**params)
+    assume(-2.0 * fullinfo._a1(model) * params["T"] < 0.999 * MAX_EXPONENT)
+    d0 = mv.riskless_terminal_wealth(model)
+    return with_d(model, d0 + draw(st.floats(1e-3, 10.0)) * max(1.0, abs(d0)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(model=full_models(), t_frac=st.floats(0.0, 1.0),
+       offsets=st.lists(st.floats(-5.0, 5.0), min_size=1, max_size=8))
+def test_gap_form_is_the_paper_solution(model, t_frac, offsets):
+    c, ob = model.claim, model.objective
+    r, sigma = model.market.r.constant_value(), model.market.sigma.constant_value()
+    T = ob.T
+    sol = compute_solution(model)
+
+    # k+ = 0 and k- = -2 A1 T, the paper's A1
+    a1 = -((model.drift.m0 - r) / sigma) ** 2 / 2.0 - (c.a * c.eta / c.b) ** 2 / 2.0
+    assert sol.kappa_plus == 0.0
+    assert sol.kappa_minus == pytest.approx(-2.0 * a1 * T, rel=1e-12, abs=0.0)
+
+    # V against the paper's two branches, to 1e-10 of 1/2 P+/- (|x| + |x_c|)^2
+    t = t_frac * T
+    tau = T - t
+    xc = float(switching_x(t, sol, model))
+    x = xc + np.array(offsets) * max(1.0, abs(xc))
+    f = c.a * (c.theta - c.eta) + (sol.d - sol.gamma_star) * r
+    g1 = f * np.expm1(r * tau) / r
+    above = x >= xc
+    paper = 0.5 * np.where(above, np.exp(r * tau) * x + g1,
+                           np.exp((a1 + r) * tau) * x + np.exp(a1 * tau) * g1) ** 2
+    p_plus, p_minus = p_pair(t, sol, model)
+    scale = 0.5 * np.where(above, p_plus, p_minus) * (np.abs(x) + abs(xc)) ** 2
+    assert np.all(np.abs(value_function(t, x, sol, model) - paper) <= 1e-10 * scale)
+
+    # the partial twin draws the same gamma* and frontier
+    twin = mv.solve_partial(dataclasses.replace(model, info_mode="partial"))
+    assert twin.gamma_star == sol.gamma_star
+    assert twin.frontier_coefficient == sol.frontier_coefficient

@@ -311,12 +311,10 @@ def test_degenerate_denominator_raises(exact_solution):
 
 
 def test_underflowed_frontier_coefficient_is_refused(exact_solution, paper44_model):
-    # An exponent of 800 would underflow e^{-k} to a flat frontier: both modes
-    # refuse it, the full one through the a1 that gives -2 a1 T = 800.
+    # An exponent of 800 would underflow e^{-k} to a flat frontier: the
+    # record of either mode refuses it.
     partial = dataclasses.replace(exact_solution, kappa_minus=800.0)
-    full = mv.compute_solution(paper44_model)
-    full = dataclasses.replace(full, a1=-400.0 / full.T)
-    assert full.kappa_minus == 800.0
+    full = dataclasses.replace(mv.compute_solution(paper44_model), kappa_minus=800.0)
     for sol in (partial, full):
         with pytest.raises(FrontierUnderflowError, match="frontier exponent 800"):
             sol.frontier_coefficient
@@ -329,11 +327,11 @@ def test_underflowed_frontier_coefficient_is_refused(exact_solution, paper44_mod
 
 
 def test_closed_forms_read_only_the_solution(exact_solution, partial_exact_model):
-    # Replaced k+/- and d0 move every closed form as their formulas say; the
+    # Replaced k+/-, d0 and the vertex move every closed form as their formulas say; the
     # model supplies only the target d.
     k_plus, k_minus, d0 = 0.3, 1.2, 40.0
     sol = dataclasses.replace(exact_solution, kappa_plus=k_plus,
-                              kappa_minus=k_minus, d0=d0)
+                              kappa_minus=k_minus, d0=d0, vertex=d0)
     d = partial_exact_model.objective.d
     coef = 1.0 / np.expm1(k_minus)
     assert sol.frontier_coefficient == pytest.approx(coef, rel=1e-14)
@@ -374,7 +372,7 @@ def test_drift_next_to_rate_keeps_kappa_integral():
     kw = dict(a=1e-9, theta=0.2, eta=0.2, m0=0.04 + 1e-9)
     sol = solve_partial(make_model(info_mode="partial", **kw))
     full = make_model(**kw)
-    minus_two_a1_t = -2.0 * mv.compute_solution(full).a1 * full.objective.T
+    minus_two_a1_t = -2.0 * mv.fullinfo._a1(full) * full.objective.T
     assert sol.kappa_minus == pytest.approx(minus_two_a1_t, rel=1e-12)
     assert sol.frontier_coefficient == pytest.approx(
         1.0 / np.expm1(minus_two_a1_t), rel=1e-12)

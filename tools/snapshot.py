@@ -19,7 +19,10 @@ plus a ``--store-paths`` run.  ``validate`` on paper44, full ``frontier``,
 with the compat constant (``--compat-paper-formulas``); so do partial
 ``frontier``, ``validate`` and a short ``simulate``, and a short ``filter``,
 where the flag has no solver to act on.  Partial ``frontier`` also runs on a
-twin whose target mean lies below the frontier vertex.
+twin whose target mean lies below the frontier vertex.  ``value-surface`` and
+full ``frontier`` also run with their default ranges on two twins with a
+negative frontier vertex: one whose switching curve lies at or above 0, and
+one whose target mean sits just above the vertex.
 Two checkouts whose snapshots ``diff -r`` finds equal produce the same bytes
 on all of them.
 """
@@ -43,7 +46,9 @@ PARTIAL = REPO / "bench" / "configs" / "partial.cfg"
 # x0 = 1 put the full frontier's vertex at -213.39.  The tiny-rate one sets
 # r = 1e-10 (d = 200), the short-horizon one T = 0.01 (d = 60).  The low-d
 # one sets d = 2000, below the full frontier's vertex 2863.90; its partial
-# twin (theta = eta = 0.2) puts d below the vertex 2729.91.
+# twin (theta = eta = 0.2) puts d below the vertex 2729.91.  The two
+# negative-vertex twins at d = -200 (switching curve at or above 0) and
+# d = -213.39 (0.0026 above the vertex) exercise the default x and d ranges.
 TINY = {"a": "1e-9", "m0": "0.040000001"}
 DERIVED = {
     "a1-injected.cfg": ({}, "\n[overrides]\na1 = -0.5\n"),
@@ -54,6 +59,8 @@ DERIVED = {
     "short-horizon-full.cfg": ({"T": "0.01", "d": "60.0"}, ""),
     "low-d-full.cfg": ({"d": "2000.0"}, ""),
     "low-d-partial.cfg": ({"theta": "0.2", "d": "2000.0"}, ""),
+    "curve-above-zero-full.cfg": ({"eta": "0.5", "x0": "1.0", "d": "-200.0"}, ""),
+    "near-vertex-full.cfg": ({"eta": "0.5", "x0": "1.0", "d": "-213.39"}, ""),
 }
 COMPAT = ("--compat-paper-formulas",)
 
@@ -85,6 +92,12 @@ OPS = [
     ("validate-partial-compat", PARTIAL, COMPAT + ("validate",)),
     ("value-surface", PAPER44, ("value-surface",)),
     ("value-surface-compat", PAPER44, COMPAT + ("value-surface",)),
+    ("value-surface-curve-above-zero", "curve-above-zero-full.cfg", ("value-surface",)),
+    ("value-surface-near-vertex", "near-vertex-full.cfg", ("value-surface",)),
+    ("frontier-full-curve-above-zero", "curve-above-zero-full.cfg",
+     ("frontier", "--mode", "full")),
+    ("frontier-full-near-vertex", "near-vertex-full.cfg",
+     ("frontier", "--mode", "full")),
     ("dual-curve-compat", PAPER44, COMPAT + ("dual-curve",)),
     ("dual-curve", PAPER44, ("dual-curve",)),
     ("filter", PARTIAL, ("filter", "--steps", "2000", "--seed", "5")),
