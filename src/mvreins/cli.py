@@ -205,7 +205,7 @@ def _cmd_filter(args, model, out_dir: Path) -> int:
     m_vals = np.empty(steps + 1)
     m_vals[0] = dr.m0
     for k in range(steps):
-        m_vals[k + 1] = coef.advance(k, m_vals[k], incr[k], dt)
+        m_vals[k + 1] = coef.advance(k, m_vals[k], incr[k])
     _write_csv(out_dir / "filter.csv", ["t", "m", "n"],
                [grid, m_vals, n_curve(grid)])
     print(f"wrote {out_dir / 'filter.csv'}")

@@ -21,6 +21,9 @@ class CurveRangeError(ValueError):
 
 # Relative slack at domain edges; absorbs roundoff from accumulated time grids.
 _EDGE_TOL = 1e-9
+# np.sum adds fewer than 8 terms in one left-to-right loop and splits longer
+# sums pairwise; the float integral repeats the loop for up to 7 pieces.
+_SUM_LOOP_TERMS = 7
 
 
 def _as_float_array(x) -> np.ndarray:
@@ -84,10 +87,17 @@ class PiecewiseConstantCurve:
         """Exact integral of the step function over [t0, t1]."""
         if t1 < t0:
             return -self.integral(t1, t0)
-        if (isinstance(t0, float) and isinstance(t1, float)
-                and bisect_left(self._times, t1) <= bisect_right(self._times, t0)):
-            # no breakpoint inside: the sum below of one piece, bit for bit
-            return 0.0 + self(t0) * (t1 - t0)
+        if isinstance(t0, float) and isinstance(t1, float):
+            # breakpoints lo..hi-1 lie strictly inside (t0, t1): hi - lo + 1 pieces
+            lo, hi = bisect_right(self._times, t0), bisect_left(self._times, t1)
+            if hi - lo + 1 <= _SUM_LOOP_TERMS:
+                # np.sum below adds these few pieces left to right from 0.0:
+                # the same sum, bit for bit, without the arrays
+                total, left, value = 0.0, t0, self(t0)
+                for i in range(lo, hi):
+                    total += value * (self._times[i] - left)
+                    left, value = self._times[i], self._values[i]
+                return total + value * (t1 - left)
         edges, (values,) = segments(t0, t1, self)
         return float(np.sum(values * np.diff(edges)))
 

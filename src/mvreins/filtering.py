@@ -17,7 +17,8 @@ observation filtration:
 left-endpoint coefficients on t_k = k dt, never on a clock of repeated
 t + dt additions, so a step that starts on a breakpoint uses the new
 segment's values, and :meth:`FilterCoefficients.advance` is the one Euler
-step of the mean.  :func:`run_filter` forms the innovations from observed
+step of the mean, m (1 + h dt) + (l + n/sigma) dWbar with 1 + h dt taken
+from a per-step table.  :func:`run_filter` forms the innovations from observed
 returns for a whole block of paths at once, one row per path; the Monte
 Carlo engine forms them inside its path loop (physical dynamics) or draws
 them (innovation dynamics), and the CLI's ``filter`` draws one path.
@@ -78,7 +79,9 @@ class FilterCoefficients:
     """Left-endpoint coefficients of the Euler filter on t_k = k dt, k < n_steps.
 
     ``vol = l + n/sigma`` is the volatility of the filter mean under the
-    innovation dynamics.
+    innovation dynamics, and ``growth = 1 + h dt`` the factor by which one
+    Euler step scales a mean (the filter's m, or the hidden drift) before its
+    noise is added.
     """
 
     t: np.ndarray
@@ -87,20 +90,19 @@ class FilterCoefficients:
     z: np.ndarray
     sigma: np.ndarray
     vol: np.ndarray
+    growth: np.ndarray
 
-    def advance(self, k: int, m, innovation, dt: float, scratch=None):
-        """Euler step k of the filter mean, m + h m dt + vol dWbar, given the
+    def advance(self, k: int, m, innovation, scratch=None):
+        """Euler step k of the filter mean, m (1 + h dt) + vol dWbar, given the
         innovation increment dWbar: in place for an array m, and returned so
         that a float m works too.  An array m takes a ``scratch`` array of its
-        shape for the two terms, so the step allocates nothing."""
+        shape for the noise term, so the step allocates nothing."""
         if scratch is None:
-            m += self.h[k] * m * dt
+            m *= self.growth[k]
             m += self.vol[k] * innovation
             return m
-        np.multiply(m, self.h[k], out=scratch)
-        scratch *= dt
-        m += scratch
         np.multiply(innovation, self.vol[k], out=scratch)
+        m *= self.growth[k]
         m += scratch
         return m
 
@@ -109,9 +111,9 @@ def filter_coefficients(drift: DriftParams, sigma, variance: SampledCurve,
                         n_steps: int, dt: float) -> FilterCoefficients:
     """Per-step filter coefficients from a given conditional-variance curve."""
     t = dt * np.arange(n_steps)
-    sig, l = as_curve(sigma)(t), drift.l(t)
-    return FilterCoefficients(t=t, h=drift.h(t), l=l, z=drift.z(t), sigma=sig,
-                              vol=l + variance(t) / sig)
+    sig, l, h = as_curve(sigma)(t), drift.l(t), drift.h(t)
+    return FilterCoefficients(t=t, h=h, l=l, z=drift.z(t), sigma=sig,
+                              vol=l + variance(t) / sig, growth=1.0 + h * dt)
 
 
 def run_filter(observed_returns, drift: DriftParams, sigma,
@@ -142,7 +144,7 @@ def run_filter(observed_returns, drift: DriftParams, sigma,
     scratch = np.empty_like(m)
     for k in range(n_steps):
         innovations[..., k] = (obs[..., k] - m * dt) / coef.sigma[k]
-        means[..., k + 1] = coef.advance(k, m, innovations[..., k], dt, scratch)
+        means[..., k + 1] = coef.advance(k, m, innovations[..., k], scratch)
     return FilterPath(times, means, variance(times), innovations)
 
 

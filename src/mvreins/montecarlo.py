@@ -14,8 +14,7 @@ public function called picks its drivers:
 
 Wealth and price read the hidden mu or the filtered m as drift.  The filter
 mean moves by ``filtering.FilterCoefficients.advance``, driven by the
-innovation (obs - m dt)/sigma formed from the observed return (physical) or by
-dW1 (innovation).
+innovation of the observed return (physical) or by dW1 (innovation).
 
 Paths are partitioned into fixed-size blocks; block b draws from substream b
 of the configured seed and results are reduced in block order, so output is
@@ -23,23 +22,42 @@ bitwise identical for any worker count.  Euler-Maruyama stepping throughout:
 the dynamics are linear in the state, so higher-order schemes buy nothing at
 the tested tolerances.
 
-Each block keeps its state arrays and updates them in place, adding the terms
-in the same order as the plain expressions, so results do not depend on the
-update style.  Every temporary of a step (wealth and price terms, the
-innovation, the filter and hidden-drift increments) goes into buffers the
-block allocates once, so a step allocates only its normals and the
-strategy's outputs.  The arrays handed to a strategy are therefore valid only
-during the call: read them, or return views of them, but copy what must
-outlive it.  Worker threads call one strategy at the same time, so a
-strategy allocates its outputs on every call and keeps nothing between calls
-but pure functions of t (a per-t table of coefficients).
+Every constant factor of a step is folded once per call into per-step
+tables that all blocks read: 1 + r dt, sigma sqrt(dt), dt/sigma, l sqrt(dt),
+z sqrt(dt) and the filter's 1 + h dt, next to the scalars a(theta-eta) dt,
+a eta dt, b sqrt(dt) and b^2 dt.  The normals Z are used unscaled and the
+step reads
+
+    X  <- X (1 + r dt) + a(theta-eta) dt
+          + q (a eta dt + b sqrt(dt) Z0) + pi ((drift - r) dt + sigma sqrt(dt) Z1)
+    m  <- m (1 + h dt) + (l + n/sigma) dWbar,  dWbar = (mu - m) dt/sigma + sqrt(dt) Z1
+    mu <- mu (1 + h dt) + l sqrt(dt) Z1 + z sqrt(dt) Z2
+
+with dWbar the observed return's (obs - m dt)/sigma expanded, or sqrt(dt) Z1
+under the innovation dynamics.  The factor of pi is also the step of the log
+price less (r - sigma^2/2) dt, whose sum over the steps is added once; the
+sums of q^2 and pi^2 are scaled by dt once, at the end of the block.  Any
+Euler form with the same increments is the same scheme (Glasserman 2003,
+sec. 6.1): this one differs from the textbook dX = [...] dt + sqrt(dt) Z
+form only by rounding.
+
+Each block keeps its state arrays and updates them in place.  Every
+temporary of a step goes into three buffers the block allocates once, so a
+step allocates only its normals and the strategy's outputs.  The arrays
+handed to a strategy are therefore valid only during the call: read them,
+or return views of them, but copy what must outlive it.  Worker threads
+call one strategy at the same time, so a strategy allocates its outputs on
+every call and keeps nothing between calls but pure functions of t (a
+per-t table of coefficients).
+
 Under a degenerate drift with h = 0 (every full-information model) the
 filter's vol, h and l vanish and mu = m = m0 at every step, so those updates
 are skipped and the float m0 is both the wealth drift and the m handed to
 the strategy.  The strategy is then a feedback in (t, X) alone, so given X
 the step's noise b q dW0 + sigma pi dW1 is exactly
 N(0, (b^2 q^2 + sigma^2 pi^2) dt): wealth is driven by one normal
-per path-step, which leaves the law of the Euler chain and of its integrals
+per path-step, sqrt(b^2 dt q^2 + sigma^2 dt pi^2) Z in place of the two
+noise terms above, which leaves the law of the Euler chain and of its integrals
 of q^2 and pi^2 unchanged (a weak scheme needs only the law of the increment;
 Glasserman 2003, sec. 6.1).  The price, coupled to wealth only through W1 and
 read by nothing there, is not simulated: ``terminal_price`` is None.
@@ -197,15 +215,15 @@ def _alloc_trajectories(cfg: SimConfig, n_steps: int):
 def _simulate(model: ModelParams, strategy, cfg: SimConfig, workers: int,
               physical: bool) -> PathEnsemble:
     """Euler block loop under the physical or the innovation dynamics; the
-    variance curve is shared by all paths.  Innovation paths use the filter
-    mean m as drift and drive it by dW1.
+    variance curve and the per-step tables are shared by all paths.
+    Innovation paths use the filter mean m as drift and drive it by dW1.
     """
     c, dr, ob = model.claim, model.drift, model.objective
     n_steps, dt = cfg.resolve_steps(ob.T)
     sdt = np.sqrt(dt)
     n_curve = solve_variance(dr, model.market.sigma, ob.T, steps=max(n_steps, 1000))
     coef = filter_coefficients(dr, model.market.sigma, n_curve, n_steps, dt)
-    r = model.market.r(coef.t)
+    r, sig = model.market.r(coef.t), coef.sigma
     # Under a degenerate drift with h = 0 the vol, h and l are all zero, so
     # mu and m stay exactly m0: their updates are skipped, the float m0 is
     # the drift and the strategy's m, wealth takes one normal per step and
@@ -213,9 +231,14 @@ def _simulate(model: ModelParams, strategy, cfg: SimConfig, workers: int,
     dead = dr.is_degenerate() and not coef.h.any()
     drift_noise = physical and not dr.is_degenerate()
     n_normals = 3 if drift_noise else 2
-    drift_const = c.a * c.theta - c.a * c.eta
-    a_eta = c.a * c.eta
-    b2 = c.b * c.b
+    # every constant factor of a step, folded once and read by all blocks
+    growth = 1.0 + r * dt
+    sig_sdt, sig2_dt, dt_sig = sig * sdt, sig * sig * dt, dt / sig
+    l_sdt, z_sdt = coef.l * sdt, coef.z * sdt
+    surplus_dt = (c.a * c.theta - c.a * c.eta) * dt
+    a_eta_dt, b_sdt, b2_dt = c.a * c.eta * dt, c.b * sdt, c.b * c.b * dt
+    # the price's deterministic log drift sum (r - sigma^2/2) dt, added once
+    log_shift = float(np.sum((r - 0.5 * sig * sig) * dt))
 
     X_out = np.empty(cfg.n_paths)
     price_out = None if dead else np.empty(cfg.n_paths)
@@ -236,92 +259,85 @@ def _simulate(model: ModelParams, strategy, cfg: SimConfig, workers: int,
             mu = np.full(nb, dr.m0)
             if dr.n0 > 0:
                 mu += np.sqrt(dr.n0) * rng.standard_normal(nb)
-        int_q2 = np.zeros(nb)
+        int_q2 = np.zeros(nb)          # sums of q^2 and pi^2; times dt at the end
         int_pi2 = np.zeros(nb)
         incr, noise, tmp = np.empty(nb), np.empty(nb), np.empty(nb)
         if not dead:
             log_s = np.zeros(nb)
-            excess, log_drift, innov = np.empty(nb), np.empty(nb), np.empty(nb)
         if traj is not None:
             traj[lo:hi, 0] = X
         # overflow on a diverging path propagates to its terminal flag
         with np.errstate(over="ignore", invalid="ignore"):
             for k in range(n_steps):
-                r_k, sig_k = r[k], coef.sigma[k]
                 q, pi = strategy(k * dt, X, m)
                 # every term that reads q or pi is formed before the state
                 # changes, so q and pi may be views of X or m
                 np.multiply(q, q, out=tmp)
-                tmp *= dt
                 int_q2 += tmp
-                if dead:
-                    np.multiply(tmp, b2, out=noise)
-                np.multiply(pi, pi, out=tmp)
-                tmp *= dt
-                int_pi2 += tmp
                 if dead:
                     # given X, b q dW0 + sigma pi dW1 is exactly
                     # N(0, (b^2 q^2 + sigma^2 pi^2) dt): one normal suffices
-                    tmp *= sig_k * sig_k
+                    np.multiply(tmp, b2_dt, out=noise)
+                np.multiply(pi, pi, out=tmp)
+                int_pi2 += tmp
+                if dead:
+                    tmp *= sig2_dt[k]
                     noise += tmp
                     np.sqrt(noise, out=noise)
                     noise *= rng.standard_normal(nb)
-                    excess = dr.m0 - r_k
+                    # incr = a eta dt q + (m0 - r) dt pi + noise
+                    np.multiply(q, a_eta_dt, out=incr)
+                    np.multiply(pi, (dr.m0 - r[k]) * dt, out=tmp)
+                    incr += tmp
+                    incr += noise
                 else:
-                    dW = rng.standard_normal((n_normals, nb))
-                    dW *= sdt
-                    dW0, dW1 = dW[0], dW[1]
+                    Z = rng.standard_normal((n_normals, nb))
+                    Z0, Z1 = Z[0], Z[1]
                     drift = mu if physical else m
-                    np.subtract(drift, r_k, out=excess)
-                    np.subtract(drift, 0.5 * sig_k * sig_k, out=log_drift)
-                    log_drift *= dt
-                # incr = [a(theta-eta) + a eta q + r X + (drift - r) pi] dt
-                np.multiply(q, a_eta, out=incr)
-                incr += drift_const
-                np.multiply(X, r_k, out=tmp)
-                incr += tmp
-                np.multiply(pi, excess, out=tmp)
-                incr += tmp
-                incr *= dt
-                if dead:            # mu = m = m0 throughout, no price
-                    X += incr
-                    X += noise
-                else:
-                    np.multiply(q, c.b, out=tmp)
-                    dW0 *= tmp
-                    np.multiply(pi, sig_k, out=noise)
-                    noise *= dW1
-                    X += incr
-                    X += dW0
-                    X += noise
-                    np.multiply(dW1, sig_k, out=noise)
-                    log_s += log_drift
-                    log_s += noise
-                    if physical:
-                        np.multiply(mu, dt, out=innov)
-                        innov += noise      # observed return mu dt + sigma dW1
-                        np.multiply(m, dt, out=tmp)
-                        innov -= tmp
-                        innov /= sig_k
-                        coef.advance(k, m, innov, dt, tmp)
-                        np.multiply(mu, coef.h[k], out=tmp)
-                        tmp *= dt
+                    # incr = q (a eta dt + b sqrt(dt) Z0)
+                    #      + pi ((drift - r) dt + sigma sqrt(dt) Z1),
+                    # the second factor being the log price's random step
+                    np.multiply(Z0, b_sdt, out=incr)
+                    incr += a_eta_dt
+                    incr *= q
+                    np.subtract(drift, r[k], out=tmp)
+                    tmp *= dt
+                    np.multiply(Z1, sig_sdt[k], out=noise)
+                    tmp += noise
+                    log_s += tmp
+                    tmp *= pi
+                    incr += tmp
+                X *= growth[k]
+                X += surplus_dt
+                X += incr
+                if physical and not dead:
+                    # innovation dWbar = (mu - m) dt/sigma + sqrt(dt) Z1, the
+                    # observed return's (obs - m dt)/sigma; incr is free now
+                    np.subtract(mu, m, out=incr)
+                    incr *= dt_sig[k]
+                    np.multiply(Z1, sdt, out=tmp)
+                    incr += tmp
+                    coef.advance(k, m, incr, tmp)
+                    mu *= coef.growth[k]
+                    if drift_noise:
+                        np.multiply(Z1, l_sdt[k], out=tmp)
                         mu += tmp
-                        if drift_noise:
-                            np.multiply(dW1, coef.l[k], out=tmp)
-                            mu += tmp
-                            dW2 = dW[2]
-                            dW2 *= coef.z[k]
-                            mu += dW2
-                    else:
-                        coef.advance(k, m, dW1, dt, tmp)  # dW1 is the innovation
+                        Z2 = Z[2]
+                        Z2 *= z_sdt[k]
+                        mu += Z2
+                elif not dead:
+                    Z1 *= sdt                    # the innovation dWbar
+                    coef.advance(k, m, Z1, tmp)
                 if traj is not None:
                     traj[lo:hi, k + 1] = X
         X_out[lo:hi] = X
         if not dead:
+            log_s += log_shift
             price_out[lo:hi] = np.exp(log_s)
         if physical:
             err_out[lo:hi] = 0.0 if dead else mu - m
+        int_q2 *= dt
+        int_pi2 *= dt
         q2_out[lo:hi] = int_q2
         pi2_out[lo:hi] = int_pi2
 

@@ -37,6 +37,10 @@ from .model import (INFO_FULL, ModelParams, riskless_terminal_wealth,
 # Cap on the P, Q, R oracle's step doubling: 2000 * 2^6.  Past it the
 # spread of a long, fast-growing solve is mostly rounding, not resolution.
 _PQR_MAX_STEPS = 128_000
+# Bounds on the P, Q, R check's tolerance of ten step-halving spreads: the
+# floor keeps a spread at rounding level (6e-15 on scaled.cfg) from failing
+# exact agreement, and the cap keeps an unresolved oracle from passing.
+_PQR_TOL = (1e-10, 1e-6)
 
 
 @dataclass(frozen=True)
@@ -136,9 +140,11 @@ def _pqr_oracle_check(model: ModelParams, sol: Solution) -> CheckResult:
 
     The oracle starts at 2000 steps and doubles them until the step-halving
     spread, this check's error of the coarser solve against the finer one
-    at the coarser nodes, is at most 1e-7, a tenth of the tolerance, or the
-    finer solve reaches ``_PQR_MAX_STEPS``.  The finer solve is compared with
-    the gap form; the detail states its steps and the spread.
+    at the coarser nodes, is at most 1e-7, or the finer solve reaches
+    ``_PQR_MAX_STEPS``.  The finer solve is compared with the gap form and
+    must meet it within ten spreads, clipped to [1e-10, 1e-6]: an error the
+    oracle cannot explain fails, down to 1e-8 on paper44.  The detail
+    states the steps and the spread.
     """
     steps = 2000
     fine = fullinfo.solve_pqr(model, sol.d, sol.gamma_star, steps)
@@ -153,8 +159,9 @@ def _pqr_oracle_check(model: ModelParams, sol: Solution) -> CheckResult:
     closed = [part for p in fullinfo.p_pair(grid, sol, model)
               for part in (p, -p * xc, 0.5 * p * xc * xc)]
     err = max(_rel_err(c.values, ref) for c, ref in zip(fine, closed))
+    tol = min(max(10.0 * spread, _PQR_TOL[0]), _PQR_TOL[1])
     return CheckResult(
-        "pqr-ode-cross-check", err <= 1e-6,
+        "pqr-ode-cross-check", err <= tol,
         f"max rel err {err:.2e}, RK4 {steps} steps, "
         f"step-halving spread {spread:.2e}")
 

@@ -111,8 +111,8 @@ def test_filter_csv_variance_column(tmp_path):
 @pytest.mark.parametrize("cfg", [FILTER_CFG, PARTIAL_CFG],
                          ids=["filterdemo", "piecewise-sigma"])
 def test_filter_mean_column_is_the_euler_filter(tmp_path, cfg):
-    """m in filter.csv is m + h m dt + (l + n/sigma) dWbar at t_k = k dt, with
-    the seeded increments and n from the default variance solve."""
+    """m in filter.csv is m (1 + h dt) + (l + n/sigma) dWbar at t_k = k dt,
+    with the seeded increments and n from the default variance solve."""
     steps, seed = 400, 3
     assert main(["--config", str(cfg), "--out-dir", str(tmp_path), "filter",
                  "--steps", str(steps), "--seed", str(seed)]) == 0
@@ -124,7 +124,7 @@ def test_filter_mean_column_is_the_euler_filter(tmp_path, cfg):
     expected = [drift.m0]
     for k in range(steps):
         t, m = k * dt, expected[-1]
-        expected.append(m + drift.h(t) * m * dt
+        expected.append(m * (1.0 + drift.h(t) * dt)
                         + (drift.l(t) + n(t) / sigma(t)) * incr[k])
     _, rows = read_csv(tmp_path / "filter.csv")
     assert [float(row[1]) for row in rows] == expected
@@ -212,7 +212,7 @@ def test_filter_bytes(tmp_path):
         t = k * dt
         rows.append((t, m, n(t)))
         if k < steps:
-            m = m + drift.h(t) * m * dt + (drift.l(t) + n(t) / sigma(t)) * incr[k]
+            m = m * (1.0 + drift.h(t) * dt) + (drift.l(t) + n(t) / sigma(t)) * incr[k]
     assert (tmp_path / "filter.csv").read_text() == \
         reference_csv(["t", "m", "n"], rows)
 

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from mvreins.curves import (CurveRangeError, PiecewiseConstantCurve,
                             SampledCurve, as_curve, segments)
@@ -142,3 +142,29 @@ def test_integral_matches_antiderivative(knots, data, t0, t1):
     c = PiecewiseConstantCurve(np.array(times), np.array(values))
     expected = c.antiderivative(t1) - c.antiderivative(t0)
     assert abs(c.integral(t0, t1) - expected) <= 1e-14 * max(1.0, abs(expected))
+
+
+_many_knots = st.lists(st.floats(min_value=1e-3, max_value=20.0), min_size=0,
+                       max_size=12, unique=True)
+# levels across many magnitudes, so that the order of a sum shows in its bits
+_wide_levels = st.builds(lambda v, e: v * 10.0 ** e, _levels,
+                         st.integers(min_value=-8, max_value=8))
+
+
+@settings(max_examples=400)
+@given(_many_knots, st.data())
+def test_float_integral_matches_array_sum_bitwise(knots, data):
+    """Over any number of pieces, breakpoints as endpoints included, the float
+    path gives the bits of the array path's np.sum, signed zeros too."""
+    times = [0.0] + sorted(knots)
+    values = data.draw(st.lists(_wide_levels, min_size=len(times),
+                                max_size=len(times)))
+    c = PiecewiseConstantCurve(np.array(times), np.array(values))
+    # the whole span, breakpoints and points between them as endpoints
+    ends = st.one_of(st.sampled_from([0.0, 25.0]), st.sampled_from(times),
+                     _times)
+    t0, t1 = sorted((data.draw(ends), data.draw(ends)))
+    edges, (pieces,) = segments(t0, t1, c)
+    ref = float(np.sum(pieces * np.diff(edges)))
+    got = c.integral(t0, t1)
+    assert got == ref and np.signbit(got) == np.signbit(ref)

@@ -96,26 +96,52 @@ def test_run_filter_zero_gain_is_euler_growth():
 
 
 def test_advance_with_scratch_is_the_plain_euler_step():
-    """The array step through a scratch array is bitwise m + h m dt + vol
+    """The array step through a scratch array is bitwise m (1 + h dt) + vol
     dWbar, and leaves the innovation alone; a float m still gives a float."""
     drift = mv.DriftParams(h=[(0.0, -0.3), (0.5, 0.2)], l=3.0, z=2.0,
                            m0=0.06, n0=0.1)
     dt, n_steps = 0.01, 100
     coef = filter_coefficients(drift, 1.0, solve_variance(drift, 1.0, 1.0),
                                n_steps, dt)
+    np.testing.assert_array_equal(coef.growth, 1.0 + coef.h * dt)
     rng = np.random.default_rng(5)
     m = rng.normal(0.06, 0.1, size=257)
     scratch = np.empty_like(m)
     for k in range(n_steps):
         innovation = rng.normal(0.0, np.sqrt(dt), size=m.size)
         kept = innovation.copy()
-        expected = m + coef.h[k] * m * dt + coef.vol[k] * innovation
-        assert coef.advance(k, m, innovation, dt, scratch) is m
+        expected = m * (1.0 + coef.h[k] * dt) + coef.vol[k] * innovation
+        assert coef.advance(k, m, innovation, scratch) is m
         assert np.array_equal(m, expected)
         assert np.array_equal(innovation, kept)
-    m_float = coef.advance(3, 0.06, 0.01, dt)
+    m_float = coef.advance(3, 0.06, 0.01)
     assert isinstance(m_float, float)
-    assert m_float == 0.06 + coef.h[3] * 0.06 * dt + coef.vol[3] * 0.01
+    assert m_float == 0.06 * (1.0 + coef.h[3] * dt) + coef.vol[3] * 0.01
+
+
+def test_run_filter_means_match_the_two_term_update():
+    """The one multiplicative mean update is m + h m dt + vol dWbar up to
+    rounding: run_filter's means stay within 1e-12 of that form, relative to
+    each path's largest |m| (the means cross zero, where an elementwise
+    relative error says nothing), steps of h and sigma inside the horizon
+    included."""
+    drift = mv.DriftParams(h=[(0.0, -0.3), (0.5, 0.2)], l=3.0, z=2.0,
+                           m0=0.06, n0=0.1)
+    sigma = [(0.0, 1.0), (0.7, 1.2)]
+    dt, n_steps = 0.005, 200
+    rng = np.random.default_rng(8)
+    obs = rng.normal(0.06 * dt, np.sqrt(dt), size=(64, n_steps))
+    path = run_filter(obs, drift, sigma, dt)
+    coef = filter_coefficients(
+        drift, sigma, solve_variance(drift, sigma, n_steps * dt,
+                                     steps=max(1000, n_steps)), n_steps, dt)
+    means = np.empty_like(path.means)
+    means[:, 0] = m = np.full(64, drift.m0)
+    for k in range(n_steps):
+        innovation = (obs[:, k] - m * dt) / coef.sigma[k]
+        means[:, k + 1] = m = m + coef.h[k] * m * dt + coef.vol[k] * innovation
+    scale = np.abs(means).max(axis=1, keepdims=True)
+    assert np.all(np.abs(path.means - means) <= 1e-12 * scale)
 
 
 def test_run_filter_steps_on_exact_grid_across_breakpoint():

@@ -112,20 +112,83 @@ def test_live_filter_reproducible_across_workers(simulate, mode):
         assert a.terminal_drift_error is None and b.terminal_drift_error is None
 
 
-def plain_euler(model, strategy, cfg, physical):
-    """The engine's Euler step as plain expressions, every update applied:
-    the reference for its in-place form (one block of paths).  Under a known
-    drift with h = 0 the wealth noise is one normal per path-step, there is
-    no price and the strategy sees the float m0."""
-    assert cfg.n_paths <= _BLOCK
-    c, dr, ob = model.claim, model.drift, model.objective
+def _setup(model, cfg):
+    """Step count, dt, filter coefficients, r on the grid and whether the
+    drift is known with h = 0, as the engine derives them."""
+    dr, ob = model.drift, model.objective
     n_steps, dt = cfg.resolve_steps(ob.T)
-    sdt = np.sqrt(dt)
     n_curve = mv.solve_variance(dr, model.market.sigma, ob.T,
                                 steps=max(n_steps, 1000))
     coef = filter_coefficients(dr, model.market.sigma, n_curve, n_steps, dt)
-    r = model.market.r(coef.t)
     dead = dr.is_degenerate() and not coef.h.any()
+    return n_steps, dt, coef, model.market.r(coef.t), dead
+
+
+def plain_euler(model, strategy, cfg, physical):
+    """The engine's Euler step as plain expressions, every update applied:
+    the reference for its in-place form (one block of paths).  Constant
+    factors come from per-step tables, the normals are used unscaled, and the
+    sums of q^2 and pi^2 and the price's deterministic log drift are applied
+    once at the end.  Under a known drift with h = 0 the wealth noise is one
+    normal per path-step, there is no price and the strategy sees the float
+    m0."""
+    assert cfg.n_paths <= _BLOCK
+    c, dr, ob = model.claim, model.drift, model.objective
+    n_steps, dt, coef, r, dead = _setup(model, cfg)
+    sdt, sig = np.sqrt(dt), coef.sigma
+    growth = 1.0 + r * dt
+    sig_sdt, sig2_dt, dt_sig = sig * sdt, sig * sig * dt, dt / sig
+    l_sdt, z_sdt = coef.l * sdt, coef.z * sdt
+    surplus_dt = (c.a * c.theta - c.a * c.eta) * dt
+    a_eta_dt, b_sdt, b2_dt = c.a * c.eta * dt, c.b * sdt, c.b * c.b * dt
+    rng = RngStream(cfg.seed).substream(0).generator()
+    n = cfg.n_paths
+    X, mu, m, log_s = (np.full(n, ob.x0), np.full(n, dr.m0), np.full(n, dr.m0),
+                       np.zeros(n))
+    int_q2, int_pi2 = np.zeros(n), np.zeros(n)
+    if physical and dr.n0 > 0:
+        mu = mu + np.sqrt(dr.n0) * rng.standard_normal(n)
+    drift_noise = physical and not dr.is_degenerate()
+    for k in range(n_steps):
+        q, pi = strategy(k * dt, X, dr.m0 if dead else m)
+        int_q2 = int_q2 + q * q
+        int_pi2 = int_pi2 + pi * pi
+        if dead:
+            noise = (np.sqrt(q * q * b2_dt + pi * pi * sig2_dt[k])
+                     * rng.standard_normal(n))
+            X = (X * growth[k] + surplus_dt
+                 + (q * a_eta_dt + pi * ((dr.m0 - r[k]) * dt) + noise))
+            continue
+        Z = rng.standard_normal((3 if drift_noise else 2, n))
+        drift = mu if physical else m
+        log_step = (drift - r[k]) * dt + Z[1] * sig_sdt[k]
+        log_s = log_s + log_step
+        X = (X * growth[k] + surplus_dt
+             + ((Z[0] * b_sdt + a_eta_dt) * q + log_step * pi))
+        if physical:
+            innov = (mu - m) * dt_sig[k] + Z[1] * sdt
+            m = m * coef.growth[k] + innov * coef.vol[k]
+            mu = mu * coef.growth[k]
+            if drift_noise:
+                mu = mu + Z[1] * l_sdt[k] + Z[2] * z_sdt[k]
+        else:
+            m = m * coef.growth[k] + (Z[1] * sdt) * coef.vol[k]
+    log_shift = float(np.sum((r - 0.5 * sig * sig) * dt))
+    price = None if dead else np.exp(log_s + log_shift)
+    return (X, price, mu - m if physical else None, int_q2 * dt,
+            int_pi2 * dt)
+
+
+def observed_return_euler(model, strategy, cfg, physical):
+    """The same Euler scheme in its textbook form: increments sqrt(dt) Z,
+    every term times dt where it arises, the filter driven by the innovation
+    (obs - m dt)/sigma of the observed return obs = mu dt + sigma dW1, and
+    the means stepped as m + h m dt.  Equal to :func:`plain_euler` up to
+    rounding."""
+    assert cfg.n_paths <= _BLOCK
+    c, dr, ob = model.claim, model.drift, model.objective
+    n_steps, dt, coef, r, dead = _setup(model, cfg)
+    sdt = np.sqrt(dt)
     rng = RngStream(cfg.seed).substream(0).generator()
     n = cfg.n_paths
     X, mu, m, log_s = (np.full(n, ob.x0), np.full(n, dr.m0), np.full(n, dr.m0),
@@ -164,36 +227,50 @@ def plain_euler(model, strategy, cfg, physical):
 
 
 HIDDEN = dict(h=-0.3, l=0.3, z=0.2, n0=0.05)
-# r and sigma jump inside T = 1, so the per-step tables change mid-run
+# r and sigma jump inside T = 1, so the per-step tables change mid-run, and
+# theta > eta adds the premium surplus a(theta - eta) dt to every step
 PIECEWISE = dict(HIDDEN, r=[(0.0, 0.04), (0.5, 0.05)],
-                 sigma=[(0.0, 0.5), (0.7, 0.6)])
-
-
-@pytest.mark.parametrize("params, mode", [
+                 sigma=[(0.0, 0.5), (0.7, 0.6)], theta=0.3)
+ENGINE_CASES = pytest.mark.parametrize("params, mode", [
     (dict(), "physical"), (dict(), "innovation"),
     (HIDDEN, "physical"), (HIDDEN, "innovation"),
     (PIECEWISE, "physical"), (PIECEWISE, "innovation")],
     ids=["known-physical", "known-innovation", "hidden-physical",
          "hidden-innovation", "piecewise-physical", "piecewise-innovation"])
-def test_engine_matches_plain_euler_bitwise(params, mode):
+
+
+def _engine_and_reference(params, mode, reference):
     model = make_model(**{**dict(theta=0.2, eta=0.2, sigma=0.5, m0=0.06, T=1.0,
                                  d=55.0, info_mode="partial"), **params})
     strategy = mv.partial_feedback_strategy(mv.solve_partial(model), model)
     cfg = SimConfig(n_paths=300, dt=0.01, seed=17)
     simulate = simulate_physical if mode == "physical" else simulate_innovation
     ens = simulate(model, strategy, cfg)
-    X, price, drift_err, int_q2, int_pi2 = plain_euler(
-        model, strategy, cfg, physical=mode == "physical")
     assert ens.n_flagged == 0
-    assert np.array_equal(ens.terminal_wealth, X)
-    if price is None:
-        assert ens.terminal_price is None
-    else:
-        assert np.array_equal(ens.terminal_price, price)
-    assert np.array_equal(ens.int_q2, int_q2)
-    assert np.array_equal(ens.int_pi2, int_pi2)
-    if mode == "physical":
-        assert np.array_equal(ens.terminal_drift_error, drift_err)
+    got = (ens.terminal_wealth, ens.terminal_price, ens.terminal_drift_error,
+           ens.int_q2, ens.int_pi2)
+    return got, reference(model, strategy, cfg, physical=mode == "physical")
+
+
+@ENGINE_CASES
+def test_engine_matches_plain_euler_bitwise(params, mode):
+    got, ref = _engine_and_reference(params, mode, plain_euler)
+    for g, e in zip(got, ref):
+        assert (g is None) == (e is None)
+        if e is not None:
+            assert np.array_equal(g, e)
+    assert (got[2] is None) == (mode == "innovation")
+
+
+@ENGINE_CASES
+def test_engine_matches_observed_return_euler(params, mode):
+    """The folded tables, the unscaled normals and the deferred dt change
+    only rounding: the textbook step gives the same ensemble to 1e-11."""
+    got, ref = _engine_and_reference(params, mode, observed_return_euler)
+    for g, e in zip(got, ref):
+        assert (g is None) == (e is None)
+        if e is not None:
+            np.testing.assert_allclose(g, e, rtol=1e-11, atol=0.0)
 
 
 def test_strategy_may_return_a_view_of_wealth(scaled_cheap_model):

@@ -1,8 +1,9 @@
 
+import numpy as np
 import pytest
 
 import mvreins as mv
-from mvreins import conelq, validation
+from mvreins import conelq, fullinfo, validation
 from mvreins.config import load_config
 from mvreins.curves import SampledCurve
 from mvreins.validation import (_riccati_closed, _riccati_oracle,
@@ -101,6 +102,27 @@ def test_pqr_oracle_states_its_steps_and_spread():
     assert check.passed
     assert "RK4 4000 steps, step-halving spread" in check.detail
     assert spread <= 1e-7
+
+
+def test_pqr_oracle_fails_a_switching_curve_off_by_1e7(monkeypatch):
+    # The check is judged against ten step-halving spreads (1.9e-9 on
+    # paper44), so a drift term r (d - gamma*) off by 1e-7 relative in the
+    # gap form's x_c, an error of 2e-7 in Q and R, must fail it.
+    model = load_config(PAPER44_CFG)[0]
+    sol = fullinfo.compute_solution(model)
+
+    def switching_x(t, sol, model):
+        c, r = model.claim, model.market.r.constant_value()
+        tau = model.objective.T - np.asarray(t, dtype=float)
+        w = (c.a * c.theta - c.a * c.eta
+             + sol.target_level * r * (1.0 + 1e-7))
+        return -(w * np.expm1(r * tau) / r) * np.exp(-r * tau)
+
+    assert validation._pqr_oracle_check(model, sol).passed
+    monkeypatch.setattr(fullinfo, "switching_x", switching_x)
+    check = validation._pqr_oracle_check(model, sol)
+    assert check.name == "pqr-ode-cross-check"
+    assert not check.passed
 
 
 def test_pqr_oracle_doubling_stops_at_its_cap(monkeypatch):
