@@ -2,8 +2,9 @@
 
 Each check pairs an analytic expression with a second computation that does not
 share its derivation -- backward ODE integration against exponential closed
-forms, scalar maximization against the dual multiplier formula, randomized cone
-probes against the constrained minimizers, finite differences against the PDE.
+forms, a golden-section search of the dual against the multiplier formula,
+randomized cone probes against the constrained minimizers, finite differences
+against the PDE.
 The CLI ``validate`` subcommand prints one PASS/FAIL line per check and maps
 any failure to exit code 2.
 
@@ -29,7 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import conelq, filtering, fullinfo, partialinfo
-from .frontier import Solution, dual_value, efficient_frontier
+from .frontier import (InfeasibleTargetError, Solution, dual_value,
+                       efficient_frontier)
 from .model import (INFO_FULL, ModelParams, riskless_terminal_wealth,
                     riskless_terminal_wealth_ode, validate)
 
@@ -41,6 +43,13 @@ _PQR_MAX_STEPS = 128_000
 # floor keeps a spread at rounding level (6e-15 on scaled.cfg) from failing
 # exact agreement, and the cap keeps an unresolved oracle from passing.
 _PQR_TOL = (1e-10, 1e-6)
+# Golden-section fraction (3 - sqrt 5) / 2 and the search's stopping terms.
+# From a bracket 20 max(1, |gamma*|) wide, the relative stop takes about 45
+# evaluations; the cap ends a search whose maximizer is far from gamma*.
+_GOLDEN = 0.5 * (3.0 - 5.0 ** 0.5)
+_SQRT_EPS = float(np.finfo(float).eps) ** 0.5
+_XATOL = 1e-8
+_GOLDEN_MAX_EVALS = 100
 
 
 @dataclass(frozen=True)
@@ -85,24 +94,57 @@ def cone_probe_check(rng: np.random.Generator, draws: int,
     return worst_gap <= 1e-9 and worst_h <= 0.0, worst_gap, worst_h
 
 
-def _dual_argmax_check(dual, gamma_closed: float) -> CheckResult:
-    """Closed-form gamma* against a bounded scalar maximization of the dual value."""
-    from scipy import optimize  # only here, so the other subcommands never load it
+def _golden_section_max(f, lo: float, hi: float):
+    """Maximizer of a unimodal ``f`` on [lo, hi] by golden-section search
+    (Kiefer 1953), or None past ``_GOLDEN_MAX_EVALS`` evaluations of ``f``.
 
+    Each step drops the end beyond the lower of two interior points at the
+    golden ratios and reuses the other point's value.  It stops as Brent's
+    bounded method does, once hi - lo <= 2 (sqrt(eps) |mid| + xatol / 3)
+    with xatol = 1e-8, and returns the midpoint: a tolerance relative to the
+    midpoint ends even where one ulp exceeds xatol.
+    """
+    a, b = lo, hi
+    c, d = a + _GOLDEN * (b - a), b - _GOLDEN * (b - a)
+    fc, fd = f(c), f(d)
+    evals = 2
+    while b - a > 2.0 * (_SQRT_EPS * abs(0.5 * (a + b)) + _XATOL / 3.0):
+        if evals == _GOLDEN_MAX_EVALS:
+            return None
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = a + _GOLDEN * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = b - _GOLDEN * (b - a)
+            fd = f(d)
+        evals += 1
+    return 0.5 * (a + b)
+
+
+def _dual_argmax_check(dual, gamma_closed: float) -> CheckResult:
+    """Closed-form gamma* against a golden-section maximization of the dual
+    value on gamma* +- 10 max(1, |gamma*|)."""
     span = 10.0 * max(1.0, abs(gamma_closed))
-    res = optimize.minimize_scalar(
-        lambda g: -dual(g), bounds=(gamma_closed - span, gamma_closed + span),
-        method="bounded", options={"xatol": 1e-8})
-    err_g = abs(res.x - gamma_closed) / max(1.0, abs(gamma_closed))
+    g = _golden_section_max(dual, gamma_closed - span, gamma_closed + span)
+    if g is None:
+        return CheckResult("dual-argmax", False,
+                           f"no maximizer within {_GOLDEN_MAX_EVALS} evaluations")
+    err_g = abs(g - gamma_closed) / max(1.0, abs(gamma_closed))
     return CheckResult("dual-argmax", err_g <= 1e-6,
-                       f"closed form {gamma_closed:.4f} vs maximizer {res.x:.4f}")
+                       f"closed form {gamma_closed:.4f} vs maximizer {g:.4f}")
 
 
 def _frontier_vertex_check(sol) -> CheckResult:
-    """Zero variance at sol.vertex, increasing beyond it, at any vertex sign."""
+    """Zero variance at sol.vertex, increasing beyond it, at any vertex sign;
+    a frontier that refuses its own vertex as a target fails."""
     vertex = sol.vertex
     step = 0.1 * max(1.0, abs(vertex))
-    curve = efficient_frontier(sol, [vertex, vertex + step, vertex + 2.0 * step])
+    try:
+        curve = efficient_frontier(sol, [vertex, vertex + step, vertex + 2.0 * step])
+    except InfeasibleTargetError as exc:
+        return CheckResult("frontier-vertex", False, str(exc))
     ok = curve.variance[0] == 0.0 and np.all(np.diff(curve.variance) > 0)
     return CheckResult("frontier-vertex", ok,
                        f"variance at vertex {curve.variance[0]:.3e}, increasing beyond")

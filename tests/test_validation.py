@@ -1,17 +1,22 @@
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 import mvreins as mv
-from mvreins import conelq, fullinfo, validation
+from mvreins import conelq, frontier, fullinfo, validation
 from mvreins.config import load_config
 from mvreins.curves import SampledCurve
+from mvreins.frontier import dual_value
 from mvreins.validation import (_riccati_closed, _riccati_oracle,
                                 _riccati_oracle_check, run_checks)
 
 from conftest import make_model
 from test_cli import PAPER44_CFG
 from test_conelq import BENCH_PARTIAL_CFG
+from test_frontier import SOLUTIONS
 
 
 def test_riccati_oracle_check_catches_a_wrong_pair():
@@ -131,3 +136,86 @@ def test_pqr_oracle_doubling_stops_at_its_cap(monkeypatch):
     assert "RK4 8000 steps" in check.detail
     assert spread > 1e-7
     assert not check.passed
+
+
+class _Counted:
+    """A function that counts its evaluations."""
+
+    def __init__(self, f):
+        self.f, self.evals = f, 0
+
+    def __call__(self, x):
+        self.evals += 1
+        return self.f(x)
+
+
+def _kinked(x, k=2.5):
+    """Concave, piecewise quadratic, with its kink and maximum at k."""
+    return min(3.0 * (x - k), -2.0 * (x - k)) - (x - k) ** 2
+
+
+# (function, bracket, maximizer): a concave quadratic; the kink of the
+# dual's branch switch; a maximum at either end; and, at gamma* of the
+# tiny-premium dual (-7e19), a function whose values are one double across
+# a relative 1e-8 band around its maximizer.
+GOLDEN_CASES = [
+    (lambda x: -(x - 3.7) ** 2, (-10.0, 10.0), 3.7),
+    (_kinked, (-20.0, 20.0), 2.5),
+    (lambda x: x, (0.0, 1.0), 1.0),
+    (lambda x: -x, (-5.0, 5.0), -5.0),
+    (lambda x: 5e23 - 1e-16 * (x + 7e19) ** 2, (-7.7e20, 6.3e20), -7e19),
+]
+
+
+@pytest.mark.parametrize("f, bracket, x_max", GOLDEN_CASES,
+                         ids=["quadratic", "kink", "upper-end", "lower-end",
+                              "flat-1e19"])
+def test_golden_section_finds_known_maximizers(f, bracket, x_max):
+    counted = _Counted(f)
+    x = validation._golden_section_max(counted, *bracket)
+    assert x is not None
+    assert counted.evals <= validation._GOLDEN_MAX_EVALS
+    # within the stop's half-width of the maximizer
+    assert abs(x - x_max) <= validation._SQRT_EPS * abs(x) + validation._XATOL / 3.0
+
+
+def test_golden_section_gives_up_at_its_cap():
+    # A maximum at 0 from the bracket 1e30 +- 1e31: near 0 the stop is the
+    # absolute 2 xatol / 3, about 190 evaluations away, so the search ends
+    # at the cap and the check fails.
+    counted = _Counted(lambda x: -x * x)
+    assert validation._golden_section_max(counted, -9e30, 1.1e31) is None
+    assert counted.evals == validation._GOLDEN_MAX_EVALS
+    check = validation._dual_argmax_check(lambda g: -g * g, 1e30)
+    assert not check.passed
+    assert check.detail == "no maximizer within 100 evaluations"
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(sol=SOLUTIONS)
+def test_dual_argmax_passes_on_generated_solutions(sol):
+    check = validation._dual_argmax_check(lambda g: dual_value(sol, g),
+                                          sol.gamma_star)
+    assert check.passed, check.detail
+
+
+def test_scaled_gamma_star_fails_only_dual_argmax(monkeypatch):
+    # gamma* 1e-5 off: the frontier and the dual read no gamma*, so the
+    # golden-section maximizer is the one route that sees it.
+    model = load_config(BENCH_PARTIAL_CFG)[0]
+    exact = frontier.gamma_star
+    monkeypatch.setattr(frontier, "gamma_star",
+                        lambda *args: exact(*args) * (1.0 + 1e-5))
+    failed = [r.name for r in run_checks(model) if not r.passed]
+    assert failed == ["dual-argmax"]
+
+
+def test_frontier_anchored_at_d0_fails_frontier_vertex(monkeypatch):
+    # Under the compat constant paper44's vertex (2732.41) lies below d0
+    # (2863.90): a frontier anchored at d0 refuses the vertex as a target.
+    model = load_config(PAPER44_CFG)[0]
+    anchored = lambda sol, d_grid: frontier.efficient_frontier(
+        dataclasses.replace(sol, vertex=sol.d0), d_grid)
+    monkeypatch.setattr(validation, "efficient_frontier", anchored)
+    failed = [r.name for r in run_checks(model, compat=True) if not r.passed]
+    assert failed == ["frontier-vertex"]
