@@ -15,10 +15,10 @@ the other information mode than the config's (``--mode``, and the
 full-information ``value-surface`` and ``dual-curve``) runs only if the config,
 converted to that mode, passes :func:`~mvreins.model.validate`: the
 full-information solvers need a known drift, and ``--mode partial`` runs on
-any valid config.  ``--compat-paper-formulas`` acts only on the
-full-information solver, so ``filter``, and ``validate``, ``frontier`` and
-``simulate`` when the solver that runs is the partial one, refuse it with one
-error line and write nothing.
+any valid config.  ``--compat-paper-formulas`` needs the full-information
+solver and a constant r: ``filter``, a piecewise r, and ``validate``,
+``frontier`` and ``simulate`` when the partial solver runs, refuse it with
+one error line and write nothing.
 All numeric output is written in full double precision (shortest round-trip
 decimal), so reruns with identical inputs produce byte-identical files.
 """
@@ -242,8 +242,8 @@ def _cmd_value_surface(args, model, out_dir: Path, compat: bool) -> int:
     hi = args.x_max if args.x_max is not None else float(x_curve.max()) + spread
     _ordered(lo, hi, "--x-min", "--x-max")
     xs = np.linspace(lo, hi, args.nx)
-    values = np.concatenate([fullinfo.value_function(t, xs, sol, model) for t in ts])
-    regions = [r.value for t in ts for r in fullinfo.region(t, xs, sol, model)]
+    values = fullinfo.value_function(ts[:, None], xs, sol, model).ravel()
+    regions = [r.value for r in fullinfo.region(ts[:, None], xs, sol, model).flat]
     _write_csv(out_dir / "value_surface.csv", ["t", "x", "V", "region"],
                [np.repeat(ts, xs.size), np.tile(xs, ts.size), values, regions])
     print(f"wrote {out_dir / 'value_surface.csv'}")
@@ -339,9 +339,9 @@ def main(argv=None) -> int:
                 "dual-curve": INFO_FULL}.get(
             args.command, getattr(args, "mode", None) or model.info_mode)
         compat = args.compat_paper_formulas
-        if compat and mode != INFO_FULL:
+        if compat and (mode != INFO_FULL or not model.market.r.is_constant):
             raise UsageError("--compat-paper-formulas applies only to the "
-                             "full-information solver")
+                             "full-information solver, with a constant r")
         out_dir = Path(args.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
 

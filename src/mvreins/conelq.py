@@ -26,8 +26,8 @@ deterministic coefficients: its exponents int_t^T kappa+/- are the whole
 solution, and the frontier and gamma* read them at t = 0 only.
 :func:`riccati_pair` returns them, integrating kappa exactly on the pieces
 where r, sigma, h and the sign of m - r are fixed; it is the production
-solver.  The backward RK4 solve :func:`solve_riccati_pair` of the P+/- curves
-serves only as its independent oracle.
+solver, and :func:`p_pair` forms P+/-(t) from it.  The backward RK4 solve
+:func:`solve_riccati_pair` of the P+/- curves serves only as its oracle.
 """
 
 from __future__ import annotations
@@ -93,17 +93,20 @@ class LQCoefficients:
             raise ValueError("diffusion coefficients must be positive")
 
 
-def cone_quadratic_argmin(quad: float, lin):
+def cone_quadratic_argmin(quad, lin):
     """Minimize quad*u^2 + 2*lin*u over u >= 0 (quad > 0); returns (argmin, value).
 
-    Broadcasts over ``lin``: an array gives arrays, a float gives floats,
-    the same ones element by element.
+    Broadcasts over ``quad`` and ``lin``: arrays give arrays, floats give
+    floats, the same ones element by element.
     """
-    if quad <= 0:
-        raise ValueError("quadratic coefficient must be positive")
-    if np.ndim(lin) == 0:
+    if np.ndim(lin) == 0 and isinstance(quad, float):
+        if quad <= 0:
+            raise ValueError("quadratic coefficient must be positive")
         u = max(0.0, -lin / quad)
     else:
+        quad = np.asarray(quad, dtype=float)
+        if np.any(quad <= 0):
+            raise ValueError("quadratic coefficient must be positive")
         ratio = -np.asarray(lin, dtype=float) / quad
         u = np.where(ratio > 0.0, ratio, 0.0)  # max(0.0, ratio), as Python orders it
     return u, quad * u * u + 2.0 * lin * u
@@ -265,11 +268,20 @@ def riccati_pair(model: ModelParams, t):
     return tuple(pair)
 
 
-def solve_riccati_pair(model: ModelParams, m_bar) -> tuple[SampledCurve, SampledCurve]:
+def p_pair(model: ModelParams, t):
+    """(P+(t), P-(t)) = exp(2 int_t^T r - int_t^T kappa+/-), the exponents from
+    :func:`riccati_pair`; broadcasts over t as it does."""
+    r = model.market.r
+    two_r = 2.0 * (r.antiderivative(model.objective.T) - r.antiderivative(t))
+    return tuple(np.exp(two_r - k) for k in riccati_pair(model, t))
+
+
+def solve_riccati_pair(model: ModelParams, m_bar,
+                       steps: int = _ORACLE_STEPS) -> tuple[SampledCurve, SampledCurve]:
     """Oracle: backward RK4 solutions (P+, P-) of dP/dt = -[2 r P + H*(t, P)], P(T) = 1.
 
     Integrates the Riccati pair numerically through :func:`hamiltonian_min`
-    in ``_ORACLE_STEPS`` steps, sharing none of :func:`riccati_pair`'s
+    in ``steps`` steps, sharing none of :func:`riccati_pair`'s
     closed form, so the validation suite can check one against the other;
     production code calls :func:`riccati_pair`.  ``m_bar`` is the
     deterministic drift curve, any callable of t that broadcasts over an
@@ -293,8 +305,7 @@ def solve_riccati_pair(model: ModelParams, m_bar) -> tuple[SampledCurve, Sampled
             coeffs = LQCoefficients(b_q=b_q, b_pi=m_bar(t) - r, d_q=c.b, d_pi=sigma)
             return -(2.0 * r + hamiltonian_min(sign, 1.0, coeffs))
 
-        curve = integrate_linear_backward(rate, 1.0, T, _ORACLE_STEPS,
-                                          curves=coefficients)
+        curve = integrate_linear_backward(rate, 1.0, T, steps, curves=coefficients)
         if curve.values.min() <= 0:
             raise RiccatiSolverError(f"{name} not positive on [0, T]")
         curves.append(curve)

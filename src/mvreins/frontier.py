@@ -5,8 +5,8 @@ A multiplier gamma embeds "min Var X(T) subject to E X(T) = d" in an
 unconstrained cone-constrained LQ problem with wealth target d - gamma.  Its
 optimal cost, gamma* and the frontier depend only on the exponents
 k+/- = int_0^T kappa+/- of the Riccati pair, the riskless vertex and d
-(Hu and Zhou 2005): in full information, a known constant drift above r,
-k+ = 0 and k- = -2 A1 T.
+(Hu and Zhou 2005): in the paper's full-information setting, a known
+constant drift above r with constant r and sigma, k+ = 0 and k- = -2 A1 T.
 
 A solution of either mode is one :class:`Solution` record, built by
 :func:`assemble_solution`: ``kappa_plus``, ``kappa_minus`` (from

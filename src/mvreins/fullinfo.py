@@ -1,30 +1,24 @@
-"""Full information as the degenerate-drift case: the value function, the
+"""Full information as the known-drift case: the value function, the
 frontier vertex, and numerical HJB/viscosity verification.
 
-With a constant known expected return m0 > r (and constant r and sigma) the
-solution is the :class:`~mvreins.frontier.Solution` record that partial
-information builds too, with k+ = 0 and k- = -2 A1 T from
-:func:`~mvreins.conelq.riccati_pair`.  In shifted wealth x = X - (d - gamma*)
-the value function is the cone-constrained LQ value of Hu and Zhou (2005),
+Full information is any known drift m(t) = m0 e^{int_0^t h} (l = z = 0,
+n0 = 0), with r, sigma and h piecewise constant and m - r of either sign.
+The solution is the :class:`~mvreins.frontier.Solution` record that partial
+information builds too.  In shifted wealth x = X - (d - gamma*) the value
+function is the cone-constrained LQ value of Hu and Zhou (2005),
 
-    V(t, x) = 1/2 P+/-(t) (x - x_c(t))^2,   P+/-(t) = exp((T - t)(2r - k+/-/T)),
+    V(t, x) = 1/2 P+/-(t) (x - x_c(t))^2,
+    P+/-(t) = exp(2 int_t^T r - int_t^T kappa+/-)  (:func:`~mvreins.conelq.p_pair`),
 
-with P+ on and above the switching curve x_c(t) and P- below it; the form of
-P+/- is exact because kappa+/- are constant here.  The curve is
+with P+ on and above the switching curve x_c(t) = S(t) - (d - gamma*) and
+P- below it, S the riskless level :func:`~mvreins.model.riskless_level`: x -
+x_c is the gap X - S(t) of :func:`~mvreins.conelq.gap_feedback`, the law of
+both modes.  V is C^1 but not C^2 across the curve, where its curvature
+jumps from P+ to P-, hence the viscosity check.
 
-    x_c(t) = -(a(theta - eta) + r (d - gamma*)) (1 - e^{-r(T - t)}) / r,
-
-in actual wealth the riskless level S(t) of
-:func:`~mvreins.model.riskless_level`, the wealth from which the zero
-strategy ends at d - gamma*; so x - x_c is the gap X - S(t) of partial
-information.  Above the curve the optimal control is (0, 0); below it both
-components are proportional to the gap: the law
-:func:`~mvreins.conelq.gap_feedback` of both modes.  V is C^1 but not C^2
-across the curve, where its curvature drops from P+ to P-, hence the
-viscosity check.
-
-The paper writes V as two squared-affine branches,
-1/2 [e^{r(T-t)} x + g1(t)]^2 above and
+In the paper's setting, constant r and sigma, h = 0 and m0 > r
+(:func:`in_paper_setting`), k+ = 0 and k- = -2 A1 T, and the paper writes V
+as two squared-affine branches, 1/2 [e^{r(T-t)} x + g1(t)]^2 above and
 1/2 [e^{(A1+r)(T-t)} x + e^{A1(T-t)} g1(t)]^2 below, with
 g1(t) = f expm1(r(T-t))/r, f = a(theta - eta) + (d - gamma) r and
 A1 = -(m0 - r)^2/(2 sigma^2) - a^2 eta^2/(2 b^2).  Those forms are kept only
@@ -35,9 +29,9 @@ validation suite's oracle.
 Frontier constant: expanding e^{rT} x + g1(0) gives the riskless terminal
 wealth x0 e^{rT} + a(theta-eta)(e^{rT}-1)/r as the frontier vertex.  The
 ``compat`` flag of :func:`compute_solution`, its only reader, stores the
-constant x0 e^{rT} + a(theta-eta)/r as the solution's vertex instead, which
-reproduces historically published dual values but is refuted by Monte Carlo
-(see the acceptance suite); the expanded form is the default.
+constant x0 e^{rT} + a(theta-eta)/r, defined for a constant r, as the
+solution's vertex instead, which reproduces historically published dual
+values but is refuted by Monte Carlo (see the acceptance suite).
 """
 
 from __future__ import annotations
@@ -47,15 +41,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conelq import cone_quadratic_argmin, gap_feedback
-from .curves import SampledCurve
+from .conelq import cone_quadratic_argmin, gap_feedback, p_pair
+from .curves import SampledCurve, segments
+from .filtering import projected_mean_curve
 from .frontier import Solution, _float_if_scalar, assemble_solution, dual_value
-from .model import INFO_FULL, ModelParams, validate
+from .model import INFO_FULL, ModelParams, riskless_integrals, validate
 from .odekernel import integrate_linear_backward
 
 # Relative x-step of the finite-difference HJB check; its t-step is
 # _FD_STEP min(1, T).
 _FD_STEP = 1e-4
+_EPS = float(np.finfo(float).eps)
 
 
 class NearCurveError(ValueError):
@@ -75,18 +71,15 @@ _REGIONS = np.array([Region.BELOW_CURVE, Region.ON_CURVE, Region.ABOVE_CURVE],
 
 def _compat_vertex(model: ModelParams) -> float:
     """The published frontier constant x0 e^{rT} + a(theta - eta)/r."""
-    c, mk = model.claim, model.market
-    r = mk.r.constant_value()
+    c, r = model.claim, model.market.r.constant_value()
     ert = float(np.exp(r * model.objective.T))
     return model.objective.x0 * ert + c.a * (c.theta - c.eta) / r
 
 
 def _a1(model: ModelParams) -> float:
     """The paper's A1, for the oracle and the ``a1-definition`` check."""
-    c, mk = model.claim, model.market
-    mu = model.drift.m0
-    r = mk.r.constant_value()
-    sigma = mk.sigma.constant_value()
+    c, mk, mu = model.claim, model.market, model.drift.m0
+    r, sigma = mk.r.constant_value(), mk.sigma.constant_value()
     return -(mu - r) ** 2 / (2.0 * sigma ** 2) - c.a ** 2 * c.eta ** 2 / (2.0 * c.b ** 2)
 
 
@@ -113,47 +106,45 @@ def compute_solution(model: ModelParams, compat: bool = False) -> Solution:
     return assemble_solution(model, INFO_FULL, vertex)
 
 
+def in_paper_setting(model: ModelParams) -> bool:
+    """A known drift, constant r and sigma, h = 0 and m0 > r: the paper's."""
+    mk, dr = model.market, model.drift
+    return (dr.is_degenerate() and mk.r.is_constant and mk.sigma.is_constant
+            and not dr.h.values.any() and dr.m0 > mk.r.values[0])
+
+
 def switching_x(t, sol: Solution, model: ModelParams):
-    """Shifted wealth on the switching curve,
-    x_c(t) = -w expm1(r(T - t)) e^{-r(T - t)} / r, with w = a(theta - eta)
-    + r (d - gamma*) the zero strategy's wealth drift at the target level;
-    broadcasts over t."""
-    c, r = model.claim, model.market.r.constant_value()
-    tau = model.objective.T - np.asarray(t, dtype=float)
-    w = c.a * c.theta - c.a * c.eta + sol.target_level * r
-    return -(w * np.expm1(r * tau) / r) * np.exp(-r * tau)
+    """x_c(t) = S(t) - (d - gamma*), formed as (d - gamma*) expm1(-int_t^T r)
+    - a(theta - eta) I(t) from :func:`~mvreins.model.riskless_integrals`, so
+    that it does not cancel where |x_c| << |d - gamma*|; broadcasts over t."""
+    c = model.claim
+    exponent, tail = riskless_integrals(model, t)
+    return sol.target_level * np.expm1(-exponent) - c.a * (c.theta - c.eta) * tail
 
 
-def p_pair(t, sol: Solution, model: ModelParams):
-    """(P+(t), P-(t)) = exp((T - t)(2r - k+/-/T)); broadcasts over t."""
-    T, r = model.objective.T, model.market.r.constant_value()
-    tau = T - np.asarray(t, dtype=float)
-    return (np.exp(tau * (2.0 * r - sol.kappa_plus / T)),
-            np.exp(tau * (2.0 * r - sol.kappa_minus / T)))
-
-
-def region(t: float, x, sol: Solution, model: ModelParams):
+def region(t, x, sol: Solution, model: ModelParams):
     """Side of the switching curve for shifted wealth x, within 1e-12 of
-    max(1, |x|, |x_c|).  Broadcasts over x: a scalar gives the
-    :class:`Region` member, an array an object array of members."""
+    max(1, |x|, |x_c|).  Broadcasts over t and x: scalars give the
+    :class:`Region` member, arrays an object array of members."""
     xc = switching_x(t, sol, model)
     s = x - xc
     tol = 1e-12 * np.maximum(np.maximum(1.0, np.abs(x)), np.abs(xc))
     return _REGIONS[(s > tol).astype(int) - (s < -tol) + 1]
 
 
-def value_function(t: float, x, sol: Solution, model: ModelParams):
+def value_function(t, x, sol: Solution, model: ModelParams):
     """V(t, x) = 1/2 P+/-(t) (x - x_c(t))^2 at shifted wealth x, with P+ on
-    and above the curve.  Broadcasts over x; a scalar x gives a float."""
+    and above the curve.  Broadcasts over t and x, with one
+    :func:`~mvreins.conelq.p_pair` call for all of t; scalars give a float."""
     gap = x - switching_x(t, sol, model)
-    p_plus, p_minus = p_pair(t, sol, model)
+    p_plus, p_minus = p_pair(model, t)
     return _float_if_scalar(0.5 * np.where(gap >= 0.0, p_plus, p_minus) * gap * gap)
 
 
 def full_feedback_strategy(sol: Solution, model: ModelParams):
     """Vectorized (t, wealth, m) -> (q, pi) arrays on actual wealth, for
     simulation: :func:`~mvreins.conelq.gap_feedback` at the target level
-    d - gamma*; m is the known drift m0."""
+    d - gamma*; m is the known drift m0 e^{int_0^t h}."""
     return gap_feedback(model, sol.target_level)
 
 
@@ -194,51 +185,66 @@ def solve_pqr(model: ModelParams, d: float, gamma: float,
     return tuple(curves)
 
 
-def hjb_residual(t: float, x: float, sol: Solution,
-                 model: ModelParams) -> float:
+def stencil_fits(t, model: ModelParams):
+    """Whether the HJB time stencil t +- 2 _FD_STEP min(1, T) lies in one piece
+    of [0, T] where r, sigma and h, at whose breakpoints V_t jumps, are fixed."""
+    mk, T = model.market, model.objective.T
+    edges, _ = segments(0.0, T, mk.r, mk.sigma, model.drift.h)
+    gaps = np.abs(np.asarray(t, dtype=float)[..., None] - edges)
+    return np.all(gaps >= 2.0 * _FD_STEP * min(1.0, T), axis=-1)
+
+
+def hjb_residual(t, x, sol: Solution, model: ModelParams):
     """Finite-difference residual of the dynamic-programming PDE at (t, x).
 
     Central differences with step ``_FD_STEP``; the x-step is scaled by
     max(1, |x|) so the stencil tracks the quadratic's scale (keeping the
-    second difference exact up to roundoff), the t-step by min(1, T) so it
-    stays inside a short horizon.  The cone infimum is evaluated by the
-    closed-form per-coordinate minimizer.  Points within 10 x-steps of the
-    switching curve (or with the time stencil leaving [0, T]) are rejected.
+    second difference exact up to roundoff), the t-step ht by min(1, T) so
+    it stays inside a short horizon.  V_t is the fourth-order difference on
+    t +- ht, t +- 2 ht: at k- of a few hundred a second-order one errs by
+    more than 1e-6 of V_t.  The cone infimum is evaluated by the closed-form
+    per-coordinate minimizer.  Points within 10 x-steps of the switching
+    curve, and time stencils that leave their piece of [0, T]
+    (:func:`stencil_fits`), are rejected.  Broadcasts over t and x.
 
     Returns the residual V_t + V_x (r X + a(theta - eta)) + inf_q + inf_pi,
-    X = x + d - gamma* the actual wealth, and the sum of its four terms'
-    magnitudes, the scale that its rounding and finite-difference error
-    grow with.
+    X = x + d - gamma*; the sum of its terms' magnitudes, the scale of its
+    finite-difference error; and V_t's rounding floor, 8 eps times its
+    stencil terms' magnitudes, which the residual reaches where every term
+    is small against V (r near 0 and theta = eta above the curve).
     """
-    T = model.objective.T
-    hx = _FD_STEP * max(1.0, abs(x))
-    ht = _FD_STEP * min(1.0, T)
-    s = x - switching_x(t, sol, model)
-    if abs(s) <= 10.0 * hx:
-        raise NearCurveError(
-            f"point at distance {abs(s):.3e} from the switching curve; "
-            f"need > {10.0 * hx:.3e}"
-        )
-    if t - ht < 0.0 or t + ht > T:
-        raise NearCurveError("time stencil leaves [0, T]")
+    t, x = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(x, dtype=float))
+    hx = _FD_STEP * np.maximum(1.0, np.abs(x))
+    ht = _FD_STEP * min(1.0, model.objective.T)
+    s = np.abs(x - switching_x(t, sol, model))
+    if np.any(s <= 10.0 * hx):
+        raise NearCurveError(f"point at distance {s.min():.3e} from the switching "
+                             f"curve; need > {10.0 * hx.flat[s.argmin()]:.3e}")
+    if not np.all(stencil_fits(t, model)):
+        raise NearCurveError("time stencil leaves its piece of [0, T]")
 
-    v_left, v_mid, v_right = value_function(t, x + hx * np.array([-1.0, 0.0, 1.0]),
-                                            sol, model)
-    vt = (value_function(t + ht, x, sol, model)
-          - value_function(t - ht, x, sol, model)) / (2.0 * ht)
+    v_left, v_mid, v_right, v_2late, v_late, v_early, v_2early = value_function(
+        np.stack([t, t, t, t + 2.0 * ht, t + ht, t - ht, t - 2.0 * ht]),
+        np.stack([x - hx, x, x + hx, x, x, x, x]), sol, model)
+    vt_terms = (-v_2late, 8.0 * v_late, -8.0 * v_early, v_2early)
+    vt = sum(vt_terms) / (12.0 * ht)
     vx = (v_right - v_left) / (2.0 * hx)
     vxx = (v_right - 2.0 * v_mid + v_left) / (hx * hx)
-    if vxx <= 0:
+    if np.any(vxx <= 0):
         raise RuntimeError("finite-difference curvature nonpositive")
 
     c, mk = model.claim, model.market
-    mu, r, sigma = model.drift.m0, mk.r.constant_value(), mk.sigma.constant_value()
+    r, sigma = mk.r(t), mk.sigma(t)
+    mu = projected_mean_curve(model.drift)(t)
     # inf over q, pi >= 0 of vx (a eta q + (mu - r) pi) + 1/2 vxx (b^2 q^2 + sigma^2 pi^2)
     _, val_q = cone_quadratic_argmin(0.5 * vxx * c.b ** 2, 0.5 * vx * c.a * c.eta)
     _, val_pi = cone_quadratic_argmin(0.5 * vxx * sigma ** 2, 0.5 * vx * (mu - r))
     drift = r * (x + sol.target_level) + c.a * (c.theta - c.eta)
     terms = (vt, vx * drift, val_q, val_pi)
-    return float(sum(terms)), float(sum(abs(term) for term in terms))
+    return (_float_if_scalar(sum(terms)),
+            _float_if_scalar(sum(np.abs(term) for term in terms)),
+            _float_if_scalar(8.0 * _EPS * sum(np.abs(term) for term in vt_terms)
+                             / (12.0 * ht)))
 
 
 @dataclass(frozen=True)
@@ -255,8 +261,7 @@ class ViscosityReport:
         return not self.failures
 
 
-def viscosity_check(sol: Solution, model: ModelParams,
-                    curve_samples: int = 100) -> ViscosityReport:
+def viscosity_check(model: ModelParams, curve_samples: int = 100) -> ViscosityReport:
     """Verify the generalized-solution condition along the switching curve.
 
     The gap form vanishes on the curve with its x-derivative from either
@@ -264,15 +269,15 @@ def viscosity_check(sol: Solution, model: ModelParams,
     cone infimum of 1/2 P [b^2 q^2 + sigma^2 pi^2] over q, pi >= 0 is 0 for
     every P > 0, so the sub- and super-solution inequalities hold on the
     curve.  What is left is the sign of the curvature jump, P-(t) <= P+(t),
-    measured at ``curve_samples`` midpoint times.
+    measured at ``curve_samples`` midpoint times: it holds in the paper's
+    setting, where k+ = 0, but off it (m below r) k+ can exceed k-.
     """
     if curve_samples < 1:
         raise ValueError("curve_samples must be >= 1")
-    T = model.objective.T
-    p_plus, p_minus = p_pair(T * (np.arange(curve_samples) + 0.5) / curve_samples,
-                             sol, model)
-    max_p_jump = float(np.max(p_minus - p_plus))
+    T, n = model.objective.T, curve_samples
+    p_plus, p_minus = p_pair(model, np.append(0.0, T * (np.arange(n) + 0.5) / n))
+    max_p_jump = float(np.max(p_minus[1:] - p_plus[1:]))
     failures = []
-    if max_p_jump > 1e-12 * max(1.0, float(p_pair(0.0, sol, model)[0])):
+    if max_p_jump > 1e-12 * max(1.0, float(p_plus[0])):
         failures.append(f"P- - P+ = {max_p_jump:.3e} > 0")
     return ViscosityReport(max_p2_minus_p1=max_p_jump, failures=tuple(failures))

@@ -1,9 +1,11 @@
-"""Model parameters for the reinsurance/investment problem and their standing assumptions.
+"""Model parameters for the reinsurance/investment problem and their assumptions.
 
 Parameter groups mirror the economic structure: the insurance book (claim flow
 and safety loadings), the financial market (risk-free rate, risky volatility),
 the dynamics of the hidden expected return, and the mean-variance objective.
 All value objects are immutable after construction and safe to share.
+Full information needs only a known drift (l = z = 0, n0 = 0): r, sigma
+and h may be piecewise and m0 - r of either sign, as in partial information.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ class MarketParams:
     """Risk-free rate and risky-asset volatility, constant or piecewise-constant.
 
     Both are :class:`~mvreins.curves.PiecewiseConstantCurve`; discounting to
-    the horizon is :meth:`ModelParams.discount_to_horizon`.
+    the horizon is :func:`riskless_integrals`.
     """
 
     r: PiecewiseConstantCurve
@@ -92,10 +94,6 @@ class ModelParams:
     objective: Objective
     info_mode: str = INFO_FULL
 
-    def discount_to_horizon(self, t: float) -> float:
-        """exp(-int_t^T r)."""
-        return float(np.exp(-self.market.r.integral(t, self.objective.T)))
-
 
 @dataclass(frozen=True)
 class ValidationReport:
@@ -141,17 +139,9 @@ def validate(params: ModelParams) -> ValidationReport:
 
     if params.info_mode not in (INFO_FULL, INFO_PARTIAL):
         v.append(f"info_mode must be 'full' or 'partial', got {params.info_mode!r}")
-    elif params.info_mode == INFO_FULL:
-        # Closed forms in full mode assume a constant, known expected return
-        # above the risk-free rate, and constant market coefficients.
-        if not dr.is_degenerate():
-            v.append("full mode requires degenerate drift (l = z = 0, n0 = 0)")
-        if not (dr.h.is_constant and dr.h.constant_value() == 0.0):
-            v.append("full mode requires h = 0 (constant expected return)")
-        if not (mk.r.is_constant and mk.sigma.is_constant):
-            v.append("full mode requires constant r and sigma")
-        if mk.r.is_constant and not dr.m0 > mk.r.constant_value():
-            v.append("full mode requires m0 > r (positive excess return)")
+    elif params.info_mode == INFO_FULL and not dr.is_degenerate():
+        # Full information observes the expected return: a known drift.
+        v.append("full mode requires degenerate drift (l = z = 0, n0 = 0)")
 
     return ValidationReport(ok=not v, violations=tuple(v))
 
@@ -175,28 +165,41 @@ def riskless_terminal_wealth(params: ModelParams) -> float:
     return float(x)
 
 
-def riskless_level(params: ModelParams, t: float, target: float) -> float:
+def riskless_integrals(params: ModelParams, t):
+    """(int_t^T r, I(t) = int_t^T e^{-int_t^s r} ds) over the rate curve's
+    pieces of [0, T], each cut at t (width 0 before t's piece), broadcast
+    over t: int r adds r u left to right, and I is chained from T back,
+    I <- I + I expm1(-r u) - expm1(-r u)/r, so a tiny r does not cancel.
+    A width-0 piece changes neither, so each t keeps its own sums' bits."""
+    t = np.asarray(t, dtype=float)
+    r, T = params.market.r, params.objective.T
+    starts = [start for start in r.times.tolist() if start < T]
+    rates = r.values.tolist()[:len(starts)]
+    widths = [np.maximum(end - np.maximum(start, t), 0.0)
+              for start, end in zip(starts, starts[1:] + [T])]
+    exponent = 0.0
+    for rate, width in zip(rates, widths):
+        exponent = exponent + rate * width
+    tail = 0.0
+    for rate, width in zip(rates[::-1], widths[::-1]):
+        shrink = np.expm1(-rate * width)
+        tail = tail + tail * shrink - shrink / rate
+    return exponent, tail
+
+
+def riskless_level(params: ModelParams, t, target: float):
     """S(t): the wealth at t from which the zero strategy ends at ``target`` at T.
 
         S(t) = target e^{-int_t^T r} - a(theta - eta) int_t^T e^{-int_t^s r} ds,
 
     the riskless wealth ODE of :func:`riskless_terminal_wealth` run back from
-    T.  The premium integral I is chained over the rate curve's pieces from T
-    back to t: over a piece of length u, I <- I + I expm1(-r u) - expm1(-r u)/r.
-    The premium term is added only when a(theta - eta) is non-zero, so at
-    theta = eta S(t) is target e^{-int_t^T r} bit for bit.
+    T (:func:`riskless_integrals`).  Broadcasts over t; a float t gives a
+    float.
     """
     c = params.claim
-    level = target * params.discount_to_horizon(t)
-    premium = c.a * (c.theta - c.eta)
-    if premium == 0.0:
-        return level
-    edges, (rates,) = segments(t, params.objective.T, params.market.r)
-    tail = 0.0
-    for rate, width in zip(rates[::-1].tolist(), np.diff(edges)[::-1].tolist()):
-        shrink = np.expm1(-rate * width)
-        tail = tail + tail * shrink - shrink / rate
-    return float(level - premium * tail)
+    exponent, tail = riskless_integrals(params, t)
+    level = target * np.exp(-exponent) - c.a * (c.theta - c.eta) * tail
+    return float(level) if np.ndim(t) == 0 else level
 
 
 def riskless_terminal_wealth_ode(params: ModelParams) -> float:

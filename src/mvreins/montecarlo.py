@@ -50,7 +50,7 @@ call one strategy at the same time, so a strategy allocates its outputs on
 every call and keeps nothing between calls but pure functions of t (a
 per-t table of coefficients).
 
-Under a degenerate drift with h = 0 (every full-information model) the
+Under a degenerate drift with h = 0 (the paper's full-information case) the
 filter's vol, h and l vanish and mu = m = m0 at every step, so those updates
 are skipped and the float m0 is both the wealth drift and the m handed to
 the strategy.  The strategy is then a feedback in (t, X) alone, so given X
@@ -60,7 +60,8 @@ per path-step, sqrt(b^2 dt q^2 + sigma^2 dt pi^2) Z in place of the two
 noise terms above, which leaves the law of the Euler chain and of its integrals
 of q^2 and pi^2 unchanged (a weak scheme needs only the law of the increment;
 Glasserman 2003, sec. 6.1).  The price, coupled to wealth only through W1 and
-read by nothing there, is not simulated: ``terminal_price`` is None.
+read by nothing there, is not simulated: ``terminal_price`` is None.  A
+known drift with h != 0 (``configs/knowndrift.cfg``) keeps the array branch.
 """
 
 from __future__ import annotations
@@ -358,8 +359,8 @@ def simulate_physical(model: ModelParams, strategy, cfg: SimConfig,
 
     with the hidden drift mu driven by (W1, W2) and the filter mean updated
     from the observed return mu dt + sigma dW1.  Under a known drift with
-    h = 0 (every full-information model) mu = m = m0, the two noise terms are
-    drawn as one normal of variance (b^2 q^2 + sigma^2 pi^2) dt, and the
+    h = 0 (the paper's full-information case) mu = m = m0, the two noise terms
+    are drawn as one normal of variance (b^2 q^2 + sigma^2 pi^2) dt, and the
     ensemble carries no price.
     """
     return _simulate(model, strategy, cfg, workers, physical=True)

@@ -15,9 +15,10 @@ per-step factors in one array pass and runs only the steps themselves as
 float loops.  It serves the oracles of the two linear systems: the Riccati
 pair (:func:`~mvreins.conelq.solve_riccati_pair`, scalar) and the
 full-information P, Q, R (:func:`~mvreins.fullinfo.solve_pqr`, (P, Q) with R
-as quadrature).  The problems are smooth and non-stiff, so the step is
-fixed.  Both marches are cut where the piecewise-constant coefficient curves
-they are given jump (:func:`~mvreins.curves.segments`), so every segment is
+as quadrature).  A call takes a fixed number of steps; the validation suite
+doubles the oracles' steps until a step halving no longer moves them.  Both
+marches are cut where the piecewise-constant coefficient curves they are
+given jump (:func:`~mvreins.curves.segments`), so every segment is
 smooth and keeps 4th-order accuracy, and the right-hand side receives each
 segment's coefficient values as arguments instead of looking the curves up
 at every stage.

@@ -8,18 +8,26 @@ against the PDE.
 The CLI ``validate`` subcommand prints one PASS/FAIL line per check and maps
 any failure to exit code 2.
 
-One backward RK4 solve of the Riccati pair (:func:`_riccati_oracle`) serves
-both modes: in full mode it meets the record's P+/-(t) =
-exp((T - t)(2r - k+/-/T)), in partial mode the closed form
-exp(2 int_t^T r - int_t^T kappa+/-) evaluated exactly at the oracle's nodes.
-In full mode the paper's own coefficients are the independent route: A1 for
-k- (``a1-definition``) and the RK4 P, Q, R of its two branches for the gap
-form (``pqr-ode-cross-check``).
+:func:`run_checks` runs one check list in both information modes; a model
+property, never the mode, decides which checks apply:
+
+* every model: ``model-invariants``, ``riskless-wealth-ode``,
+  ``cone-optimality``, ``riccati-envelope``, ``riccati-rk4-oracle`` (one
+  backward RK4 solve of the Riccati pair, :func:`_riccati_checks`, against
+  P+/-(t) = exp(2 int_t^T r - int_t^T kappa+/-) at its nodes and against
+  the record's k+/-), ``dual-argmax`` and ``frontier-vertex``;
+* a known drift: ``hjb-interior-residual``;
+* the paper's setting (constant r and sigma, h = 0, a known drift and
+  m0 > r): ``a1-definition``, ``pqr-ode-cross-check`` and
+  ``viscosity-switching-curve``, where the paper's own coefficients, A1 for
+  k- and the RK4 P, Q, R of its two branches for the gap form, are the
+  independent route;
+* a live filter: ``filter-variance-converged``.
 
 The ``overrides`` mapping (from the config's ``[overrides]`` section) injects
 faulty constants into the solution side only, so a wrong value must trip the
 cross-checks; it exists to prove the suite can fail.  ``a1`` replaces the
-full record's k- with -2 a1 T.
+record's k- with -2 a1 T.
 """
 
 from __future__ import annotations
@@ -43,6 +51,8 @@ _PQR_MAX_STEPS = 128_000
 # floor keeps a spread at rounding level (6e-15 on scaled.cfg) from failing
 # exact agreement, and the cap keeps an unresolved oracle from passing.
 _PQR_TOL = (1e-10, 1e-6)
+# Cap on the Riccati oracle's step doubling: 2500 * 2^7.
+_RICCATI_MAX_STEPS = 320_000
 # Golden-section fraction (3 - sqrt 5) / 2 and the search's stopping terms.
 # From a bracket 20 max(1, |gamma*|) wide, the relative stop takes about 45
 # evaluations; the cap ends a search whose maximizer is far from gamma*.
@@ -150,28 +160,48 @@ def _frontier_vertex_check(sol) -> CheckResult:
                        f"variance at vertex {curve.variance[0]:.3e}, increasing beyond")
 
 
-def _riccati_oracle(model: ModelParams):
-    """Backward RK4 Riccati pair (P+, P-) on the projected drift."""
+def _doubled(solve, steps: int, cap: int, target: float, spread):
+    """``solve(steps)`` at doubling steps until ``spread(coarse, fine)`` is at
+    most ``target`` or the finer solve takes ``cap`` steps; returns the finer
+    solve, its steps and the last spread."""
+    fine = solve(steps)
+    while True:
+        coarse, steps = fine, 2 * steps
+        fine = solve(steps)
+        gap = spread(coarse, fine)
+        if gap <= target or steps >= cap:
+            return fine, steps, gap
+
+
+def _riccati_checks(model: ModelParams, sol: Solution) -> list[CheckResult]:
+    """The backward RK4 Riccati pair (P+, P-) on the projected drift against
+    the H* = 0 envelope, which the closed form meets by construction, and
+    against the closed-form pair at its nodes and the record's P+/-(0) =
+    exp(2 int_0^T r - k+/-), which gamma* and the frontier read; the error,
+    relative to the oracle, is the expm1 of the difference of the logs.
+
+    The oracle's steps double from 2500 until log P+/-(0) moves by at most
+    1e-9: RK4's error in log P grows like the integral of |2r - kappa| times
+    h^4, so a steep pair (k- of a few hundred) needs far more steps than
+    paper44."""
     m_bar = filtering.projected_mean_curve(model.drift)
-    return conelq.solve_riccati_pair(model, m_bar)
-
-
-def _riccati_closed(model: ModelParams, t):
-    """Closed-form P+/- at the times ``t``: exp(2 int_t^T r - int_t^T kappa+/-)."""
-    r = model.market.r
-    two_r = 2.0 * (r.antiderivative(model.objective.T) - r.antiderivative(t))
-    return tuple(np.exp(two_r - k) for k in conelq.riccati_pair(model, t))
-
-
-def _riccati_oracle_check(closed, oracle) -> CheckResult:
-    """Closed-form Riccati pair, evaluated at the oracle's nodes, against the
-    backward RK4 oracle; the error, relative to the oracle, is the expm1 of
-    the difference of the logs."""
-    err = max(float(np.max(np.abs(np.expm1(np.log(p) - np.log(rk4.values)))))
-              for p, rk4 in zip(closed, oracle))
-    return CheckResult(
-        "riccati-rk4-oracle", err <= 1e-8,
-        f"closed form vs RK4 ({conelq._ORACLE_STEPS} steps), max rel err {err:.2e}")
+    oracle, steps, _ = _doubled(
+        lambda n: conelq.solve_riccati_pair(model, m_bar, n), 2500,
+        _RICCATI_MAX_STEPS, 1e-9, lambda coarse, fine: max(
+            abs(float(np.log(f.values[0] / c.values[0]))) for c, f in zip(coarse, fine)))
+    r, T, grid = model.market.r, model.objective.T, oracle[0].grid
+    two_r = 2.0 * (r.antiderivative(T) - r.antiderivative(grid))
+    ok_env = all(np.all(rk4.values <= np.exp(two_r) * (1 + 1e-9)) for rk4 in oracle)
+    err = 0.0
+    for p, k, rk4 in zip(conelq.p_pair(model, grid),
+                         (sol.kappa_plus, sol.kappa_minus), oracle):
+        log_rk4 = np.log(rk4.values)
+        err = max(err, float(np.max(np.abs(np.expm1(np.log(p) - log_rk4)))),
+                  abs(float(np.expm1(two_r[0] - k - log_rk4[0]))))
+    return [CheckResult("riccati-envelope", bool(ok_env),
+                        "RK4 P+- <= exp(2 int r) pointwise"),
+            CheckResult("riccati-rk4-oracle", err <= 1e-8,
+                        f"closed form vs RK4 ({steps} steps), max rel err {err:.2e}")]
 
 
 def _pqr_oracle_check(model: ModelParams, sol: Solution) -> CheckResult:
@@ -188,17 +218,13 @@ def _pqr_oracle_check(model: ModelParams, sol: Solution) -> CheckResult:
     oracle cannot explain fails, down to 1e-8 on paper44.  The detail
     states the steps and the spread.
     """
-    steps = 2000
-    fine = fullinfo.solve_pqr(model, sol.d, sol.gamma_star, steps)
-    while True:
-        coarse, steps = fine, 2 * steps
-        fine = fullinfo.solve_pqr(model, sol.d, sol.gamma_star, steps)
-        spread = max(_rel_err(c.values, f.values[::2]) for c, f in zip(coarse, fine))
-        if spread <= 1e-7 or steps >= _PQR_MAX_STEPS:
-            break
+    fine, steps, spread = _doubled(
+        lambda n: fullinfo.solve_pqr(model, sol.d, sol.gamma_star, n), 2000,
+        _PQR_MAX_STEPS, 1e-7, lambda coarse, fine: max(
+            _rel_err(c.values, f.values[::2]) for c, f in zip(coarse, fine)))
     grid = fine[0].grid
     xc = fullinfo.switching_x(grid, sol, model)
-    closed = [part for p in fullinfo.p_pair(grid, sol, model)
+    closed = [part for p in conelq.p_pair(model, grid)
               for part in (p, -p * xc, 0.5 * p * xc * xc)]
     err = max(_rel_err(c.values, ref) for c, ref in zip(fine, closed))
     tol = min(max(10.0 * spread, _PQR_TOL[0]), _PQR_TOL[1])
@@ -208,11 +234,39 @@ def _pqr_oracle_check(model: ModelParams, sol: Solution) -> CheckResult:
         f"step-halving spread {spread:.2e}")
 
 
-def _checks_common(model: ModelParams):
-    results = []
+def _hjb_check(model: ModelParams, sol: Solution) -> CheckResult:
+    """Interior PDE residual at 7 times (less those whose stencil leaves its
+    piece of [0, T]) and 4 offsets from the switching curve, beyond its
+    rounding floor, normalized by the sum of its four terms' magnitudes so
+    the check is meaningful at any horizon and wealth scale."""
+    T = model.objective.T
+    ts = np.linspace(0.05 * T, 0.95 * T, 7)
+    ts = ts[fullinfo.stencil_fits(ts, model)]
+    xc = fullinfo.switching_x(ts, sol, model)
+    scale = np.maximum(1.0, np.abs(xc))[:, None]
+    x = xc[:, None] + np.array([0.5, 2.0, -0.5, -2.0]) * scale
+    res, magnitude, rounding = fullinfo.hjb_residual(np.repeat(ts, 4), x.ravel(),
+                                                     sol, model)
+    excess = np.maximum(np.abs(res) - rounding, 0.0)
+    worst = float(np.max(np.divide(excess, magnitude, out=np.zeros_like(excess),
+                                   where=excess > 0.0), initial=0.0))
+    return CheckResult("hjb-interior-residual", worst <= 1e-6,
+                       f"max normalized residual {worst:.2e} at {res.size} points")
 
+
+def run_checks(model: ModelParams, compat: bool = False,
+               overrides: dict | None = None) -> list[CheckResult]:
+    """Run the named-check suite for the given model; deterministic.
+
+    One list for both modes, gated by model properties (module docstring).
+    The randomized cone probes draw from a generator with the fixed seed
+    20240.  An injected ``a1`` replaces the record's k- in the Riccati, A1,
+    P, Q, R and HJB checks; of those, only ``riccati-rk4-oracle`` and
+    ``a1-definition`` read k-.  ``dual-argmax`` and ``frontier-vertex`` read
+    the solution, never an injected constant.
+    """
     report = validate(model)
-    results.append(CheckResult("model-invariants", report.ok, str(report)))
+    results = [CheckResult("model-invariants", report.ok, str(report))]
     if not report.ok:
         return results
 
@@ -222,108 +276,44 @@ def _checks_common(model: ModelParams):
     results.append(CheckResult(
         "riskless-wealth-ode", err <= 1e-9,
         f"closed {d_closed:.6f} vs ODE {d_ode:.6f}, rel err {err:.2e}"))
-
     ok, gap, h_max = cone_probe_check(np.random.default_rng(20240), draws=200,
                                       probes=50)
     results.append(CheckResult("cone-optimality", ok,
                                f"max optimality gap {gap:.2e}, max H* {h_max:.2e}"))
-    return results
 
-
-def _checks_full(model: ModelParams, sol: Solution,
-                 overrides: dict) -> list[CheckResult]:
-    results = []
-    T = model.objective.T
-    if "a1" in overrides:  # an injected a1 reaches every check here
-        sol = dataclasses.replace(sol, kappa_minus=-2.0 * float(overrides["a1"]) * T)
-
-    a1_sol, a1_paper = -sol.kappa_minus / (2.0 * T), fullinfo._a1(model)
-    err = abs(a1_sol - a1_paper)
-    results.append(CheckResult(
-        "a1-definition", err <= 1e-12 * max(1.0, abs(a1_paper)),
-        f"solution -k-/(2T) {a1_sol:.6g} vs A1 {a1_paper:.6g}"))
-
-    # Backward Riccati pair against the record's P+/- (the constant-
-    # coefficient, positive-excess-return setting of full mode).
-    oracle = _riccati_oracle(model)
-    closed = fullinfo.p_pair(oracle[0].grid, sol, model)
-    for name, rk4, p in zip(("plus", "minus"), oracle, closed):
-        err_p = _rel_err(rk4.values, p)
-        results.append(CheckResult(
-            f"riccati-{name}-closed-form", err_p <= 1e-6, f"max rel err {err_p:.2e}"))
-
-    results.append(_pqr_oracle_check(model, sol))
-
-    # Interior PDE residual, normalized by the sum of its four terms'
-    # magnitudes so the check is meaningful at any horizon and wealth scale.
-    worst = 0.0
-    for t in np.linspace(0.05 * T, 0.95 * T, 7):
-        xc = float(fullinfo.switching_x(t, sol, model))
-        scale = max(1.0, abs(xc))
-        for x in (xc + 0.5 * scale, xc + 2.0 * scale, xc - 0.5 * scale,
-                  xc - 2.0 * scale):
-            res, magnitude = fullinfo.hjb_residual(t, x, sol, model)
-            worst = max(worst, abs(res) / magnitude)
-    results.append(CheckResult(
-        "hjb-interior-residual", worst <= 1e-6,
-        f"max normalized residual {worst:.2e}"))
-
-    visc = fullinfo.viscosity_check(sol, model, curve_samples=50)
-    results.append(CheckResult(
-        "viscosity-switching-curve", visc.passed,
-        "; ".join(visc.failures) if visc.failures else
-        f"max(P- - P+) {visc.max_p2_minus_p1:.2e}"))
-    return results
-
-
-def _checks_partial(model: ModelParams) -> list[CheckResult]:
-    results = []
-    oracle = _riccati_oracle(model)
-    grid = oracle[0].grid
-    T = model.objective.T
-
-    # The oracle's curves against the H* = 0 envelope, at its nodes.  The
-    # closed form meets it by construction (each exponent int kappa is a sum
-    # of non-negative piece integrals), so only the oracle is held to it.
-    rate = model.market.r
-    envelope = np.exp(2.0 * (rate.antiderivative(T) - rate.antiderivative(grid)))
-    ok_env = all(np.all(rk4.values <= envelope * (1 + 1e-9)) for rk4 in oracle)
-    results.append(CheckResult(
-        "riccati-envelope", bool(ok_env), "RK4 P+- <= exp(2 int r) pointwise"))
-    results.append(_riccati_oracle_check(_riccati_closed(model, grid), oracle))
-
-    # solve_variance itself raises on n(t) < -1e-12.
-    n_curve = filtering.solve_variance(model.drift, model.market.sigma, T)
-    n_refined = filtering.solve_variance(model.drift, model.market.sigma, T,
-                                         steps=20000)
-    err_n = _rel_err(n_curve(T), n_refined(T))
-    results.append(CheckResult(
-        "filter-variance-converged", err_n <= 1e-8,
-        f"step-halving rel err {err_n:.2e}"))
-    return results
-
-
-def run_checks(model: ModelParams, compat: bool = False,
-               overrides: dict | None = None) -> list[CheckResult]:
-    """Run the full named-check suite for the given model; deterministic.
-
-    The randomized cone probes draw from a generator with the fixed seed
-    20240.  ``dual-argmax`` and ``frontier-vertex`` read the solution of
-    either mode, never an injected constant.
-    """
-    global_results = _checks_common(model)
-    if not global_results[0].passed:
-        return global_results
-    overrides = overrides or {}
     if model.info_mode == INFO_FULL:
         sol = fullinfo.compute_solution(model, compat=compat)
-        results_mode = _checks_full(model, sol, overrides)
     else:
         sol = partialinfo.solve_partial(model)
-        results_mode = _checks_partial(model)
-    results_mode += [_dual_argmax_check(lambda g: dual_value(sol, g), sol.gamma_star),
-                     _frontier_vertex_check(sol)]
-    return global_results + results_mode
+    checked = sol
+    if overrides and "a1" in overrides:
+        checked = dataclasses.replace(
+            sol, kappa_minus=-2.0 * float(overrides["a1"]) * model.objective.T)
+    paper, known = fullinfo.in_paper_setting(model), model.drift.is_degenerate()
+    T = model.objective.T
+    results += _riccati_checks(model, checked)
+    if paper:
+        a1_sol, a1_paper = -checked.kappa_minus / (2.0 * T), fullinfo._a1(model)
+        results += [CheckResult(
+            "a1-definition", abs(a1_sol - a1_paper) <= 1e-12 * max(1.0, abs(a1_paper)),
+            f"solution -k-/(2T) {a1_sol:.6g} vs A1 {a1_paper:.6g}"),
+            _pqr_oracle_check(model, checked)]
+    if known:
+        results.append(_hjb_check(model, checked))
+    if paper:
+        visc = fullinfo.viscosity_check(model, curve_samples=50)
+        results.append(CheckResult(
+            "viscosity-switching-curve", visc.passed, "; ".join(visc.failures)
+            or f"max(P- - P+) {visc.max_p2_minus_p1:.2e}"))
+    if not known:  # solve_variance itself raises on n(t) < -1e-12
+        n_curve = filtering.solve_variance(model.drift, model.market.sigma, T)
+        n_refined = filtering.solve_variance(model.drift, model.market.sigma, T,
+                                             steps=20000)
+        err_n = _rel_err(n_curve(T), n_refined(T))
+        results.append(CheckResult("filter-variance-converged", err_n <= 1e-8,
+                                   f"step-halving rel err {err_n:.2e}"))
+    return results + [_dual_argmax_check(lambda g: dual_value(sol, g), sol.gamma_star),
+                      _frontier_vertex_check(sol)]
 
 
 def format_table(results: list[CheckResult]) -> str:

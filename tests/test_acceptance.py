@@ -261,9 +261,8 @@ def test_criterion_8_hjb_viscosity(scaled_noncheap_model, paper44_model):
                                 abs(mv.hjb_residual(t, x, sol, model)[0]))
     residual_ok = max(worst.values()) <= 1e-4
 
-    report = mv.viscosity_check(sol, model, curve_samples=100)
-    report44 = mv.viscosity_check(mv.compute_solution(paper44_model),
-                                  paper44_model, curve_samples=100)
+    report = mv.viscosity_check(model, curve_samples=100)
+    report44 = mv.viscosity_check(paper44_model, curve_samples=100)
     ok = (residual_ok and report.passed and report44.passed
           and report.max_p2_minus_p1 <= 0.0)
     _report("criterion-8 hjb-viscosity", ok,
@@ -285,7 +284,7 @@ def test_criterion_9_pqr_crosscheck(paper44_model):
     curves = mv.solve_pqr(model, sol.d, sol.gamma_star)
     grid = curves[0].grid
     xc = mv.fullinfo.switching_x(grid, sol, model)
-    closed = [part for p in mv.fullinfo.p_pair(grid, sol, model)
+    closed = [part for p in mv.conelq.p_pair(model, grid)
               for part in (p, -p * xc, 0.5 * p * xc * xc)]
     err_pqr = 0.0
     for curve, ref in zip(curves, closed):

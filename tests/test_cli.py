@@ -19,6 +19,7 @@ PAPER44_CFG = REPO / "configs" / "paper44.cfg"
 FILTER_CFG = REPO / "configs" / "filterdemo.cfg"
 SCALED_CFG = REPO / "configs" / "scaled.cfg"
 PARTIAL_CFG = REPO / "bench" / "configs" / "partial.cfg"
+KNOWNDRIFT_CFG = REPO / "configs" / "knowndrift.cfg"
 # filterdemo with a stiff prior: the simulation's 1000-step variance solve
 # undershoots below zero
 STIFF_PRIOR = (FILTER_CFG, "\nn0 = 0.0\n", "\nn0 = 170\n")
@@ -39,6 +40,43 @@ def test_validate_paper44_passes(capsys):
     assert code == 0
     assert "PASS" in out and "FAIL" not in out
     assert "11/11 checks passed" in out
+
+
+def test_validate_knowndrift_passes(capsys):
+    # Full information off the paper's setting: piecewise r and sigma, m
+    # crossing r and theta != eta; the paper's A1, P, Q, R and viscosity
+    # checks do not apply.
+    assert main(["--config", str(KNOWNDRIFT_CFG), "validate"]) == 0
+    out = capsys.readouterr().out
+    assert [line.split()[1] for line in out.splitlines()[:-1]] == [
+        "model-invariants", "riskless-wealth-ode", "cone-optimality",
+        "riccati-envelope", "riccati-rk4-oracle", "hjb-interior-residual",
+        "dual-argmax", "frontier-vertex"]
+    assert "8/8 checks passed" in out
+
+
+def test_simulate_knowndrift_meets_the_frontier(tmp_path):
+    # h != 0 takes the engine's array-m branch.  Mean within 4 SE of d,
+    # variance within 5% of the frontier (criterion 7's band).
+    assert main(["--config", str(KNOWNDRIFT_CFG), "--out-dir", str(tmp_path),
+                 "simulate", "--paths", "20000", "--dt", "0.01", "--seed", "1"]) == 0
+    s = json.loads((tmp_path / "summary.json").read_text())
+    assert s["n_flagged"] == 0
+    assert abs(s["mean"] - s["analytic_mean_target"]) <= 4.0 * s["se_mean"]
+    assert abs(s["variance"] / s["analytic_variance"] - 1.0) <= 0.05
+
+
+@pytest.mark.parametrize("args", [["validate"], ["frontier"], ["value-surface"],
+                                  ["dual-curve"], ["simulate", "--paths", "100"]])
+def test_compat_needs_a_constant_rate(tmp_path, capsys, args):
+    out = tmp_path / "out"
+    code = main(["--config", str(KNOWNDRIFT_CFG), "--out-dir", str(out),
+                 "--compat-paper-formulas"] + args)
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "error: --compat-paper-formulas applies only to the full-information "
+        "solver, with a constant r\n")
+    assert not out.exists()
 
 
 def test_validate_injected_wrong_a1_fails(tmp_path, capsys):

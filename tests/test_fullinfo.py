@@ -6,19 +6,21 @@ from hypothesis import assume, given, settings, strategies as st
 from scipy import optimize
 
 import mvreins as mv
-from mvreins import fullinfo
+from mvreins import conelq, fullinfo
+from mvreins.conelq import p_pair
 from mvreins.config import load_config
 from mvreins.frontier import (MAX_EXPONENT, InfeasibleTargetError, dual_value,
                               efficient_frontier)
 from mvreins.fullinfo import (NearCurveError, Region, compute_solution,
-                              full_feedback_strategy, hjb_residual, p_pair,
-                              region, solve_pqr, switching_x, value_function,
+                              full_feedback_strategy, hjb_residual, region,
+                              solve_pqr, switching_x, value_function,
                               viscosity_check)
 from mvreins.odekernel import integrate_backward
-from mvreins.validation import _dual_argmax_check
+from mvreins.validation import _dual_argmax_check, format_table, run_checks
 
 from conftest import cone_feedback, make_model
 from test_cli import PAPER44_CFG, SCALED_CFG
+from test_conelq import BENCH_PARTIAL_CFG
 
 
 def with_d(model, d):
@@ -146,8 +148,10 @@ def test_feedback_zero_above_curve(paper44_solution, paper44_model):
 
 
 def test_feedback_zero_on_curve(paper44_solution, paper44_model):
+    # The curve in actual wealth is the riskless level S(t) that the
+    # feedback reads; x_c + (d - gamma*) meets it only to rounding.
     sol = paper44_solution
-    x = np.array([float(switching_x(20.0, sol, paper44_model)) + sol.target_level])
+    x = np.array([mv.riskless_level(paper44_model, 20.0, sol.target_level)])
     q, pi = full_feedback_strategy(sol, paper44_model)(20.0, x, 0.06)
     assert (q[0], pi[0]) == (0.0, 0.0)
 
@@ -241,7 +245,7 @@ def test_frontier_with_tiny_premium_is_cancellation_free():
     check = _dual_argmax_check(lambda g: dual_value(sol, g), sol.gamma_star)
     assert check.passed, check.detail
     # V is of order 1e42 here: the on-curve checks scale with the branches.
-    report = viscosity_check(sol, model)
+    report = viscosity_check(model)
     assert report.passed, report.failures
 
 
@@ -292,7 +296,7 @@ def gap_form_pqr(t, sol, model):
     """(P, Q, R) of both branches from the gap form: each branch
     1/2 P x^2 + Q x + R is 1/2 P+/-(x - x_c)^2."""
     xc = switching_x(t, sol, model)
-    return [part for p in p_pair(t, sol, model)
+    return [part for p in p_pair(model, t)
             for part in (p, -p * xc, 0.5 * p * xc * xc)]
 
 
@@ -373,7 +377,7 @@ def test_hjb_residual_interior(scaled_solution, scaled_noncheap_model):
         t = rng.uniform(0.2, 4.8)
         xc = float(switching_x(t, sol, scaled_noncheap_model))
         offset = rng.uniform(1.0, 60.0) * rng.choice([-1.0, 1.0])
-        res, _ = hjb_residual(t, xc + offset, sol, scaled_noncheap_model)
+        res = hjb_residual(t, xc + offset, sol, scaled_noncheap_model)[0]
         assert abs(res) <= 1e-4
 
 
@@ -388,33 +392,78 @@ def test_hjb_residual_near_curve_rejected(scaled_solution,
         hjb_residual(1e-9, xc + 30.0, sol, scaled_noncheap_model)
 
 
+def _known_drift(m0, h):
+    """bench partial.cfg's piecewise r and sigma under a known drift m0 e^{ht},
+    theta = 0.3 and d = 100."""
+    model = load_config(BENCH_PARTIAL_CFG)[0]
+    return dataclasses.replace(
+        model, info_mode="full",
+        claim=dataclasses.replace(model.claim, theta=0.3),
+        drift=mv.DriftParams(h=h, l=0.0, z=0.0, m0=m0, n0=0.0),
+        objective=dataclasses.replace(model.objective, d=100.0))
+
+
+@pytest.mark.parametrize("m0, h", [(0.06, -0.3), (0.02, 0.0), (-0.5, 0.1), (0.3, 0.0)],
+                         ids=["m-crosses-r", "m-below-r", "m-negative", "m-above-r"])
+def test_known_drift_models_pass_every_check(m0, h):
+    # r and sigma jump at t = 4 and 6; at (0.06, -0.3) m falls through r near
+    # t = 1.35.  None is in the paper's setting, so the HJB residual is the
+    # check that reaches the value function there.
+    results = run_checks(_known_drift(m0, h))
+    assert "hjb-interior-residual" in [r.name for r in results]
+    assert all(r.passed for r in results), format_table(results)
+
+
+def test_hjb_time_stencil_must_stay_in_its_piece():
+    # V_t jumps where r or sigma do: a time stencil across t = 4 is refused.
+    model = _known_drift(0.06, -0.3)
+    sol = compute_solution(model)
+    x = float(switching_x(4.0, sol, model)) + 50.0
+    assert not fullinfo.stencil_fits(4.0 + 1e-4, model)
+    with pytest.raises(NearCurveError, match="leaves its piece"):
+        hjb_residual(4.0 + 1e-4, x, sol, model)
+    res, magnitude, _ = hjb_residual(4.5, x, sol, model)
+    assert abs(res) <= 1e-6 * magnitude
+
+
+def test_viscosity_premise_needs_the_paper_setting():
+    # m0 = -0.5 keeps m below r, so k+ = 7.12 exceeds k- = 0.40: P- > P+ on
+    # a valid model, which is why only the paper's setting runs the check.
+    model = _known_drift(-0.5, 0.1)
+    sol = compute_solution(model)
+    assert sol.kappa_plus > sol.kappa_minus
+    assert not viscosity_check(model).passed
+    assert not fullinfo.in_paper_setting(model)
+
+
 def test_viscosity_checks_scaled(scaled_solution, scaled_noncheap_model):
-    report = viscosity_check(scaled_solution, scaled_noncheap_model,
-                             curve_samples=100)
+    report = viscosity_check(scaled_noncheap_model, curve_samples=100)
     assert report.passed, report.failures
     assert report.max_p2_minus_p1 <= 0.0
 
 
 def test_viscosity_checks_long_horizon(paper44_solution, paper44_model):
-    report = viscosity_check(paper44_solution, paper44_model, curve_samples=100)
+    report = viscosity_check(paper44_model, curve_samples=100)
     assert report.passed, report.failures
 
 
-def test_viscosity_check_catches_inverted_curvature(paper44_model, paper44_solution):
-    # k- below k+ = 0 puts P- above P+: the curvature would rise across the
-    # curve, on a moderate and on a huge value function.
+def test_viscosity_check_catches_inverted_curvature(monkeypatch, paper44_model):
+    # int_t^T kappa- below int_t^T kappa+ = 0 puts P- above P+: the
+    # curvature would rise across the curve, on a moderate and on a huge
+    # value function.  The check reads P+/- through conelq.riccati_pair.
     tiny = make_model(a=1e-9, m0=0.040000001)
-    cases = ((paper44_solution, paper44_model), (compute_solution(tiny), tiny))
-    assert all(viscosity_check(sol, model).passed for sol, model in cases)
-    for sol, model in cases:
-        inverted = dataclasses.replace(sol, kappa_minus=-1e-9)
-        report = viscosity_check(inverted, model)
+    models = (paper44_model, tiny)
+    assert all(viscosity_check(model).passed for model in models)
+    exact = conelq.riccati_pair
+    monkeypatch.setattr(conelq, "riccati_pair", lambda model, t: (
+        exact(model, t)[0], -1e-9 * (1.0 - np.asarray(t) / model.objective.T)))
+    for model in models:
+        report = viscosity_check(model)
         assert not report.passed and report.max_p2_minus_p1 > 0.0
 
 
 def test_p2_below_p1(paper44_model, paper44_solution):
-    p_plus, p_minus = p_pair(np.linspace(0.0, 100.0, 101), paper44_solution,
-                             paper44_model)
+    p_plus, p_minus = p_pair(paper44_model, np.linspace(0.0, 100.0, 101))
     assert np.all(p_minus <= p_plus + 1e-12)
 
 
@@ -452,17 +501,27 @@ def _log_uniform(lo, hi):
 
 @st.composite
 def full_models(draw):
-    """Valid constant-coefficient full models, theta != eta allowed, with d
-    above the frontier vertex; models past the frontier exponent limit are
-    skipped."""
+    """Valid full models: a known drift, theta != eta allowed, d above the
+    frontier vertex.  Half are in the paper's setting (constant r and sigma,
+    h = 0, m0 > r); the others give r and sigma one breakpoint each, draw h
+    from [-0.5, 0.5] and m0 - r of either sign.  Models with an exponent
+    k+/- past the frontier exponent limit are skipped."""
     r = draw(_log_uniform(1e-10, 0.2))
-    params = dict(r=r, m0=r + draw(_log_uniform(1e-9, 10.0)),
-                  a=draw(_log_uniform(1e-9, 10.0)), T=draw(_log_uniform(1e-3, 100.0)),
-                  sigma=draw(st.floats(0.05, 5.0)), b=draw(st.floats(0.05, 5.0)),
-                  theta=draw(st.floats(0.01, 2.0)), eta=draw(st.floats(0.01, 2.0)),
-                  x0=draw(_log_uniform(1e-3, 1e3)))
+    sigma = draw(st.floats(0.05, 5.0))
+    T = draw(_log_uniform(1e-3, 100.0))
+    excess = draw(_log_uniform(1e-9, 10.0))
+    params = dict(r=r, sigma=sigma, m0=r + excess, a=draw(_log_uniform(1e-9, 10.0)),
+                  T=T, b=draw(st.floats(0.05, 5.0)), theta=draw(st.floats(0.01, 2.0)),
+                  eta=draw(st.floats(0.01, 2.0)), x0=draw(_log_uniform(1e-3, 1e3)))
+    if not draw(st.booleans()):
+        r_cut, sigma_cut = (draw(st.floats(0.05, 0.95)) * T for _ in range(2))
+        params.update(
+            r=[(0.0, r), (r_cut, draw(_log_uniform(1e-10, 0.2)))],
+            sigma=[(0.0, sigma), (sigma_cut, draw(st.floats(0.05, 5.0)))],
+            h=draw(st.floats(-0.5, 0.5)),
+            m0=r + draw(st.sampled_from([-1.0, 1.0])) * excess)
     model = make_model(**params)
-    assume(-2.0 * fullinfo._a1(model) * params["T"] < 0.999 * MAX_EXPONENT)
+    assume(max(mv.riccati_pair(model, 0.0)) < 0.999 * MAX_EXPONENT)
     d0 = mv.riskless_terminal_wealth(model)
     return with_d(model, d0 + draw(st.floats(1e-3, 10.0)) * max(1.0, abs(d0)))
 
@@ -471,10 +530,17 @@ def full_models(draw):
 @given(model=full_models(), t_frac=st.floats(0.0, 1.0),
        offsets=st.lists(st.floats(-5.0, 5.0), min_size=1, max_size=8))
 def test_gap_form_is_the_paper_solution(model, t_frac, offsets):
+    sol = compute_solution(model)
+    # the partial twin draws the same gamma* and frontier
+    twin = mv.solve_partial(dataclasses.replace(model, info_mode="partial"))
+    assert twin.gamma_star == sol.gamma_star
+    assert twin.frontier_coefficient == sol.frontier_coefficient
+    if not fullinfo.in_paper_setting(model):
+        return
+
     c, ob = model.claim, model.objective
     r, sigma = model.market.r.constant_value(), model.market.sigma.constant_value()
     T = ob.T
-    sol = compute_solution(model)
 
     # k+ = 0 and k- = -2 A1 T, the paper's A1
     a1 = -((model.drift.m0 - r) / sigma) ** 2 / 2.0 - (c.a * c.eta / c.b) ** 2 / 2.0
@@ -491,11 +557,18 @@ def test_gap_form_is_the_paper_solution(model, t_frac, offsets):
     above = x >= xc
     paper = 0.5 * np.where(above, np.exp(r * tau) * x + g1,
                            np.exp((a1 + r) * tau) * x + np.exp(a1 * tau) * g1) ** 2
-    p_plus, p_minus = p_pair(t, sol, model)
+    p_plus, p_minus = p_pair(model, t)
     scale = 0.5 * np.where(above, p_plus, p_minus) * (np.abs(x) + abs(xc)) ** 2
     assert np.all(np.abs(value_function(t, x, sol, model) - paper) <= 1e-10 * scale)
 
-    # the partial twin draws the same gamma* and frontier
-    twin = mv.solve_partial(dataclasses.replace(model, info_mode="partial"))
-    assert twin.gamma_star == sol.gamma_star
-    assert twin.frontier_coefficient == sol.frontier_coefficient
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(model=full_models())
+def test_generated_full_models_pass_every_check(model):
+    # Every check passes, or an MvreinsError says why the model cannot be
+    # solved or checked; a FAIL or any other exception is a defect.
+    try:
+        results = run_checks(model)
+    except mv.MvreinsError:
+        return
+    assert all(r.passed for r in results), format_table(results)

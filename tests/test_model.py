@@ -28,18 +28,13 @@ def test_full_mode_requires_degenerate_drift():
     assert any("degenerate drift" in v for v in report.violations)
 
 
-def test_full_mode_requires_positive_excess_return():
-    m = make_model(m0=0.03)  # below r = 0.04
-    report = mv.validate(m)
-    assert not report.ok
-    assert any("excess return" in v for v in report.violations)
-
-
-def test_full_mode_requires_constant_market():
-    m = make_model(r=[(0.0, 0.04), (50.0, 0.05)])
-    report = mv.validate(m)
-    assert not report.ok
-    assert any("constant r" in v for v in report.violations)
+@pytest.mark.parametrize("kw", [
+    dict(m0=0.03),
+    dict(r=[(0.0, 0.04), (50.0, 0.05)], sigma=[(0.0, 1.0), (60.0, 1.2)]),
+    dict(h=[(0.0, -0.3), (20.0, 0.1)], m0=-0.5),
+], ids=["m0-below-r", "piecewise-market", "piecewise-h"])
+def test_full_mode_accepts_any_known_drift(kw):
+    assert mv.validate(make_model(**kw)).ok
 
 
 def test_validation_is_deterministic(paper44_model):
@@ -93,10 +88,11 @@ def test_riskless_wealth_piecewise_rate_matches_ode():
     assert closed == pytest.approx(50.0 * growth, rel=1e-12)
 
 
-def test_discount_growth_inverse(paper44_model):
-    m = paper44_model
+def test_discount_growth_inverse():
+    # at theta = eta the riskless level of a unit target is the discount
+    m = make_model(theta=0.2, eta=0.2)
     growth = np.exp(m.market.r.integral(30.0, m.objective.T))
-    assert m.discount_to_horizon(30.0) * growth == \
+    assert mv.riskless_level(m, 30.0, 1.0) * growth == \
         pytest.approx(1.0, rel=1e-15)
 
 
@@ -115,7 +111,8 @@ def test_riskless_level_at_cheap_reinsurance_is_the_discounted_target():
     m = make_model(r=[(0.0, 0.03), (40.0, 0.05), (70.0, 0.02)], theta=0.2,
                    eta=0.2, info_mode="partial")
     for t in (0.0, 12.5, 40.0, 55.0, 99.0, 100.0):
-        assert mv.riskless_level(m, t, 8000.0) == 8000.0 * m.discount_to_horizon(t)
+        discount = float(np.exp(-m.market.r.integral(t, m.objective.T)))
+        assert mv.riskless_level(m, t, 8000.0) == 8000.0 * discount
 
 
 def test_riskless_level_matches_mpmath_at_a_tiny_rate():

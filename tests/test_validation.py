@@ -10,48 +10,83 @@ from mvreins import conelq, frontier, fullinfo, validation
 from mvreins.config import load_config
 from mvreins.curves import SampledCurve
 from mvreins.frontier import dual_value
-from mvreins.validation import (_riccati_closed, _riccati_oracle,
-                                _riccati_oracle_check, run_checks)
+from mvreins.validation import _riccati_checks, run_checks
 
 from conftest import make_model
-from test_cli import PAPER44_CFG
+from test_cli import KNOWNDRIFT_CFG, PAPER44_CFG
 from test_conelq import BENCH_PARTIAL_CFG
 from test_frontier import SOLUTIONS
 
 
-def test_riccati_oracle_check_catches_a_wrong_pair():
+def _failed(model, **kw):
+    return {r.name for r in run_checks(model, **kw) if not r.passed}
+
+
+def test_riccati_oracle_check_catches_a_wrong_pair(monkeypatch):
+    # P- 1e-6 high at the oracle's nodes, or a record whose k- is 1e-6 off.
     model = load_config(BENCH_PARTIAL_CFG)[0]
-    oracle = _riccati_oracle(model)
-    p_plus, p_minus = _riccati_closed(model, oracle[0].grid)
-    assert _riccati_oracle_check((p_plus, p_minus), oracle).passed
-    result = _riccati_oracle_check((p_plus, p_minus * (1 + 1e-6)), oracle)
+    sol = mv.solve_partial(model)
+
+    def oracle_check(sol):
+        return _riccati_checks(model, sol)[1]
+
+    assert oracle_check(sol).passed
+    assert not oracle_check(dataclasses.replace(
+        sol, kappa_minus=sol.kappa_minus + 1e-6)).passed
+    exact = conelq.p_pair
+    monkeypatch.setattr(conelq, "p_pair", lambda model, t: (
+        exact(model, t)[0], exact(model, t)[1] * (1 + 1e-6)))
+    result = oracle_check(sol)
     assert result.name == "riccati-rk4-oracle"
     assert not result.passed
 
 
-def test_riccati_envelope_fails_on_a_scaled_oracle(monkeypatch):
-    # Partial validate runs eight checks; the envelope holds the RK4 curves
-    # to exp(2 int_t^T r), so curves 1% high (P = 1.01 at T) must fail it.
-    model = load_config(BENCH_PARTIAL_CFG)[0]
+@pytest.mark.parametrize("config, names", [
+    (PAPER44_CFG, ["model-invariants", "riskless-wealth-ode", "cone-optimality",
+                   "riccati-envelope", "riccati-rk4-oracle", "a1-definition",
+                   "pqr-ode-cross-check", "hjb-interior-residual",
+                   "viscosity-switching-curve", "dual-argmax", "frontier-vertex"]),
+    (BENCH_PARTIAL_CFG, ["model-invariants", "riskless-wealth-ode",
+                         "cone-optimality", "riccati-envelope",
+                         "riccati-rk4-oracle", "filter-variance-converged",
+                         "dual-argmax", "frontier-vertex"]),
+], ids=["paper44", "partial"])
+def test_riccati_envelope_fails_on_a_scaled_oracle(monkeypatch, config, names):
+    # Full paper44 runs eleven checks and partial validate eight; the
+    # envelope holds the RK4 curves to exp(2 int_t^T r), so curves 1% high
+    # (P = 1.01 at T) must fail it, and the closed form against them.
+    model = load_config(config)[0]
     solve = conelq.solve_riccati_pair
-    monkeypatch.setattr(conelq, "solve_riccati_pair", lambda model, m_bar: tuple(
-        SampledCurve(p.grid, 1.01 * p.values) for p in solve(model, m_bar)))
-    results = {r.name: r for r in run_checks(model)}
-    assert list(results) == [
-        "model-invariants", "riskless-wealth-ode", "cone-optimality",
-        "riccati-envelope", "riccati-rk4-oracle", "filter-variance-converged",
-        "dual-argmax", "frontier-vertex"]
-    assert not results["riccati-envelope"].passed
+    monkeypatch.setattr(conelq, "solve_riccati_pair", lambda *args: tuple(
+        SampledCurve(p.grid, 1.01 * p.values) for p in solve(*args)))
+    results = run_checks(model)
+    assert [r.name for r in results] == names
+    assert {r.name for r in results if not r.passed} == {
+        "riccati-envelope", "riccati-rk4-oracle"}
 
 
 def test_injected_a1_fails_the_pqr_oracle():
-    # The pqr oracle integrates with r, A1 and f from the model, so a wrong A1
-    # injected into the solution must fail it along with the other A1 checks.
+    # The injected a1 replaces the record's k-.  The pqr oracle and the HJB
+    # residual read P+/-(t) from the model, so only the checks that read the
+    # record's k- see it: a1-definition, and riccati-rk4-oracle, which holds
+    # the record's P+/-(0) = exp(2 int r - k+/-) to the RK4 oracle.
     model = load_config(PAPER44_CFG)[0]
-    failed = {r.name for r in run_checks(model, overrides={"a1": -0.05})
-              if not r.passed}
-    assert failed == {"a1-definition", "riccati-minus-closed-form",
-                      "pqr-ode-cross-check", "hjb-interior-residual"}
+    assert _failed(model, overrides={"a1": -0.05}) == {
+        "a1-definition", "riccati-rk4-oracle"}
+
+
+def test_scaled_k_minus_fails_the_hjb_residual(monkeypatch):
+    # int_t^T kappa- 1e-5 high at t > 0: P-(t) moves by about 1e-6, and
+    # its time derivative by 1e-5 of kappa- P-.
+    model = load_config(KNOWNDRIFT_CFG)[0]
+    exact = conelq.riccati_pair
+
+    def scaled(model, t):
+        k_plus, k_minus = exact(model, t)
+        return k_plus, np.where(np.asarray(t) > 0.0, k_minus * (1 + 1e-5), k_minus)
+
+    monkeypatch.setattr(conelq, "riccati_pair", scaled)
+    assert _failed(model) == {"riccati-rk4-oracle", "hjb-interior-residual"}
 
 
 def test_negative_frontier_vertex_passes_every_check():
@@ -206,8 +241,7 @@ def test_scaled_gamma_star_fails_only_dual_argmax(monkeypatch):
     exact = frontier.gamma_star
     monkeypatch.setattr(frontier, "gamma_star",
                         lambda *args: exact(*args) * (1.0 + 1e-5))
-    failed = [r.name for r in run_checks(model) if not r.passed]
-    assert failed == ["dual-argmax"]
+    assert _failed(model) == {"dual-argmax"}
 
 
 def test_frontier_anchored_at_d0_fails_frontier_vertex(monkeypatch):

@@ -7,7 +7,7 @@ Usage::
 Each op runs as ``python -m mvreins`` on this checkout's ``src/`` in its own
 directory ``OUT/<op>/`` with ``--out-dir .``.  Next to the files the op writes
 go ``stdout.txt``, ``stderr.txt`` and ``exit_code.txt``.  The list covers
-every subcommand: ``validate`` on the four configs, on one with a faulty
+every subcommand: ``validate`` on the five configs, on one with a faulty
 injected ``a1``, on a tiny-premium one, on a full one whose frontier vertex
 is negative, on a tiny-rate one and on a short-horizon one; ``frontier`` in
 full and partial mode, in partial mode on a tiny-premium twin and in full
@@ -22,7 +22,10 @@ where the flag has no solver to act on.  Partial ``frontier`` also runs on a
 twin whose target mean lies below the frontier vertex.  ``value-surface`` and
 full ``frontier`` also run with their default ranges on two twins with a
 negative frontier vertex: one whose switching curve lies at or above 0, and
-one whose target mean sits just above the vertex.
+one whose target mean sits just above the vertex.  ``configs/knowndrift.cfg``,
+full information off the paper's setting, runs ``validate``, ``frontier``,
+``value-surface``, ``dual-curve`` and a short ``simulate``, and ``frontier``
+with the compat constant, which its piecewise r refuses.
 Two checkouts whose snapshots ``diff -r`` finds equal produce the same bytes
 on all of them.
 """
@@ -40,6 +43,7 @@ PAPER44 = REPO / "configs" / "paper44.cfg"
 FILTERDEMO = REPO / "configs" / "filterdemo.cfg"
 SCALED = REPO / "configs" / "scaled.cfg"
 PARTIAL = REPO / "bench" / "configs" / "partial.cfg"
+KNOWNDRIFT = REPO / "configs" / "knowndrift.cfg"
 # Configs derived from paper44, written into the op's directory: (changed
 # values, appended text).  The tiny-premium ones set a = 1e-9 and
 # m0 - r = 1e-9; the partial twin also sets theta = eta.  eta = 0.5 and
@@ -117,6 +121,13 @@ OPS = [
         "simulate", "--paths", "2000", "--dt", "0.025", "--seed", "3")),
     ("simulate-store-paths", SCALED,
      ("simulate", "--paths", "5", "--dt", "0.05", "--seed", "1", "--store-paths")),
+    ("validate-knowndrift", KNOWNDRIFT, ("validate",)),
+    ("frontier-knowndrift", KNOWNDRIFT, ("frontier",)),
+    ("value-surface-knowndrift", KNOWNDRIFT, ("value-surface",)),
+    ("dual-curve-knowndrift", KNOWNDRIFT, ("dual-curve",)),
+    ("simulate-knowndrift", KNOWNDRIFT,
+     ("simulate", "--paths", "4000", "--dt", "0.01", "--seed", "3")),
+    ("frontier-knowndrift-compat", KNOWNDRIFT, COMPAT + ("frontier",)),
 ]
 
 
