@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .curves import PiecewiseConstantCurve, as_curve, segments
+from .curves import PiecewiseConstantCurve, as_curve
 from .odekernel import integrate_forward
 
 import numpy as np
@@ -149,20 +149,16 @@ def validate(params: ModelParams) -> ValidationReport:
 def riskless_terminal_wealth(params: ModelParams) -> float:
     """Terminal wealth under the zero strategy (everything reinsured, all in the bond).
 
-    Solves dX = [a(theta - eta) + r X] dt from x0 exactly, chaining the affine
-    closed form across the rate curve's segments: over a segment of length
-    u, x <- x + x expm1(r u) + a(theta - eta) expm1(r u)/r, so a tiny r does
-    not cancel in e^{r u} - 1.  This is the smallest attainable expected
-    terminal wealth (the frontier vertex), alias d_min.
+    Solves dX = [a(theta - eta) + r X] dt from x0 exactly:
+    X(T) = e^{int_0^T r} (x0 + a(theta - eta) I(0)), with int r and I from
+    :func:`riskless_integrals`, whose expm1 chain keeps a tiny r from
+    cancelling.  This is the smallest attainable expected terminal wealth
+    (the frontier vertex), alias d_min.
     """
-    c, mk, T = params.claim, params.market, params.objective.T
-    drift = c.a * (c.theta - c.eta)
-    edges, (rates,) = segments(0.0, T, mk.r)
-    x = params.objective.x0
-    for t0, t1, rate in zip(edges[:-1], edges[1:], rates.tolist()):
-        grow = np.expm1(rate * (t1 - t0))
-        x = x + x * grow + drift * grow / rate
-    return float(x)
+    c = params.claim
+    exponent, tail = riskless_integrals(params, 0.0)
+    x0 = params.objective.x0
+    return float(np.exp(exponent) * (x0 + c.a * (c.theta - c.eta) * tail))
 
 
 def riskless_integrals(params: ModelParams, t):

@@ -253,12 +253,10 @@ def test_criterion_8_hjb_viscosity(scaled_noncheap_model, paper44_model):
 
     worst = {"above_curve": 0.0, "below_curve": 0.0}
     for region, sign in (("above_curve", 1.0), ("below_curve", -1.0)):
-        for _ in range(200):
-            t = rng.uniform(0.2, 4.8)
-            xc = float(mv.fullinfo.switching_x(t, sol, model))
-            x = xc + sign * rng.uniform(1.0, 80.0)
-            worst[region] = max(worst[region],
-                                abs(mv.hjb_residual(t, x, sol, model)[0]))
+        # 200 (t, offset) pairs, drawn in the order of a per-point loop
+        t, offset = rng.uniform([0.2, 1.0], [4.8, 80.0], size=(200, 2)).T
+        x = mv.fullinfo.switching_x(t, sol, model) + sign * offset
+        worst[region] = float(np.max(np.abs(mv.hjb_residual(t, x, sol, model)[0])))
     residual_ok = max(worst.values()) <= 1e-4
 
     report = mv.viscosity_check(model, curve_samples=100)

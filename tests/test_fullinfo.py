@@ -108,13 +108,15 @@ def test_value_and_region_broadcast_over_x(paper44_model, paper44_solution, t):
     xc = float(switching_x(t, sol, model))
     xs = np.concatenate([np.linspace(-30000.0, 30000.0, 1001),
                          [xc, xc + 1e-9, xc - 1.0, xc + 1.0]])
+    # per point: t broadcast to one time per x
+    ts = np.full_like(xs, t)
     values = value_function(t, xs, sol, model)
-    per_point = np.array([value_function(t, float(x), sol, model) for x in xs])
+    per_point = value_function(ts, xs, sol, model)
     assert values.shape == xs.shape
     assert np.all(np.abs(values - per_point) <= np.spacing(per_point))
     regions = region(t, xs, sol, model)
     assert regions.shape == xs.shape
-    assert all(got is region(t, float(x), sol, model) for got, x in zip(regions, xs))
+    assert all(got is want for got, want in zip(regions, region(ts, xs, sol, model)))
     assert regions[-4] is Region.ON_CURVE
     assert type(value_function(t, xc - 1.0, sol, model)) is float
 

@@ -6,79 +6,97 @@ import pytest
 from hypothesis import given, settings
 
 import mvreins as mv
-from mvreins import conelq, frontier, fullinfo, validation
+from mvreins import conelq, filtering, frontier, fullinfo, validation
 from mvreins.config import load_config
 from mvreins.curves import SampledCurve
 from mvreins.frontier import dual_value
-from mvreins.validation import _riccati_checks, run_checks
+from mvreins.model import riskless_integrals
+from mvreins.validation import run_checks
 
 from conftest import make_model
-from test_cli import KNOWNDRIFT_CFG, PAPER44_CFG
+from test_cli import FILTER_CFG, KNOWNDRIFT_CFG, PAPER44_CFG
 from test_conelq import BENCH_PARTIAL_CFG
 from test_frontier import SOLUTIONS
 
 
-def _failed(model, **kw):
-    return {r.name for r in run_checks(model, **kw) if not r.passed}
+# The fault matrix: each row names a config, a fault and the checks that
+# must FAIL on it, and only those.  A fault patches one production route
+# with monkeypatch, and may return keyword arguments of run_checks that
+# replace the config's model or add to it.
+
+def _negative_rate(monkeypatch, model):
+    return dict(model=dataclasses.replace(
+        model, market=mv.MarketParams(r=-0.01, sigma=model.market.sigma)))
 
 
-def test_riccati_oracle_check_catches_a_wrong_pair(monkeypatch):
-    # P- 1e-6 high at the oracle's nodes, or a record whose k- is 1e-6 off.
-    model = load_config(BENCH_PARTIAL_CFG)[0]
-    sol = mv.solve_partial(model)
+def _scaled(monkeypatch, module, name, factor):
+    exact = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args: exact(*args) * factor)
 
-    def oracle_check(sol):
-        return _riccati_checks(model, sol)[1]
 
-    assert oracle_check(sol).passed
-    assert not oracle_check(dataclasses.replace(
-        sol, kappa_minus=sol.kappa_minus + 1e-6)).passed
+def _high_riskless_wealth(monkeypatch, model):
+    # The record's d0 1e-8 high; the ODE oracle reads the model.
+    _scaled(monkeypatch, frontier, "riskless_terminal_wealth", 1.0 + 1e-8)
+
+
+def _swapped_xi(monkeypatch, model):
+    exact = conelq.xi_minimizer
+    monkeypatch.setattr(conelq, "xi_minimizer", lambda sign, coeffs: exact(
+        "minus" if sign == "plus" else "plus", coeffs))
+
+
+def _high_p_minus(monkeypatch, model):
+    # P- 1e-6 high at the oracle's nodes.
     exact = conelq.p_pair
     monkeypatch.setattr(conelq, "p_pair", lambda model, t: (
         exact(model, t)[0], exact(model, t)[1] * (1 + 1e-6)))
-    result = oracle_check(sol)
-    assert result.name == "riccati-rk4-oracle"
-    assert not result.passed
 
 
-@pytest.mark.parametrize("config, names", [
-    (PAPER44_CFG, ["model-invariants", "riskless-wealth-ode", "cone-optimality",
-                   "riccati-envelope", "riccati-rk4-oracle", "a1-definition",
-                   "pqr-ode-cross-check", "hjb-interior-residual",
-                   "viscosity-switching-curve", "dual-argmax", "frontier-vertex"]),
-    (BENCH_PARTIAL_CFG, ["model-invariants", "riskless-wealth-ode",
-                         "cone-optimality", "riccati-envelope",
-                         "riccati-rk4-oracle", "filter-variance-converged",
-                         "dual-argmax", "frontier-vertex"]),
-], ids=["paper44", "partial"])
-def test_riccati_envelope_fails_on_a_scaled_oracle(monkeypatch, config, names):
-    # Full paper44 runs eleven checks and partial validate eight; the
-    # envelope holds the RK4 curves to exp(2 int_t^T r), so curves 1% high
-    # (P = 1.01 at T) must fail it, and the closed form against them.
-    model = load_config(config)[0]
+def _record_k_minus(change):
+    """The record's k- changed by ``change``; P+/-(t) read the model."""
+    def fault(monkeypatch, model):
+        exact = frontier.riccati_pair
+        monkeypatch.setattr(frontier, "riccati_pair", lambda model, t: (
+            exact(model, t)[0], change(exact(model, t)[1])))
+
+    return fault
+
+
+def _scaled_rk4_oracle(monkeypatch, model):
+    # RK4 curves 1% high (P = 1.01 at T).
     solve = conelq.solve_riccati_pair
     monkeypatch.setattr(conelq, "solve_riccati_pair", lambda *args: tuple(
         SampledCurve(p.grid, 1.01 * p.values) for p in solve(*args)))
-    results = run_checks(model)
-    assert [r.name for r in results] == names
-    assert {r.name for r in results if not r.passed} == {
-        "riccati-envelope", "riccati-rk4-oracle"}
 
 
-def test_injected_a1_fails_the_pqr_oracle():
-    # The injected a1 replaces the record's k-.  The pqr oracle and the HJB
-    # residual read P+/-(t) from the model, so only the checks that read the
-    # record's k- see it: a1-definition, and riccati-rk4-oracle, which holds
-    # the record's P+/-(0) = exp(2 int r - k+/-) to the RK4 oracle.
-    model = load_config(PAPER44_CFG)[0]
-    assert _failed(model, overrides={"a1": -0.05}) == {
-        "a1-definition", "riccati-rk4-oracle"}
+def _injected_a1(monkeypatch, model):
+    # The override replaces the record's k-; the P, Q, R oracle and the HJB
+    # residual read P+/-(t) from the model.
+    return dict(overrides={"a1": -0.05})
 
 
-def test_scaled_k_minus_fails_the_hjb_residual(monkeypatch):
-    # int_t^T kappa- 1e-5 high at t > 0: P-(t) moves by about 1e-6, and
-    # its time derivative by 1e-5 of kappa- P-.
-    model = load_config(KNOWNDRIFT_CFG)[0]
+def _curve_drift_term(monkeypatch, model):
+    # The r (d - gamma*) term of x_c, (d - gamma*) expm1(-int_t^T r), 1e-7
+    # high: 2e-7 in Q and R, against ten step-halving spreads (1.9e-9 on
+    # paper44).
+    def switching_x(t, sol, model):
+        c = model.claim
+        exponent, tail = riskless_integrals(model, t)
+        return (sol.target_level * np.expm1(-exponent) * (1.0 + 1e-7)
+                - c.a * (c.theta - c.eta) * tail)
+
+    monkeypatch.setattr(fullinfo, "switching_x", switching_x)
+
+
+def _value_drifting_in_t(monkeypatch, model):
+    exact = fullinfo.value_function
+    monkeypatch.setattr(fullinfo, "value_function", lambda t, x, sol, model: exact(
+        t, x, sol, model) * (1.0 + 1e-6 * np.asarray(t)))
+
+
+def _k_minus_tail(monkeypatch, model):
+    # int_t^T kappa- 1e-5 high at t > 0: P-(t) moves by about 1e-6, and its
+    # time derivative by 1e-5 of kappa- P-.
     exact = conelq.riccati_pair
 
     def scaled(model, t):
@@ -86,7 +104,103 @@ def test_scaled_k_minus_fails_the_hjb_residual(monkeypatch):
         return k_plus, np.where(np.asarray(t) > 0.0, k_minus * (1 + 1e-5), k_minus)
 
     monkeypatch.setattr(conelq, "riccati_pair", scaled)
-    assert _failed(model) == {"riccati-rk4-oracle", "hjb-interior-residual"}
+
+
+def _swapped_pair(monkeypatch, model):
+    # P+ and P- trade places: the curvature jump at the curve turns positive.
+    exact = conelq.riccati_pair
+    monkeypatch.setattr(conelq, "riccati_pair", lambda model, t: exact(model, t)[::-1])
+
+
+def _coarse_variance(monkeypatch, model):
+    # 1000 steps by default: n(T) has relaxed to the stationary root, the
+    # early nodes have not.
+    exact = filtering.solve_variance
+    monkeypatch.setattr(filtering, "solve_variance",
+                        lambda drift, sigma, T, steps=1000: exact(drift, sigma, T, steps))
+
+
+def _high_gamma_star(monkeypatch, model):
+    # The frontier and the dual read no gamma*, so the golden-section
+    # maximizer is the one route that sees it.
+    _scaled(monkeypatch, frontier, "gamma_star", 1.0 + 1e-5)
+
+
+def _frontier_at_d0(monkeypatch, model):
+    # Under the compat constant paper44's vertex (2732.41) lies below d0
+    # (2863.90): a frontier anchored at d0 refuses the vertex as a target.
+    monkeypatch.setattr(validation, "efficient_frontier", lambda sol, d_grid: (
+        frontier.efficient_frontier(dataclasses.replace(sol, vertex=sol.d0), d_grid)))
+    return dict(compat=True)
+
+
+# (id, config, fault, the checks that FAIL)
+FAULTS = [
+    ("negative-rate", PAPER44_CFG, _negative_rate, {"model-invariants"}),
+    ("riskless-wealth-1e-8", PAPER44_CFG, _high_riskless_wealth,
+     {"riskless-wealth-ode"}),
+    ("xi-sign-swapped", PAPER44_CFG, _swapped_xi, {"cone-optimality"}),
+    ("p-minus-1e-6", BENCH_PARTIAL_CFG, _high_p_minus, {"riccati-rk4-oracle"}),
+    ("record-k-minus-plus-1e-6", BENCH_PARTIAL_CFG,
+     _record_k_minus(lambda k: k + 1e-6), {"riccati-rk4-oracle"}),
+    ("rk4-oracle-1pc-paper44", PAPER44_CFG, _scaled_rk4_oracle,
+     {"riccati-rk4-oracle"}),
+    ("rk4-oracle-1pc-partial", BENCH_PARTIAL_CFG, _scaled_rk4_oracle,
+     {"riccati-rk4-oracle"}),
+    ("record-k-minus-1e-10", PAPER44_CFG,
+     _record_k_minus(lambda k: k * (1.0 + 1e-10)), {"a1-definition"}),
+    ("injected-a1", PAPER44_CFG, _injected_a1,
+     {"a1-definition", "riccati-rk4-oracle"}),
+    ("switching-curve-1e-7", PAPER44_CFG, _curve_drift_term,
+     {"pqr-ode-cross-check"}),
+    ("value-1e-6-t", KNOWNDRIFT_CFG, _value_drifting_in_t,
+     {"hjb-interior-residual"}),
+    ("k-minus-tail-1e-5", KNOWNDRIFT_CFG, _k_minus_tail,
+     {"riccati-rk4-oracle", "hjb-interior-residual"}),
+    ("pair-swapped", PAPER44_CFG, _swapped_pair,
+     {"viscosity-switching-curve", "riccati-rk4-oracle", "pqr-ode-cross-check",
+      "hjb-interior-residual"}),
+    ("variance-1000-steps", BENCH_PARTIAL_CFG, _coarse_variance,
+     {"filter-variance-converged"}),
+    ("gamma-star-1e-5", BENCH_PARTIAL_CFG, _high_gamma_star, {"dual-argmax"}),
+    ("frontier-at-d0", PAPER44_CFG, _frontier_at_d0, {"frontier-vertex"}),
+]
+
+
+@pytest.mark.parametrize("config, fault, failed", [row[1:] for row in FAULTS],
+                         ids=[row[0] for row in FAULTS])
+def test_fault_fails_its_checks(monkeypatch, config, fault, failed):
+    model = load_config(config)[0]
+    kwargs = {"model": model, **(fault(monkeypatch, model) or {})}
+    assert {r.name for r in run_checks(**kwargs) if not r.passed} == failed
+
+
+@pytest.mark.parametrize("config, names", [
+    (PAPER44_CFG, ["model-invariants", "riskless-wealth-ode", "cone-optimality",
+                   "riccati-rk4-oracle", "a1-definition", "pqr-ode-cross-check",
+                   "hjb-interior-residual", "viscosity-switching-curve",
+                   "dual-argmax", "frontier-vertex"]),
+    (KNOWNDRIFT_CFG, ["model-invariants", "riskless-wealth-ode", "cone-optimality",
+                      "riccati-rk4-oracle", "hjb-interior-residual", "dual-argmax",
+                      "frontier-vertex"]),
+    (BENCH_PARTIAL_CFG, ["model-invariants", "riskless-wealth-ode",
+                         "cone-optimality", "riccati-rk4-oracle",
+                         "filter-variance-converged", "dual-argmax",
+                         "frontier-vertex"]),
+    (FILTER_CFG, ["model-invariants", "riskless-wealth-ode", "cone-optimality",
+                  "riccati-rk4-oracle", "filter-variance-converged",
+                  "dual-argmax", "frontier-vertex"]),
+], ids=["paper44", "knowndrift", "partial", "filterdemo"])
+def test_fault_table_covers_every_check(config, names):
+    # Every check the config runs passes on it, and has a row in FAULTS where
+    # it is the only FAIL; viscosity-switching-curve, whose one fault fails
+    # three other checks as well, has a row where it FAILs.
+    results = run_checks(load_config(config)[0])
+    assert [r.name for r in results] == names
+    assert all(r.passed for r in results), validation.format_table(results)
+    alone = {name for *_, failed in FAULTS if len(failed) == 1 for name in failed}
+    assert set(names) - alone <= {"viscosity-switching-curve"}
+    assert set(names) <= set().union(*(failed for *_, failed in FAULTS))
 
 
 def test_negative_frontier_vertex_passes_every_check():
@@ -142,27 +256,6 @@ def test_pqr_oracle_states_its_steps_and_spread():
     assert check.passed
     assert "RK4 4000 steps, step-halving spread" in check.detail
     assert spread <= 1e-7
-
-
-def test_pqr_oracle_fails_a_switching_curve_off_by_1e7(monkeypatch):
-    # The check is judged against ten step-halving spreads (1.9e-9 on
-    # paper44), so a drift term r (d - gamma*) off by 1e-7 relative in the
-    # gap form's x_c, an error of 2e-7 in Q and R, must fail it.
-    model = load_config(PAPER44_CFG)[0]
-    sol = fullinfo.compute_solution(model)
-
-    def switching_x(t, sol, model):
-        c, r = model.claim, model.market.r.constant_value()
-        tau = model.objective.T - np.asarray(t, dtype=float)
-        w = (c.a * c.theta - c.a * c.eta
-             + sol.target_level * r * (1.0 + 1e-7))
-        return -(w * np.expm1(r * tau) / r) * np.exp(-r * tau)
-
-    assert validation._pqr_oracle_check(model, sol).passed
-    monkeypatch.setattr(fullinfo, "switching_x", switching_x)
-    check = validation._pqr_oracle_check(model, sol)
-    assert check.name == "pqr-ode-cross-check"
-    assert not check.passed
 
 
 def test_pqr_oracle_doubling_stops_at_its_cap(monkeypatch):
@@ -232,24 +325,3 @@ def test_dual_argmax_passes_on_generated_solutions(sol):
     check = validation._dual_argmax_check(lambda g: dual_value(sol, g),
                                           sol.gamma_star)
     assert check.passed, check.detail
-
-
-def test_scaled_gamma_star_fails_only_dual_argmax(monkeypatch):
-    # gamma* 1e-5 off: the frontier and the dual read no gamma*, so the
-    # golden-section maximizer is the one route that sees it.
-    model = load_config(BENCH_PARTIAL_CFG)[0]
-    exact = frontier.gamma_star
-    monkeypatch.setattr(frontier, "gamma_star",
-                        lambda *args: exact(*args) * (1.0 + 1e-5))
-    assert _failed(model) == {"dual-argmax"}
-
-
-def test_frontier_anchored_at_d0_fails_frontier_vertex(monkeypatch):
-    # Under the compat constant paper44's vertex (2732.41) lies below d0
-    # (2863.90): a frontier anchored at d0 refuses the vertex as a target.
-    model = load_config(PAPER44_CFG)[0]
-    anchored = lambda sol, d_grid: frontier.efficient_frontier(
-        dataclasses.replace(sol, vertex=sol.d0), d_grid)
-    monkeypatch.setattr(validation, "efficient_frontier", anchored)
-    failed = [r.name for r in run_checks(model, compat=True) if not r.passed]
-    assert failed == ["frontier-vertex"]

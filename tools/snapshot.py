@@ -9,7 +9,9 @@ directory ``OUT/<op>/`` with ``--out-dir .``.  Next to the files the op writes
 go ``stdout.txt``, ``stderr.txt`` and ``exit_code.txt``.  The list covers
 every subcommand: ``validate`` on the five configs, on one with a faulty
 injected ``a1``, on a tiny-premium one, on a full one whose frontier vertex
-is negative, on a tiny-rate one and on a short-horizon one; ``frontier`` in
+is negative, on a tiny-rate one, on a short-horizon one and on
+``configs/filterdemo.cfg`` with a stiff prior (n0 = 1000), which fails
+``filter-variance-converged``; ``frontier`` in
 full and partial mode, in partial mode on a tiny-premium twin and in full
 mode on a twin whose target mean lies below the frontier vertex;
 ``value-surface``; ``dual-curve``; ``filter``; and ``simulate`` in full mode
@@ -44,15 +46,17 @@ FILTERDEMO = REPO / "configs" / "filterdemo.cfg"
 SCALED = REPO / "configs" / "scaled.cfg"
 PARTIAL = REPO / "bench" / "configs" / "partial.cfg"
 KNOWNDRIFT = REPO / "configs" / "knowndrift.cfg"
-# Configs derived from paper44, written into the op's directory: (changed
-# values, appended text).  The tiny-premium ones set a = 1e-9 and
-# m0 - r = 1e-9; the partial twin also sets theta = eta.  eta = 0.5 and
+# Configs derived from paper44, or from the base config named third, written
+# into the op's directory: (changed values, appended text[, base]).  The
+# tiny-premium ones set a = 1e-9 and m0 - r = 1e-9; the partial twin also
+# sets theta = eta.  eta = 0.5 and
 # x0 = 1 put the full frontier's vertex at -213.39.  The tiny-rate one sets
 # r = 1e-10 (d = 200), the short-horizon one T = 0.01 (d = 60).  The low-d
 # one sets d = 2000, below the full frontier's vertex 2863.90; its partial
 # twin (theta = eta = 0.2) puts d below the vertex 2729.91.  The two
 # negative-vertex twins at d = -200 (switching curve at or above 0) and
 # d = -213.39 (0.0026 above the vertex) exercise the default x and d ranges.
+# The stiff prior sets n0 = 1000 on filterdemo.
 TINY = {"a": "1e-9", "m0": "0.040000001"}
 DERIVED = {
     "a1-injected.cfg": ({}, "\n[overrides]\na1 = -0.5\n"),
@@ -65,6 +69,7 @@ DERIVED = {
     "low-d-partial.cfg": ({"theta": "0.2", "d": "2000.0"}, ""),
     "curve-above-zero-full.cfg": ({"eta": "0.5", "x0": "1.0", "d": "-200.0"}, ""),
     "near-vertex-full.cfg": ({"eta": "0.5", "x0": "1.0", "d": "-213.39"}, ""),
+    "stiff-prior.cfg": ({"n0": "1000"}, "", FILTERDEMO),
 }
 COMPAT = ("--compat-paper-formulas",)
 
@@ -82,6 +87,7 @@ OPS = [
     ("validate-negative-vertex-full", "negative-vertex-full.cfg", ("validate",)),
     ("validate-tiny-r-full", "tiny-r-full.cfg", ("validate",)),
     ("validate-short-horizon-full", "short-horizon-full.cfg", ("validate",)),
+    ("validate-stiff-prior", "stiff-prior.cfg", ("validate",)),
     ("validate-paper44-compat", PAPER44, COMPAT + ("validate",)),
     ("frontier-full", PAPER44, ("frontier", "--mode", "full")),
     ("frontier-full-compat", PAPER44, COMPAT + ("frontier", "--mode", "full")),
@@ -131,12 +137,12 @@ OPS = [
 ]
 
 
-def _derived_text(changes: dict, extra: str) -> str:
-    text = PAPER44.read_text()
+def _derived_text(changes: dict, extra: str, base: Path = PAPER44) -> str:
+    text = base.read_text()
     for key, value in changes.items():
         text, n = re.subn(rf"^{key} = .*$", f"{key} = {value}", text, flags=re.M)
         if n != 1:
-            raise ValueError(f"{PAPER44} has {n} lines for {key!r}")
+            raise ValueError(f"{base} has {n} lines for {key!r}")
     return text + extra
 
 
